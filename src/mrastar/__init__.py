@@ -30,7 +30,6 @@ from .grid import (
     get_space_indices,
     heuristic,
     path_cost,
-    successors,
     successors_at_scale,
 )
 from .kernels import NUMBA_ENABLED
@@ -99,7 +98,6 @@ __all__ = [
     "save_svg",
     "serialize_movingai",
     "serialize_vox3",
-    "successors",
     "successors_at_scale",
     "wa_union",
     "weighted_astar",

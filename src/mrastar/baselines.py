@@ -11,12 +11,10 @@ import time
 import numpy as np
 
 from . import kernels
-from .errors import InvalidProblemError
 from .grid import (
     Cell,
     GridMap,
     ResolutionLadder,
-    coincides,
     get_space_indices,
     heuristic,
     path_cost,
@@ -29,15 +27,8 @@ from .search import (
     OpenList,
     PlanResult,
     check_deadline,
+    validate_query,
 )
-
-
-def _h_kind(grid: GridMap, kind: str) -> str:
-    if kind == "auto":
-        return "octile" if grid.dim == 2 else "euclidean"
-    if kind == "octile" and grid.dim != 2:
-        raise InvalidProblemError("octile heuristic requires a 2D map")
-    return kind
 
 
 def _single_queue(grid, start, goal, succ_fn, hkind, w, timeout, log_expansions):
@@ -69,7 +60,8 @@ def _single_queue(grid, start, goal, succ_fn, hkind, w, timeout, log_expansions)
         if check_deadline(expansions, started, timeout):
             status = STATUS_TIMEOUT
             break
-        if g[goal_id] <= open_list.min_key():
+        # A key can only be inf when w * h overflows; such keys claim nothing.
+        if g[goal_id] <= open_list.min_key() < math.inf:
             status = STATUS_SOLVED
             break
         sid = open_list.pop()
@@ -136,21 +128,10 @@ def weighted_astar(
     action space (which for multiplier > 1 may exceed the unit-scale
     optimum, or find no path at all where one exists).
     """
+    start, goal, _, hkind = validate_query(
+        grid, start, goal, heuristic=heuristic, sublattice=multiplier, w=w
+    )
     k = int(multiplier)
-    if k < 1 or k % 2 == 0:
-        raise InvalidProblemError(f"multiplier must be odd and >= 1, got {k}")
-    if w < 1.0:
-        raise InvalidProblemError(f"w must be >= 1, got {w}")
-    start = tuple(int(c) for c in start)
-    goal = tuple(int(c) for c in goal)
-    if not grid.is_free(start):
-        raise InvalidProblemError(f"start {start} is blocked or out of bounds")
-    if not grid.is_free(goal):
-        raise InvalidProblemError(f"goal {goal} is blocked or out of bounds")
-    for name, cell in (("start", start), ("goal", goal)):
-        if not coincides(cell, k):
-            raise InvalidProblemError(f"{name} {cell} is not on the k={k} sublattice")
-    hkind = _h_kind(grid, heuristic)
     return _single_queue(
         grid,
         start,
@@ -176,17 +157,7 @@ def wa_union(
 ) -> PlanResult:
     """Weighted A* over the union of a ladder's action spaces: one queue,
     and each state offers the moves of every space it coincides with."""
-    if not isinstance(ladder, ResolutionLadder):
-        ladder = ResolutionLadder(tuple(ladder))
-    if w < 1.0:
-        raise InvalidProblemError(f"w must be >= 1, got {w}")
-    start = tuple(int(c) for c in start)
-    goal = tuple(int(c) for c in goal)
-    if not grid.is_free(start):
-        raise InvalidProblemError(f"start {start} is blocked or out of bounds")
-    if not grid.is_free(goal):
-        raise InvalidProblemError(f"goal {goal} is blocked or out of bounds")
-    hkind = _h_kind(grid, heuristic)
+    start, goal, ladder, hkind = validate_query(grid, start, goal, ladder, heuristic, w=w)
 
     def union_succ(cell):
         out = []

@@ -16,8 +16,6 @@ from .grid import Cell, GridMap, ResolutionLadder
 from .maps_io import BenchRow, gen_scenarios
 from .search import PlannerConfig, PlanResult, Problem, plan
 
-ALGOS = ("mra", "wa-high", "wa-low", "wa-mr", "astar")
-
 
 @dataclass(frozen=True)
 class BenchTask:
@@ -39,6 +37,37 @@ def worker_count() -> int:
     return max(1, n)
 
 
+# The one name -> planner table, shared by `mrastar plan`, `mrastar bench`
+# and run_bench.  Each entry takes (grid, start, goal, ladder, config,
+# log_expansions):
+#   mra: the multi-resolution planner over the full ladder.
+#   wa-high: weighted A* on the unit lattice with w = w1.
+#   wa-low: weighted A* on the coarsest ladder scale with w = w1.
+#   wa-mr: weighted A* over the union action space with w = w1.
+#   astar: plain A* on the unit lattice.
+ALGOS = {
+    "mra": lambda grid, start, goal, ladder, config, log: plan(
+        Problem(grid, start, goal, ladder), config, log_expansions=log
+    ),
+    "wa-high": lambda grid, start, goal, ladder, config, log: weighted_astar(
+        grid, start, goal, multiplier=1, w=config.w1, timeout=config.timeout,
+        log_expansions=log,
+    ),
+    "wa-low": lambda grid, start, goal, ladder, config, log: weighted_astar(
+        grid, start, goal, multiplier=ladder.multipliers[-1], w=config.w1,
+        timeout=config.timeout, log_expansions=log,
+    ),
+    "wa-mr": lambda grid, start, goal, ladder, config, log: wa_union(
+        grid, start, goal, ladder, w=config.w1, timeout=config.timeout,
+        log_expansions=log,
+    ),
+    "astar": lambda grid, start, goal, ladder, config, log: weighted_astar(
+        grid, start, goal, multiplier=1, w=1.0, timeout=config.timeout,
+        log_expansions=log,
+    ),
+}
+
+
 def run_algo(
     algo: str,
     grid: GridMap,
@@ -46,37 +75,18 @@ def run_algo(
     goal: Cell,
     ladder: ResolutionLadder,
     config: PlannerConfig,
+    *,
+    log_expansions: bool = False,
 ) -> PlanResult:
-    """Run one named planner on one query.
+    """Run the planner ALGOS names algo on one query.
 
-    mra: the multi-resolution planner over the full ladder.
-    wa-high: weighted A* on the unit lattice with w = w1.
-    wa-low: weighted A* on the coarsest ladder scale with w = w1.
-    wa-mr: weighted A* over the union action space with w = w1.
-    astar: plain A* on the unit lattice.
     Raises InvalidProblemError when the query violates the planner's
-    preconditions (notably wa-low with endpoints off its sublattice).
+    preconditions (notably wa-low with endpoints off its sublattice),
+    and ValueError for an unknown algo.
     """
-    if algo == "mra":
-        return plan(Problem(grid, start, goal, ladder), config)
-    if algo == "wa-high":
-        return weighted_astar(
-            grid, start, goal, multiplier=1, w=config.w1, timeout=config.timeout
-        )
-    if algo == "wa-low":
-        return weighted_astar(
-            grid,
-            start,
-            goal,
-            multiplier=ladder.multipliers[-1],
-            w=config.w1,
-            timeout=config.timeout,
-        )
-    if algo == "wa-mr":
-        return wa_union(grid, start, goal, ladder, w=config.w1, timeout=config.timeout)
-    if algo == "astar":
-        return weighted_astar(grid, start, goal, multiplier=1, w=1.0, timeout=config.timeout)
-    raise ValueError(f"unknown algo {algo!r}; choose from {ALGOS}")
+    if algo not in ALGOS:
+        raise ValueError(f"unknown algo {algo!r}; choose from {','.join(ALGOS)}")
+    return ALGOS[algo](grid, start, goal, ladder, config, log_expansions)
 
 
 def _run_one(args) -> BenchRow:

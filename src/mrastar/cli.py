@@ -10,21 +10,22 @@ import glob
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .bench import (
     ALGOS,
     make_tasks,
+    run_algo,
     run_bench,
     run_sweep,
     summarize,
     write_summary_csv,
     write_sweep_csv,
 )
-from .baselines import wa_union, weighted_astar
 from .errors import MrastarError
 from .grid import ResolutionLadder
 from .maps_io import load_map, write_results_csv
-from .search import PlannerConfig, Problem, plan
+from .search import PlannerConfig
 from .svg import save_svg
 
 _POLICY_ALIASES = {"rr": "round_robin", "round_robin": "round_robin", "dts": "dts"}
@@ -73,9 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--start", required=True, help="x,y or x,y,z")
     p.add_argument("--goal", required=True, help="x,y or x,y,z")
-    p.add_argument("--algo", choices=("mra", "wa", "wa-mr", "astar"), default="mra")
-    p.add_argument("--multiplier", type=int, default=None,
-                   help="action scale for --algo wa (odd, default 1)")
+    p.add_argument("--algo", choices=tuple(ALGOS), default="mra")
     p.add_argument("--emit-path", metavar="FILE", default=None)
     p.add_argument("--emit-svg", metavar="FILE", default=None)
 
@@ -124,35 +123,10 @@ def cmd_plan(args) -> int:
     ladder = _parse_ladder(args.res)
     start = _parse_cell(args.start)
     goal = _parse_cell(args.goal)
-    config = _config(args)
-    if args.multiplier is not None and args.algo != "wa":
-        raise MrastarError("--multiplier requires --algo wa")
     want_svg = args.emit_svg is not None
-    if args.algo == "mra":
-        result = plan(
-            Problem(grid, start, goal, ladder), config, log_expansions=want_svg
-        )
-    elif args.algo == "wa":
-        result = weighted_astar(
-            grid,
-            start,
-            goal,
-            multiplier=args.multiplier or 1,
-            w=config.w1,
-            timeout=config.timeout,
-            log_expansions=want_svg,
-        )
-    elif args.algo == "wa-mr":
-        result = wa_union(
-            grid, start, goal, ladder,
-            w=config.w1, timeout=config.timeout, log_expansions=want_svg,
-        )
-    else:
-        result = weighted_astar(
-            grid, start, goal, multiplier=1, w=1.0,
-            timeout=config.timeout, log_expansions=want_svg,
-        )
-
+    result = run_algo(
+        args.algo, grid, start, goal, ladder, _config(args), log_expansions=want_svg
+    )
     cost = f"{result.cost:.6f}" if result.status == "solved" else "-"
     expansions = "|".join(str(e) for e in result.expansions)
     print(
@@ -191,15 +165,8 @@ def cmd_bench(args) -> int:
 def cmd_sweep(args) -> int:
     maps = _load_maps(args.maps, args.format)
     ladder = _parse_ladder(args.res)
-    fixed = {"w1": args.fix, "w2": args.fix}
-    fixed[args.vary] = 1.0  # placeholder; run_sweep overrides per value
-    config = PlannerConfig(
-        w1=fixed["w1"],
-        w2=fixed["w2"],
-        policy=_POLICY_ALIASES[args.policy],
-        timeout=args.timeout,
-        seed=args.seed,
-    )
+    # run_sweep sets the varied weight per value
+    config = replace(_config(args), w1=args.fix, w2=args.fix)
     values = _parse_values(args.values)
     tasks = make_tasks(maps, args.scenarios, args.seed)
     rows = run_sweep(tasks, args.vary, values, config, ladder, repeats=args.repeats)

@@ -85,6 +85,16 @@ class GridMap:
         return (flat % w, (flat // w) % h, flat // (w * h))
 
 
+def check_multiplier(k) -> int:
+    """k as an int; raises InvalidProblemError unless it is odd and >= 1,
+    the rule for every action scale (ladder level or single-scale
+    planner)."""
+    k = int(k)
+    if k < 1 or k % 2 == 0:
+        raise InvalidProblemError(f"multipliers must be odd and >= 1, got {k}")
+    return k
+
+
 @dataclass(frozen=True)
 class ResolutionLadder:
     """Odd per-axis multipliers, strictly increasing, first entry 1 (the
@@ -96,14 +106,15 @@ class ResolutionLadder:
         mults = tuple(int(m) for m in self.multipliers)
         object.__setattr__(self, "multipliers", mults)
         if not mults:
-            raise ValueError("ladder must have at least one multiplier")
+            raise InvalidProblemError("ladder must have at least one multiplier")
         if mults[0] != 1:
-            raise ValueError(f"first multiplier must be 1, got {mults[0]}")
+            raise InvalidProblemError(f"first multiplier must be 1, got {mults[0]}")
         for m in mults:
-            if m < 1 or m % 2 == 0:
-                raise ValueError(f"multipliers must be odd and >= 1, got {m}")
+            check_multiplier(m)
         if any(b <= a for a, b in zip(mults, mults[1:])):
-            raise ValueError(f"multipliers must be strictly increasing, got {mults}")
+            raise InvalidProblemError(
+                f"multipliers must be strictly increasing, got {mults}"
+            )
 
     def __len__(self) -> int:
         return len(self.multipliers)
@@ -183,15 +194,7 @@ def successors_at_scale(cell: Cell, k: int, grid: GridMap) -> list[tuple[Cell, f
     ]
 
 
-def successors(
-    cell: Cell, i: int, grid: GridMap, ladder: ResolutionLadder
-) -> list[tuple[Cell, float]]:
-    """Moves available to queue i from cell.  cell must lie on space i's
-    sublattice; successors of a valid query always lie on it too."""
-    k = ladder.multipliers[i]
-    if not coincides(cell, k):
-        raise InvalidProblemError(f"cell {cell} is not on the k={k} sublattice")
-    return successors_at_scale(cell, k, grid)
+HEURISTICS = ("octile", "euclidean")
 
 
 def heuristic(a: Cell, b: Cell, kind: str = "octile") -> float:

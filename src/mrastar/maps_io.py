@@ -185,17 +185,15 @@ def gen_scenarios(
     grid: GridMap,
     count: int,
     seed: int,
-    ladder=None,
     map_id: str = "map",
     max_attempts: int = 10**6,
 ) -> list[Scenario]:
     """Sample `count` start/goal pairs of free cells in the same fine
     connected component, by rejection from a seeded generator.
 
-    The pairs live on the unit lattice (planners that need sublattice
-    endpoints reject unsuitable pairs themselves; the ladder argument is
-    accepted for interface symmetry but does not constrain sampling).
-    Raises ScenarioGenerationError when the attempt budget runs out.
+    The pairs live on the unit lattice; planners that need sublattice
+    endpoints reject unsuitable pairs themselves.  Raises
+    ScenarioGenerationError when the attempt budget runs out.
     """
     free = np.flatnonzero(~grid.flat_blocked)
     if len(free) < 2:

@@ -16,9 +16,12 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidProblemError, SearchCorruptionError
 from .grid import (
+    HEURISTICS,
     Cell,
     GridMap,
     ResolutionLadder,
+    check_multiplier,
+    coincides,
     get_space_indices,
     heuristic,
     path_cost,
@@ -31,6 +34,52 @@ STATUS_EXHAUSTED = "exhausted"
 STATUS_TIMEOUT = "timeout"
 
 POLICY_NAMES = ("round_robin", "dts")
+
+
+def validate_query(
+    grid: GridMap | None = None,
+    start: Cell = (),
+    goal: Cell = (),
+    ladder=(1,),
+    heuristic: str = "auto",
+    *,
+    sublattice: int = 1,
+    **weights: float,
+) -> tuple[Cell, Cell, ResolutionLadder, str] | None:
+    """The one check of a planning query, shared by PlannerConfig,
+    Problem and the baselines; raises InvalidProblemError up front.
+
+    Every weight passed by keyword must be a finite number >= 1.  Given
+    only weights (PlannerConfig's case) it returns None.  Given a grid,
+    the endpoints become int tuples that must be free cells on the
+    sublattice of the odd scale `sublattice`, the ladder becomes a
+    ResolutionLadder, and the heuristic is resolved: "auto" is octile on
+    2D maps and euclidean otherwise, and octile needs a 2D map.  Returns
+    (start, goal, ladder, heuristic).
+    """
+    for name, w in weights.items():
+        if not 1.0 <= w < math.inf:  # written so that NaN fails
+            raise InvalidProblemError(f"{name} must be a finite number >= 1, got {w}")
+    if grid is None:
+        return None
+    k = check_multiplier(sublattice)
+    if not isinstance(ladder, ResolutionLadder):
+        ladder = ResolutionLadder(tuple(ladder))
+    start, goal = (tuple(int(c) for c in cell) for cell in (start, goal))
+    for name, cell in (("start", start), ("goal", goal)):
+        if not grid.is_free(cell):
+            raise InvalidProblemError(f"{name} {cell} is blocked or out of bounds")
+        if not coincides(cell, k):
+            raise InvalidProblemError(f"{name} {cell} is not on the k={k} sublattice")
+    if heuristic == "auto":
+        heuristic = "octile" if grid.dim == 2 else "euclidean"
+    if heuristic not in HEURISTICS:
+        raise InvalidProblemError(
+            f"heuristic must be one of {HEURISTICS} or 'auto', got {heuristic!r}"
+        )
+    if heuristic == "octile" and grid.dim != 2:
+        raise InvalidProblemError("octile heuristic requires a 2D map")
+    return start, goal, ladder, heuristic
 
 
 @dataclass
@@ -49,10 +98,7 @@ class PlannerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.w1 < 1.0:
-            raise ValueError(f"w1 must be >= 1, got {self.w1}")
-        if self.w2 < 1.0:
-            raise ValueError(f"w2 must be >= 1, got {self.w2}")
+        validate_query(w1=self.w1, w2=self.w2)
         if self.policy not in POLICY_NAMES:
             raise ValueError(f"policy must be one of {POLICY_NAMES}, got {self.policy!r}")
         if not self.timeout > 0:
@@ -74,18 +120,9 @@ class Problem:
     heuristic: str = "auto"
 
     def __post_init__(self):
-        if not isinstance(self.ladder, ResolutionLadder):
-            self.ladder = ResolutionLadder(tuple(self.ladder))
-        self.start = tuple(int(c) for c in self.start)
-        self.goal = tuple(int(c) for c in self.goal)
-        if not self.grid.is_free(self.start):
-            raise InvalidProblemError(f"start {self.start} is blocked or out of bounds")
-        if not self.grid.is_free(self.goal):
-            raise InvalidProblemError(f"goal {self.goal} is blocked or out of bounds")
-        if self.heuristic == "auto":
-            self.heuristic = "octile" if self.grid.dim == 2 else "euclidean"
-        if self.heuristic == "octile" and self.grid.dim != 2:
-            raise InvalidProblemError("octile heuristic requires a 2D map")
+        self.start, self.goal, self.ladder, self.heuristic = validate_query(
+            self.grid, self.start, self.goal, self.ladder, self.heuristic
+        )
 
 
 @dataclass
@@ -188,15 +225,6 @@ class OpenList:
             self._pos[last[2]] = 0
             self._sift_down(0)
         return top[2]
-
-    def remove(self, sid: int) -> None:
-        pos = self._pos.pop(sid)
-        last = self._heap.pop()
-        if pos < len(self._heap):
-            self._heap[pos] = last
-            self._pos[last[2]] = pos
-            self._sift_down(pos)
-            self._sift_up(pos)
 
     def _sift_up(self, i: int) -> None:
         heap = self._heap
@@ -359,7 +387,8 @@ class MraSearch:
                 gate_probe(mk0)
             mk_i = opens[i].min_key()
             if mk_i <= self.w2 * mk0:
-                if goal_node.g <= mk_i:
+                # mk_i can only be inf when w1 * h overflows; it claims nothing.
+                if goal_node.g <= mk_i < math.inf:
                     return self._result(STATUS_SOLVED, i, t0)
                 sid = opens[i].pop()
                 self.expand_state(self.grid.cell_of(sid), i)

@@ -1,11 +1,18 @@
 """End-to-end CLI behaviour: flags, exit codes, outputs, error hygiene."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from mrastar import cli
-from mrastar.maps_io import serialize_movingai, serialize_vox3
+from mrastar.bench import ALGOS, run_algo
+from mrastar.errors import InvalidProblemError
+from mrastar.grid import GridMap, ResolutionLadder
+from mrastar.maps_io import load_map, serialize_movingai, serialize_vox3
+from mrastar.search import PlannerConfig
 from mrastar import synthetic as syn
 
 
@@ -73,24 +80,67 @@ def test_plan_even_multiplier_usage_error(empty10, capsys):
     assert "odd" in err
 
 
-def test_plan_multiplier_requires_wa(empty10, capsys):
-    code = run_cli(
-        "plan", "--map", empty10, "--format", "movingai",
-        "--start", "0,0", "--goal", "9,9", "--multiplier", "7",
-    )
-    assert code == 1
-    assert "--algo wa" in capsys.readouterr().err
-
-
 def test_plan_wa_multiplier_endpoints(tmp_path, capsys):
     p = tmp_path / "m.map"
     p.write_text(movingai_text(21, 21))
     code = run_cli(
-        "plan", "--map", p, "--format", "movingai",
-        "--start", "3,3", "--goal", "17,17", "--algo", "wa", "--multiplier", "7",
+        "plan", "--map", p, "--format", "movingai", "--res", "1,7",
+        "--start", "3,3", "--goal", "17,17", "--algo", "wa-low",
     )
     assert code == 0
     assert plan_line(capsys)["status"] == "solved"
+
+
+def test_plan_wa_low_off_sublattice_error(empty10, capsys):
+    grid = load_map(empty10, "movingai")
+    with pytest.raises(InvalidProblemError) as exc:
+        run_algo("wa-low", grid, (0, 0), (9, 9), ResolutionLadder((1, 7)),
+                 PlannerConfig())
+    code = run_cli(
+        "plan", "--map", empty10, "--format", "movingai", "--res", "1,7",
+        "--start", "0,0", "--goal", "9,9", "--algo", "wa-low",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"mrastar: error: {exc.value}" in err and "sublattice" in err
+
+
+@pytest.mark.parametrize("algo", list(ALGOS))
+def test_plan_matches_run_algo(algo, tmp_path, capsys):
+    # (3,3) and (17,17) sit on the k=7 sublattice; every algo solves this map
+    grid = syn.random_grid((21, 21), 0.15, seed=6)
+    blocked = grid.blocked.copy()
+    blocked[3, 3] = blocked[17, 17] = False
+    grid = GridMap(grid.extents, blocked)
+    p = tmp_path / "m.map"
+    p.write_text(serialize_movingai(grid))
+    code = run_cli(
+        "plan", "--map", p, "--format", "movingai", "--res", "1,7",
+        "--start", "3,3", "--goal", "17,17", "--algo", algo,
+        "--w1", "2", "--w2", "2", "--policy", "dts", "--seed", "5",
+    )
+    line = plan_line(capsys)
+    want = run_algo(algo, grid, (3, 3), (17, 17), ResolutionLadder((1, 7)),
+                    PlannerConfig(w1=2.0, w2=2.0, policy="dts", seed=5))
+    assert code == 0 and want.status == "solved"
+    assert line["status"] == "solved" and line["cost"] == f"{want.cost:.6f}"
+    assert line["expansions"] == "|".join(str(e) for e in want.expansions)
+    assert line["generated"] == str(want.generated)
+
+
+def test_plan_nan_weight_is_a_usage_error(empty10):
+    # a subprocess, so that an escaping exception would show as a traceback
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mrastar.cli", "plan", "--map", str(empty10),
+         "--format", "movingai", "--start", "0,0", "--goal", "9,9", "--w2", "nan"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "mrastar: error:" in proc.stderr and "w2" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_plan_exhausted_exit_2(tmp_path, capsys):

@@ -183,12 +183,10 @@ def test_successor_closure_on_sublattice():
     lad = G.ResolutionLadder((1, 7, 21))
     g = G.GridMap.empty((106, 106))
     cell = (31, 31)  # on both the 7- and 21-sublattices
-    for i in range(len(lad)):
-        for t, cost in G.successors(cell, i, g, lad):
-            assert G.coincides(t, lad[i])
+    for k in lad.multipliers:
+        for t, cost in G.successors_at_scale(cell, k, g):
+            assert G.coincides(t, k)
             assert cost > 0.0
-    with pytest.raises(InvalidProblemError):
-        G.successors((1, 1), 1, g, lad)
 
 
 def test_union_action_count_3d():
@@ -197,8 +195,8 @@ def test_union_action_count_3d():
     g = G.GridMap.empty((81, 81, 81))
     cell = (40, 40, 40)
     union = set()
-    for i in range(len(lad)):
-        succ = G.successors(cell, i, g, lad)
+    for k in lad.multipliers:
+        succ = G.successors_at_scale(cell, k, g)
         assert len(succ) == 26
         union.update(t for t, _ in succ)
     assert len(union) == 78

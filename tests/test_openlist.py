@@ -51,17 +51,6 @@ def test_update_in_place():
     assert ol.min_key() == 11.0 and 9 in ol and 7 not in ol
 
 
-def test_remove():
-    ol = OpenList()
-    for sid, key in [(1, 4.0), (2, 2.0), (3, 6.0)]:
-        ol.insert_or_update(sid, key, 0.0)
-    ol.remove(2)
-    assert 2 not in ol and len(ol) == 2
-    assert ol.pop() == 1 and ol.pop() == 3
-    with pytest.raises(KeyError):
-        ol.remove(2)
-
-
 def test_pop_sequence_matches_reference_sort():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -72,16 +61,12 @@ def test_pop_sequence_matches_reference_sort():
             g = float(rng.integers(0, 6))
             ol.insert_or_update(int(sid), key, g)
             live[int(sid)] = (key, -g, int(sid))
-        # a burst of random updates and removals
+        # a burst of random updates
         for sid in map(int, rng.choice(60, size=25, replace=False)):
-            if rng.random() < 0.3:
-                ol.remove(sid)
-                del live[sid]
-            else:
-                key = float(rng.integers(0, 12))
-                g = float(rng.integers(0, 6))
-                ol.insert_or_update(sid, key, g)
-                live[sid] = (key, -g, sid)
+            key = float(rng.integers(0, 12))
+            g = float(rng.integers(0, 6))
+            ol.insert_or_update(sid, key, g)
+            live[sid] = (key, -g, sid)
         got = [ol.pop() for _ in range(len(ol))]
         want = [sid for _, _, sid in sorted(live.values())]
         assert got == want

@@ -1,0 +1,111 @@
+"""One validation path for every planner: hostile weights, endpoints and
+heuristic kinds are refused up front with the same InvalidProblemError."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mrastar import baselines as B
+from mrastar import grid as G
+from mrastar import search as S
+from mrastar import synthetic as syn
+from mrastar.errors import InvalidProblemError
+from mrastar.maps_io import gen_scenarios
+
+GRID = syn.random_grid((16, 16), 0.2, seed=11)
+_SC = gen_scenarios(GRID, 1, seed=11)[0]
+START, GOAL = _SC.start, _SC.goal
+LADDER = G.ResolutionLadder((1, 3, 9))
+OPT = B.dijkstra_optimal(GRID, START, GOAL)
+
+# nan, +-inf, finite < 1 and finite >= 1
+WEIGHTS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(max_value=1.0, exclude_max=True, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1.0, allow_nan=False, allow_infinity=False),
+)
+
+
+def _valid(*ws):
+    return all(1.0 <= w < math.inf for w in ws)
+
+
+def _assert_within_bound(res):
+    assert res.status == S.STATUS_SOLVED
+    assert res.cost <= res.bound * OPT * (1 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(w1=WEIGHTS, w2=WEIGHTS)
+def test_plan_hostile_weights(w1, w2):
+    if not _valid(w1, w2):
+        with pytest.raises(ValueError):
+            S.PlannerConfig(w1=w1, w2=w2)
+        return
+    res = S.plan(S.Problem(GRID, START, GOAL, LADDER), S.PlannerConfig(w1=w1, w2=w2))
+    assert res.bound == w2
+    _assert_within_bound(res)
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=WEIGHTS)
+def test_weighted_astar_hostile_weights(w):
+    if not _valid(w):
+        with pytest.raises(ValueError):
+            B.weighted_astar(GRID, START, GOAL, w=w)
+        return
+    _assert_within_bound(B.weighted_astar(GRID, START, GOAL, w=w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=WEIGHTS)
+def test_wa_union_hostile_weights(w):
+    if not _valid(w):
+        with pytest.raises(ValueError):
+            B.wa_union(GRID, START, GOAL, LADDER, w=w)
+        return
+    _assert_within_bound(B.wa_union(GRID, START, GOAL, LADDER, w=w))
+
+
+FRONT_DOORS = {
+    "Problem": lambda grid, s, g, h: S.Problem(grid, s, g, heuristic=h),
+    "weighted_astar": lambda grid, s, g, h: B.weighted_astar(grid, s, g, heuristic=h),
+    "wa_union": lambda grid, s, g, h: B.wa_union(grid, s, g, (1,), heuristic=h),
+}
+
+
+def _bad_queries():
+    blocked = np.zeros((8, 8), bool)
+    blocked[3, 3] = True
+    g2 = G.GridMap((8, 8), blocked)
+    g3 = G.GridMap.empty((4, 4, 4))
+    return [
+        (g2, (3, 3), (7, 7), "auto"),  # blocked start
+        (g2, (0, 0), (8, 0), "auto"),  # goal out of bounds
+        (g3, (0, 0, 0), (3, 3, 3), "octile"),  # octile on a 3D map
+        (g2, (0, 0), (7, 7), "manhattan"),  # unknown kind
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_every_planner_refuses_the_same_way(case):
+    query = _bad_queries()[case]
+    messages = set()
+    for door in FRONT_DOORS.values():
+        with pytest.raises(InvalidProblemError) as exc:
+            door(*query)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+
+
+def test_single_scale_uses_the_ladder_multiplier_rule():
+    g = G.GridMap.empty((16, 16))
+    for k in (0, 4, -3):
+        with pytest.raises(InvalidProblemError) as want:
+            G.ResolutionLadder((1, k))
+        with pytest.raises(InvalidProblemError) as got:
+            B.weighted_astar(g, (1, 1), (7, 7), multiplier=k)
+        assert str(got.value) == str(want.value)
