@@ -1,8 +1,10 @@
 """Single-queue baseline planners and the exact-cost oracle.
 
-All baselines share the multi-resolution planner's move semantics (same
-successor generation, same edge validity, same costs), isolating the
-search strategy as the only difference.
+All baselines share the multi-resolution planner's move semantics and
+search core (search.FlatSearch over the grid's cached move tables, same
+edge validity, same costs), isolating the search strategy as the only
+difference.  The oracle Dijkstra runs on its own kernels instead, so it
+stays independent of the planners' move tables.
 """
 
 import math
@@ -11,53 +13,45 @@ import time
 import numpy as np
 
 from . import kernels
-from .grid import (
-    Cell,
-    GridMap,
-    ResolutionLadder,
-    get_space_indices,
-    heuristic,
-    path_cost,
-    successors_at_scale,
-)
+from .grid import Cell, GridMap, ResolutionLadder, mask_bits, path_cost
+
+# Not called here, which reads the grid's move tables instead; bound so
+# that layer tracers (see perfbench/tracing.py) find the same names on
+# every planner module.
+from .grid import get_space_indices, heuristic, successors_at_scale  # noqa: F401
 from .search import (
     STATUS_EXHAUSTED,
     STATUS_SOLVED,
     STATUS_TIMEOUT,
-    OpenList,
+    FlatSearch,
     PlanResult,
     check_deadline,
     validate_query,
 )
 
 
-def _single_queue(grid, start, goal, succ_fn, hkind, w, timeout, log_expansions):
+def _single_queue(grid, start, goal, scales, union, hkind, w, timeout, log_expansions):
     """Weighted best-first search with one open list and no re-expansion.
 
-    succ_fn(cell) yields (successor, cost) pairs.  With w = 1 and a
-    consistent heuristic this is plain A*; with w > 1 the first claimed
-    solution costs at most w times this action space's optimum.
+    Without union every state moves at each scale of `scales` (one, for
+    weighted_astar); with union `scales` is a ladder's multipliers and a
+    state moves at the scales whose sublattice holds it, in ladder
+    order.  With w = 1 and a consistent heuristic this is plain A*; with
+    w > 1 the first claimed solution costs at most w times the action
+    space's optimum.
     """
     t0 = time.perf_counter()
     started = time.monotonic()
-    goal_cell = goal
-    sid_of = grid.flat_index
-    start_id = sid_of(start)
-    goal_id = sid_of(goal)
-    g = {start_id: 0.0}
-    if goal_id not in g:
-        g[goal_id] = math.inf
-    bp: dict[int, int] = {}
-    closed: set[int] = set()
-    hs = {start_id: heuristic(start, goal_cell, hkind), goal_id: 0.0}
-    open_list = OpenList()
-    open_list.insert_or_update(start_id, w * hs[start_id], 0.0)
-    log = [] if log_expansions else None
-    expansions = 0
+    core = FlatSearch(grid, start, goal, hkind, scales, (w,))
+    core.expansion_log = [] if log_expansions else None
+    tables = core.tables
+    spaces = grid.space_masks(tuple(scales)) if union else None
+    open_list = core.opens[0]
+    open_list.insert_or_update(core.start_id, w * core.h[core.start_id], 0.0)
+    g, goal_id = core.g, core.goal_id
     status = STATUS_EXHAUSTED
-
     while len(open_list):
-        if check_deadline(expansions, started, timeout):
+        if check_deadline(core.expansions[0], started, timeout):
             status = STATUS_TIMEOUT
             break
         # A key can only be inf when w * h overflows; such keys claim nothing.
@@ -65,49 +59,14 @@ def _single_queue(grid, start, goal, succ_fn, hkind, w, timeout, log_expansions)
             status = STATUS_SOLVED
             break
         sid = open_list.pop()
-        closed.add(sid)
-        cell = grid.cell_of(sid)
-        expansions += 1
-        if log is not None:
-            log.append((0, cell))
-        g_s = g[sid]
-        for succ, cost in succ_fn(cell):
-            sid2 = sid_of(succ)
-            ng = g_s + cost
-            if ng < g.get(sid2, math.inf):
-                g[sid2] = ng
-                bp[sid2] = sid
-                if sid2 not in closed:
-                    h2 = hs.get(sid2)
-                    if h2 is None:
-                        h2 = heuristic(succ, goal_cell, hkind)
-                        hs[sid2] = h2
-                    open_list.insert_or_update(sid2, ng + w * h2, ng)
+        if spaces is None:
+            core.expand(sid, 0, tables)
+        else:
+            core.expand(sid, 0, [tables[i] for i in mask_bits(spaces[sid])])
     else:
-        if g.get(goal_id, math.inf) < math.inf:
+        if g[goal_id] < math.inf:
             status = STATUS_SOLVED
-
-    if status == STATUS_SOLVED:
-        chain = [goal_id]
-        while chain[-1] != start_id:
-            chain.append(bp[chain[-1]])
-        chain.reverse()
-        path = [grid.cell_of(s) for s in chain]
-        cost = path_cost(path)
-    else:
-        path = []
-        cost = math.inf
-    return PlanResult(
-        status=status,
-        path=path,
-        cost=cost,
-        expansions=[expansions],
-        generated=len(g),
-        wall_time=time.perf_counter() - t0,
-        winning_queue=0 if status == STATUS_SOLVED else None,
-        bound=w if status == STATUS_SOLVED else None,
-        expansion_log=log,
-    )
+    return core.result(status, 0 if status == STATUS_SOLVED else None, w, t0)
 
 
 def weighted_astar(
@@ -131,16 +90,8 @@ def weighted_astar(
     start, goal, _, hkind = validate_query(
         grid, start, goal, heuristic=heuristic, sublattice=multiplier, w=w
     )
-    k = int(multiplier)
     return _single_queue(
-        grid,
-        start,
-        goal,
-        lambda cell: successors_at_scale(cell, k, grid),
-        hkind,
-        w,
-        timeout,
-        log_expansions,
+        grid, start, goal, (int(multiplier),), False, hkind, w, timeout, log_expansions
     )
 
 
@@ -158,15 +109,8 @@ def wa_union(
     """Weighted A* over the union of a ladder's action spaces: one queue,
     and each state offers the moves of every space it coincides with."""
     start, goal, ladder, hkind = validate_query(grid, start, goal, ladder, heuristic, w=w)
-
-    def union_succ(cell):
-        out = []
-        for i in get_space_indices(cell, ladder):
-            out.extend(successors_at_scale(cell, ladder.multipliers[i], grid))
-        return out
-
     return _single_queue(
-        grid, start, goal, union_succ, hkind, w, timeout, log_expansions
+        grid, start, goal, ladder.multipliers, True, hkind, w, timeout, log_expansions
     )
 
 

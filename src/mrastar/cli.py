@@ -10,7 +10,6 @@ import glob
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .bench import (
     ALGOS,
@@ -55,11 +54,12 @@ def _parse_values(text: str) -> list[float]:
     return [float(p) for p in text.split(",")]
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, weights: bool = True) -> None:
     p.add_argument("--format", choices=("movingai", "vox3"), required=True)
     p.add_argument("--res", default="1,7,21", help="resolution ladder, e.g. 1,7,21")
-    p.add_argument("--w1", type=float, default=3.0)
-    p.add_argument("--w2", type=float, default=3.0)
+    if weights:  # sweep sets both weights itself (--vary, --values, --fix)
+        p.add_argument("--w1", type=float, default=3.0)
+        p.add_argument("--w2", type=float, default=3.0)
     p.add_argument("--policy", choices=sorted(_POLICY_ALIASES), default="rr")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout", type=float, default=math.inf, help="seconds")
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="vary w1 or w2 and record mean time/cost")
     s.add_argument("--maps", required=True, help="glob of map files")
-    _add_common(s)
+    _add_common(s, weights=False)
     s.add_argument("--scenarios", type=int, default=1)
     s.add_argument("--vary", choices=("w1", "w2"), required=True)
     s.add_argument("--values", required=True, help="comma list, e.g. 1,2,3,5,10")
@@ -101,10 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> PlannerConfig:
+def _config(args, w1: float, w2: float) -> PlannerConfig:
     return PlannerConfig(
-        w1=args.w1,
-        w2=args.w2,
+        w1=w1,
+        w2=w2,
         policy=_POLICY_ALIASES[args.policy],
         timeout=args.timeout,
         seed=args.seed,
@@ -124,9 +124,8 @@ def cmd_plan(args) -> int:
     start = _parse_cell(args.start)
     goal = _parse_cell(args.goal)
     want_svg = args.emit_svg is not None
-    result = run_algo(
-        args.algo, grid, start, goal, ladder, _config(args), log_expansions=want_svg
-    )
+    config = _config(args, args.w1, args.w2)
+    result = run_algo(args.algo, grid, start, goal, ladder, config, log_expansions=want_svg)
     cost = f"{result.cost:.6f}" if result.status == "solved" else "-"
     expansions = "|".join(str(e) for e in result.expansions)
     print(
@@ -147,7 +146,7 @@ def cmd_plan(args) -> int:
 def cmd_bench(args) -> int:
     maps = _load_maps(args.maps, args.format)
     ladder = _parse_ladder(args.res)
-    config = _config(args)
+    config = _config(args, args.w1, args.w2)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for a in algos:
         if a not in ALGOS:
@@ -166,7 +165,7 @@ def cmd_sweep(args) -> int:
     maps = _load_maps(args.maps, args.format)
     ladder = _parse_ladder(args.res)
     # run_sweep sets the varied weight per value
-    config = replace(_config(args), w1=args.fix, w2=args.fix)
+    config = _config(args, args.fix, args.fix)
     values = _parse_values(args.values)
     tasks = make_tasks(maps, args.scenarios, args.seed)
     rows = run_sweep(tasks, args.vary, values, config, ladder, repeats=args.repeats)

@@ -7,8 +7,13 @@ k x k block, i.e. every coordinate is congruent to (k-1)/2 modulo k.
 Edges are straight segments between cell centers and are valid only
 when every cell the segment touches is free (see kernels for the exact
 traversal rules).
+
+Planners do not walk segments: each GridMap caches, per scale k, a move
+table with one bit per direction per cell (see MoveTable), built with
+vectorized numpy from the same rule.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,10 +30,33 @@ Cell = tuple[int, ...]
 _STEP = (0.0, 1.0, SQRT2, SQRT3)
 
 
+@dataclass(frozen=True)
+class MoveTable:
+    """Every valid move of one scale k on one map.
+
+    masks[c] holds bit b set iff direction b is a valid length-k move
+    from flat cell c; blocked cells hold 0.  Directions follow the
+    kernels' order (dy, or dz, outermost, dx innermost, zero vector
+    skipped), so decoding the bits upward yields successors_at_scale's
+    order.  offsets[b] is the flat-index step of direction b and
+    costs[b] its cost k * sqrt(axes changed).  masks is a memoryview
+    over uint8 (2D, 8 directions) or uint32 (3D, 26 directions) values.
+    """
+
+    k: int
+    masks: memoryview
+    offsets: tuple[int, ...]
+    costs: tuple[float, ...]
+
+
 @dataclass(frozen=True, eq=False)
 class GridMap:
     """Occupancy grid.  extents is (W, H) or (W, H, D); blocked is a
-    boolean array shaped (H, W) or (D, H, W) with True for obstacles."""
+    boolean array shaped (H, W) or (D, H, W) with True for obstacles.
+
+    The grid keeps its own read-only copy of blocked, so the move tables
+    it caches (move_table, space_masks) cannot go stale.  The cache is
+    derived data: it is dropped when the grid is pickled or copied."""
 
     extents: tuple[int, ...]
     blocked: np.ndarray
@@ -41,10 +69,22 @@ class GridMap:
         if any(e < 1 for e in ext):
             raise ValueError(f"extents must be positive, got {ext}")
         shape = tuple(reversed(ext))
-        arr = np.ascontiguousarray(self.blocked, dtype=bool)
+        arr = np.array(self.blocked, dtype=bool, order="C")
         if arr.shape != shape:
             raise ValueError(f"blocked shape {arr.shape} does not match extents {ext}")
+        arr.flags.writeable = False
         object.__setattr__(self, "blocked", arr)
+        object.__setattr__(self, "_cache", {})
+
+    def __getstate__(self):
+        return {"extents": self.extents, "blocked": self.blocked}
+
+    def __setstate__(self, state):
+        blocked = np.array(state["blocked"], dtype=bool, order="C")
+        blocked.flags.writeable = False
+        object.__setattr__(self, "extents", state["extents"])
+        object.__setattr__(self, "blocked", blocked)
+        object.__setattr__(self, "_cache", {})
 
     @classmethod
     def empty(cls, extents) -> "GridMap":
@@ -83,6 +123,30 @@ class GridMap:
             return (flat % w, flat // w)
         h = self.extents[1]
         return (flat % w, (flat // w) % h, flat // (w * h))
+
+    def move_table(self, k: int) -> MoveTable:
+        """The scale-k MoveTable of this map, built on first use and
+        cached for every later query and planner."""
+        key = ("moves", k)
+        table = self._cache.get(key)
+        if table is None:
+            k = check_multiplier(k)
+            unit = None if k == 1 else self.move_table(1)
+            table = _build_move_table(self, k, unit)
+            self._cache[key] = table
+        return table
+
+    def space_masks(self, multipliers: tuple[int, ...]):
+        """Per flat cell, the bitmask of ladder spaces (bit i for level
+        i, of multiplier multipliers[i]) whose sublattice holds the
+        cell; cached per ladder.  Indexing the result yields ints."""
+        multipliers = tuple(check_multiplier(k) for k in multipliers)
+        key = ("spaces", multipliers)
+        masks = self._cache.get(key)
+        if masks is None:
+            masks = _build_space_masks(self, multipliers)
+            self._cache[key] = masks
+        return masks
 
 
 def check_multiplier(k) -> int:
@@ -152,6 +216,121 @@ def edge_valid(a: Cell, b: Cell, grid: GridMap) -> bool:
     )
 
 
+def directions(dim: int) -> list[tuple[int, ...]]:
+    """King-move unit vectors (x first) in the kernels' successor order:
+    dy (and dz) outermost, dx innermost, the zero vector skipped."""
+    out = []
+    for d in np.ndindex(*(3,) * dim):
+        vec = tuple(c - 1 for c in reversed(d))
+        if any(vec):
+            out.append(vec)
+    return out
+
+
+def _shifted(a: np.ndarray, off: tuple[int, ...]) -> np.ndarray:
+    """out[c] = a[c + off] where c + off is inside a, else False; off is
+    in array axis order."""
+    out = np.zeros_like(a)
+    if any(abs(o) >= n for o, n in zip(off, a.shape)):
+        return out
+    src = tuple(slice(max(o, 0), n + min(o, 0)) for o, n in zip(off, a.shape))
+    dst = tuple(slice(max(-o, 0), n + min(-o, 0)) for o, n in zip(off, a.shape))
+    out[dst] = a[src]
+    return out
+
+
+def _window_and(u: np.ndarray, step: tuple[int, ...], k: int) -> np.ndarray:
+    """out[c] = all(u[c + t*step] for t in range(k)), by doubling."""
+    out = None
+    covered = 0
+    block, width = u, 1
+    while True:
+        if k & 1:
+            if out is None:
+                out = block
+            else:
+                out = out & _shifted(block, tuple(covered * s for s in step))
+            covered += width
+        k >>= 1
+        if not k:
+            return out
+        block = block & _shifted(block, tuple(width * s for s in step))
+        width *= 2
+
+
+def _build_move_table(grid: GridMap, k: int, unit: MoveTable | None) -> MoveTable:
+    """A unit move is valid iff every cell of the box it spans is free
+    (for a diagonal that is both flanks: the corner rule).  King moves
+    of length k run along the line of k unit moves, so a length-k move
+    is valid iff those k unit moves all are.  unit, the k = 1 table,
+    supplies the unit moves when k > 1."""
+    dirs = directions(grid.dim)
+    dtype = np.uint8 if grid.dim == 2 else np.uint32
+    shape = grid.blocked.shape
+    free = ~grid.blocked
+    masks = np.zeros(shape, dtype)
+    unit_masks = None
+    if unit is not None:
+        unit_masks = np.frombuffer(unit.masks, dtype).reshape(shape)
+    strides = [math.prod(grid.extents[:axis]) for axis in range(grid.dim)]
+    offsets, costs = [], []
+    for b, vec in enumerate(dirs):
+        step = tuple(reversed(vec))  # array axis order
+        if unit_masks is None:
+            ok = free.copy()
+            for corner in itertools.product(*((0, s) if s else (0,) for s in step)):
+                if any(corner):
+                    ok &= _shifted(free, corner)
+        else:
+            ok = unit_masks & (1 << b) != 0
+        if k > 1:
+            ok = _window_and(ok, step, k)
+        masks |= ok.astype(dtype) << b
+        offsets.append(k * sum(v * st for v, st in zip(vec, strides)))
+        costs.append(k * _STEP[sum(1 for v in vec if v)])
+    return MoveTable(k, memoryview(masks.ravel()), tuple(offsets), tuple(costs))
+
+
+def _build_space_masks(grid: GridMap, multipliers: tuple[int, ...]):
+    n = len(multipliers)
+    dtype = next((t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                  if n <= 8 * np.dtype(t).itemsize), object)
+    shape = grid.blocked.shape
+    masks = np.zeros(shape, dtype)
+    for i, k in enumerate(multipliers):
+        half = (k - 1) // 2
+        hit = np.ones(shape, bool)
+        for axis, n_axis in enumerate(shape):
+            along = [1] * len(shape)
+            along[axis] = n_axis
+            hit &= (np.arange(n_axis) % k == half).reshape(along)
+        masks |= hit.astype(dtype) << i
+    flat = masks.ravel()
+    return flat.tolist() if dtype is object else memoryview(flat)
+
+
+def _chunk_bits(base: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(base + b for b in range(9) if m >> b & 1) for m in range(512)
+    )
+
+
+# MASK_BITS[m] lists the set bits of m < 512, ascending, so that decoding
+# a mask costs one to three tuple lookups instead of a loop per bit.
+MASK_BITS = _chunk_bits(0)
+_MID_BITS = _chunk_bits(9)
+_HIGH_BITS = _chunk_bits(18)
+
+
+def mask_bits(m: int) -> tuple[int, ...]:
+    """Indices of the set bits of m >= 0, ascending."""
+    if m < 512:
+        return MASK_BITS[m]
+    if m < 1 << 27:
+        return MASK_BITS[m & 511] + _MID_BITS[m >> 9 & 511] + _HIGH_BITS[m >> 18]
+    return tuple(b for b in range(m.bit_length()) if m >> b & 1)
+
+
 def step_cost(k: int, axes: int) -> float:
     """Cost of a move of k cells along each of `axes` axes."""
     return k * _STEP[axes]
@@ -215,6 +394,33 @@ def heuristic(a: Cell, b: Cell, kind: str = "octile") -> float:
     if kind == "euclidean":
         return math.hypot(*(ca - cb for ca, cb in zip(a, b)))
     raise ValueError(f"unknown heuristic kind: {kind!r}")
+
+
+def flat_heuristic(grid: GridMap, goal: Cell, kind: str):
+    """h(flat id): the same float as heuristic(grid.cell_of(id), goal,
+    kind), computed without building the cell tuple."""
+    w = grid.extents[0]
+    if kind == "octile":
+        if grid.dim != 2:
+            raise InvalidProblemError("octile heuristic is defined for 2D cells only")
+        gx, gy = goal
+
+        def octile(sid: int) -> float:
+            dx = abs(sid % w - gx)
+            dy = abs(sid // w - gy)
+            if dx < dy:
+                return dx * SQRT2 + (dy - dx)
+            return dy * SQRT2 + (dx - dy)
+
+        return octile
+    if kind != "euclidean":
+        raise ValueError(f"unknown heuristic kind: {kind!r}")
+    if grid.dim == 2:
+        gx, gy = goal
+        return lambda sid: math.hypot(sid % w - gx, sid // w - gy)
+    gx, gy, gz = goal
+    wh = w * grid.extents[1]
+    return lambda sid: math.hypot(sid % w - gx, sid % wh // w - gy, sid // wh - gz)
 
 
 def edge_decomposition(a: Cell, b: Cell) -> tuple[int, int]:

@@ -1,9 +1,11 @@
 """Numeric kernels for grid geometry and search inner loops.
 
 Everything here operates on flat boolean occupancy arrays plus integer
-coordinates, so the same source compiles under numba and also runs as
-plain Python.  Set MRA_NO_NUMBA=1 to skip compilation entirely; callers
-see identical results either way, only slower.
+coordinates, so the same source compiles under numba, when it is
+installed, and also runs as plain Python.  numba is an optional
+accelerator; set MRA_NO_NUMBA=1 to skip compilation even when it is
+present.  Callers see identical results either way, only slower.
+Connected-component labels come from scipy.ndimage on either backend.
 
 Coordinate convention: x is the fastest-varying axis.  A 2D map with
 width w stores cell (x, y) at flat index y*w + x; a 3D map with width w
@@ -15,6 +17,7 @@ import math
 import os
 
 import numpy as np
+from scipy import ndimage
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -33,7 +36,7 @@ if not _numba_disabled():
         from numba import njit as _njit
 
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
+    except ImportError:  # numba is an optional accelerator (the "jit" extra)
         NUMBA_ENABLED = False
 
 if NUMBA_ENABLED:
@@ -422,68 +425,21 @@ def dijkstra_3d(occ, w, h, d, sx, sy, sz, gx, gy, gz):
     return dist, bp
 
 
-@_jit
 def component_labels_2d(occ, w, h):
     """Label connected free regions of the unit lattice (same move rules
     as the planners, including the corner rule).  Blocked cells get -1;
-    labels start at 0 in scan order."""
-    n = w * h
-    labels = np.full(n, -1, np.int32)
-    queue = np.empty(n, np.int64)
-    out_xy = np.empty((8, 2), np.int64)
-    out_m = np.empty(8, np.int64)
-    nxt = 0
-    for s in range(n):
-        if occ[s] or labels[s] >= 0:
-            continue
-        labels[s] = nxt
-        queue[0] = s
-        head = 0
-        tail = 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            ux = u % w
-            uy = u // w
-            cnt = successors_2d(occ, w, h, ux, uy, 1, out_xy, out_m)
-            for t in range(cnt):
-                v = out_xy[t, 1] * w + out_xy[t, 0]
-                if labels[v] < 0:
-                    labels[v] = nxt
-                    queue[tail] = v
-                    tail += 1
-        nxt += 1
-    return labels
+    labels start at 0 in scan order.
+
+    Under the corner rule a diagonal unit move needs both flank cells
+    free, so unit-lattice connectivity is exactly face (4-)connectivity,
+    which scipy.ndimage.label computes; its labels also follow scan
+    order.  Returns a flat int32 array."""
+    labels, _ = ndimage.label(~np.asarray(occ, dtype=bool).reshape(h, w))
+    return (labels - 1).astype(np.int32).ravel()
 
 
-@_jit
 def component_labels_3d(occ, w, h, d):
-    """3D analogue of component_labels_2d."""
-    n = w * h * d
-    labels = np.full(n, -1, np.int32)
-    queue = np.empty(n, np.int64)
-    out_xyz = np.empty((26, 3), np.int64)
-    out_m = np.empty(26, np.int64)
-    nxt = 0
-    for s in range(n):
-        if occ[s] or labels[s] >= 0:
-            continue
-        labels[s] = nxt
-        queue[0] = s
-        head = 0
-        tail = 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            ux = u % w
-            uy = (u // w) % h
-            uz = u // (w * h)
-            cnt = successors_3d(occ, w, h, d, ux, uy, uz, 1, out_xyz, out_m)
-            for t in range(cnt):
-                v = (out_xyz[t, 2] * h + out_xyz[t, 1]) * w + out_xyz[t, 0]
-                if labels[v] < 0:
-                    labels[v] = nxt
-                    queue[tail] = v
-                    tail += 1
-        nxt += 1
-    return labels
+    """3D analogue of component_labels_2d: face (6-)connectivity equals
+    26-connectivity under the corner rule."""
+    labels, _ = ndimage.label(~np.asarray(occ, dtype=bool).reshape(d, h, w))
+    return (labels - 1).astype(np.int32).ravel()

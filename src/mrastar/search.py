@@ -17,17 +17,22 @@ from dataclasses import dataclass, field
 from .errors import InvalidProblemError, SearchCorruptionError
 from .grid import (
     HEURISTICS,
+    MASK_BITS,
     Cell,
     GridMap,
     ResolutionLadder,
     check_multiplier,
     coincides,
-    get_space_indices,
-    heuristic,
+    flat_heuristic,
+    mask_bits,
     path_cost,
-    successors_at_scale,
 )
 from .policies import make_policy
+
+# Not called by the search core, which reads the grid's move tables and
+# sublattice masks instead; bound here so that layer tracers (see
+# perfbench/tracing.py) find the same names on every planner module.
+from .grid import get_space_indices, heuristic, successors_at_scale  # noqa: F401
 
 STATUS_SOLVED = "solved"
 STATUS_EXHAUSTED = "exhausted"
@@ -260,158 +265,97 @@ class OpenList:
         self._pos[entry[2]] = i
 
 
-class _Node:
-    __slots__ = ("g", "bp", "closed", "h", "spaces")
+class FlatSearch:
+    """State table over flat cell ids, shared by MRA* and the single-queue
+    baselines.
 
-    def __init__(self, g: float, bp: int, h: float, spaces: tuple[int, ...]):
-        self.g = g
-        self.bp = bp
-        self.closed = 0  # bitmask over queue indices
-        self.h = h
-        self.spaces = spaces
+    g, bp and h map a flat id to its cost-to-come, backpointer and
+    heuristic; a state is generated once it has an h entry (start and
+    goal from the outset), so generated == len(h).  closed maps a flat
+    id to the bitmask of queues that expanded it.  Moves come from the
+    grid's cached MoveTables, one per entry of scales, decoded in
+    direction order.  Queue j keys a state g + weights[j] * h.
 
-
-class MraSearch:
-    """One planning run; see plan() for the usual entry point.
-
-    The instance keeps its full state (open lists, node table, counters)
-    after run() returns, which the tests use to poke at internals.
+    queue_masks gives, per flat id, the queues an improved state enters
+    (unless already closed there); None means queue 0 alone.
     """
 
-    def __init__(self, problem: Problem, config: PlannerConfig | None = None):
-        self.problem = problem
-        self.config = config or PlannerConfig()
-        self.grid = problem.grid
-        self.ladder = problem.ladder
-        self.n_queues = len(self.ladder)
-        self.w1 = self.config.w1
-        self.w2 = self.config.w2
-        self.opens = [OpenList() for _ in range(self.n_queues)]
-        self.nodes: dict[int, _Node] = {}
-        self.expansions = [0] * self.n_queues
-        self.generated = 0
-        self.policy = make_policy(
-            self.config.policy, max(1, self.n_queues - 1), self.config.seed
-        )
-        self._goal_cell = problem.goal
-        self._hkind = problem.heuristic
-        self._log: list[tuple[int, Cell]] | None = None
-        self.start_id = self.grid.flat_index(problem.start)
-        self.goal_id = self.grid.flat_index(problem.goal)
-        start = self._make_node(problem.start)
-        start.g = 0.0
-        self._make_node(problem.goal)
-        for i in start.spaces:
-            self.opens[i].insert_or_update(
-                self.start_id, key_value(0.0, start.h, i, self.w1), 0.0
+    def __init__(self, grid: GridMap, start: Cell, goal: Cell, hkind: str,
+                 scales, weights, queue_masks=None):
+        self.grid = grid
+        self.tables = [grid.move_table(k) for k in scales]
+        self.weights = tuple(weights)
+        self.opens = [OpenList() for _ in self.weights]
+        self.expansions = [0] * len(self.weights)
+        self._queue_masks = queue_masks
+        self._h_of = flat_heuristic(grid, goal, hkind)
+        self.expansion_log: list[tuple[int, Cell]] | None = None
+        self.start_id = grid.flat_index(start)
+        self.goal_id = grid.flat_index(goal)
+        self.g = {self.start_id: 0.0}
+        self.h = {self.start_id: self._h_of(self.start_id)}
+        self.bp: dict[int, int] = {}
+        self.closed: dict[int, int] = {}
+        if self.goal_id not in self.g:
+            self.g[self.goal_id] = math.inf
+            self.h[self.goal_id] = self._h_of(self.goal_id)
+
+    @property
+    def generated(self) -> int:
+        return len(self.h)
+
+    def expand(self, sid: int, i: int, tables) -> None:
+        """Close sid in queue i and relax its moves from each of tables
+        in turn: an improved successor takes the new g and backpointer
+        and enters every queue of its mask that has not closed it."""
+        closed = self.closed
+        c = closed.get(sid, 0)
+        if c >> i & 1:
+            raise SearchCorruptionError(
+                f"state {self.grid.cell_of(sid)} expanded twice by queue {i}"
             )
-
-    def _h(self, cell: Cell) -> float:
-        return heuristic(cell, self._goal_cell, self._hkind)
-
-    def _make_node(self, cell: Cell) -> _Node:
-        sid = self.grid.flat_index(cell)
-        node = self.nodes.get(sid)
-        if node is None:
-            node = _Node(
-                math.inf, -1, self._h(cell), tuple(get_space_indices(cell, self.ladder))
-            )
-            self.nodes[sid] = node
-            self.generated += 1
-        return node
-
-    def min_key(self, i: int) -> float:
-        return self.opens[i].min_key()
-
-    def expand_state(self, cell: Cell, i: int) -> None:
-        """Relax all scale-i moves out of cell, updating the shared state
-        table and every queue whose space contains an improved successor
-        (unless that queue already closed it)."""
-        sid = self.grid.flat_index(cell)
-        node = self.nodes[sid]
-        if node.closed & (1 << i):
-            raise SearchCorruptionError(f"state {cell} expanded twice by queue {i}")
+        closed[sid] = c | 1 << i
         self.expansions[i] += 1
-        if self._log is not None:
-            self._log.append((i, cell))
-        g_s = node.g
-        k = self.ladder.multipliers[i]
-        for succ, cost in successors_at_scale(cell, k, self.grid):
-            nd = self._make_node(succ)
-            ng = g_s + cost
-            if ng < nd.g:
-                nd.g = ng
-                nd.bp = sid
-                sid2 = self.grid.flat_index(succ)
-                for j in nd.spaces:
-                    if not nd.closed & (1 << j):
-                        self.opens[j].insert_or_update(
-                            sid2, key_value(ng, nd.h, j, self.w1), ng
-                        )
+        if self.expansion_log is not None:
+            self.expansion_log.append((i, self.grid.cell_of(sid)))
+        g, h, bp, h_of = self.g, self.h, self.bp, self._h_of
+        opens, weights, qmasks = self.opens, self.weights, self._queue_masks
+        g_s = g[sid]
+        for table in tables:
+            m = table.masks[sid]
+            offsets, costs = table.offsets, table.costs
+            for b in MASK_BITS[m] if m < 512 else mask_bits(m):
+                nid = sid + offsets[b]
+                ng = g_s + costs[b]
+                gn = g.get(nid)
+                if gn is None:
+                    h[nid] = hn = h_of(nid)
+                elif ng < gn:
+                    hn = h[nid]
+                else:
+                    continue
+                g[nid] = ng
+                bp[nid] = sid
+                targets = (1 if qmasks is None else qmasks[nid]) & ~closed.get(nid, 0)
+                for j in MASK_BITS[targets] if targets < 512 else mask_bits(targets):
+                    opens[j].insert_or_update(nid, ng + weights[j] * hn, ng)
 
     def reconstruct_path(self) -> list[Cell]:
         """Follow backpointers from the goal to the start."""
         chain = []
         sid = self.goal_id
-        limit = len(self.nodes) + 1
+        limit = len(self.g) + 1
         while sid != self.start_id:
             chain.append(sid)
-            node = self.nodes.get(sid)
-            if node is None or node.bp < 0 or len(chain) > limit:
+            sid = self.bp.get(sid, -1)
+            if sid < 0 or len(chain) > limit:
                 raise SearchCorruptionError("broken backpointer chain at goal")
-            sid = node.bp
         chain.append(self.start_id)
         chain.reverse()
         return [self.grid.cell_of(s) for s in chain]
 
-    def run(self, log_expansions: bool = False, gate_probe=None) -> PlanResult:
-        """Execute the search to completion, timeout or exhaustion.
-
-        gate_probe, when given, is called with the anchor's current min
-        key each iteration (used by tests to watch the gate).
-        """
-        self._log = [] if log_expansions else None
-        started = time.monotonic()
-        t0 = time.perf_counter()
-        opens = self.opens
-        goal_node = self.nodes[self.goal_id]
-        total = 0
-        is_dts = self.config.policy == "dts"
-        while any(opens):
-            if check_deadline(total, started, self.config.timeout):
-                return self._result(STATUS_TIMEOUT, None, t0)
-            nonempty = [i for i in range(1, self.n_queues) if opens[i]]
-            i = self.policy.choose_queue(nonempty) if nonempty else 0
-            mk0 = opens[0].min_key()
-            if gate_probe is not None:
-                gate_probe(mk0)
-            mk_i = opens[i].min_key()
-            if mk_i <= self.w2 * mk0:
-                # mk_i can only be inf when w1 * h overflows; it claims nothing.
-                if goal_node.g <= mk_i < math.inf:
-                    return self._result(STATUS_SOLVED, i, t0)
-                sid = opens[i].pop()
-                self.expand_state(self.grid.cell_of(sid), i)
-                self.nodes[sid].closed |= 1 << i
-                if is_dts and i != 0:
-                    top_h = (
-                        self.nodes[opens[i].peek()].h if len(opens[i]) else math.inf
-                    )
-                    self.policy.update(i, top_h)
-            else:
-                if goal_node.g <= self.w2 * mk0:
-                    return self._result(STATUS_SOLVED, 0, t0)
-                sid = opens[0].pop()
-                self.expand_state(self.grid.cell_of(sid), 0)
-                self.nodes[sid].closed |= 1
-            total += 1
-        if goal_node.g < math.inf:
-            # Defensive: queues drained in the same iteration the goal
-            # became claimable.  Cost bound still holds.
-            return self._result(STATUS_SOLVED, None, t0)
-        return self._result(STATUS_EXHAUSTED, None, t0)
-
-    def _result(self, status: str, winning_queue: int | None, t0: float) -> PlanResult:
+    def result(self, status: str, winning_queue: int | None, bound: float,
+               t0: float) -> PlanResult:
         wall = time.perf_counter() - t0
         solved = status == STATUS_SOLVED
         path = self.reconstruct_path() if solved else []
@@ -423,9 +367,90 @@ class MraSearch:
             generated=self.generated,
             wall_time=wall,
             winning_queue=winning_queue,
-            bound=self.w2 if solved else None,
-            expansion_log=self._log,
+            bound=bound if solved else None,
+            expansion_log=self.expansion_log,
         )
+
+
+class MraSearch(FlatSearch):
+    """One planning run; see plan() for the usual entry point.
+
+    Queue i searches ladder level i: it expands with the scale-i move
+    table, tables[i], and holds only states on the level's sublattice.
+    The instance keeps its full state (open lists, state table,
+    counters) after run() returns, which the tests use to poke at
+    internals.
+    """
+
+    def __init__(self, problem: Problem, config: PlannerConfig | None = None):
+        self.problem = problem
+        self.config = config or PlannerConfig()
+        self.ladder = problem.ladder
+        self.n_queues = len(self.ladder)
+        self.w1 = self.config.w1
+        self.w2 = self.config.w2
+        self.spaces = problem.grid.space_masks(self.ladder.multipliers)
+        super().__init__(
+            problem.grid, problem.start, problem.goal, problem.heuristic,
+            self.ladder.multipliers, (1.0,) + (self.w1,) * (self.n_queues - 1),
+            self.spaces,
+        )
+        self.policy = make_policy(
+            self.config.policy, max(1, self.n_queues - 1), self.config.seed
+        )
+        h0 = self.h[self.start_id]
+        for i in mask_bits(self.spaces[self.start_id]):
+            self.opens[i].insert_or_update(
+                self.start_id, key_value(0.0, h0, i, self.w1), 0.0
+            )
+
+    def min_key(self, i: int) -> float:
+        return self.opens[i].min_key()
+
+    def run(self, log_expansions: bool = False, gate_probe=None) -> PlanResult:
+        """Execute the search to completion, timeout or exhaustion.
+
+        gate_probe, when given, is called with the anchor's current min
+        key each iteration (used by tests to watch the gate).
+        """
+        self.expansion_log = [] if log_expansions else None
+        started = time.monotonic()
+        t0 = time.perf_counter()
+        opens = self.opens
+        g, h = self.g, self.h
+        goal_id = self.goal_id
+        tables = [(t,) for t in self.tables]
+        expand = self.expand
+        total = 0
+        is_dts = self.config.policy == "dts"
+        w2 = self.w2
+        while any(opens):
+            if check_deadline(total, started, self.config.timeout):
+                return self.result(STATUS_TIMEOUT, None, w2, t0)
+            nonempty = [i for i in range(1, self.n_queues) if opens[i]]
+            i = self.policy.choose_queue(nonempty) if nonempty else 0
+            mk0 = opens[0].min_key()
+            if gate_probe is not None:
+                gate_probe(mk0)
+            mk_i = opens[i].min_key()
+            if mk_i <= w2 * mk0:
+                # mk_i can only be inf when w1 * h overflows; it claims nothing.
+                if g[goal_id] <= mk_i < math.inf:
+                    return self.result(STATUS_SOLVED, i, w2, t0)
+                expand(opens[i].pop(), i, tables[i])
+                if is_dts and i != 0:
+                    top_h = h[opens[i].peek()] if len(opens[i]) else math.inf
+                    self.policy.update(i, top_h)
+            else:
+                if g[goal_id] <= w2 * mk0:
+                    return self.result(STATUS_SOLVED, 0, w2, t0)
+                expand(opens[0].pop(), 0, tables[0])
+            total += 1
+        if g[goal_id] < math.inf:
+            # Defensive: queues drained in the same iteration the goal
+            # became claimable.  Cost bound still holds.
+            return self.result(STATUS_SOLVED, None, w2, t0)
+        return self.result(STATUS_EXHAUSTED, None, w2, t0)
 
 
 def plan(

@@ -285,3 +285,19 @@ def test_sweep_requires_vary(tmp_path, capsys):
         "--values", "1,3", "--out", tmp_path / "s.csv",
     )
     assert code == 1
+
+
+def test_sweep_rejects_weight_flags(tmp_path, capsys):
+    # sweep sets both weights from --vary/--values/--fix, so --w1/--w2
+    # would be silently ignored; they are usage errors instead
+    g = syn.random_grid((12, 12), 0.1, seed=6)
+    (tmp_path / "m.map").write_text(serialize_movingai(g))
+    for flag in ("--w1", "--w2"):
+        code = run_cli(
+            "sweep", "--maps", tmp_path / "*.map", "--format", "movingai",
+            "--vary", "w2", "--values", "1,3", flag, "9", "--out", tmp_path / "s.csv",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"unrecognized arguments: {flag} 9" in err
+    assert not (tmp_path / "s.csv").exists()

@@ -176,8 +176,13 @@ def test_component_labels_match_scipy_partition():
             labels = kernels.component_labels_3d(g.flat_blocked, *g.extents)
         ref = oracles.reference_components(g)
         free = ~g.flat_blocked
-        assert oracles.same_partition(np.asarray(labels), ref, free)
-        assert np.all(np.asarray(labels)[~free] == -1)
+        labels = np.asarray(labels)
+        assert labels.dtype == np.int32
+        assert oracles.same_partition(labels, ref, free)
+        assert np.all(labels[~free] == -1)
+        # numbered 0, 1, ... in scan order of each component's first cell
+        first = [np.flatnonzero(labels == lab)[0] for lab in range(labels.max() + 1)]
+        assert first == sorted(first)
 
 
 def test_heap_growth_past_initial_capacity():
@@ -222,7 +227,3 @@ def test_compiled_kernels_match_python_fallback(rng):
         assert na == nb
         assert np.array_equal(out_a[:na], out_b[:nb])
         assert np.array_equal(m_a[:na], m_b[:nb])
-
-    l1 = kernels.component_labels_2d(occ, 20, 20)
-    l2 = kernels.component_labels_2d.py_func(occ, 20, 20)
-    assert np.array_equal(l1, l2)

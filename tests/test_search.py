@@ -79,16 +79,17 @@ def test_problem_validation():
     assert len(S.Problem(g, (0, 0), (7, 7), ladder=[1, 3]).ladder) == 2
 
 
-# ----------------------------------------------------------- expand_state
+# ----------------------------------------------------------------- expand
 
 
 def test_new_states_initialized_unreached():
     g = G.GridMap.empty((9, 9))
     search = S.MraSearch(S.Problem(g, (0, 0), (8, 8)))
-    goal = search.nodes[search.goal_id]
-    assert goal.g == math.inf and goal.bp == -1
-    start = search.nodes[search.start_id]
-    assert start.g == 0.0
+    assert search.g[search.goal_id] == math.inf
+    assert search.goal_id not in search.bp
+    assert search.g[search.start_id] == 0.0
+    assert search.generated == 2  # start and goal only
+    assert g.flat_index((4, 4)) not in search.g
 
 
 def test_expand_relaxes_into_all_open_spaces():
@@ -99,17 +100,17 @@ def test_expand_relaxes_into_all_open_spaces():
     prob = S.Problem(g, (10, 10), (94, 94), ladder=lad)
     cfg = S.PlannerConfig(w1=3.0, w2=3.0)
     search = S.MraSearch(prob, cfg)
-    search.expand_state((10, 10), 2)
+    search.expand(search.start_id, 2, [search.tables[2]])
     succ = (31, 31)  # on the 7- and 21-sublattices
     sid = g.flat_index(succ)
-    node = search.nodes[sid]
-    assert node.g == 21 * SQRT2 and node.bp == search.start_id
+    assert search.g[sid] == 21 * SQRT2 and search.bp[sid] == search.start_id
     h = G.heuristic(succ, (94, 94), "octile")
+    assert search.h[sid] == h
     for j in range(3):
         ol = search.opens[j]
         assert sid in ol
         stored_key = ol._heap[ol._pos[sid]][0]
-        assert stored_key == S.key_value(node.g, h, j, cfg.w1)
+        assert stored_key == S.key_value(search.g[sid], h, j, cfg.w1)
     assert search.expansions == [0, 0, 1]
 
 
@@ -117,11 +118,11 @@ def test_closed_queue_not_reinserted():
     lad = G.ResolutionLadder((1, 3))
     g = G.GridMap.empty((9, 9))
     search = S.MraSearch(S.Problem(g, (0, 0), (8, 8), ladder=lad))
-    node = search._make_node((1, 1))
-    node.closed |= 1  # pretend queue 0 already expanded it
-    search.expand_state((0, 0), 0)
     sid = g.flat_index((1, 1))
-    assert node.g == SQRT2  # g/bp still update
+    search.closed[sid] = 1  # pretend queue 0 already expanded it
+    search.expand(search.start_id, 0, [search.tables[0]])
+    assert search.g[sid] == SQRT2  # g/bp still update
+    assert search.bp[sid] == search.start_id
     assert sid not in search.opens[0]
     assert sid in search.opens[1]
 
@@ -129,22 +130,26 @@ def test_closed_queue_not_reinserted():
 def test_double_expansion_rejected():
     g = G.GridMap.empty((9, 9))
     search = S.MraSearch(S.Problem(g, (0, 0), (8, 8)))
-    search.expand_state((0, 0), 0)
-    search.nodes[search.start_id].closed |= 1
+    search.expand(search.start_id, 0, [search.tables[0]])
+    assert search.closed[search.start_id] == 1
     with pytest.raises(SearchCorruptionError):
-        search.expand_state((0, 0), 0)
+        search.expand(search.start_id, 0, [search.tables[0]])
 
 
 def test_no_improvement_no_touch():
     g = G.GridMap.empty((9, 9))
     search = S.MraSearch(S.Problem(g, (0, 0), (8, 8)))
-    search.expand_state((0, 0), 0)
-    node = search.nodes[g.flat_index((1, 1))]
-    node.g = 0.1  # better than anything a re-relaxation could offer
-    node.bp = -7
-    search.nodes[search.start_id].closed = 0
-    search.expand_state((0, 0), 0)
-    assert node.g == 0.1 and node.bp == -7
+    search.expand(search.start_id, 0, [search.tables[0]])
+    sid = g.flat_index((1, 1))
+    search.g[sid] = 0.1  # better than anything a re-relaxation could offer
+    search.bp[sid] = -7
+    heap = list(search.opens[0]._heap)
+    generated = search.generated
+    search.closed[search.start_id] = 0
+    search.expand(search.start_id, 0, [search.tables[0]])
+    assert search.g[sid] == 0.1 and search.bp[sid] == -7
+    assert search.opens[0]._heap == heap
+    assert search.generated == generated
 
 
 # ------------------------------------------------------------------- plan
@@ -302,7 +307,7 @@ def test_reconstruct_detects_corruption():
     search = S.MraSearch(S.Problem(g, (0, 0), (4, 4)))
     res = search.run()
     assert res.status == S.STATUS_SOLVED
-    search.nodes[search.goal_id].bp = search.goal_id
+    search.bp[search.goal_id] = search.goal_id
     with pytest.raises(SearchCorruptionError):
         search.reconstruct_path()
 
