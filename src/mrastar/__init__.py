@@ -32,7 +32,6 @@ from .grid import (
     path_cost,
     successors_at_scale,
 )
-from .kernels import NUMBA_ENABLED
 from .maps_io import (
     BenchRow,
     Scenario,
@@ -67,7 +66,6 @@ __all__ = [
     "MapParseError",
     "MraSearch",
     "MrastarError",
-    "NUMBA_ENABLED",
     "OpenList",
     "PlanResult",
     "PlannerConfig",

@@ -3,8 +3,9 @@
 All baselines share the multi-resolution planner's move semantics and
 search core (search.FlatSearch over the grid's cached move tables, same
 edge validity, same costs), isolating the search strategy as the only
-difference.  The oracle Dijkstra runs on its own kernels instead, so it
-stays independent of the planners' move tables.
+difference.  The oracle Dijkstra (kernels.dijkstra_2d/3d: heapq over
+the supercover walk's unit moves) does not use the move tables, so it
+stays independent of the planners' moves.
 """
 
 import math

@@ -9,6 +9,7 @@ import argparse
 import glob
 import math
 import os
+import re
 import sys
 
 from .bench import (
@@ -29,11 +30,21 @@ from .svg import save_svg
 
 _POLICY_ALIASES = {"rr": "round_robin", "round_robin": "round_robin", "dts": "dts"}
 
+# Negative values argparse would read as options: -inf, -nan, -1,0, -1e3.
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         raise SystemExit(f"{self.prog}: error: {message}")
+
+    def _parse_optional(self, arg_string):
+        # No option starts with "-<digit>", "-inf" or "-nan", so such a token
+        # is a value and reaches the value checks.
+        if _NEGATIVE_VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _parse_cell(text: str) -> tuple[int, ...]:

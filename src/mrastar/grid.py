@@ -22,12 +22,9 @@ import numpy as np
 from . import kernels
 from .errors import InvalidProblemError
 from .kernels import SQRT2, SQRT3
+from .kernels import STEP as _STEP
 
 Cell = tuple[int, ...]
-
-# Cost of a single-axis-count move at scale 1, indexed by the number of
-# axes the move changes.
-_STEP = (0.0, 1.0, SQRT2, SQRT3)
 
 
 @dataclass(frozen=True)
@@ -341,36 +338,10 @@ def successors_at_scale(cell: Cell, k: int, grid: GridMap) -> list[tuple[Cell, f
     fixed deterministic order."""
     occ = grid.flat_blocked
     if grid.dim == 2:
-        out_xy = np.empty((8, 2), np.int64)
-        out_m = np.empty(8, np.int64)
-        n = kernels.successors_2d(
-            occ, grid.extents[0], grid.extents[1], cell[0], cell[1], k, out_xy, out_m
-        )
-        return [
-            ((int(out_xy[t, 0]), int(out_xy[t, 1])), k * _STEP[int(out_m[t])])
-            for t in range(n)
-        ]
-    out_xyz = np.empty((26, 3), np.int64)
-    out_m = np.empty(26, np.int64)
-    n = kernels.successors_3d(
-        occ,
-        grid.extents[0],
-        grid.extents[1],
-        grid.extents[2],
-        cell[0],
-        cell[1],
-        cell[2],
-        k,
-        out_xyz,
-        out_m,
-    )
-    return [
-        (
-            (int(out_xyz[t, 0]), int(out_xyz[t, 1]), int(out_xyz[t, 2])),
-            k * _STEP[int(out_m[t])],
-        )
-        for t in range(n)
-    ]
+        moves = kernels.successors_2d(occ, *grid.extents, cell[0], cell[1], k)
+    else:
+        moves = kernels.successors_3d(occ, *grid.extents, cell[0], cell[1], cell[2], k)
+    return [(grid.cell_of(int(v)), k * _STEP[m]) for v, m in moves]
 
 
 HEURISTICS = ("octile", "euclidean")

@@ -1,20 +1,20 @@
-"""Numeric kernels for grid geometry and search inner loops.
+"""Plain-Python kernels for grid geometry and the oracle Dijkstra.
 
-Everything here operates on flat boolean occupancy arrays plus integer
-coordinates, so the same source compiles under numba, when it is
-installed, and also runs as plain Python.  numba is an optional
-accelerator; set MRA_NO_NUMBA=1 to skip compilation even when it is
-present.  Callers see identical results either way, only slower.
-Connected-component labels come from scipy.ndimage on either backend.
+Everything here operates on flat occupancy sequences (a numpy bool array
+or a list; True for blocked cells) plus integer coordinates.  The
+supercover walk decides which cells a move touches; the successor
+functions and the unit-lattice Dijkstra are built on it, so the oracle
+stays independent of the planners' move tables (grid.MoveTable).
+Connected-component labels come from scipy.ndimage.
 
 Coordinate convention: x is the fastest-varying axis.  A 2D map with
 width w stores cell (x, y) at flat index y*w + x; a 3D map with width w
-and height h stores (x, y, z) at (z*h + y)*w + x.  Occupancy arrays hold
-True for blocked cells.
+and height h stores (x, y, z) at (z*h + y)*w + x.
 """
 
 import math
-import os
+from array import array
+from heapq import heappop, heappush
 
 import numpy as np
 from scipy import ndimage
@@ -22,32 +22,14 @@ from scipy import ndimage
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
-INF = math.inf
+# Cost of a unit move, indexed by the number of axes it changes.
+STEP = (0.0, 1.0, SQRT2, SQRT3)
 
-
-def _numba_disabled() -> bool:
-    v = os.environ.get("MRA_NO_NUMBA", "").strip().lower()
-    return v not in ("", "0", "false", "no")
-
-
+# There is no compiled backend; perfbench/run.py's environment record
+# still reads this flag.
 NUMBA_ENABLED = False
-if not _numba_disabled():
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # numba is an optional accelerator (the "jit" extra)
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    def _jit(func):
-        return _njit(cache=True)(func)
-else:
-    def _jit(func):
-        return func
 
 
-@_jit
 def supercover_free_2d(occ, w, x0, y0, x1, y1):
     """True iff every cell whose closed unit square the segment from the
     center of (x0, y0) to the center of (x1, y1) intersects is free.
@@ -93,7 +75,6 @@ def supercover_free_2d(occ, w, x0, y0, x1, y1):
     return True
 
 
-@_jit
 def supercover_free_3d(occ, w, h, x0, y0, z0, x1, y1, z1):
     """3D analogue of supercover_free_2d.
 
@@ -178,66 +159,75 @@ def supercover_free_3d(occ, w, h, x0, y0, z0, x1, y1, z1):
     return True
 
 
-@_jit
-def successors_2d(occ, w, h, x, y, k, out_xy, out_m):
-    """Fill out_xy/out_m with the valid 8-connected moves of length k
-    from (x, y) and return their count.
+def successors_2d(occ, w, h, x, y, k):
+    """Valid 8-connected moves of length k from (x, y), as a list of
+    (flat id, axes changed) pairs.
 
-    out_m receives the number of axes the move changes (1 or 2).  Order
-    is fixed: dy from -1 to 1 outer, dx inner, (0, 0) skipped.
+    Order is fixed: dy from -1 to 1 outer, dx inner, (0, 0) skipped.
     """
-    n = 0
-    for dy in range(-1, 2):
-        for dx in range(-1, 2):
-            if dx == 0 and dy == 0:
-                continue
+    out = []
+    for dy in (-1, 0, 1):
+        y1 = y + k * dy
+        if y1 < 0 or y1 >= h:
+            continue
+        for dx in (-1, 0, 1):
             x1 = x + k * dx
-            y1 = y + k * dy
-            if x1 < 0 or x1 >= w or y1 < 0 or y1 >= h:
+            if (dx == 0 and dy == 0) or x1 < 0 or x1 >= w:
                 continue
-            if not supercover_free_2d(occ, w, x, y, x1, y1):
-                continue
-            out_xy[n, 0] = x1
-            out_xy[n, 1] = y1
-            out_m[n] = (1 if dx != 0 else 0) + (1 if dy != 0 else 0)
-            n += 1
-    return n
+            if supercover_free_2d(occ, w, x, y, x1, y1):
+                out.append((y1 * w + x1, (dx != 0) + (dy != 0)))
+    return out
 
 
-@_jit
-def successors_3d(occ, w, h, d, x, y, z, k, out_xyz, out_m):
+def successors_3d(occ, w, h, d, x, y, z, k):
     """26-connected analogue of successors_2d; dz outermost."""
-    n = 0
-    for dz in range(-1, 2):
-        for dy in range(-1, 2):
-            for dx in range(-1, 2):
-                if dx == 0 and dy == 0 and dz == 0:
-                    continue
+    out = []
+    for dz in (-1, 0, 1):
+        z1 = z + k * dz
+        if z1 < 0 or z1 >= d:
+            continue
+        for dy in (-1, 0, 1):
+            y1 = y + k * dy
+            if y1 < 0 or y1 >= h:
+                continue
+            for dx in (-1, 0, 1):
                 x1 = x + k * dx
-                y1 = y + k * dy
-                z1 = z + k * dz
-                if x1 < 0 or x1 >= w or y1 < 0 or y1 >= h:
+                if (dx == 0 and dy == 0 and dz == 0) or x1 < 0 or x1 >= w:
                     continue
-                if z1 < 0 or z1 >= d:
-                    continue
-                if not supercover_free_3d(occ, w, h, x, y, z, x1, y1, z1):
-                    continue
-                out_xyz[n, 0] = x1
-                out_xyz[n, 1] = y1
-                out_xyz[n, 2] = z1
-                m = 0
-                if dx != 0:
-                    m += 1
-                if dy != 0:
-                    m += 1
-                if dz != 0:
-                    m += 1
-                out_m[n] = m
-                n += 1
-    return n
+                if supercover_free_3d(occ, w, h, x, y, z, x1, y1, z1):
+                    out.append(((z1 * h + y1) * w + x1, (dx != 0) + (dy != 0) + (dz != 0)))
+    return out
 
 
-@_jit
+def _dijkstra(occ, source, goal, succ):
+    """Exact distances from flat id source over the unit moves succ(u),
+    a list of (flat id, axes changed); occ is a list of blocked flags.
+    Stops once goal is settled (goal = -1 for a full field).  Returns
+    (dist, bp) as numpy arrays; bp holds predecessor flat ids, -1 for
+    the source and unreached cells."""
+    n, source, goal = len(occ), int(source), int(goal)
+    dist = array("d", [math.inf]) * n
+    bp = array("q", [-1]) * n
+    if not occ[source]:
+        done = bytearray(n)
+        dist[source] = 0.0
+        heap = [(0.0, source)]
+        while heap:
+            du, u = heappop(heap)
+            if done[u]:
+                continue
+            done[u] = 1
+            if u == goal:
+                break
+            for v, m in succ(u):
+                nd = du + STEP[m]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    bp[v] = u
+                    heappush(heap, (nd, v))
+    return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
+
+
 def dijkstra_2d(occ, w, h, sx, sy, gx, gy):
     """Exact shortest-path distances from (sx, sy) on the unit lattice.
 
@@ -245,184 +235,24 @@ def dijkstra_2d(occ, w, h, sx, sy, gx, gy):
     -1 for the source and unreached cells.  A nonnegative gx enables
     early exit once the goal is settled; pass gx = -1 for a full field.
     """
-    n = w * h
-    dist = np.full(n, INF)
-    bp = np.full(n, -1, np.int64)
-    done = np.zeros(n, np.bool_)
-    out_xy = np.empty((8, 2), np.int64)
-    out_m = np.empty(8, np.int64)
-    cap = 1024
-    hk = np.empty(cap)
-    hv = np.empty(cap, np.int64)
-    size = 0
-    s = sy * w + sx
-    if occ[s]:
-        return dist, bp
-    goal = -1
-    if gx >= 0:
-        goal = gy * w + gx
-    dist[s] = 0.0
-    hk[0] = 0.0
-    hv[0] = s
-    size = 1
-    while size > 0:
-        topk = hk[0]
-        topv = hv[0]
-        size -= 1
-        hk[0] = hk[size]
-        hv[0] = hv[size]
-        i = 0
-        while True:
-            l = 2 * i + 1
-            r = l + 1
-            m = i
-            if l < size and hk[l] < hk[m]:
-                m = l
-            if r < size and hk[r] < hk[m]:
-                m = r
-            if m == i:
-                break
-            hk[i], hk[m] = hk[m], hk[i]
-            hv[i], hv[m] = hv[m], hv[i]
-            i = m
-        u = topv
-        if done[u]:
-            continue
-        if topk > dist[u]:
-            continue
-        done[u] = True
-        if u == goal:
-            break
-        ux = u % w
-        uy = u // w
-        cnt = successors_2d(occ, w, h, ux, uy, 1, out_xy, out_m)
-        du = dist[u]
-        for t in range(cnt):
-            v = out_xy[t, 1] * w + out_xy[t, 0]
-            if done[v]:
-                continue
-            c = 1.0 if out_m[t] == 1 else SQRT2
-            nd = du + c
-            if nd < dist[v]:
-                dist[v] = nd
-                bp[v] = u
-                if size == cap:
-                    cap2 = cap * 2
-                    hk2 = np.empty(cap2)
-                    hv2 = np.empty(cap2, np.int64)
-                    for j in range(size):
-                        hk2[j] = hk[j]
-                        hv2[j] = hv[j]
-                    hk = hk2
-                    hv = hv2
-                    cap = cap2
-                hk[size] = nd
-                hv[size] = v
-                i = size
-                size += 1
-                while i > 0:
-                    p = (i - 1) // 2
-                    if hk[p] <= hk[i]:
-                        break
-                    hk[i], hk[p] = hk[p], hk[i]
-                    hv[i], hv[p] = hv[p], hv[i]
-                    i = p
-    return dist, bp
+    occ = np.asarray(occ, dtype=bool).ravel().tolist()
+    goal = gy * w + gx if gx >= 0 else -1
+    return _dijkstra(
+        occ, sy * w + sx, goal, lambda u: successors_2d(occ, w, h, u % w, u // w, 1)
+    )
 
 
-@_jit
 def dijkstra_3d(occ, w, h, d, sx, sy, sz, gx, gy, gz):
     """3D version of dijkstra_2d on the 26-connected unit lattice."""
-    n = w * h * d
-    dist = np.full(n, INF)
-    bp = np.full(n, -1, np.int64)
-    done = np.zeros(n, np.bool_)
-    out_xyz = np.empty((26, 3), np.int64)
-    out_m = np.empty(26, np.int64)
-    cap = 1024
-    hk = np.empty(cap)
-    hv = np.empty(cap, np.int64)
-    size = 0
-    s = (sz * h + sy) * w + sx
-    if occ[s]:
-        return dist, bp
-    goal = -1
-    if gx >= 0:
-        goal = (gz * h + gy) * w + gx
-    dist[s] = 0.0
-    hk[0] = 0.0
-    hv[0] = s
-    size = 1
-    while size > 0:
-        topk = hk[0]
-        topv = hv[0]
-        size -= 1
-        hk[0] = hk[size]
-        hv[0] = hv[size]
-        i = 0
-        while True:
-            l = 2 * i + 1
-            r = l + 1
-            m = i
-            if l < size and hk[l] < hk[m]:
-                m = l
-            if r < size and hk[r] < hk[m]:
-                m = r
-            if m == i:
-                break
-            hk[i], hk[m] = hk[m], hk[i]
-            hv[i], hv[m] = hv[m], hv[i]
-            i = m
-        u = topv
-        if done[u]:
-            continue
-        if topk > dist[u]:
-            continue
-        done[u] = True
-        if u == goal:
-            break
-        ux = u % w
-        uy = (u // w) % h
-        uz = u // (w * h)
-        cnt = successors_3d(occ, w, h, d, ux, uy, uz, 1, out_xyz, out_m)
-        du = dist[u]
-        for t in range(cnt):
-            v = (out_xyz[t, 2] * h + out_xyz[t, 1]) * w + out_xyz[t, 0]
-            if done[v]:
-                continue
-            m = out_m[t]
-            if m == 1:
-                c = 1.0
-            elif m == 2:
-                c = SQRT2
-            else:
-                c = SQRT3
-            nd = du + c
-            if nd < dist[v]:
-                dist[v] = nd
-                bp[v] = u
-                if size == cap:
-                    cap2 = cap * 2
-                    hk2 = np.empty(cap2)
-                    hv2 = np.empty(cap2, np.int64)
-                    for j in range(size):
-                        hk2[j] = hk[j]
-                        hv2[j] = hv[j]
-                    hk = hk2
-                    hv = hv2
-                    cap = cap2
-                hk[size] = nd
-                hv[size] = v
-                i = size
-                size += 1
-                while i > 0:
-                    p = (i - 1) // 2
-                    if hk[p] <= hk[i]:
-                        break
-                    hk[i], hk[p] = hk[p], hk[i]
-                    hv[i], hv[p] = hv[p], hv[i]
-                    i = p
-    return dist, bp
+    occ = np.asarray(occ, dtype=bool).ravel().tolist()
+    goal = (gz * h + gy) * w + gx if gx >= 0 else -1
+    wh = w * h
+    return _dijkstra(
+        occ,
+        (sz * h + sy) * w + sx,
+        goal,
+        lambda u: successors_3d(occ, w, h, d, u % w, u % wh // w, u // wh, 1),
+    )
 
 
 def component_labels_2d(occ, w, h):

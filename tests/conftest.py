@@ -1,23 +1,6 @@
 import numpy as np
 import pytest
 
-import mrastar
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Force JIT compilation of every kernel before timing-sensitive
-    tests run."""
-    g2 = mrastar.random_grid((16, 16), 0.2, seed=0)
-    g3 = mrastar.random_grid((8, 8, 8), 0.2, seed=0)
-    mrastar.fine_components(g2)
-    mrastar.fine_components(g3)
-    mrastar.dijkstra_field(g2, (0, 0))
-    mrastar.dijkstra_field(g3, (0, 0, 0))
-    mrastar.successors_at_scale((5, 5), 3, g2)
-    mrastar.successors_at_scale((4, 4, 4), 3, g3)
-    return True
-
 
 @pytest.fixture()
 def rng():

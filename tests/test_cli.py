@@ -143,6 +143,21 @@ def test_plan_nan_weight_is_a_usage_error(empty10):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--w2", "-inf", "w2 must be a finite number >= 1, got -inf"),
+    ("--timeout", "-inf", "timeout must be positive, got -inf"),
+    ("--start", "-1,0", "start (-1, 0) is blocked or out of bounds"),
+])
+def test_plan_negative_values_reach_the_value_checks(empty10, capsys, flag, value, message):
+    argv = {"--start": "0,0", "--goal": "9,9", flag: value}
+    code = run_cli("plan", "--map", empty10, "--format", "movingai",
+                   *(a for kv in argv.items() for a in kv))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"mrastar: error: {message}" in err
+    assert "expected one argument" not in err
+
+
 def test_plan_exhausted_exit_2(tmp_path, capsys):
     p = tmp_path / "wall.map"
     p.write_text(movingai_text(10, 10, blocked_cols={5}))
