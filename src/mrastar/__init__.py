@@ -50,7 +50,6 @@ from .search import (
     PlanResult,
     Problem,
     check_deadline,
-    key_value,
     plan,
 )
 from .svg import render_svg, save_svg
@@ -85,7 +84,6 @@ __all__ = [
     "gen_scenarios",
     "get_space_indices",
     "heuristic",
-    "key_value",
     "load_map",
     "parse_movingai_map",
     "parse_vox3",

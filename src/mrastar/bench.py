@@ -249,11 +249,13 @@ def run_sweep(
     each task's last repeat."""
     if vary not in ("w1", "w2"):
         raise ValueError(f"vary must be w1 or w2, got {vary!r}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     configs = [replace(base_config, **{vary: float(value)}) for value in values]
     best_times = [[math.inf] * len(tasks) for _ in configs]
     last_results = [[None] * len(tasks) for _ in configs]
     for t, task in enumerate(tasks):
-        for _ in range(max(1, repeats)):
+        for _ in range(repeats):
             for i, config in enumerate(configs):
                 result = plan(Problem(task.grid, task.start, task.goal, ladder), config)
                 best_times[i][t] = min(best_times[i][t], result.wall_time)

@@ -61,6 +61,16 @@ def _parse_ladder(text: str) -> ResolutionLadder:
     return ResolutionLadder(tuple(int(p) for p in text.split(",")))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _parse_values(text: str) -> list[float]:
     return [float(p) for p in text.split(",")]
 
@@ -92,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run planners over sampled scenarios")
     b.add_argument("--maps", required=True, help="glob of map files")
     _add_common(b)
-    b.add_argument("--scenarios", type=int, default=10)
+    b.add_argument("--scenarios", type=_positive_int, default=10)
     b.add_argument("--algos", default="mra,wa-high,wa-low,wa-mr,astar",
                    help=f"comma list from {','.join(ALGOS)}")
     b.add_argument("--out", required=True, help="results CSV path")
@@ -101,12 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="vary w1 or w2 and record mean time/cost")
     s.add_argument("--maps", required=True, help="glob of map files")
     _add_common(s, weights=False)
-    s.add_argument("--scenarios", type=int, default=1)
+    s.add_argument("--scenarios", type=_positive_int, default=1)
     s.add_argument("--vary", choices=("w1", "w2"), required=True)
     s.add_argument("--values", required=True, help="comma list, e.g. 1,2,3,5,10")
     s.add_argument("--fix", type=float, default=3.0,
                    help="value of the non-varied weight")
-    s.add_argument("--repeats", type=int, default=1,
+    s.add_argument("--repeats", type=_positive_int, default=1,
                    help="timing repeats per instance (min is kept)")
     s.add_argument("--out", required=True, help="sweep CSV path")
     return parser
@@ -159,6 +169,8 @@ def cmd_bench(args) -> int:
     ladder = _parse_ladder(args.res)
     config = _config(args, args.w1, args.w2)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        raise MrastarError(f"--algos names no algo; choose from {','.join(ALGOS)}")
     for a in algos:
         if a not in ALGOS:
             raise MrastarError(f"unknown algo {a!r}; choose from {','.join(ALGOS)}")
@@ -182,8 +194,9 @@ def cmd_sweep(args) -> int:
     rows = run_sweep(tasks, args.vary, values, config, ladder, repeats=args.repeats)
     write_sweep_csv(rows, args.out)
     for r in rows:
+        mean = "-" if r["mean_time_s"] is None else f"{r['mean_time_s']:.6f}"
         print(
-            f"{r['param']}={r['value']:g} mean_time_s={r['mean_time_s']:.6f} "
+            f"{r['param']}={r['value']:g} mean_time_s={mean} "
             f"solved={r['solved']}/{r['instances']}"
         )
     print(f"wrote {len(rows)} rows to {args.out}")

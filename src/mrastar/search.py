@@ -13,6 +13,7 @@ and no state is ever re-expanded by the same queue.
 import math
 import time
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .errors import InvalidProblemError, SearchCorruptionError
 from .grid import (
@@ -155,12 +156,6 @@ class PlanResult:
     expansion_log: list[tuple[int, Cell]] | None = None
 
 
-def key_value(g: float, h: float, i: int, w1: float) -> float:
-    """Priority of a state in queue i: g + h for the anchor (i = 0),
-    g + w1*h for every other queue."""
-    return g + h if i == 0 else g + w1 * h
-
-
 def check_deadline(
     expansion_count: int, started_at: float, timeout: float, now_fn=time.monotonic
 ) -> bool:
@@ -177,92 +172,63 @@ def check_deadline(
 
 
 class OpenList:
-    """Addressable binary min-heap of states.
+    """Min-priority queue of states with lazy deletion.
 
     Orders by (key, -g, state id): equal keys prefer the larger g (the
     deeper, better-informed state), then the smaller id, making pops
-    fully deterministic.  Holds at most one entry per state; inserting
-    an existing state updates it in place.
+    fully deterministic.  Holds at most one live entry per state:
+    inserting an existing state pushes a new entry and marks it live,
+    and the superseded one stays in the heap until it reaches the top,
+    where pop, peek and min_key discard it (the test is by identity, so
+    an equal-valued superseded entry is dropped too).  Stale entries
+    are therefore bounded by the inserts of one search.
     """
 
-    __slots__ = ("_heap", "_pos")
+    __slots__ = ("_heap", "_live")
 
     def __init__(self):
         self._heap: list[tuple[float, float, int]] = []
-        self._pos: dict[int, int] = {}
+        self._live: dict[int, tuple[float, float, int]] = {}
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._live)
 
     def __contains__(self, sid: int) -> bool:
-        return sid in self._pos
+        return sid in self._live
+
+    def _top(self):
+        """The live minimum entry, or None; drops stale entries above it."""
+        heap, live = self._heap, self._live
+        while heap:
+            top = heap[0]
+            if live.get(top[2]) is top:
+                return top
+            heappop(heap)
+        return None
 
     def min_key(self) -> float:
-        return self._heap[0][0] if self._heap else math.inf
+        top = self._top()
+        return math.inf if top is None else top[0]
 
     def peek(self) -> int:
-        if not self._heap:
+        top = self._top()
+        if top is None:
             raise IndexError("peek on empty open list")
-        return self._heap[0][2]
-
-    def insert_or_update(self, sid: int, key: float, g: float) -> None:
-        entry = (key, -g, sid)
-        pos = self._pos.get(sid)
-        if pos is None:
-            self._heap.append(entry)
-            self._sift_up(len(self._heap) - 1)
-        else:
-            old = self._heap[pos]
-            self._heap[pos] = entry
-            if entry < old:
-                self._sift_up(pos)
-            else:
-                self._sift_down(pos)
-
-    def pop(self) -> int:
-        if not self._heap:
-            raise IndexError("pop on empty open list")
-        top = self._heap[0]
-        last = self._heap.pop()
-        del self._pos[top[2]]
-        if self._heap:
-            self._heap[0] = last
-            self._pos[last[2]] = 0
-            self._sift_down(0)
         return top[2]
 
-    def _sift_up(self, i: int) -> None:
-        heap = self._heap
-        entry = heap[i]
-        while i > 0:
-            parent = (i - 1) // 2
-            if heap[parent] <= entry:
-                break
-            heap[i] = heap[parent]
-            self._pos[heap[i][2]] = i
-            i = parent
-        heap[i] = entry
-        self._pos[entry[2]] = i
+    def insert_or_update(self, sid: int, key: float, g: float) -> None:
+        self._live[sid] = entry = (key, -g, sid)
+        heappush(self._heap, entry)
 
-    def _sift_down(self, i: int) -> None:
-        heap = self._heap
-        n = len(heap)
-        entry = heap[i]
-        while True:
-            left = 2 * i + 1
-            if left >= n:
-                break
-            child = left
-            right = left + 1
-            if right < n and heap[right] < heap[left]:
-                child = right
-            if entry <= heap[child]:
-                break
-            heap[i] = heap[child]
-            self._pos[heap[i][2]] = i
-            i = child
-        heap[i] = entry
-        self._pos[entry[2]] = i
+    def pop(self) -> int:
+        heap, live = self._heap, self._live
+        while heap:
+            top = heappop(heap)
+            sid = top[2]
+            if live.get(sid) is top:
+                del live[sid]
+                return sid
+        raise IndexError("pop on empty open list")
 
 
 class FlatSearch:
@@ -400,12 +366,7 @@ class MraSearch(FlatSearch):
         )
         h0 = self.h[self.start_id]
         for i in mask_bits(self.spaces[self.start_id]):
-            self.opens[i].insert_or_update(
-                self.start_id, key_value(0.0, h0, i, self.w1), 0.0
-            )
-
-    def min_key(self, i: int) -> float:
-        return self.opens[i].min_key()
+            self.opens[i].insert_or_update(self.start_id, self.weights[i] * h0, 0.0)
 
     def run(self, log_expansions: bool = False, gate_probe=None) -> PlanResult:
         """Execute the search to completion, timeout or exhaustion.
@@ -417,34 +378,41 @@ class MraSearch(FlatSearch):
         started = time.monotonic()
         t0 = time.perf_counter()
         opens = self.opens
+        anchor = opens[0]
+        rest = range(1, self.n_queues)
         g, h = self.g, self.h
         goal_id = self.goal_id
         tables = [(t,) for t in self.tables]
         expand = self.expand
-        total = 0
+        choose_queue, update = self.policy.choose_queue, self.policy.update
         is_dts = self.config.policy == "dts"
+        timeout = self.config.timeout
+        timed = timeout < math.inf
         w2 = self.w2
-        while any(opens):
-            if check_deadline(total, started, self.config.timeout):
+        total = 0
+        while True:
+            nonempty = [i for i in rest if opens[i]]
+            if not nonempty and not anchor:
+                break
+            if timed and check_deadline(total, started, timeout):
                 return self.result(STATUS_TIMEOUT, None, w2, t0)
-            nonempty = [i for i in range(1, self.n_queues) if opens[i]]
-            i = self.policy.choose_queue(nonempty) if nonempty else 0
-            mk0 = opens[0].min_key()
+            i = choose_queue(nonempty) if nonempty else 0
+            mk0 = anchor.min_key()
             if gate_probe is not None:
                 gate_probe(mk0)
-            mk_i = opens[i].min_key()
+            ol = opens[i]
+            mk_i = ol.min_key() if i else mk0
             if mk_i <= w2 * mk0:
                 # mk_i can only be inf when w1 * h overflows; it claims nothing.
                 if g[goal_id] <= mk_i < math.inf:
                     return self.result(STATUS_SOLVED, i, w2, t0)
-                expand(opens[i].pop(), i, tables[i])
-                if is_dts and i != 0:
-                    top_h = h[opens[i].peek()] if len(opens[i]) else math.inf
-                    self.policy.update(i, top_h)
+                expand(ol.pop(), i, tables[i])
+                if is_dts and i:
+                    update(i, h[ol.peek()] if ol else math.inf)
             else:
                 if g[goal_id] <= w2 * mk0:
                     return self.result(STATUS_SOLVED, 0, w2, t0)
-                expand(opens[0].pop(), 0, tables[0])
+                expand(anchor.pop(), 0, tables[0])
             total += 1
         if g[goal_id] < math.inf:
             # Defensive: queues drained in the same iteration the goal

@@ -7,6 +7,7 @@ enumeration elsewhere.  Slow is fine; these run on small inputs.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -158,3 +159,95 @@ def same_partition(a, b, mask) -> bool:
         if bwd.setdefault(y, x) != x:
             return False
     return True
+
+
+# The addressable binary heap that search.OpenList replaced (sift code in
+# Python, one heap slot per state, updates in place).  Kept as the
+# reference the lazy-deletion OpenList is checked against.
+class AddressableOpenList:
+    """Addressable binary min-heap of states.
+
+    Orders by (key, -g, state id): equal keys prefer the larger g (the
+    deeper, better-informed state), then the smaller id, making pops
+    fully deterministic.  Holds at most one entry per state; inserting
+    an existing state updates it in place.
+    """
+
+    __slots__ = ("_heap", "_pos")
+
+    def __init__(self):
+        self._heap: list[tuple[float, float, int]] = []
+        self._pos: dict[int, int] = {}
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def __contains__(self, sid: int) -> bool:
+        return sid in self._pos
+
+    def min_key(self) -> float:
+        return self._heap[0][0] if self._heap else math.inf
+
+    def peek(self) -> int:
+        if not self._heap:
+            raise IndexError("peek on empty open list")
+        return self._heap[0][2]
+
+    def insert_or_update(self, sid: int, key: float, g: float) -> None:
+        entry = (key, -g, sid)
+        pos = self._pos.get(sid)
+        if pos is None:
+            self._heap.append(entry)
+            self._sift_up(len(self._heap) - 1)
+        else:
+            old = self._heap[pos]
+            self._heap[pos] = entry
+            if entry < old:
+                self._sift_up(pos)
+            else:
+                self._sift_down(pos)
+
+    def pop(self) -> int:
+        if not self._heap:
+            raise IndexError("pop on empty open list")
+        top = self._heap[0]
+        last = self._heap.pop()
+        del self._pos[top[2]]
+        if self._heap:
+            self._heap[0] = last
+            self._pos[last[2]] = 0
+            self._sift_down(0)
+        return top[2]
+
+    def _sift_up(self, i: int) -> None:
+        heap = self._heap
+        entry = heap[i]
+        while i > 0:
+            parent = (i - 1) // 2
+            if heap[parent] <= entry:
+                break
+            heap[i] = heap[parent]
+            self._pos[heap[i][2]] = i
+            i = parent
+        heap[i] = entry
+        self._pos[entry[2]] = i
+
+    def _sift_down(self, i: int) -> None:
+        heap = self._heap
+        n = len(heap)
+        entry = heap[i]
+        while True:
+            left = 2 * i + 1
+            if left >= n:
+                break
+            child = left
+            right = left + 1
+            if right < n and heap[right] < heap[left]:
+                child = right
+            if entry <= heap[child]:
+                break
+            heap[i] = heap[child]
+            self._pos[heap[i][2]] = i
+            i = child
+        heap[i] = entry
+        self._pos[entry[2]] = i

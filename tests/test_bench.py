@@ -132,6 +132,8 @@ def test_run_sweep_shape(small_setup):
         assert r["solved"] <= 3
     with pytest.raises(ValueError):
         B.run_sweep(tasks[:1], "timeout", [1.0], PlannerConfig(), ladder)
+    with pytest.raises(ValueError, match="repeats must be >= 1, got 0"):
+        B.run_sweep(tasks[:1], "w2", [1.0], PlannerConfig(), ladder, repeats=0)
 
 
 def _per_value_sweep(tasks, vary, values, base, ladder, repeats):

@@ -264,6 +264,27 @@ def test_bench_unknown_algo_no_partial_output(tmp_path, capsys):
     assert "unknown algo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--scenarios", "0", "argument --scenarios: must be >= 1, got 0"),
+        ("--scenarios", "-2", "argument --scenarios: must be >= 1, got -2"),
+        ("--algos", ",", "--algos names no algo"),
+    ],
+)
+def test_bench_refuses_empty_run(tmp_path, capsys, flag, value, message):
+    # these used to write an empty CSV and exit 0
+    g = syn.random_grid((12, 12), 0.1, seed=3)
+    (tmp_path / "m.map").write_text(serialize_movingai(g))
+    out = tmp_path / "results.csv"
+    code = run_cli(
+        "bench", "--maps", tmp_path / "*.map", "--format", "movingai",
+        flag, value, "--out", out,
+    )
+    assert code == 1 and not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_bench_no_maps_matched(tmp_path, capsys):
     code = run_cli(
         "bench", "--maps", tmp_path / "*.map", "--format", "movingai",
@@ -290,6 +311,38 @@ def test_sweep_end_to_end(tmp_path, capsys):
     assert lines[0].startswith("param,value") and len(lines) == 3
     stdout = capsys.readouterr().out
     assert "w2=1" in stdout and "w2=3" in stdout
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--scenarios", "0"), ("--scenarios", "-1"), ("--repeats", "0"), ("--repeats", "x")],
+)
+def test_sweep_refuses_bad_counts(tmp_path, capsys, flag, value):
+    # --scenarios 0 used to die formatting a None mean time, and
+    # --repeats 0 was quietly run as 1
+    g = syn.random_grid((12, 12), 0.1, seed=6)
+    (tmp_path / "m.map").write_text(serialize_movingai(g))
+    out = tmp_path / "s.csv"
+    code = run_cli(
+        "sweep", "--maps", tmp_path / "*.map", "--format", "movingai",
+        "--vary", "w2", "--values", "1,3", flag, value, "--out", out,
+    )
+    assert code == 1 and not out.exists()
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_sweep_prints_dash_for_missing_mean(tmp_path, capsys, monkeypatch):
+    g = syn.random_grid((12, 12), 0.1, seed=6)
+    (tmp_path / "m.map").write_text(serialize_movingai(g))
+    row = {"param": "w2", "value": 1.0, "instances": 0, "solved": 0,
+           "mean_time_s": None, "mean_cost": None}
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: [row])
+    code = run_cli(
+        "sweep", "--maps", tmp_path / "*.map", "--format", "movingai",
+        "--vary", "w2", "--values", "1", "--out", tmp_path / "s.csv",
+    )
+    assert code == 0
+    assert "w2=1 mean_time_s=- solved=0/0" in capsys.readouterr().out
 
 
 def test_sweep_requires_vary(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Addressable heap used by every queue: ordering, updates, determinism."""
+"""Open list used by every queue: ordering, updates, determinism, and
+agreement with the addressable heap it replaced (oracles.AddressableOpenList)."""
 
 import math
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from mrastar.search import OpenList
+
+import oracles
 
 
 def test_empty_behaviour():
@@ -70,3 +73,81 @@ def test_pop_sequence_matches_reference_sort():
         got = [ol.pop() for _ in range(len(ol))]
         want = [sid for _, _, sid in sorted(live.values())]
         assert got == want
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IndexError:
+        return IndexError
+
+
+OPS = ("insert", "decrease", "increase", "same", "reinsert_popped",
+       "pop", "peek", "min_key", "len", "in", "drain")
+OP_WEIGHTS = np.array([6, 4, 4, 2, 2, 6, 2, 3, 1, 2, 0.3])
+
+
+def _differential_run(seed, steps=600):
+    """Apply one seeded random op sequence to OpenList and to the
+    addressable heap it replaced; every op must return the same value,
+    or raise IndexError in both, at every step.  Returns the ops run."""
+    rng = np.random.default_rng(seed)
+    lists = (OpenList(), oracles.AddressableOpenList())
+    live: dict[int, tuple[float, float]] = {}  # sid -> (key, g) of its entry
+    popped: list[int] = []
+    next_sid = 0
+    # every query first runs on an empty list
+    trace = ["pop", "peek", "min_key", "len", "in"]
+    trace += rng.choice(OPS, size=steps, p=OP_WEIGHTS / OP_WEIGHTS.sum()).tolist()
+    done = []
+    for step, op in enumerate(trace):
+        if op in ("decrease", "increase", "same") and not live:
+            op = "insert"
+        if op == "reinsert_popped" and not popped:
+            op = "insert"
+        done.append(op)
+        if op in ("insert", "decrease", "increase", "same", "reinsert_popped"):
+            if op == "insert":
+                sid, next_sid = next_sid, next_sid + 1
+            elif op == "reinsert_popped":
+                sid = popped[int(rng.integers(len(popped)))]
+            else:
+                sid = int(rng.choice(sorted(live)))
+            if op in ("insert", "reinsert_popped"):
+                key, g = float(rng.integers(0, 10)), float(rng.integers(0, 4))
+            elif op == "same":
+                key, g = live[sid]
+            else:
+                delta = float(rng.integers(0, 4))  # 0 keeps the key and moves g
+                key = live[sid][0] + (delta if op == "increase" else -delta)
+                g = float(rng.integers(0, 4))
+            results = [ol.insert_or_update(sid, key, g) for ol in lists]
+            live[sid] = (key, g)
+            if sid in popped:
+                popped.remove(sid)
+        elif op == "pop":
+            results = [_outcome(ol.pop) for ol in lists]
+            if results[1] is not IndexError:
+                del live[results[1]]
+                popped.append(results[1])
+        elif op == "peek":
+            results = [_outcome(ol.peek) for ol in lists]
+        elif op == "min_key":
+            results = [ol.min_key() for ol in lists]
+        elif op == "len":
+            results = [len(ol) for ol in lists]
+        elif op == "in":
+            sid = int(rng.integers(0, next_sid + 2))
+            results = [sid in ol for ol in lists]
+        else:  # drain, one pop past empty
+            results = [[_outcome(ol.pop) for _ in range(len(live) + 1)] for ol in lists]
+            popped.extend(live)
+            live.clear()
+        assert results[0] == results[1], (seed, step, op)
+    return done
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_matches_addressable_heap_on_random_ops(seed):
+    done = _differential_run(seed)
+    assert set(done) == set(OPS)

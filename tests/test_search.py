@@ -31,11 +31,18 @@ def connected_free_pair(grid, rng):
 # ------------------------------------------------------------------- keys
 
 
-def test_key_value_examples():
-    assert S.key_value(5.0, 3.0, 0, 3.0) == 8.0
-    assert S.key_value(5.0, 3.0, 1, 3.0) == 14.0
-    assert S.key_value(5.0, 0.0, 0, 3.0) == 5.0
-    assert S.key_value(5.0, 0.0, 2, 3.0) == 5.0
+def test_start_keys_per_queue():
+    # the start enters each queue whose sublattice holds it, keyed g + h
+    # in the anchor and g + w1*h elsewhere (g = 0)
+    g = G.GridMap.empty((43, 43))
+    prob = S.Problem(g, (10, 10), (40, 30), ladder=G.ResolutionLadder((1, 3, 7)))
+    search = S.MraSearch(prob, S.PlannerConfig(w1=2.5, w2=3.0))
+    h = G.heuristic((10, 10), (40, 30), "octile")
+    assert [ol.min_key() for ol in search.opens] == [h, 2.5 * h, 2.5 * h]
+    # a start off the 3-sublattice stays out of that queue
+    off = S.MraSearch(S.Problem(g, (3, 3), (40, 30), ladder=G.ResolutionLadder((1, 3, 7))))
+    h = G.heuristic((3, 3), (40, 30), "octile")
+    assert [ol.min_key() for ol in off.opens] == [h, math.inf, 3.0 * h]
 
 
 # --------------------------------------------------------------- deadline
@@ -106,11 +113,13 @@ def test_expand_relaxes_into_all_open_spaces():
     assert search.g[sid] == 21 * SQRT2 and search.bp[sid] == search.start_id
     h = G.heuristic(succ, (94, 94), "octile")
     assert search.h[sid] == h
-    for j in range(3):
+    for j, w in enumerate((1.0, cfg.w1, cfg.w1)):
         ol = search.opens[j]
         assert sid in ol
-        stored_key = ol._heap[ol._pos[sid]][0]
-        assert stored_key == S.key_value(search.g[sid], h, j, cfg.w1)
+        while ol.peek() != sid:  # drain down to sid; its key is then the minimum
+            ol.pop()
+        assert ol.min_key() == search.g[sid] + w * h
+        assert ol.pop() == sid
     assert search.expansions == [0, 0, 1]
 
 
@@ -136,19 +145,22 @@ def test_double_expansion_rejected():
         search.expand(search.start_id, 0, [search.tables[0]])
 
 
-def test_no_improvement_no_touch():
+def test_no_improvement_no_touch(monkeypatch):
     g = G.GridMap.empty((9, 9))
     search = S.MraSearch(S.Problem(g, (0, 0), (8, 8)))
     search.expand(search.start_id, 0, [search.tables[0]])
     sid = g.flat_index((1, 1))
     search.g[sid] = 0.1  # better than anything a re-relaxation could offer
     search.bp[sid] = -7
-    heap = list(search.opens[0]._heap)
     generated = search.generated
     search.closed[search.start_id] = 0
+    inserts = []
+    monkeypatch.setattr(
+        S.OpenList, "insert_or_update", lambda self, *args: inserts.append(args)
+    )
     search.expand(search.start_id, 0, [search.tables[0]])
     assert search.g[sid] == 0.1 and search.bp[sid] == -7
-    assert search.opens[0]._heap == heap
+    assert inserts == []
     assert search.generated == generated
 
 
