@@ -4,8 +4,8 @@ All baselines share the multi-resolution planner's move semantics and
 search core (search.FlatSearch over the grid's cached move tables, same
 edge validity, same costs), isolating the search strategy as the only
 difference.  The oracle Dijkstra (kernels.dijkstra_2d/3d: heapq over
-the supercover walk's unit moves) does not use the move tables, so it
-stays independent of the planners' moves.
+unit-move bitmasks it builds per call by the box rule) does not use the
+move tables, so it stays independent of the planners' moves.
 """
 
 import math
@@ -14,7 +14,9 @@ import time
 import numpy as np
 
 from . import kernels
-from .grid import Cell, GridMap, ResolutionLadder, mask_bits, path_cost
+from .errors import InvalidProblemError
+from .grid import Cell, GridMap, ResolutionLadder, path_cost
+from .kernels import mask_bits
 
 # Not called here, which reads the grid's move tables instead; bound so
 # that layer tracers (see perfbench/tracing.py) find the same names on
@@ -50,9 +52,10 @@ def _single_queue(grid, start, goal, scales, union, hkind, w, timeout, log_expan
     open_list = core.opens[0]
     open_list.insert_or_update(core.start_id, w * core.h[core.start_id], 0.0)
     g, goal_id = core.g, core.goal_id
+    timed = timeout < math.inf
     status = STATUS_EXHAUSTED
     while len(open_list):
-        if check_deadline(core.expansions[0], started, timeout):
+        if timed and check_deadline(core.expansions[0], started, timeout):
             status = STATUS_TIMEOUT
             break
         # A key can only be inf when w * h overflows; such keys claim nothing.
@@ -118,7 +121,14 @@ def wa_union(
 def dijkstra_field(grid: GridMap, source: Cell) -> tuple[np.ndarray, np.ndarray]:
     """Exact unit-scale distances from source to every cell, plus the
     predecessor field (flat indices, -1 where unreached).  Arrays are
-    shaped like grid.blocked."""
+    shaped like grid.blocked.  A blocked source reaches nothing: every
+    distance is inf.  Raises InvalidProblemError when source is out of
+    bounds or has the wrong number of coordinates."""
+    source = tuple(int(c) for c in source)
+    if not grid.in_bounds(source):
+        raise InvalidProblemError(
+            f"source {source} is out of bounds or not a {grid.dim}D cell"
+        )
     occ = grid.flat_blocked
     if grid.dim == 2:
         w, h = grid.extents

@@ -23,6 +23,7 @@ from . import kernels
 from .errors import InvalidProblemError
 from .kernels import SQRT2, SQRT3
 from .kernels import STEP as _STEP
+from .kernels import MASK_BITS, mask_bits  # noqa: F401  (re-exported)
 
 Cell = tuple[int, ...]
 
@@ -304,33 +305,6 @@ def _build_space_masks(grid: GridMap, multipliers: tuple[int, ...]):
         masks |= hit.astype(dtype) << i
     flat = masks.ravel()
     return flat.tolist() if dtype is object else memoryview(flat)
-
-
-def _chunk_bits(base: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(base + b for b in range(9) if m >> b & 1) for m in range(512)
-    )
-
-
-# MASK_BITS[m] lists the set bits of m < 512, ascending, so that decoding
-# a mask costs one to three tuple lookups instead of a loop per bit.
-MASK_BITS = _chunk_bits(0)
-_MID_BITS = _chunk_bits(9)
-_HIGH_BITS = _chunk_bits(18)
-
-
-def mask_bits(m: int) -> tuple[int, ...]:
-    """Indices of the set bits of m >= 0, ascending."""
-    if m < 512:
-        return MASK_BITS[m]
-    if m < 1 << 27:
-        return MASK_BITS[m & 511] + _MID_BITS[m >> 9 & 511] + _HIGH_BITS[m >> 18]
-    return tuple(b for b in range(m.bit_length()) if m >> b & 1)
-
-
-def step_cost(k: int, axes: int) -> float:
-    """Cost of a move of k cells along each of `axes` axes."""
-    return k * _STEP[axes]
 
 
 def successors_at_scale(cell: Cell, k: int, grid: GridMap) -> list[tuple[Cell, float]]:

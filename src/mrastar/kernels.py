@@ -3,8 +3,11 @@
 Everything here operates on flat occupancy sequences (a numpy bool array
 or a list; True for blocked cells) plus integer coordinates.  The
 supercover walk decides which cells a move touches; the successor
-functions and the unit-lattice Dijkstra are built on it, so the oracle
-stays independent of the planners' move tables (grid.MoveTable).
+functions (the reference for grid.successors_at_scale and edge_valid)
+are built on it.  The unit-lattice Dijkstra walks no segments: once per
+call it builds each cell's unit-move bitmask with numpy by the box rule
+(unit_moves), which agrees with the walk for unit moves, and it stays
+independent of the planners' move tables (grid.MoveTable).
 Connected-component labels come from scipy.ndimage.
 
 Coordinate convention: x is the fastest-varying axis.  A 2D map with
@@ -12,6 +15,7 @@ width w stores cell (x, y) at flat index y*w + x; a 3D map with width w
 and height h stores (x, y, z) at (z*h + y)*w + x.
 """
 
+import itertools
 import math
 from array import array
 from heapq import heappop, heappush
@@ -28,6 +32,29 @@ STEP = (0.0, 1.0, SQRT2, SQRT3)
 # There is no compiled backend; perfbench/run.py's environment record
 # still reads this flag.
 NUMBA_ENABLED = False
+
+
+def _chunk_bits(base: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(base + b for b in range(9) if m >> b & 1) for m in range(512)
+    )
+
+
+# MASK_BITS[m] lists the set bits of m < 512, ascending; MID_BITS and
+# HIGH_BITS do the same for bits 9-17 and 18-26, so that decoding a
+# 27-bit mask costs one to three tuple lookups instead of a loop per bit.
+MASK_BITS = _chunk_bits(0)
+MID_BITS = _chunk_bits(9)
+HIGH_BITS = _chunk_bits(18)
+
+
+def mask_bits(m: int) -> tuple[int, ...]:
+    """Indices of the set bits of m >= 0, ascending."""
+    if m < 512:
+        return MASK_BITS[m]
+    if m < 1 << 27:
+        return MASK_BITS[m & 511] + MID_BITS[m >> 9 & 511] + HIGH_BITS[m >> 18]
+    return tuple(b for b in range(m.bit_length()) if m >> b & 1)
 
 
 def supercover_free_2d(occ, w, x0, y0, x1, y1):
@@ -199,16 +226,46 @@ def successors_3d(occ, w, h, d, x, y, z, k):
     return out
 
 
-def _dijkstra(occ, source, goal, succ):
-    """Exact distances from flat id source over the unit moves succ(u),
-    a list of (flat id, axes changed); occ is a list of blocked flags.
-    Stops once goal is settled (goal = -1 for a full field).  Returns
-    (dist, bp) as numpy arrays; bp holds predecessor flat ids, -1 for
-    the source and unreached cells."""
-    n, source, goal = len(occ), int(source), int(goal)
+def unit_moves(blocked):
+    """Every valid unit move of an occupancy array shaped (H, W) or
+    (D, H, W), True for blocked cells, by the box rule.
+
+    A unit move is valid iff every cell of the box it spans (source,
+    destination and, for a diagonal, each flank) is free.  Returns
+    (masks, offsets, costs): masks is a memoryview over uint32 with bit
+    b set iff direction b is valid from that flat cell, in
+    successors_2d/3d's order (dy, or dz, outermost, dx innermost);
+    offsets[b] is the direction's flat-index step and costs[b] its
+    STEP cost.  Independent of grid.MoveTable on purpose: the oracle
+    checks the planners, so it does not share their move tables.
+    """
+    shape = blocked.shape
+    free = np.pad(~blocked, 1)
+    strides = [math.prod(shape[axis + 1:]) for axis in range(len(shape))]
+    masks = np.zeros(shape, np.uint32)
+    offsets, costs = [], []
+    steps = [s for s in itertools.product((-1, 0, 1), repeat=len(shape)) if any(s)]
+    for b, step in enumerate(steps):
+        ok = np.ones(shape, bool)
+        for corner in itertools.product(*((0, s) if s else (0,) for s in step)):
+            ok &= free[tuple(slice(1 + c, 1 + c + n) for c, n in zip(corner, shape))]
+        masks |= ok.astype(np.uint32) << b
+        offsets.append(sum(s * st for s, st in zip(step, strides)))
+        costs.append(STEP[len(step) - step.count(0)])
+    return memoryview(masks.ravel()), offsets, costs
+
+
+def _dijkstra(blocked, source, goal):
+    """Exact distances from flat id source over blocked's unit moves
+    (see unit_moves).  Stops once goal is settled (goal = -1 for a full
+    field); a blocked source reaches nothing.  Returns (dist, bp) as
+    numpy arrays; bp holds predecessor flat ids, -1 for the source and
+    unreached cells."""
+    n, source, goal = blocked.size, int(source), int(goal)
     dist = array("d", [math.inf]) * n
     bp = array("q", [-1]) * n
-    if not occ[source]:
+    if not blocked.flat[source]:
+        masks, offsets, costs = unit_moves(blocked)
         done = bytearray(n)
         dist[source] = 0.0
         heap = [(0.0, source)]
@@ -219,8 +276,13 @@ def _dijkstra(occ, source, goal, succ):
             done[u] = 1
             if u == goal:
                 break
-            for v, m in succ(u):
-                nd = du + STEP[m]
+            m = masks[u]
+            for b in (
+                MASK_BITS[m] if m < 512
+                else MASK_BITS[m & 511] + MID_BITS[m >> 9 & 511] + HIGH_BITS[m >> 18]
+            ):
+                v = u + offsets[b]
+                nd = du + costs[b]
                 if nd < dist[v]:
                     dist[v] = nd
                     bp[v] = u
@@ -235,23 +297,15 @@ def dijkstra_2d(occ, w, h, sx, sy, gx, gy):
     -1 for the source and unreached cells.  A nonnegative gx enables
     early exit once the goal is settled; pass gx = -1 for a full field.
     """
-    occ = np.asarray(occ, dtype=bool).ravel().tolist()
     goal = gy * w + gx if gx >= 0 else -1
-    return _dijkstra(
-        occ, sy * w + sx, goal, lambda u: successors_2d(occ, w, h, u % w, u // w, 1)
-    )
+    return _dijkstra(np.asarray(occ, dtype=bool).reshape(h, w), sy * w + sx, goal)
 
 
 def dijkstra_3d(occ, w, h, d, sx, sy, sz, gx, gy, gz):
     """3D version of dijkstra_2d on the 26-connected unit lattice."""
-    occ = np.asarray(occ, dtype=bool).ravel().tolist()
     goal = (gz * h + gy) * w + gx if gx >= 0 else -1
-    wh = w * h
     return _dijkstra(
-        occ,
-        (sz * h + sy) * w + sx,
-        goal,
-        lambda u: successors_3d(occ, w, h, d, u % w, u % wh // w, u // wh, 1),
+        np.asarray(occ, dtype=bool).reshape(d, h, w), (sz * h + sy) * w + sx, goal
     )
 
 

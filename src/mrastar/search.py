@@ -18,16 +18,15 @@ from heapq import heappop, heappush
 from .errors import InvalidProblemError, SearchCorruptionError
 from .grid import (
     HEURISTICS,
-    MASK_BITS,
     Cell,
     GridMap,
     ResolutionLadder,
     check_multiplier,
     coincides,
     flat_heuristic,
-    mask_bits,
     path_cost,
 )
+from .kernels import HIGH_BITS, MASK_BITS, MID_BITS, mask_bits
 from .policies import make_policy
 
 # Not called by the search core, which reads the grid's move tables and
@@ -290,7 +289,10 @@ class FlatSearch:
         for table in tables:
             m = table.masks[sid]
             offsets, costs = table.offsets, table.costs
-            for b in MASK_BITS[m] if m < 512 else mask_bits(m):
+            for b in (
+                MASK_BITS[m] if m < 512
+                else MASK_BITS[m & 511] + MID_BITS[m >> 9 & 511] + HIGH_BITS[m >> 18]
+            ):
                 nid = sid + offsets[b]
                 ng = g_s + costs[b]
                 gn = g.get(nid)

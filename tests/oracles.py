@@ -8,11 +8,15 @@ enumeration elsewhere.  Slow is fine; these run on small inputs.
 
 import itertools
 import math
+from array import array
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra as sp_dijkstra
+
+from mrastar import kernels
 
 
 def segment_touches_box(a, b, lo, hi) -> bool:
@@ -136,6 +140,44 @@ def reference_distances(grid, source) -> np.ndarray:
     the reference graph, flat-indexed."""
     graph = reference_graph(grid)
     return sp_dijkstra(graph, indices=grid.flat_index(source))
+
+
+def supercover_dijkstra(occ, extents, source, goal):
+    """The oracle Dijkstra that kernels.dijkstra_2d/3d replaced, kept as
+    the reference they are checked against: heapq over the unit moves of
+    the supercover walk (kernels.successors_2d/3d at k=1), one walk per
+    move of every settled cell.  source and goal are flat ids (goal = -1
+    for a full field); returns (dist, bp) like the kernels."""
+    occ = np.asarray(occ, dtype=bool).ravel().tolist()
+    w, h = extents[0], extents[1]
+    wh = w * h
+
+    def succ(u):
+        if len(extents) == 2:
+            return kernels.successors_2d(occ, w, h, u % w, u // w, 1)
+        return kernels.successors_3d(occ, w, h, extents[2], u % w, u % wh // w, u // wh, 1)
+
+    n, source, goal = len(occ), int(source), int(goal)
+    dist = array("d", [math.inf]) * n
+    bp = array("q", [-1]) * n
+    if not occ[source]:
+        done = bytearray(n)
+        dist[source] = 0.0
+        heap = [(0.0, source)]
+        while heap:
+            du, u = heappop(heap)
+            if done[u]:
+                continue
+            done[u] = 1
+            if u == goal:
+                break
+            for v, m in succ(u):
+                nd = du + kernels.STEP[m]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    bp[v] = u
+                    heappush(heap, (nd, v))
+    return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
 
 
 def reference_components(grid) -> np.ndarray:

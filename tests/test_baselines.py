@@ -10,7 +10,7 @@ from mrastar import grid as G
 from mrastar import search as S
 from mrastar import synthetic as syn
 from mrastar.errors import InvalidProblemError
-from mrastar.kernels import SQRT2
+from mrastar.kernels import SQRT2, STEP
 
 import oracles
 
@@ -76,9 +76,30 @@ def test_dijkstra_field_shapes():
         assert k == 1
         assert math.isclose(
             dist.ravel()[flat],
-            dist[tuple(reversed(prev))] + G.step_cost(1, m),
+            dist[tuple(reversed(prev))] + STEP[m],
             rel_tol=1e-12,
         )
+
+
+@pytest.mark.parametrize(
+    "source", [(-1, 0), (5, 0), (0, -1), (0, 4), (0, 0, 0), (1,), ()]
+)
+def test_dijkstra_field_refuses_bad_source(source):
+    # on a 5x4 map: out of bounds (which used to wrap to another flat id
+    # or raise IndexError) or the wrong number of coordinates
+    g = G.GridMap.empty((5, 4))
+    with pytest.raises(InvalidProblemError):
+        B.dijkstra_field(g, source)
+
+
+def test_dijkstra_field_blocked_source_reaches_nothing():
+    blocked = np.zeros((4, 5), bool)
+    blocked[1, 2] = True
+    g = G.GridMap((5, 4), blocked)
+    dist, bp = B.dijkstra_field(g, (2, 1))
+    assert np.all(np.isinf(dist)) and np.all(bp == -1)
+    dist, _ = B.dijkstra_field(g, (4, 3))
+    assert dist[3, 4] == 0.0 and np.isfinite(dist).sum() == 19
 
 
 # ----------------------------------------------------------- weighted A*

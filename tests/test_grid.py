@@ -7,7 +7,7 @@ import pytest
 
 from mrastar import grid as G
 from mrastar.errors import InvalidProblemError
-from mrastar.kernels import SQRT2, SQRT3
+from mrastar.kernels import SQRT2, STEP
 
 import oracles
 
@@ -202,12 +202,6 @@ def test_union_action_count_3d():
     assert len(union) == 78
 
 
-def test_step_cost_table():
-    assert G.step_cost(1, 1) == 1.0
-    assert G.step_cost(7, 2) == 7 * SQRT2
-    assert G.step_cost(9, 3) == 9 * SQRT3
-
-
 # ------------------------------------------------------------- edge_valid
 
 
@@ -322,9 +316,8 @@ def test_path_cost_matches_naive_sum():
             if d == (0, 0):
                 d = (k, 0)
             path.append((path[-1][0] + d[0], path[-1][1] + d[1]))
-        naive = sum(
-            G.step_cost(*G.edge_decomposition(u, v)) for u, v in zip(path, path[1:])
-        )
+        steps = (G.edge_decomposition(u, v) for u, v in zip(path, path[1:]))
+        naive = sum(k * STEP[m] for k, m in steps)
         assert math.isclose(G.path_cost(path), naive, rel_tol=1e-12)
 
 

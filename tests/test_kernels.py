@@ -167,6 +167,57 @@ def test_dijkstra_early_exit_agrees_with_full_field():
         assert np.isfinite(early).sum() < len(reached)
 
 
+# (extents, density, seed) for the mask-oracle checks: extents of 1,
+# maps one cell wide along each axis, dense and non-cubic maps
+ORACLE_MAPS = [
+    ((1, 1), 0.0, 1),
+    ((1, 9), 0.2, 2),
+    ((12, 1), 0.2, 3),
+    ((7, 5), 0.5, 4),
+    ((24, 18), 0.3, 5),
+    ((30, 30), 0.1, 6),
+    ((1, 1, 1), 0.0, 7),
+    ((1, 6, 5), 0.2, 8),
+    ((6, 1, 4), 0.2, 9),
+    ((5, 4, 1), 0.2, 10),
+    ((9, 8, 7), 0.25, 11),
+    ((12, 10, 3), 0.4, 12),
+]
+
+
+@pytest.mark.parametrize("extents,density,seed", ORACLE_MAPS)
+def test_dijkstra_bitwise_equal_to_supercover_oracle(extents, density, seed):
+    # the mask-driven oracle against the segment-walk Dijkstra it
+    # replaced: dist and bp equal byte for byte, for full fields and
+    # early exits, from free and blocked sources
+    g = random_grid(extents, density, seed)
+    pick = np.random.default_rng(seed)
+    run = kernels.dijkstra_2d if g.dim == 2 else kernels.dijkstra_3d
+    sources = {int(v) for v in pick.integers(g.size, size=4)}
+    sources |= set(np.flatnonzero(g.flat_blocked)[:1].tolist())
+    for src in sorted(sources):
+        for goal in (-1, int(pick.integers(g.size)), src):
+            want = oracles.supercover_dijkstra(g.flat_blocked, g.extents, src, goal)
+            target = g.cell_of(goal) if goal >= 0 else (-1,) * g.dim
+            got = run(g.flat_blocked, *g.extents, *g.cell_of(src), *target)
+            assert got[0].tobytes() == want[0].tobytes(), (src, goal)
+            assert got[1].tobytes() == want[1].tobytes(), (src, goal)
+
+
+@pytest.mark.parametrize("extents,density,seed", ORACLE_MAPS)
+def test_unit_moves_equal_reference_graph(extents, density, seed):
+    # the oracle's box-rule masks against unit moves validated by exact
+    # geometry: same edge set and the same cost on every edge
+    g = random_grid(extents, density, seed)
+    masks, offsets, costs = kernels.unit_moves(g.blocked)
+    assert masks.format == "I" and len(masks) == g.size
+    ref = oracles.reference_graph(g)
+    for u in range(g.size):
+        got = {(u + offsets[b], costs[b]) for b in kernels.mask_bits(masks[u])}
+        row = ref.getrow(u)
+        assert got == set(zip(row.indices.tolist(), row.data.tolist())), g.cell_of(u)
+
+
 def test_component_labels_match_scipy_partition():
     for seed, shape in ((5, (16, 16)), (6, (30, 30)), (7, (8, 8, 8))):
         g = random_grid(shape, 0.4, seed)
