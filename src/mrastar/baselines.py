@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidProblemError
-from .grid import Cell, GridMap, ResolutionLadder, path_cost
+from .grid import Cell, GridMap, ResolutionLadder, as_cell, path_cost
 from .kernels import mask_bits
 
 # Not called here, which reads the grid's move tables instead; bound so
@@ -123,8 +123,8 @@ def dijkstra_field(grid: GridMap, source: Cell) -> tuple[np.ndarray, np.ndarray]
     predecessor field (flat indices, -1 where unreached).  Arrays are
     shaped like grid.blocked.  A blocked source reaches nothing: every
     distance is inf.  Raises InvalidProblemError when source is out of
-    bounds or has the wrong number of coordinates."""
-    source = tuple(int(c) for c in source)
+    bounds, has the wrong number of coordinates or a non-integer one."""
+    source = as_cell(source, "source")
     if not grid.in_bounds(source):
         raise InvalidProblemError(
             f"source {source} is out of bounds or not a {grid.dim}D cell"
@@ -145,10 +145,12 @@ def dijkstra_field(grid: GridMap, source: Cell) -> tuple[np.ndarray, np.ndarray]
 def dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:
     """Optimal unit-scale path cost between two cells, recomputed from
     the predecessor chain so equal-cost optima agree bitwise.  Returns
-    inf when no path exists (including blocked or out-of-range inputs);
-    never raises."""
-    start = tuple(int(c) for c in start)
-    goal = tuple(int(c) for c in goal)
+    inf when no path exists (including blocked, out-of-range and
+    non-integer inputs); never raises."""
+    try:
+        start, goal = as_cell(start), as_cell(goal)
+    except InvalidProblemError:
+        return math.inf
     if not grid.is_free(start) or not grid.is_free(goal):
         return math.inf
     if start == goal:

@@ -147,6 +147,20 @@ class GridMap:
         return masks
 
 
+def as_cell(cell, name: str = "cell") -> Cell:
+    """cell as a tuple of Python ints.  Raises InvalidProblemError unless
+    cell is a sequence of integers (int or numpy integer): a float, even
+    an integral one, or a string is refused rather than truncated."""
+    try:
+        coords = tuple(cell)
+    except TypeError:
+        raise InvalidProblemError(f"{name} {cell!r} is not a sequence of coordinates") from None
+    for c in coords:
+        if not isinstance(c, (int, np.integer)):
+            raise InvalidProblemError(f"{name} {cell!r} has a non-integer coordinate {c!r}")
+    return tuple(map(int, coords))
+
+
 def check_multiplier(k) -> int:
     """k as an int; raises InvalidProblemError unless it is odd and >= 1,
     the rule for every action scale (ladder level or single-scale
@@ -225,35 +239,38 @@ def directions(dim: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _shifted(a: np.ndarray, off: tuple[int, ...]) -> np.ndarray:
-    """out[c] = a[c + off] where c + off is inside a, else False; off is
-    in array axis order."""
-    out = np.zeros_like(a)
-    if any(abs(o) >= n for o, n in zip(off, a.shape)):
+def _window_and(u: np.ndarray, o: int, k: int) -> np.ndarray:
+    """out[c] = all(u[c + t*o] for t in range(k)) over flat ids c, and
+    False where c + (k-1)*o leaves u; by doubling, on slices of u.
+
+    For unit-move bits a window that wraps past a row edge is harmless:
+    the first unit move along it that leaves the map is already False at
+    the last cell inside, so the wrapped reads never decide a result."""
+    n, p = len(u), abs(o)
+    span = (k - 1) * p
+    out = np.zeros(n, bool)
+    if span >= n:
         return out
-    src = tuple(slice(max(o, 0), n + min(o, 0)) for o, n in zip(off, a.shape))
-    dst = tuple(slice(max(-o, 0), n + min(-o, 0)) for o, n in zip(off, a.shape))
-    out[dst] = a[src]
-    return out
-
-
-def _window_and(u: np.ndarray, step: tuple[int, ...], k: int) -> np.ndarray:
-    """out[c] = all(u[c + t*step] for t in range(k)), by doubling."""
-    out = None
-    covered = 0
-    block, width = u, 1
+    m = n - span
+    # fwd[c] = all(u[c + t*p] for t < k), c < m.  block[c] holds the
+    # window of `width` reads from c; it is valid for c < len(block).
+    fwd = None
+    covered, width, block = 0, 1, u
     while True:
         if k & 1:
-            if out is None:
-                out = block
-            else:
-                out = out & _shifted(block, tuple(covered * s for s in step))
+            part = block[covered * p:covered * p + m]
+            fwd = part if fwd is None else fwd & part
             covered += width
         k >>= 1
         if not k:
-            return out
-        block = block & _shifted(block, tuple(width * s for s in step))
+            break
+        block = block[:len(block) - width * p] & block[width * p:]
         width *= 2
+    if o > 0:
+        out[:m] = fwd
+    else:  # all(u[c - t*p] for t < k) = fwd[c - span]
+        out[span:] = fwd
+    return out
 
 
 def _build_move_table(grid: GridMap, k: int, unit: MoveTable | None) -> MoveTable:
@@ -261,32 +278,48 @@ def _build_move_table(grid: GridMap, k: int, unit: MoveTable | None) -> MoveTabl
     (for a diagonal that is both flanks: the corner rule).  King moves
     of length k run along the line of k unit moves, so a length-k move
     is valid iff those k unit moves all are.  unit, the k = 1 table,
-    supplies the unit moves when k > 1."""
+    supplies the unit moves when k > 1.  A direction that steps along
+    an axis no longer than k leaves the map from every cell, so its bit
+    stays 0 without any array work."""
     dirs = directions(grid.dim)
     dtype = np.uint8 if grid.dim == 2 else np.uint32
     shape = grid.blocked.shape
-    free = ~grid.blocked
-    masks = np.zeros(shape, dtype)
-    unit_masks = None
-    if unit is not None:
-        unit_masks = np.frombuffer(unit.masks, dtype).reshape(shape)
     strides = [math.prod(grid.extents[:axis]) for axis in range(grid.dim)]
-    offsets, costs = [], []
-    for b, vec in enumerate(dirs):
-        step = tuple(reversed(vec))  # array axis order
-        if unit_masks is None:
-            ok = free.copy()
+    offsets = [k * sum(v * st for v, st in zip(vec, strides)) for vec in dirs]
+    costs = [k * _STEP[sum(1 for v in vec if v)] for vec in dirs]
+    live = [
+        b for b, vec in enumerate(dirs)
+        if not any(v and n <= k for v, n in zip(vec, grid.extents))
+    ]
+    if unit is None:
+        # The free cells inside a one-cell frame of blocked ones, flat:
+        # each cell of a unit move's box is then a slice of `framed` at
+        # a fixed offset, and no read leaves it.
+        fshape = tuple(n + 2 for n in shape)
+        framed = np.zeros(fshape, bool)
+        inner = tuple(slice(1, n + 1) for n in shape)
+        framed[inner] = ~grid.blocked
+        framed = framed.ravel()
+        fstrides = [math.prod(fshape[axis + 1:]) for axis in range(grid.dim)]
+        lo = sum(fstrides)  # the first inner cell
+        hi = lo + sum((n - 1) * st for n, st in zip(shape, fstrides)) + 1
+        fmasks = np.zeros(len(framed), dtype)
+        for b in live:
+            step = tuple(reversed(dirs[b]))  # array axis order
+            ok = None
             for corner in itertools.product(*((0, s) if s else (0,) for s in step)):
-                if any(corner):
-                    ok &= _shifted(free, corner)
-        else:
-            ok = unit_masks & (1 << b) != 0
-        if k > 1:
-            ok = _window_and(ok, step, k)
-        masks |= ok.astype(dtype) << b
-        offsets.append(k * sum(v * st for v, st in zip(vec, strides)))
-        costs.append(k * _STEP[sum(1 for v in vec if v)])
-    return MoveTable(k, memoryview(masks.ravel()), tuple(offsets), tuple(costs))
+                off = sum(c * st for c, st in zip(corner, fstrides))
+                part = framed[lo + off:hi + off]
+                ok = part if ok is None else ok & part
+            fmasks[lo:hi] |= ok.astype(dtype) << b
+        masks = fmasks.reshape(fshape)[inner].ravel()
+    else:
+        unit_masks = np.frombuffer(unit.masks, dtype)
+        masks = np.zeros(grid.size, dtype)
+        for b in live:
+            ok = _window_and(unit_masks & (1 << b) != 0, offsets[b] // k, k)
+            masks |= ok.astype(dtype) << b
+    return MoveTable(k, memoryview(masks), tuple(offsets), tuple(costs))
 
 
 def _build_space_masks(grid: GridMap, multipliers: tuple[int, ...]):
@@ -390,19 +423,43 @@ def path_cost(path: list[Cell]) -> float:
     Each edge costs k*sqrt(m) for m changed axes, so the sum decomposes
     into integer multiples of 1, sqrt(2) and sqrt(3).  Accumulating the
     integer parts first makes the float result independent of edge order,
-    so equal-cost paths produce bitwise-equal totals.
+    so equal-cost paths produce bitwise-equal totals.  2D and 3D edges
+    are classified inline; edge_decomposition takes the rest and raises
+    on an edge that is not a lattice move.
     """
     if len(path) < 2:
         return 0.0
     a1 = a2 = a3 = 0
-    for u, v in zip(path, path[1:]):
-        k, m = edge_decomposition(u, v)
+    u = path[0]
+    for v in path[1:]:
+        # k: the largest step; m: the axes changed by k.  A lattice move
+        # changes every other axis by 0.
+        if len(u) == 2 == len(v):
+            dx = abs(u[0] - v[0])
+            dy = abs(u[1] - v[1])
+            k = dx if dx > dy else dy
+            m = (dx == k) + (dy == k)
+            lattice = k > 0 and m + (dx == 0) + (dy == 0) == 2
+        elif len(u) == 3 == len(v):
+            dx = abs(u[0] - v[0])
+            dy = abs(u[1] - v[1])
+            dz = abs(u[2] - v[2])
+            k = dx if dx > dy else dy
+            if dz > k:
+                k = dz
+            m = (dx == k) + (dy == k) + (dz == k)
+            lattice = k > 0 and m + (dx == 0) + (dy == 0) + (dz == 0) == 3
+        else:
+            lattice = False
+        if not lattice:
+            k, m = edge_decomposition(u, v)  # other dimensions; raises on a bad edge
         if m == 1:
             a1 += k
         elif m == 2:
             a2 += k
         else:
             a3 += k
+        u = v
     return (float(a1) + a2 * SQRT2) + a3 * SQRT3
 
 

@@ -24,8 +24,16 @@ from .errors import MapParseError, ScenarioGenerationError
 from .grid import Cell, GridMap, fine_components
 from .search import PlanResult
 
-MOVINGAI_FREE = frozenset(".GS")
-MOVINGAI_BLOCKED = frozenset("@OTW")
+MOVINGAI_FREE = ".GS"
+MOVINGAI_BLOCKED = "@OTW"
+
+# Per format: a str.translate table deleting every valid glyph, so that a
+# row holds an unknown glyph iff something is left of it, and a
+# bytes.translate table mapping free glyphs to 0 and blocked ones to 1.
+_MOVINGAI_VALID = str.maketrans("", "", MOVINGAI_FREE + MOVINGAI_BLOCKED)
+_MOVINGAI_BITS = bytes.maketrans(b".GS@OTW", b"\0\0\0\1\1\1\1")
+_VOX3_VALID = str.maketrans("", "", ".#")
+_VOX3_BITS = bytes.maketrans(b".#", b"\0\1")
 
 RESULTS_CSV_FIELDS = (
     "map",
@@ -39,6 +47,25 @@ RESULTS_CSV_FIELDS = (
     "expansions_per_queue",
     "path_len",
 )
+
+
+def _check_row(row: str, width: int, valid: dict, line: int) -> None:
+    """Raise MapParseError unless row is `width` valid glyphs (those the
+    translate table `valid` deletes); names the first bad glyph."""
+    if len(row) != width:
+        raise MapParseError(
+            f"row has {len(row)} glyphs, expected {width}", line, min(len(row), width) + 1
+        )
+    if row.translate(valid):
+        x = next(x for x, ch in enumerate(row) if ch.translate(valid))
+        raise MapParseError(f"unknown glyph {row[x]!r}", line, x + 1)
+
+
+def _blocked(rows: list[str], bits: bytes, shape) -> np.ndarray:
+    """The occupancy array of checked rows, by the bytes.translate table
+    bits (glyph to 0 or 1)."""
+    data = "".join(rows).encode("ascii").translate(bits)
+    return np.frombuffer(data, bool).reshape(shape)
 
 
 def parse_movingai_map(text: str) -> GridMap:
@@ -73,32 +100,31 @@ def parse_movingai_map(text: str) -> GridMap:
     if want(3, "'map' header") != "map":
         raise MapParseError(f"expected 'map', got {lines[3]!r}", 4)
 
-    blocked = np.zeros((height, width), dtype=bool)
+    rows = []
     for y in range(height):
         row = want(4 + y, f"map row {y + 1} of {height}").rstrip("\r")
-        if len(row) != width:
-            raise MapParseError(
-                f"row has {len(row)} glyphs, expected {width}",
-                5 + y,
-                min(len(row), width) + 1,
-            )
-        for x, ch in enumerate(row):
-            if ch in MOVINGAI_BLOCKED:
-                blocked[y, x] = True
-            elif ch not in MOVINGAI_FREE:
-                raise MapParseError(f"unknown glyph {ch!r}", 5 + y, x + 1)
+        _check_row(row, width, _MOVINGAI_VALID, 5 + y)
+        rows.append(row)
     for extra in range(4 + height, len(lines)):
         if lines[extra].strip():
             raise MapParseError("unexpected content after map rows", extra + 1)
-    return GridMap((width, height), blocked)
+    return GridMap((width, height), _blocked(rows, _MOVINGAI_BITS, (height, width)))
 
 
 def serialize_movingai(grid: GridMap) -> str:
     if grid.dim != 2:
         raise ValueError("movingai maps are 2D")
     w, h = grid.extents
-    rows = ["".join("@" if grid.blocked[y, x] else "." for x in range(w)) for y in range(h)]
+    rows = _glyph_rows(grid.blocked, b"@")
     return "\n".join(["type octile", f"height {h}", f"width {w}", "map", *rows]) + "\n"
+
+
+def _glyph_rows(blocked: np.ndarray, glyph: bytes) -> list[str]:
+    """One string per row (last axis) of blocked: glyph where blocked,
+    "." where free."""
+    text = np.where(blocked, glyph, b".").tobytes().decode("ascii")
+    w = blocked.shape[-1]
+    return [text[i:i + w] for i in range(0, len(text), w)]
 
 
 def parse_vox3(text: str) -> GridMap:
@@ -116,7 +142,7 @@ def parse_vox3(text: str) -> GridMap:
     if min(w, h, d) < 1:
         raise MapParseError(f"dimensions must be positive, got {w}x{h}x{d}", 1)
 
-    blocked = np.zeros((d, h, w), dtype=bool)
+    rows = []
     idx = 1
     for z in range(d):
         if z > 0:
@@ -128,37 +154,21 @@ def parse_vox3(text: str) -> GridMap:
                 raise MapParseError(
                     f"missing row {y + 1} of slice {z + 1}", len(lines) + 1
                 )
-            row = lines[idx]
-            if len(row) != w:
-                raise MapParseError(
-                    f"row has {len(row)} glyphs, expected {w}",
-                    idx + 1,
-                    min(len(row), w) + 1,
-                )
-            for x, ch in enumerate(row):
-                if ch == "#":
-                    blocked[z, y, x] = True
-                elif ch != ".":
-                    raise MapParseError(f"unknown glyph {ch!r}", idx + 1, x + 1)
+            _check_row(lines[idx], w, _VOX3_VALID, idx + 1)
+            rows.append(lines[idx])
             idx += 1
     for extra in range(idx, len(lines)):
         if lines[extra].strip():
             raise MapParseError("unexpected content after last slice", extra + 1)
-    return GridMap((w, h, d), blocked)
+    return GridMap((w, h, d), _blocked(rows, _VOX3_BITS, (d, h, w)))
 
 
 def serialize_vox3(grid: GridMap) -> str:
     if grid.dim != 3:
         raise ValueError("vox3 maps are 3D")
     w, h, d = grid.extents
-    slices = []
-    for z in range(d):
-        slices.append(
-            "\n".join(
-                "".join("#" if grid.blocked[z, y, x] else "." for x in range(w))
-                for y in range(h)
-            )
-        )
+    rows = _glyph_rows(grid.blocked, b"#")
+    slices = ["\n".join(rows[z * h:(z + 1) * h]) for z in range(d)]
     return f"vox3 {w} {h} {d}\n" + "\n\n".join(slices) + "\n"
 
 
@@ -202,27 +212,31 @@ def gen_scenarios(
         )
     labels = fine_components(grid).ravel()
     rng = np.random.default_rng(seed)
-    out: list[Scenario] = []
-    attempts = 0
+    starts, goals = [free[:0]], [free[:0]]  # accepted flat ids, per chunk
+    found = attempts = 0
     chunk = 1024  # draws are batched; the accept/reject order is fixed
-    while len(out) < count:
+    while found < count:
         if attempts >= max_attempts:
             raise ScenarioGenerationError(
-                f"found {len(out)}/{count} connected pairs in {attempts} attempts"
+                f"found {found}/{count} connected pairs in {attempts} attempts"
             )
         n = min(chunk, max_attempts - attempts)
-        draws = rng.integers(0, len(free), size=(n, 2))
-        for a, b in draws:
-            attempts += 1
-            sa, sb = int(free[a]), int(free[b])
-            if sa == sb or labels[sa] != labels[sb]:
-                continue
-            out.append(
-                Scenario(map_id, len(out), grid.cell_of(sa), grid.cell_of(sb), seed)
-            )
-            if len(out) == count:
-                break
-    return out
+        pairs = free[rng.integers(0, len(free), size=(n, 2))]
+        a, b = pairs[:, 0], pairs[:, 1]
+        hits = np.flatnonzero((a != b) & (labels[a] == labels[b]))[:count - found]
+        starts.append(a[hits])
+        goals.append(b[hits])
+        found += len(hits)
+        attempts += n
+
+    def cells(ids):  # only the accepted draws become cells: int tuples, x first
+        coords = np.unravel_index(np.concatenate(ids), grid.blocked.shape)
+        return zip(*(axis.tolist() for axis in reversed(coords)))
+
+    return [
+        Scenario(map_id, i, s, g, seed)
+        for i, (s, g) in enumerate(zip(cells(starts), cells(goals)))
+    ]
 
 
 @dataclass

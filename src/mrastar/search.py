@@ -21,6 +21,7 @@ from .grid import (
     Cell,
     GridMap,
     ResolutionLadder,
+    as_cell,
     check_multiplier,
     coincides,
     flat_heuristic,
@@ -56,11 +57,12 @@ def validate_query(
 
     Every weight passed by keyword must be a finite number >= 1.  Given
     only weights (PlannerConfig's case) it returns None.  Given a grid,
-    the endpoints become int tuples that must be free cells on the
-    sublattice of the odd scale `sublattice`, the ladder becomes a
-    ResolutionLadder, and the heuristic is resolved: "auto" is octile on
-    2D maps and euclidean otherwise, and octile needs a 2D map.  Returns
-    (start, goal, ladder, heuristic).
+    the endpoints become int tuples (see as_cell: integer coordinates
+    only) that must be free cells on the sublattice of the odd scale
+    `sublattice`, the ladder becomes a ResolutionLadder, and the
+    heuristic is resolved: "auto" is octile on 2D maps and euclidean
+    otherwise, and octile needs a 2D map.  Returns (start, goal, ladder,
+    heuristic).
     """
     for name, w in weights.items():
         if not 1.0 <= w < math.inf:  # written so that NaN fails
@@ -70,7 +72,7 @@ def validate_query(
     k = check_multiplier(sublattice)
     if not isinstance(ladder, ResolutionLadder):
         ladder = ResolutionLadder(tuple(ladder))
-    start, goal = (tuple(int(c) for c in cell) for cell in (start, goal))
+    start, goal = as_cell(start, "start"), as_cell(goal, "goal")
     for name, cell in (("start", start), ("goal", goal)):
         if not grid.is_free(cell):
             raise InvalidProblemError(f"{name} {cell} is blocked or out of bounds")

@@ -17,6 +17,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra as sp_dijkstra
 
 from mrastar import kernels
+from mrastar.errors import MapParseError, ScenarioGenerationError
+from mrastar.grid import Cell, GridMap, MoveTable, directions, fine_components
+from mrastar.kernels import SQRT2, SQRT3
+from mrastar.kernels import STEP as _STEP
+from mrastar.maps_io import Scenario
 
 
 def segment_touches_box(a, b, lo, hi) -> bool:
@@ -293,3 +298,265 @@ class AddressableOpenList:
             i = child
         heap[i] = entry
         self._pos[entry[2]] = i
+
+
+# ------------------------------------------------------------------------
+# The per-element set-up code that the whole-array parsers, scenario
+# sampler and move-table builder replaced, and the path_cost that built
+# lists per edge.  Kept verbatim (renamed) as the references the
+# replacements are checked against, byte for byte.
+
+MOVINGAI_FREE = frozenset(".GS")
+MOVINGAI_BLOCKED = frozenset("@OTW")
+
+
+def per_glyph_parse_movingai_map(text: str) -> GridMap:
+    """Parse the 2D benchmark map format; raises MapParseError with a
+    1-based line (and column, for glyph errors) on malformed input."""
+    lines = text.splitlines()
+
+    def want(idx: int, what: str) -> str:
+        if idx >= len(lines):
+            raise MapParseError(f"missing {what}", idx + 1)
+        return lines[idx].rstrip("\r")
+
+    header = want(0, "'type octile' header")
+    if header.split() != ["type", "octile"]:
+        raise MapParseError(f"expected 'type octile', got {header!r}", 1)
+
+    def dim_line(idx: int, name: str) -> int:
+        raw = want(idx, f"'{name} N' header")
+        parts = raw.split()
+        if len(parts) != 2 or parts[0] != name:
+            raise MapParseError(f"expected '{name} N', got {raw!r}", idx + 1)
+        try:
+            value = int(parts[1])
+        except ValueError:
+            raise MapParseError(f"bad {name} value {parts[1]!r}", idx + 1) from None
+        if value < 1:
+            raise MapParseError(f"{name} must be positive, got {value}", idx + 1)
+        return value
+
+    height = dim_line(1, "height")
+    width = dim_line(2, "width")
+    if want(3, "'map' header") != "map":
+        raise MapParseError(f"expected 'map', got {lines[3]!r}", 4)
+
+    blocked = np.zeros((height, width), dtype=bool)
+    for y in range(height):
+        row = want(4 + y, f"map row {y + 1} of {height}").rstrip("\r")
+        if len(row) != width:
+            raise MapParseError(
+                f"row has {len(row)} glyphs, expected {width}",
+                5 + y,
+                min(len(row), width) + 1,
+            )
+        for x, ch in enumerate(row):
+            if ch in MOVINGAI_BLOCKED:
+                blocked[y, x] = True
+            elif ch not in MOVINGAI_FREE:
+                raise MapParseError(f"unknown glyph {ch!r}", 5 + y, x + 1)
+    for extra in range(4 + height, len(lines)):
+        if lines[extra].strip():
+            raise MapParseError("unexpected content after map rows", extra + 1)
+    return GridMap((width, height), blocked)
+
+
+
+
+def per_glyph_parse_vox3(text: str) -> GridMap:
+    """Parse the 3D slice format; raises MapParseError on malformed input."""
+    lines = [ln.rstrip("\r") for ln in text.splitlines()]
+    if not lines:
+        raise MapParseError("missing 'vox3 W H D' header", 1)
+    parts = lines[0].split()
+    if len(parts) != 4 or parts[0] != "vox3":
+        raise MapParseError(f"expected 'vox3 W H D', got {lines[0]!r}", 1)
+    try:
+        w, h, d = (int(p) for p in parts[1:])
+    except ValueError:
+        raise MapParseError(f"bad dimensions in {lines[0]!r}", 1) from None
+    if min(w, h, d) < 1:
+        raise MapParseError(f"dimensions must be positive, got {w}x{h}x{d}", 1)
+
+    blocked = np.zeros((d, h, w), dtype=bool)
+    idx = 1
+    for z in range(d):
+        if z > 0:
+            if idx >= len(lines) or lines[idx].strip():
+                raise MapParseError(f"expected blank line before slice {z + 1}", idx + 1)
+            idx += 1
+        for y in range(h):
+            if idx >= len(lines):
+                raise MapParseError(
+                    f"missing row {y + 1} of slice {z + 1}", len(lines) + 1
+                )
+            row = lines[idx]
+            if len(row) != w:
+                raise MapParseError(
+                    f"row has {len(row)} glyphs, expected {w}",
+                    idx + 1,
+                    min(len(row), w) + 1,
+                )
+            for x, ch in enumerate(row):
+                if ch == "#":
+                    blocked[z, y, x] = True
+                elif ch != ".":
+                    raise MapParseError(f"unknown glyph {ch!r}", idx + 1, x + 1)
+            idx += 1
+    for extra in range(idx, len(lines)):
+        if lines[extra].strip():
+            raise MapParseError("unexpected content after last slice", extra + 1)
+    return GridMap((w, h, d), blocked)
+
+
+
+
+def per_draw_gen_scenarios(
+    grid: GridMap,
+    count: int,
+    seed: int,
+    map_id: str = "map",
+    max_attempts: int = 10**6,
+) -> list[Scenario]:
+    """Sample `count` start/goal pairs of free cells in the same fine
+    connected component, by rejection from a seeded generator.
+
+    The pairs live on the unit lattice; planners that need sublattice
+    endpoints reject unsuitable pairs themselves.  Raises
+    ScenarioGenerationError when the attempt budget runs out.
+    """
+    free = np.flatnonzero(~grid.flat_blocked)
+    if len(free) < 2:
+        raise ScenarioGenerationError(
+            f"map has {len(free)} free cells; need at least 2"
+        )
+    labels = fine_components(grid).ravel()
+    rng = np.random.default_rng(seed)
+    out: list[Scenario] = []
+    attempts = 0
+    chunk = 1024  # draws are batched; the accept/reject order is fixed
+    while len(out) < count:
+        if attempts >= max_attempts:
+            raise ScenarioGenerationError(
+                f"found {len(out)}/{count} connected pairs in {attempts} attempts"
+            )
+        n = min(chunk, max_attempts - attempts)
+        draws = rng.integers(0, len(free), size=(n, 2))
+        for a, b in draws:
+            attempts += 1
+            sa, sb = int(free[a]), int(free[b])
+            if sa == sb or labels[sa] != labels[sb]:
+                continue
+            out.append(
+                Scenario(map_id, len(out), grid.cell_of(sa), grid.cell_of(sb), seed)
+            )
+            if len(out) == count:
+                break
+    return out
+
+
+
+
+def _shifted(a: np.ndarray, off: tuple[int, ...]) -> np.ndarray:
+    """out[c] = a[c + off] where c + off is inside a, else False; off is
+    in array axis order."""
+    out = np.zeros_like(a)
+    if any(abs(o) >= n for o, n in zip(off, a.shape)):
+        return out
+    src = tuple(slice(max(o, 0), n + min(o, 0)) for o, n in zip(off, a.shape))
+    dst = tuple(slice(max(-o, 0), n + min(-o, 0)) for o, n in zip(off, a.shape))
+    out[dst] = a[src]
+    return out
+
+
+def _shifted_window_and(u: np.ndarray, step: tuple[int, ...], k: int) -> np.ndarray:
+    """out[c] = all(u[c + t*step] for t in range(k)), by doubling."""
+    out = None
+    covered = 0
+    block, width = u, 1
+    while True:
+        if k & 1:
+            if out is None:
+                out = block
+            else:
+                out = out & _shifted(block, tuple(covered * s for s in step))
+            covered += width
+        k >>= 1
+        if not k:
+            return out
+        block = block & _shifted(block, tuple(width * s for s in step))
+        width *= 2
+
+
+def shifted_move_table(grid: GridMap, k: int, unit: MoveTable | None) -> MoveTable:
+    """A unit move is valid iff every cell of the box it spans is free
+    (for a diagonal that is both flanks: the corner rule).  King moves
+    of length k run along the line of k unit moves, so a length-k move
+    is valid iff those k unit moves all are.  unit, the k = 1 table,
+    supplies the unit moves when k > 1."""
+    dirs = directions(grid.dim)
+    dtype = np.uint8 if grid.dim == 2 else np.uint32
+    shape = grid.blocked.shape
+    free = ~grid.blocked
+    masks = np.zeros(shape, dtype)
+    unit_masks = None
+    if unit is not None:
+        unit_masks = np.frombuffer(unit.masks, dtype).reshape(shape)
+    strides = [math.prod(grid.extents[:axis]) for axis in range(grid.dim)]
+    offsets, costs = [], []
+    for b, vec in enumerate(dirs):
+        step = tuple(reversed(vec))  # array axis order
+        if unit_masks is None:
+            ok = free.copy()
+            for corner in itertools.product(*((0, s) if s else (0,) for s in step)):
+                if any(corner):
+                    ok &= _shifted(free, corner)
+        else:
+            ok = unit_masks & (1 << b) != 0
+        if k > 1:
+            ok = _shifted_window_and(ok, step, k)
+        masks |= ok.astype(dtype) << b
+        offsets.append(k * sum(v * st for v, st in zip(vec, strides)))
+        costs.append(k * _STEP[sum(1 for v in vec if v)])
+    return MoveTable(k, memoryview(masks.ravel()), tuple(offsets), tuple(costs))
+
+
+
+
+def listwise_edge_decomposition(a: Cell, b: Cell) -> tuple[int, int]:
+    """(scale, changed-axis count) of the lattice move a->b.
+
+    Every legal move changes some subset of axes by the same magnitude k;
+    raises if a->b is not of that form.
+    """
+    deltas = [abs(ca - cb) for ca, cb in zip(a, b)]
+    nonzero = [d for d in deltas if d != 0]
+    if len(a) != len(b) or not nonzero:
+        raise ValueError(f"{a}->{b} is not a lattice move")
+    k = nonzero[0]
+    if any(d != k for d in nonzero):
+        raise ValueError(f"{a}->{b} mixes step magnitudes {sorted(set(nonzero))}")
+    return k, len(nonzero)
+
+
+def listwise_path_cost(path: list[Cell]) -> float:
+    """Total cost of a move sequence.
+
+    Each edge costs k*sqrt(m) for m changed axes, so the sum decomposes
+    into integer multiples of 1, sqrt(2) and sqrt(3).  Accumulating the
+    integer parts first makes the float result independent of edge order,
+    so equal-cost paths produce bitwise-equal totals.
+    """
+    if len(path) < 2:
+        return 0.0
+    a1 = a2 = a3 = 0
+    for u, v in zip(path, path[1:]):
+        k, m = listwise_edge_decomposition(u, v)
+        if m == 1:
+            a1 += k
+        elif m == 2:
+            a2 += k
+        else:
+            a3 += k
+    return (float(a1) + a2 * SQRT2) + a3 * SQRT3

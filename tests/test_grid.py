@@ -321,6 +321,48 @@ def test_path_cost_matches_naive_sum():
         assert math.isclose(G.path_cost(path), naive, rel_tol=1e-12)
 
 
+def _outcome(f, path):
+    try:
+        return f(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_path_cost_matches_listwise_reference():
+    # bitwise equal costs and identical errors: random lattice paths in
+    # 1-4 dimensions, then the same paths with one edge broken (a zero
+    # step, mixed magnitudes, a dimension change, a float delta)
+    rng = np.random.default_rng(32)
+    bad_steps = (0, "mixed", "dim", 0.5)
+    for trial in range(400):
+        dim = int(rng.integers(1, 5))
+        path = [tuple(int(c) for c in rng.integers(-20, 20, size=dim))]
+        for _ in range(int(rng.integers(0, 30))):
+            k = int(rng.choice([1, 3, 7, 9, 21, 27]))
+            d = tuple(int(v) * k for v in rng.integers(-1, 2, size=dim))
+            if not any(d):
+                d = (k,) + d[1:]
+            path.append(tuple(a + b for a, b in zip(path[-1], d)))
+        want = oracles.listwise_path_cost(path)
+        got = G.path_cost(path)
+        assert got == want and type(got) is float, path
+        if len(path) < 2:
+            continue
+        i = int(rng.integers(1, len(path)))
+        prev = path[i - 1]
+        bad = bad_steps[trial % len(bad_steps)]
+        if bad == 0:
+            cell = prev
+        elif bad == "mixed":
+            cell = (prev[0] + 1,) + tuple(c + 2 for c in prev[1:]) if dim > 1 else prev
+        elif bad == "dim":
+            cell = prev + (0,)
+        else:
+            cell = (prev[0] + bad,) + prev[1:]
+        broken = path[:i] + [cell] + path[i + 1:]
+        assert _outcome(G.path_cost, broken) == _outcome(oracles.listwise_path_cost, broken)
+
+
 # ------------------------------------------------------------- components
 
 

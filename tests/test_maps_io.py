@@ -1,13 +1,20 @@
-"""Map parsing/serialization, scenario generation, result CSV layout."""
+"""Map parsing/serialization, scenario generation, result CSV layout.
+
+The whole-array parsers and scenario sampler are checked against the
+per-glyph and per-draw code they replaced (oracles.per_glyph_*,
+oracles.per_draw_gen_scenarios)."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrastar import grid as G
 from mrastar import maps_io as M
 from mrastar import search as S
+from mrastar import synthetic as syn
 from mrastar.errors import MapParseError, ScenarioGenerationError
 
 import oracles
@@ -187,6 +194,140 @@ def test_gen_scenarios_needs_two_free_cells():
     g = G.GridMap((3, 3), blocked)
     with pytest.raises(ScenarioGenerationError):
         M.gen_scenarios(g, 1, seed=0)
+
+
+def _scenario_outcome(f, *args, **kw):
+    try:
+        return [(s.map_id, s.index, s.start, s.goal, s.seed) for s in f(*args, **kw)]
+    except ScenarioGenerationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "extents,density,seed",
+    [((20, 17), 0.3, 1), ((12, 9, 7), 0.25, 2), ((64, 70), 0.3, 3), ((3, 3), 0.9, 4),
+     ((1, 1, 5), 0.0, 5), ((2, 1), 0.0, 6)],
+)
+def test_gen_scenarios_matches_per_draw_reference(extents, density, seed):
+    # same pairs in the same order, and the same error (found count and
+    # attempts) when the budget runs out, across seeds, counts and budgets
+    g = syn.random_grid(extents, density, seed)
+    for count in (0, 1, 7, 300, 2500):
+        for max_attempts in (0, 1, 3, 700, 1024, 1500, 20000):
+            args = (g, count, seed + count)
+            kw = dict(map_id="m", max_attempts=max_attempts)
+            got = _scenario_outcome(M.gen_scenarios, *args, **kw)
+            assert got == _scenario_outcome(oracles.per_draw_gen_scenarios, *args, **kw)
+            if isinstance(got, list) and got:
+                assert all(type(c) is int for c in got[0][2] + got[-1][3])
+
+
+def test_gen_scenarios_disconnected_matches_reference():
+    # two free cells, severed: every draw is rejected
+    blocked = np.ones((3, 3), bool)
+    blocked[0, 0] = blocked[2, 2] = False
+    g = G.GridMap((3, 3), blocked)
+    for max_attempts in (1, 1024, 1025, 5000):
+        got = _scenario_outcome(M.gen_scenarios, g, 1, seed=0, max_attempts=max_attempts)
+        assert got == f"found 0/1 connected pairs in {max_attempts} attempts"
+        assert got == _scenario_outcome(
+            oracles.per_draw_gen_scenarios, g, 1, seed=0, max_attempts=max_attempts
+        )
+    # two components: only pairs inside one are kept
+    blocked = np.zeros((5, 9), bool)
+    blocked[:, 4] = True
+    g = G.GridMap((9, 5), blocked)
+    for seed in range(5):
+        got = _scenario_outcome(M.gen_scenarios, g, 50, seed)
+        assert got == _scenario_outcome(oracles.per_draw_gen_scenarios, g, 50, seed)
+
+
+# ------------------------------------------------- parsers vs per-glyph code
+
+
+def _parse_outcome(parse, text):
+    try:
+        g = parse(text)
+    except MapParseError as exc:
+        return str(exc), exc.line, exc.col
+    return g.extents, g.blocked.dtype, g.blocked.tobytes()
+
+
+def _mutations(text, rng, n):
+    """n texts, each text with one random edit: a glyph swapped, a
+    character dropped or inserted, or the tail cut off."""
+    alphabet = list("x.#@GSOTW\n\r \té0")
+    for _ in range(n):
+        chars = list(text)
+        pos = int(rng.integers(0, len(chars)))
+        edit = int(rng.integers(0, 4))
+        if edit == 0:
+            chars[pos] = str(rng.choice(alphabet))
+        elif edit == 1:
+            del chars[pos]
+        elif edit == 2:
+            chars.insert(pos, str(rng.choice(alphabet)))
+        else:
+            chars = chars[:pos]
+        yield "".join(chars)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_parsers_match_per_glyph_reference(dim):
+    # blocked arrays on valid texts (every movingai glyph class), and the
+    # MapParseError message, line and column on mutated ones
+    rng = np.random.default_rng(70 + dim)
+    parse, ref = (
+        (M.parse_movingai_map, oracles.per_glyph_parse_movingai_map)
+        if dim == 2 else (M.parse_vox3, oracles.per_glyph_parse_vox3)
+    )
+    errors = 0
+    for _ in range(150):
+        extents = tuple(int(e) for e in rng.integers(1, 9, size=dim))
+        blocked = syn.random_grid(extents, float(rng.random()), int(rng.integers(1 << 30))).blocked
+        if dim == 2:
+            free, wall = np.array(list(".GS")), np.array(list("@OTW"))
+            glyphs = np.where(blocked, rng.choice(wall, blocked.shape),
+                              rng.choice(free, blocked.shape))
+            rows = ["".join(r) for r in glyphs]
+            h, w = blocked.shape
+            text = "\n".join(["type octile", f"height {h}", f"width {w}", "map", *rows]) + "\n"
+        else:
+            text = M.serialize_vox3(G.GridMap(extents, blocked))
+        want = _parse_outcome(ref, text)
+        assert _parse_outcome(parse, text) == want
+        assert np.array_equal(np.frombuffer(want[2], bool).reshape(blocked.shape), blocked)
+        for bad in _mutations(text, rng, 6):
+            got = _parse_outcome(parse, bad)
+            assert got == _parse_outcome(ref, bad), bad
+            errors += isinstance(got[0], str)
+    assert errors > 300  # the mutations mostly reach an error
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    dim=st.sampled_from([2, 3]),
+    extents=st.lists(st.integers(1, 40), min_size=3, max_size=3),
+    fill=st.sampled_from(["random", "blocked", "free"]),
+    seed=st.integers(0, 2**31),
+)
+def test_roundtrip_property(dim, extents, fill, seed):
+    # parse(serialize(g)) == g for every row and slice shape, including
+    # all-blocked and all-free maps
+    extents = tuple(extents[:dim])
+    if fill == "random":
+        g = syn.random_grid(extents, 0.4, seed)
+    else:
+        g = G.GridMap(extents, np.full(tuple(reversed(extents)), fill == "blocked"))
+    serialize, parse = (
+        (M.serialize_movingai, M.parse_movingai_map)
+        if dim == 2 else (M.serialize_vox3, M.parse_vox3)
+    )
+    text = serialize(g)
+    back = parse(text)
+    assert back.extents == g.extents
+    assert np.array_equal(back.blocked, g.blocked)
+    assert serialize(back) == text
 
 
 # ------------------------------------------------------------ results csv

@@ -1,6 +1,7 @@
 """Move tables and sublattice masks cached on GridMap, checked against
-the supercover walk they replace (grid.successors_at_scale), plus the
-grid's ownership of its occupancy array."""
+the supercover walk they replace (grid.successors_at_scale) and the
+shifted-copy builder (oracles.shifted_move_table), plus the grid's
+ownership of its occupancy array."""
 
 import math
 import pickle
@@ -12,6 +13,8 @@ from mrastar import grid as G
 from mrastar import search as S
 from mrastar import synthetic as syn
 from mrastar.errors import InvalidProblemError
+
+import oracles
 
 SCALES = (1, 3, 7, 9, 21, 27)
 
@@ -45,6 +48,24 @@ def test_table_matches_successors_at_scale(extents, density, seed):
                 continue
             want = [(grid.flat_index(s), c) for s, c in G.successors_at_scale(cell, k, grid)]
             assert decoded(table, sid) == want, (cell, k)
+
+
+@pytest.mark.parametrize(
+    "extents,density,seed",
+    MAPS + (((1, 1), 0.0, 8), ((1, 30), 0.1, 9), ((24, 1, 24), 0.2, 10),
+            ((1, 1, 1), 0.0, 11), ((24, 24, 24), 0.25, 12), ((40, 2), 0.0, 13)),
+)
+def test_table_matches_shifted_builder(extents, density, seed):
+    # byte-equal to the builder the slice-based one replaced, including
+    # extents of 1 and maps narrower than k along some axis
+    grid = syn.random_grid(extents, density, seed)
+    unit = oracles.shifted_move_table(grid, 1, None)
+    for k in SCALES:
+        want = unit if k == 1 else oracles.shifted_move_table(grid, k, unit)
+        got = grid.move_table(k)
+        assert bytes(got.masks) == bytes(want.masks), k
+        assert got.masks.format == want.masks.format and got.masks.shape == want.masks.shape
+        assert got.offsets == want.offsets and got.costs == want.costs
 
 
 def test_table_dtypes_and_directions():

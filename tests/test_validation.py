@@ -109,3 +109,36 @@ def test_single_scale_uses_the_ladder_multiplier_rule():
         with pytest.raises(InvalidProblemError) as got:
             B.weighted_astar(g, (1, 1), (7, 7), multiplier=k)
         assert str(got.value) == str(want.value)
+
+
+NON_INTEGERS = [0.9, math.inf, math.nan, "1"]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+@pytest.mark.parametrize("door", sorted(FRONT_DOORS))
+def test_planners_refuse_non_integer_coordinates(door, bad):
+    # 0.9 used to plan from (0, 0), "1" was accepted and inf escaped as
+    # an untyped OverflowError
+    g = G.GridMap.empty((5, 4))
+    for start, goal in (((bad, 0), (4, 3)), ((0, 0), (4, bad))):
+        with pytest.raises(InvalidProblemError, match="non-integer coordinate"):
+            FRONT_DOORS[door](g, start, goal, "auto")
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+def test_oracles_refuse_non_integer_coordinates(bad):
+    g = G.GridMap.empty((5, 4))
+    with pytest.raises(InvalidProblemError, match="non-integer coordinate"):
+        B.dijkstra_field(g, (0, bad))
+    assert B.dijkstra_optimal(g, (bad, 0), (4, 3)) == math.inf
+    assert B.dijkstra_optimal(g, (0, 0), (4, bad)) == math.inf
+
+
+def test_numpy_integer_coordinates_are_cells():
+    g = G.GridMap.empty((5, 4))
+    start, goal = (np.int64(0), np.int32(0)), np.array([4, 3])
+    res = S.plan(S.Problem(g, start, goal))
+    assert res.path[0] == (0, 0) and type(res.path[0][0]) is int
+    assert B.dijkstra_optimal(g, start, goal) == B.dijkstra_optimal(g, (0, 0), (4, 3))
+    dist, _ = B.dijkstra_field(g, goal)
+    assert math.isclose(dist[0, 0], 3 * math.sqrt(2.0) + 1)
