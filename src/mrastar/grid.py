@@ -149,14 +149,15 @@ class GridMap:
 
 def as_cell(cell, name: str = "cell") -> Cell:
     """cell as a tuple of Python ints.  Raises InvalidProblemError unless
-    cell is a sequence of integers (int or numpy integer): a float, even
-    an integral one, or a string is refused rather than truncated."""
+    cell is a sequence of integers (int or numpy integer): a bool, a
+    float, even an integral one, or a string is refused rather than
+    truncated."""
     try:
         coords = tuple(cell)
     except TypeError:
         raise InvalidProblemError(f"{name} {cell!r} is not a sequence of coordinates") from None
     for c in coords:
-        if not isinstance(c, (int, np.integer)):
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
             raise InvalidProblemError(f"{name} {cell!r} has a non-integer coordinate {c!r}")
     return tuple(map(int, coords))
 
@@ -292,27 +293,17 @@ def _build_move_table(grid: GridMap, k: int, unit: MoveTable | None) -> MoveTabl
         if not any(v and n <= k for v, n in zip(vec, grid.extents))
     ]
     if unit is None:
-        # The free cells inside a one-cell frame of blocked ones, flat:
-        # each cell of a unit move's box is then a slice of `framed` at
-        # a fixed offset, and no read leaves it.
-        fshape = tuple(n + 2 for n in shape)
-        framed = np.zeros(fshape, bool)
-        inner = tuple(slice(1, n + 1) for n in shape)
-        framed[inner] = ~grid.blocked
-        framed = framed.ravel()
-        fstrides = [math.prod(fshape[axis + 1:]) for axis in range(grid.dim)]
-        lo = sum(fstrides)  # the first inner cell
-        hi = lo + sum((n - 1) * st for n, st in zip(shape, fstrides)) + 1
-        fmasks = np.zeros(len(framed), dtype)
+        # Each cell of a unit move's box is a slice of the zero-padded
+        # free array, shifted by one corner of the step.
+        free = np.pad(~grid.blocked, 1)
+        masks = np.zeros(shape, dtype)
         for b in live:
             step = tuple(reversed(dirs[b]))  # array axis order
-            ok = None
+            ok = np.ones(shape, bool)
             for corner in itertools.product(*((0, s) if s else (0,) for s in step)):
-                off = sum(c * st for c, st in zip(corner, fstrides))
-                part = framed[lo + off:hi + off]
-                ok = part if ok is None else ok & part
-            fmasks[lo:hi] |= ok.astype(dtype) << b
-        masks = fmasks.reshape(fshape)[inner].ravel()
+                ok &= free[tuple(slice(1 + c, 1 + c + n) for c, n in zip(corner, shape))]
+            masks |= ok.astype(dtype) << b
+        masks = masks.ravel()
     else:
         unit_masks = np.frombuffer(unit.masks, dtype)
         masks = np.zeros(grid.size, dtype)
@@ -407,14 +398,22 @@ def edge_decomposition(a: Cell, b: Cell) -> tuple[int, int]:
     Every legal move changes some subset of axes by the same magnitude k;
     raises if a->b is not of that form.
     """
-    deltas = [abs(ca - cb) for ca, cb in zip(a, b)]
-    nonzero = [d for d in deltas if d != 0]
-    if len(a) != len(b) or not nonzero:
+    # k: the largest step; m: the axes changed by k; nz: the axes changed
+    k = m = nz = 0
+    for ca, cb in zip(a, b):
+        d = abs(ca - cb)
+        if d != 0:
+            nz += 1
+            if d > k:
+                k, m = d, 1
+            elif d == k:
+                m += 1
+    if len(a) != len(b) or not nz:
         raise ValueError(f"{a}->{b} is not a lattice move")
-    k = nonzero[0]
-    if any(d != k for d in nonzero):
+    if m != nz:
+        nonzero = [d for d in (abs(ca - cb) for ca, cb in zip(a, b)) if d != 0]
         raise ValueError(f"{a}->{b} mixes step magnitudes {sorted(set(nonzero))}")
-    return k, len(nonzero)
+    return k, m
 
 
 def path_cost(path: list[Cell]) -> float:
@@ -423,43 +422,19 @@ def path_cost(path: list[Cell]) -> float:
     Each edge costs k*sqrt(m) for m changed axes, so the sum decomposes
     into integer multiples of 1, sqrt(2) and sqrt(3).  Accumulating the
     integer parts first makes the float result independent of edge order,
-    so equal-cost paths produce bitwise-equal totals.  2D and 3D edges
-    are classified inline; edge_decomposition takes the rest and raises
-    on an edge that is not a lattice move.
+    so equal-cost paths produce bitwise-equal totals.
     """
     if len(path) < 2:
         return 0.0
     a1 = a2 = a3 = 0
-    u = path[0]
-    for v in path[1:]:
-        # k: the largest step; m: the axes changed by k.  A lattice move
-        # changes every other axis by 0.
-        if len(u) == 2 == len(v):
-            dx = abs(u[0] - v[0])
-            dy = abs(u[1] - v[1])
-            k = dx if dx > dy else dy
-            m = (dx == k) + (dy == k)
-            lattice = k > 0 and m + (dx == 0) + (dy == 0) == 2
-        elif len(u) == 3 == len(v):
-            dx = abs(u[0] - v[0])
-            dy = abs(u[1] - v[1])
-            dz = abs(u[2] - v[2])
-            k = dx if dx > dy else dy
-            if dz > k:
-                k = dz
-            m = (dx == k) + (dy == k) + (dz == k)
-            lattice = k > 0 and m + (dx == 0) + (dy == 0) + (dz == 0) == 3
-        else:
-            lattice = False
-        if not lattice:
-            k, m = edge_decomposition(u, v)  # other dimensions; raises on a bad edge
+    for u, v in zip(path, path[1:]):
+        k, m = edge_decomposition(u, v)
         if m == 1:
             a1 += k
         elif m == 2:
             a2 += k
         else:
             a3 += k
-        u = v
     return (float(a1) + a2 * SQRT2) + a3 * SQRT3
 
 

@@ -24,16 +24,22 @@ from .errors import MapParseError, ScenarioGenerationError
 from .grid import Cell, GridMap, fine_components
 from .search import PlanResult
 
-MOVINGAI_FREE = ".GS"
-MOVINGAI_BLOCKED = "@OTW"
+MOVINGAI_FREE = frozenset(".GS")
+MOVINGAI_BLOCKED = frozenset("@OTW")
 
-# Per format: a str.translate table deleting every valid glyph, so that a
-# row holds an unknown glyph iff something is left of it, and a
-# bytes.translate table mapping free glyphs to 0 and blocked ones to 1.
-_MOVINGAI_VALID = str.maketrans("", "", MOVINGAI_FREE + MOVINGAI_BLOCKED)
-_MOVINGAI_BITS = bytes.maketrans(b".GS@OTW", b"\0\0\0\1\1\1\1")
-_VOX3_VALID = str.maketrans("", "", ".#")
-_VOX3_BITS = bytes.maketrans(b".#", b"\0\1")
+
+def _glyph_tables(free, blocked) -> tuple[dict, bytes]:
+    """Per format: a str.translate table deleting every valid glyph, so
+    that a row holds an unknown glyph iff something is left of it, and a
+    bytes.translate table mapping free glyphs to 0 and blocked ones to 1."""
+    glyphs = "".join(free) + "".join(blocked)
+    valid = str.maketrans("", "", glyphs)
+    bits = bytes.maketrans(glyphs.encode("ascii"), bytes(len(free)) + b"\1" * len(blocked))
+    return valid, bits
+
+
+_MOVINGAI_VALID, _MOVINGAI_BITS = _glyph_tables(MOVINGAI_FREE, MOVINGAI_BLOCKED)
+_VOX3_VALID, _VOX3_BITS = _glyph_tables(".", "#")
 
 RESULTS_CSV_FIELDS = (
     "map",

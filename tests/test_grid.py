@@ -331,9 +331,9 @@ def _outcome(f, path):
 def test_path_cost_matches_listwise_reference():
     # bitwise equal costs and identical errors: random lattice paths in
     # 1-4 dimensions, then the same paths with one edge broken (a zero
-    # step, mixed magnitudes, a dimension change, a float delta)
+    # step, mixed magnitudes, a dimension change, a float or nan delta)
     rng = np.random.default_rng(32)
-    bad_steps = (0, "mixed", "dim", 0.5)
+    bad_steps = (0, "mixed", "dim", 0.5, math.nan)
     for trial in range(400):
         dim = int(rng.integers(1, 5))
         path = [tuple(int(c) for c in rng.integers(-20, 20, size=dim))]

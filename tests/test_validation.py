@@ -111,14 +111,14 @@ def test_single_scale_uses_the_ladder_multiplier_rule():
         assert str(got.value) == str(want.value)
 
 
-NON_INTEGERS = [0.9, math.inf, math.nan, "1"]
+NON_INTEGERS = [0.9, math.inf, math.nan, "1", True]
 
 
 @pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
 @pytest.mark.parametrize("door", sorted(FRONT_DOORS))
 def test_planners_refuse_non_integer_coordinates(door, bad):
-    # 0.9 used to plan from (0, 0), "1" was accepted and inf escaped as
-    # an untyped OverflowError
+    # 0.9 used to plan from (0, 0), "1" and True were accepted and inf
+    # escaped as an untyped OverflowError
     g = G.GridMap.empty((5, 4))
     for start, goal in (((bad, 0), (4, 3)), ((0, 0), (4, bad))):
         with pytest.raises(InvalidProblemError, match="non-integer coordinate"):
