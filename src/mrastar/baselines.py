@@ -1,76 +1,27 @@
 """Single-queue baseline planners and the exact-cost oracle.
 
 All baselines share the multi-resolution planner's move semantics and
-search core (search.FlatSearch over the grid's cached move tables, same
-edge validity, same costs), isolating the search strategy as the only
+search loop: each is a one-queue search.FlatSearch run over the grid's
+cached move tables (same edge validity, same costs) whose gate never
+blocks and whose bound is w, isolating the search strategy as the only
 difference.  The oracle Dijkstra (kernels.dijkstra_2d/3d: heapq over
 unit-move bitmasks it builds per call by the box rule) does not use the
 move tables, so it stays independent of the planners' moves.
 """
 
 import math
-import time
 
 import numpy as np
 
 from . import kernels
 from .errors import InvalidProblemError
 from .grid import Cell, GridMap, ResolutionLadder, as_cell, path_cost
-from .kernels import mask_bits
 
 # Not called here, which reads the grid's move tables instead; bound so
 # that layer tracers (see perfbench/tracing.py) find the same names on
 # every planner module.
 from .grid import get_space_indices, heuristic, successors_at_scale  # noqa: F401
-from .search import (
-    STATUS_EXHAUSTED,
-    STATUS_SOLVED,
-    STATUS_TIMEOUT,
-    FlatSearch,
-    PlanResult,
-    check_deadline,
-    validate_query,
-)
-
-
-def _single_queue(grid, start, goal, scales, union, hkind, w, timeout, log_expansions):
-    """Weighted best-first search with one open list and no re-expansion.
-
-    Without union every state moves at each scale of `scales` (one, for
-    weighted_astar); with union `scales` is a ladder's multipliers and a
-    state moves at the scales whose sublattice holds it, in ladder
-    order.  With w = 1 and a consistent heuristic this is plain A*; with
-    w > 1 the first claimed solution costs at most w times the action
-    space's optimum.
-    """
-    t0 = time.perf_counter()
-    started = time.monotonic()
-    core = FlatSearch(grid, start, goal, hkind, scales, (w,))
-    core.expansion_log = [] if log_expansions else None
-    tables = core.tables
-    spaces = grid.space_masks(tuple(scales)) if union else None
-    open_list = core.opens[0]
-    open_list.insert_or_update(core.start_id, w * core.h[core.start_id], 0.0)
-    g, goal_id = core.g, core.goal_id
-    timed = timeout < math.inf
-    status = STATUS_EXHAUSTED
-    while len(open_list):
-        if timed and check_deadline(core.expansions[0], started, timeout):
-            status = STATUS_TIMEOUT
-            break
-        # A key can only be inf when w * h overflows; such keys claim nothing.
-        if g[goal_id] <= open_list.min_key() < math.inf:
-            status = STATUS_SOLVED
-            break
-        sid = open_list.pop()
-        if spaces is None:
-            core.expand(sid, 0, tables)
-        else:
-            core.expand(sid, 0, [tables[i] for i in mask_bits(spaces[sid])])
-    else:
-        if g[goal_id] < math.inf:
-            status = STATUS_SOLVED
-    return core.result(status, 0 if status == STATUS_SOLVED else None, w, t0)
+from .search import FlatSearch, PlanResult, validate_query
 
 
 def weighted_astar(
@@ -92,11 +43,11 @@ def weighted_astar(
     optimum, or find no path at all where one exists).
     """
     start, goal, _, hkind = validate_query(
-        grid, start, goal, heuristic=heuristic, sublattice=multiplier, w=w
+        grid, start, goal, heuristic=heuristic, sublattice=multiplier, timeout=timeout, w=w
     )
-    return _single_queue(
-        grid, start, goal, (int(multiplier),), False, hkind, w, timeout, log_expansions
-    )
+    return FlatSearch(
+        grid, start, goal, hkind, (int(multiplier),), (w,), bound=w, timeout=timeout
+    ).run(log_expansions)
 
 
 def wa_union(
@@ -112,10 +63,14 @@ def wa_union(
 ) -> PlanResult:
     """Weighted A* over the union of a ladder's action spaces: one queue,
     and each state offers the moves of every space it coincides with."""
-    start, goal, ladder, hkind = validate_query(grid, start, goal, ladder, heuristic, w=w)
-    return _single_queue(
-        grid, start, goal, ladder.multipliers, True, hkind, w, timeout, log_expansions
+    start, goal, ladder, hkind = validate_query(
+        grid, start, goal, ladder, heuristic, timeout=timeout, w=w
     )
+    mults = ladder.multipliers
+    return FlatSearch(
+        grid, start, goal, hkind, mults, (w,), bound=w, timeout=timeout,
+        table_masks=grid.space_masks(mults),
+    ).run(log_expansions)
 
 
 def dijkstra_field(grid: GridMap, source: Cell) -> tuple[np.ndarray, np.ndarray]:

@@ -163,9 +163,12 @@ def as_cell(cell, name: str = "cell") -> Cell:
 
 
 def check_multiplier(k) -> int:
-    """k as an int; raises InvalidProblemError unless it is odd and >= 1,
-    the rule for every action scale (ladder level or single-scale
-    planner)."""
+    """k as an int; raises InvalidProblemError unless it is an integer
+    (int or numpy integer, as for as_cell: a bool, a float or a string
+    is refused rather than truncated), odd and >= 1, the rule for every
+    action scale (ladder level or single-scale planner)."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InvalidProblemError(f"multipliers must be integers, got {k!r}")
     k = int(k)
     if k < 1 or k % 2 == 0:
         raise InvalidProblemError(f"multipliers must be odd and >= 1, got {k}")
@@ -180,14 +183,17 @@ class ResolutionLadder:
     multipliers: tuple[int, ...]
 
     def __post_init__(self):
-        mults = tuple(int(m) for m in self.multipliers)
+        try:
+            mults = tuple(map(check_multiplier, self.multipliers))
+        except TypeError:
+            raise InvalidProblemError(
+                f"ladder {self.multipliers!r} is not a sequence of multipliers"
+            ) from None
         object.__setattr__(self, "multipliers", mults)
         if not mults:
             raise InvalidProblemError("ladder must have at least one multiplier")
         if mults[0] != 1:
             raise InvalidProblemError(f"first multiplier must be 1, got {mults[0]}")
-        for m in mults:
-            check_multiplier(m)
         if any(b <= a for a, b in zip(mults, mults[1:])):
             raise InvalidProblemError(
                 f"multipliers must be strictly increasing, got {mults}"

@@ -7,10 +7,12 @@ g + h and gates the others: a coarser queue may only expand while its
 best key stays within w2 times the anchor's best key.  Any solution
 claimed under that gate costs at most w2 times the optimal cost in the
 anchor space, even though coarse queues use the inflated key g + w1*h
-and no state is ever re-expanded by the same queue.
+and no state is ever re-expanded by the same queue.  FlatSearch.run is
+that loop; with the anchor queue alone it is the baselines' weighted A*.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -28,7 +30,7 @@ from .grid import (
     path_cost,
 )
 from .kernels import HIGH_BITS, MASK_BITS, MID_BITS, mask_bits
-from .policies import make_policy
+from .policies import DynamicThompson, make_policy
 
 # Not called by the search core, which reads the grid's move tables and
 # sublattice masks instead; bound here so that layer tracers (see
@@ -50,28 +52,36 @@ def validate_query(
     heuristic: str = "auto",
     *,
     sublattice: int = 1,
+    timeout: float = math.inf,
     **weights: float,
 ) -> tuple[Cell, Cell, ResolutionLadder, str] | None:
     """The one check of a planning query, shared by PlannerConfig,
     Problem and the baselines; raises InvalidProblemError up front.
 
-    Every weight passed by keyword must be a finite number >= 1.  Given
-    only weights (PlannerConfig's case) it returns None.  Given a grid,
-    the endpoints become int tuples (see as_cell: integer coordinates
-    only) that must be free cells on the sublattice of the odd scale
-    `sublattice`, the ladder becomes a ResolutionLadder, and the
-    heuristic is resolved: "auto" is octile on 2D maps and euclidean
-    otherwise, and octile needs a 2D map.  Returns (start, goal, ladder,
-    heuristic).
+    timeout and every weight passed by keyword must be real numbers (a
+    bool or a string is refused): a weight finite and >= 1, the timeout
+    > 0 (inf means none).  Given no grid (PlannerConfig's case) it
+    returns None.  Given a grid, the endpoints become int tuples (see
+    as_cell: integer coordinates only) that must be free cells on the
+    sublattice of the odd scale `sublattice`, the ladder becomes a
+    ResolutionLadder, and the heuristic is resolved: "auto" is octile on
+    2D maps and euclidean otherwise, and octile needs a 2D map.  Returns
+    (start, goal, ladder, heuristic).
     """
+    for name, x in (*weights.items(), ("timeout", timeout)):
+        # float first: the numbers.Real check alone costs about 1 us per value
+        if type(x) is not float and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+            raise InvalidProblemError(f"{name} must be a real number, got {x!r}")
     for name, w in weights.items():
         if not 1.0 <= w < math.inf:  # written so that NaN fails
             raise InvalidProblemError(f"{name} must be a finite number >= 1, got {w}")
+    if not timeout > 0:
+        raise InvalidProblemError(f"timeout must be positive, got {timeout}")
     if grid is None:
         return None
     k = check_multiplier(sublattice)
     if not isinstance(ladder, ResolutionLadder):
-        ladder = ResolutionLadder(tuple(ladder))
+        ladder = ResolutionLadder(ladder)
     start, goal = as_cell(start, "start"), as_cell(goal, "goal")
     for name, cell in (("start", start), ("goal", goal)):
         if not grid.is_free(cell):
@@ -105,11 +115,9 @@ class PlannerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        validate_query(w1=self.w1, w2=self.w2)
+        validate_query(w1=self.w1, w2=self.w2, timeout=self.timeout)
         if self.policy not in POLICY_NAMES:
             raise ValueError(f"policy must be one of {POLICY_NAMES}, got {self.policy!r}")
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
         self.seed = int(self.seed)
 
 
@@ -233,8 +241,8 @@ class OpenList:
 
 
 class FlatSearch:
-    """State table over flat cell ids, shared by MRA* and the single-queue
-    baselines.
+    """The one search core: a state table over flat cell ids and the
+    best-first loop (run) that MRA* and the single-queue baselines share.
 
     g, bp and h map a flat id to its cost-to-come, backpointer and
     heuristic; a state is generated once it has an h entry (start and
@@ -243,18 +251,35 @@ class FlatSearch:
     grid's cached MoveTables, one per entry of scales, decoded in
     direction order.  Queue j keys a state g + weights[j] * h.
 
-    queue_masks gives, per flat id, the queues an improved state enters
-    (unless already closed there); None means queue 0 alone.
+    queue_masks gives, per flat id, the queues an improved state (and
+    the start) enters unless already closed there; None means queue 0
+    alone.  Queue i expands a state with the scale-i table, or, given
+    table_masks, with the tables whose bits the state's mask sets, in
+    scale order.  bound gates the coarse queues (see run) and is the
+    suboptimality factor a solved result reports; timeout is in seconds.
+    A subclass with coarse queues sets policy, which picks among them.
     """
 
+    policy = None
+
     def __init__(self, grid: GridMap, start: Cell, goal: Cell, hkind: str,
-                 scales, weights, queue_masks=None):
+                 scales, weights, bound: float, timeout: float = math.inf,
+                 queue_masks=None, table_masks=None):
         self.grid = grid
         self.tables = [grid.move_table(k) for k in scales]
         self.weights = tuple(weights)
+        self.bound = bound
+        self.timeout = timeout
         self.opens = [OpenList() for _ in self.weights]
         self.expansions = [0] * len(self.weights)
         self._queue_masks = queue_masks
+        self._table_masks = table_masks
+        if table_masks is None:
+            self._choice = [(t,) for t in self.tables]
+        else:  # entry m: the tables of m's set bits, in scale order
+            self._choice = [()]
+            for t in self.tables:
+                self._choice += [c + (t,) for c in self._choice]
         self._h_of = flat_heuristic(grid, goal, hkind)
         self.expansion_log: list[tuple[int, Cell]] | None = None
         self.start_id = grid.flat_index(start)
@@ -266,6 +291,9 @@ class FlatSearch:
         if self.goal_id not in self.g:
             self.g[self.goal_id] = math.inf
             self.h[self.goal_id] = self._h_of(self.goal_id)
+        h0 = self.h[self.start_id]
+        for j in mask_bits(1 if queue_masks is None else queue_masks[self.start_id]):
+            self.opens[j].insert_or_update(self.start_id, self.weights[j] * h0, 0.0)
 
     @property
     def generated(self) -> int:
@@ -310,6 +338,70 @@ class FlatSearch:
                 for j in MASK_BITS[targets] if targets < 512 else mask_bits(targets):
                     opens[j].insert_or_update(nid, ng + weights[j] * hn, ng)
 
+    def run(self, log_expansions: bool = False) -> PlanResult:
+        """Search until a queue claims the goal, the timeout passes or
+        every queue is empty.
+
+        Each iteration the policy picks a nonempty coarse queue i, which
+        expands while its best key mk_i <= bound * mk0, the anchor's best
+        key; otherwise, or with every coarse queue empty, the anchor
+        expands.  Before popping, the expanding queue claims the goal
+        once g(goal) <= its key (bound * mk0 when the anchor steps in
+        for a blocked pick); a key that overflowed to inf claims nothing.
+        With one queue the gate always passes (mk0 <= bound * mk0), so
+        this is weighted A*.  The clock is read every 1000 expansions.
+        """
+        self.expansion_log = [] if log_expansions else None
+        started = time.monotonic()
+        t0 = time.perf_counter()
+        opens = self.opens
+        anchor = opens[0]
+        coarse = range(1, len(opens))
+        # Emptiness is read from the live-entry dicts, in C, rather than
+        # through OpenList.__len__.
+        live = [ol._live for ol in opens]
+        anchor_live = live[0]
+        policy = self.policy
+        if coarse:
+            choose_queue, update = policy.choose_queue, policy.update
+        feedback = isinstance(policy, DynamicThompson)
+        g, h, goal_id = self.g, self.h, self.goal_id
+        expand, expansions = self.expand, self.expansions
+        choice, masks = self._choice, self._table_masks
+        bound, timeout = self.bound, self.timeout
+        timed = timeout < math.inf
+        inf = math.inf
+        nonempty = ()
+        i, ol = 0, anchor  # the expanding queue, back to the anchor after each coarse step
+        while True:
+            if coarse:
+                nonempty = [j for j in coarse if live[j]]
+            if not anchor_live and not nonempty:
+                break
+            if timed and check_deadline(sum(expansions), started, timeout):
+                return self.result(STATUS_TIMEOUT, None, t0)
+            mk = anchor.min_key()
+            if nonempty:
+                mk0 = mk
+                i = choose_queue(nonempty)
+                ol = opens[i]
+                mk = ol.min_key()
+                if mk > bound * mk0:  # the gate blocks i: the anchor expands
+                    i, ol, mk = 0, anchor, bound * mk0
+            if g[goal_id] <= mk < inf:
+                return self.result(STATUS_SOLVED, i, t0)
+            sid = ol.pop()
+            expand(sid, i, choice[i] if masks is None else choice[masks[sid]])
+            if i:
+                if feedback:
+                    update(i, h[ol.peek()] if ol else inf)
+                i, ol = 0, anchor
+        if g[goal_id] < inf:
+            # The goal sits in the anchor keyed g(goal) from the moment it
+            # is reached, and every queue claims it before popping it.
+            raise SearchCorruptionError("queues drained with the goal reached but unclaimed")
+        return self.result(STATUS_EXHAUSTED, None, t0)
+
     def reconstruct_path(self) -> list[Cell]:
         """Follow backpointers from the goal to the start."""
         chain = []
@@ -324,8 +416,7 @@ class FlatSearch:
         chain.reverse()
         return [self.grid.cell_of(s) for s in chain]
 
-    def result(self, status: str, winning_queue: int | None, bound: float,
-               t0: float) -> PlanResult:
+    def result(self, status: str, winning_queue: int | None, t0: float) -> PlanResult:
         wall = time.perf_counter() - t0
         solved = status == STATUS_SOLVED
         path = self.reconstruct_path() if solved else []
@@ -337,92 +428,32 @@ class FlatSearch:
             generated=self.generated,
             wall_time=wall,
             winning_queue=winning_queue,
-            bound=bound if solved else None,
+            bound=self.bound if solved else None,
             expansion_log=self.expansion_log,
         )
 
 
 class MraSearch(FlatSearch):
-    """One planning run; see plan() for the usual entry point.
+    """One MRA* run; see plan() for the usual entry point.
 
-    Queue i searches ladder level i: it expands with the scale-i move
-    table, tables[i], and holds only states on the level's sublattice.
-    The instance keeps its full state (open lists, state table,
-    counters) after run() returns, which the tests use to poke at
-    internals.
+    Queue i searches ladder level i: it keys states g + w1 * h (the
+    anchor, queue 0, g + h), expands them with the scale-i move table
+    and holds only states on the level's sublattice.  w2 is the gate
+    bound and the policy picks among the coarse queues.  The instance
+    keeps its full state (open lists, state table, counters) after
+    run() returns, which the tests use to poke at internals.
     """
 
     def __init__(self, problem: Problem, config: PlannerConfig | None = None):
         self.problem = problem
-        self.config = config or PlannerConfig()
-        self.ladder = problem.ladder
-        self.n_queues = len(self.ladder)
-        self.w1 = self.config.w1
-        self.w2 = self.config.w2
-        self.spaces = problem.grid.space_masks(self.ladder.multipliers)
+        self.config = config = config or PlannerConfig()
+        mults = problem.ladder.multipliers
         super().__init__(
             problem.grid, problem.start, problem.goal, problem.heuristic,
-            self.ladder.multipliers, (1.0,) + (self.w1,) * (self.n_queues - 1),
-            self.spaces,
+            mults, (1.0,) + (config.w1,) * (len(mults) - 1), bound=config.w2,
+            timeout=config.timeout, queue_masks=problem.grid.space_masks(mults),
         )
-        self.policy = make_policy(
-            self.config.policy, max(1, self.n_queues - 1), self.config.seed
-        )
-        h0 = self.h[self.start_id]
-        for i in mask_bits(self.spaces[self.start_id]):
-            self.opens[i].insert_or_update(self.start_id, self.weights[i] * h0, 0.0)
-
-    def run(self, log_expansions: bool = False, gate_probe=None) -> PlanResult:
-        """Execute the search to completion, timeout or exhaustion.
-
-        gate_probe, when given, is called with the anchor's current min
-        key each iteration (used by tests to watch the gate).
-        """
-        self.expansion_log = [] if log_expansions else None
-        started = time.monotonic()
-        t0 = time.perf_counter()
-        opens = self.opens
-        anchor = opens[0]
-        rest = range(1, self.n_queues)
-        g, h = self.g, self.h
-        goal_id = self.goal_id
-        tables = [(t,) for t in self.tables]
-        expand = self.expand
-        choose_queue, update = self.policy.choose_queue, self.policy.update
-        is_dts = self.config.policy == "dts"
-        timeout = self.config.timeout
-        timed = timeout < math.inf
-        w2 = self.w2
-        total = 0
-        while True:
-            nonempty = [i for i in rest if opens[i]]
-            if not nonempty and not anchor:
-                break
-            if timed and check_deadline(total, started, timeout):
-                return self.result(STATUS_TIMEOUT, None, w2, t0)
-            i = choose_queue(nonempty) if nonempty else 0
-            mk0 = anchor.min_key()
-            if gate_probe is not None:
-                gate_probe(mk0)
-            ol = opens[i]
-            mk_i = ol.min_key() if i else mk0
-            if mk_i <= w2 * mk0:
-                # mk_i can only be inf when w1 * h overflows; it claims nothing.
-                if g[goal_id] <= mk_i < math.inf:
-                    return self.result(STATUS_SOLVED, i, w2, t0)
-                expand(ol.pop(), i, tables[i])
-                if is_dts and i:
-                    update(i, h[ol.peek()] if ol else math.inf)
-            else:
-                if g[goal_id] <= w2 * mk0:
-                    return self.result(STATUS_SOLVED, 0, w2, t0)
-                expand(anchor.pop(), 0, tables[0])
-            total += 1
-        if g[goal_id] < math.inf:
-            # Defensive: queues drained in the same iteration the goal
-            # became claimable.  Cost bound still holds.
-            return self.result(STATUS_SOLVED, None, w2, t0)
-        return self.result(STATUS_EXHAUSTED, None, w2, t0)
+        self.policy = make_policy(config.policy, max(1, len(mults) - 1), config.seed)
 
 
 def plan(
@@ -430,7 +461,6 @@ def plan(
     config: PlannerConfig | None = None,
     *,
     log_expansions: bool = False,
-    gate_probe=None,
 ) -> PlanResult:
     """Plan a path with the multi-resolution planner.
 
@@ -439,6 +469,4 @@ def plan(
     union graph was searched without touching the goal, or a timeout
     result once the wall clock passes config.timeout.
     """
-    return MraSearch(problem, config).run(
-        log_expansions=log_expansions, gate_probe=gate_probe
-    )
+    return MraSearch(problem, config).run(log_expansions=log_expansions)

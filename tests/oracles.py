@@ -8,6 +8,7 @@ enumeration elsewhere.  Slow is fine; these run on small inputs.
 
 import itertools
 import math
+import time
 from array import array
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -21,7 +22,16 @@ from mrastar.errors import MapParseError, ScenarioGenerationError
 from mrastar.grid import Cell, GridMap, MoveTable, directions, fine_components
 from mrastar.kernels import SQRT2, SQRT3
 from mrastar.kernels import STEP as _STEP
+from mrastar.kernels import mask_bits
 from mrastar.maps_io import Scenario
+from mrastar.search import (
+    STATUS_EXHAUSTED,
+    STATUS_SOLVED,
+    STATUS_TIMEOUT,
+    FlatSearch,
+    PlanResult,
+    check_deadline,
+)
 
 
 def segment_touches_box(a, b, lo, hi) -> bool:
@@ -560,3 +570,99 @@ def listwise_path_cost(path: list[Cell]) -> float:
         else:
             a3 += k
     return (float(a1) + a2 * SQRT2) + a3 * SQRT3
+
+
+# The two best-first loops that search.FlatSearch.run replaced, kept as the
+# references of its differential test (tests/test_search_loop.py).  Both
+# run over the current state table and expand; the adaptations to it are
+# marked "(adapted)".  Their drained-queue fallbacks answer "solved"
+# where the merged loop raises, and are unreachable.
+
+
+def mra_run(self, log_expansions: bool = False) -> PlanResult:
+    """MraSearch.run as it was before the merge, over a freshly built
+    search.MraSearch (self).  Its gate_probe hook is left out."""
+    self.expansion_log = [] if log_expansions else None
+    started = time.monotonic()
+    t0 = time.perf_counter()
+    opens = self.opens
+    anchor = opens[0]
+    rest = range(1, len(opens))  # (adapted) was self.n_queues
+    g, h = self.g, self.h
+    goal_id = self.goal_id
+    tables = [(t,) for t in self.tables]
+    expand = self.expand
+    choose_queue, update = self.policy.choose_queue, self.policy.update
+    is_dts = self.config.policy == "dts"
+    timeout = self.config.timeout
+    timed = timeout < math.inf
+    w2 = self.config.w2  # (adapted) was self.w2
+    total = 0
+    while True:
+        nonempty = [i for i in rest if opens[i]]
+        if not nonempty and not anchor:
+            break
+        if timed and check_deadline(total, started, timeout):
+            return self.result(STATUS_TIMEOUT, None, t0)  # (adapted) bound is self.bound
+        i = choose_queue(nonempty) if nonempty else 0
+        mk0 = anchor.min_key()
+        ol = opens[i]
+        mk_i = ol.min_key() if i else mk0
+        if mk_i <= w2 * mk0:
+            # mk_i can only be inf when w1 * h overflows; it claims nothing.
+            if g[goal_id] <= mk_i < math.inf:
+                return self.result(STATUS_SOLVED, i, t0)
+            expand(ol.pop(), i, tables[i])
+            if is_dts and i:
+                update(i, h[ol.peek()] if ol else math.inf)
+        else:
+            if g[goal_id] <= w2 * mk0:
+                return self.result(STATUS_SOLVED, 0, t0)
+            expand(anchor.pop(), 0, tables[0])
+        total += 1
+    if g[goal_id] < math.inf:
+        # Defensive: queues drained in the same iteration the goal
+        # became claimable.  Cost bound still holds.
+        return self.result(STATUS_SOLVED, None, t0)
+    return self.result(STATUS_EXHAUSTED, None, t0)
+
+
+def single_queue(grid, start, goal, scales, union, hkind, w, timeout, log_expansions):
+    """baselines._single_queue as it was before the merge.
+
+    Weighted best-first search with one open list and no re-expansion.
+    Without union every state moves at each scale of `scales` (one, for
+    weighted_astar); with union `scales` is a ladder's multipliers and a
+    state moves at the scales whose sublattice holds it, in ladder
+    order.  With w = 1 and a consistent heuristic this is plain A*; with
+    w > 1 the first claimed solution costs at most w times the action
+    space's optimum.
+    """
+    t0 = time.perf_counter()
+    started = time.monotonic()
+    # (adapted) the core now takes the bound and inserts the start itself
+    core = FlatSearch(grid, start, goal, hkind, scales, (w,), bound=w)
+    core.expansion_log = [] if log_expansions else None
+    tables = core.tables
+    spaces = grid.space_masks(tuple(scales)) if union else None
+    open_list = core.opens[0]
+    g, goal_id = core.g, core.goal_id
+    timed = timeout < math.inf
+    status = STATUS_EXHAUSTED
+    while len(open_list):
+        if timed and check_deadline(core.expansions[0], started, timeout):
+            status = STATUS_TIMEOUT
+            break
+        # A key can only be inf when w * h overflows; such keys claim nothing.
+        if g[goal_id] <= open_list.min_key() < math.inf:
+            status = STATUS_SOLVED
+            break
+        sid = open_list.pop()
+        if spaces is None:
+            core.expand(sid, 0, tables)
+        else:
+            core.expand(sid, 0, [tables[i] for i in mask_bits(spaces[sid])])
+    else:
+        if g[goal_id] < math.inf:
+            status = STATUS_SOLVED
+    return core.result(status, 0 if status == STATUS_SOLVED else None, t0)

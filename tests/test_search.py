@@ -284,19 +284,31 @@ def test_each_state_expanded_once_per_queue():
     assert per_queue == res.expansions
 
 
-def test_anchor_min_key_never_exceeds_optimal_cost():
+def test_anchor_min_key_never_exceeds_optimal_cost(monkeypatch):
     # the quantity the suboptimality bound rests on: while the goal is
-    # unclaimed the anchor's best key stays below the true optimum
+    # unclaimed the anchor's best key stays below the true optimum.  The
+    # loop reads the anchor's min key once per iteration; the patch
+    # records those reads.
     rng = np.random.default_rng(22)
+    min_key = S.OpenList.min_key
     for _ in range(6):
         g = random_map(rng, (32, 32), 0.3)
         start, goal = connected_free_pair(g, rng)
         probes = []
-        res = S.plan(
-            S.Problem(g, start, goal, ladder=[1, 7]),
-            S.PlannerConfig(w1=5.0, w2=2.0),
-            gate_probe=probes.append,
+        search = S.MraSearch(
+            S.Problem(g, start, goal, ladder=[1, 7]), S.PlannerConfig(w1=5.0, w2=2.0)
         )
+
+        def recording(self):
+            key = min_key(self)
+            if self is search.opens[0]:
+                probes.append(key)
+            return key
+
+        monkeypatch.setattr(S.OpenList, "min_key", recording)
+        res = search.run()
+        monkeypatch.undo()
+        assert len(probes) == sum(res.expansions) + 1
         assert res.status == S.STATUS_SOLVED
         ref = oracles.reference_distances(g, start)[g.flat_index(goal)]
         assert all(mk0 <= ref + 1e-9 for mk0 in probes[:-1])
@@ -322,6 +334,19 @@ def test_reconstruct_detects_corruption():
     search.bp[search.goal_id] = search.goal_id
     with pytest.raises(SearchCorruptionError):
         search.reconstruct_path()
+
+
+def test_drained_queues_with_a_reached_goal_are_corruption():
+    # unreachable in a sound search: the goal, once reached, sits in the
+    # anchor keyed g(goal) and is claimed before it can be popped
+    blocked = np.zeros((9, 9), bool)
+    blocked[:, 4] = True
+    g = G.GridMap((9, 9), blocked)
+    assert S.MraSearch(S.Problem(g, (0, 0), (8, 8))).run().status == S.STATUS_EXHAUSTED
+    search = S.MraSearch(S.Problem(g, (0, 0), (8, 8)))
+    search.g[search.goal_id] = 1e300  # finite, above every key: never claimed
+    with pytest.raises(SearchCorruptionError, match="drained"):
+        search.run()
 
 
 def test_wa_like_single_ladder_weighted_is_still_bounded():

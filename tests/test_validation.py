@@ -1,5 +1,6 @@
-"""One validation path for every planner: hostile weights, endpoints and
-heuristic kinds are refused up front with the same InvalidProblemError."""
+"""One validation path for every planner: hostile weights, timeouts,
+multipliers, endpoints and heuristic kinds are refused up front with the
+same InvalidProblemError."""
 
 import math
 
@@ -142,3 +143,89 @@ def test_numpy_integer_coordinates_are_cells():
     assert B.dijkstra_optimal(g, start, goal) == B.dijkstra_optimal(g, (0, 0), (4, 3))
     dist, _ = B.dijkstra_field(g, goal)
     assert math.isclose(dist[0, 0], 3 * math.sqrt(2.0) + 1)
+
+
+# -------------------------------------------------------------- multipliers
+
+# 3.9 and "3" used to plan at scale 3, True at scale 1; inf and nan
+# escaped as OverflowError and a bare ValueError
+NON_INTEGER_MULTIPLIERS = [3.9, 3.0, "3", True, math.inf, math.nan, None]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGER_MULTIPLIERS, ids=repr)
+def test_non_integer_multipliers_are_refused(bad):
+    g = G.GridMap.empty((16, 16))
+    doors = [
+        lambda: G.ResolutionLadder((1, bad)),
+        lambda: S.Problem(g, (1, 1), (7, 7), ladder=(1, bad)),
+        lambda: B.wa_union(g, (1, 1), (7, 7), (1, bad)),
+        lambda: B.weighted_astar(g, (1, 1), (7, 7), multiplier=bad),
+    ]
+    for door in doors:
+        with pytest.raises(InvalidProblemError, match="multipliers must be integers"):
+            door()
+
+
+def test_ladders_must_be_sequences_of_integers():
+    g = G.GridMap.empty((16, 16))
+    with pytest.raises(InvalidProblemError, match="multipliers must be integers"):
+        S.Problem(g, (1, 1), (7, 7), ladder="13")  # used to plan on (1, 3)
+    with pytest.raises(InvalidProblemError, match="not a sequence of multipliers"):
+        S.Problem(g, (1, 1), (7, 7), ladder=13)
+
+
+def test_numpy_integer_multipliers_are_scales():
+    g = G.GridMap.empty((16, 16))
+    lad = G.ResolutionLadder((np.int64(1), np.int32(3)))
+    assert lad.multipliers == (1, 3) and type(lad.multipliers[1]) is int
+    got = B.weighted_astar(g, (1, 1), (7, 7), multiplier=np.int64(3))
+    want = B.weighted_astar(g, (1, 1), (7, 7), multiplier=3)
+    assert (got.path, got.expansions) == (want.path, want.expansions)
+
+
+# ----------------------------------------------------------------- timeouts
+
+TIMEOUT_DOORS = {
+    "plan": lambda t: S.plan(S.Problem(GRID, START, GOAL, LADDER), S.PlannerConfig(timeout=t)),
+    "weighted_astar": lambda t: B.weighted_astar(GRID, START, GOAL, timeout=t),
+    "wa_union": lambda t: B.wa_union(GRID, START, GOAL, LADDER, timeout=t),
+}
+
+# nan, +-inf, +-0 and any finite float
+TIMEOUTS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@pytest.mark.parametrize("door", sorted(TIMEOUT_DOORS))
+@settings(max_examples=30, deadline=None)
+@given(t=TIMEOUTS)
+def test_hostile_timeouts(door, t):
+    # the baselines used to take nan as no timeout and -1 as an
+    # immediate one
+    if not t > 0:
+        with pytest.raises(InvalidProblemError, match="timeout must be positive"):
+            TIMEOUT_DOORS[door](t)
+        return
+    res = TIMEOUT_DOORS[door](t)
+    if res.status != S.STATUS_TIMEOUT:
+        _assert_within_bound(res)
+
+
+NON_REALS = ["1", None, True, 1j]
+
+
+@pytest.mark.parametrize("bad", NON_REALS, ids=repr)
+def test_non_real_timeouts_and_weights_are_refused(bad):
+    # strings and None used to escape as TypeError from a comparison
+    doors = [
+        *(("timeout", lambda door=door: door(bad)) for door in TIMEOUT_DOORS.values()),
+        ("w1", lambda: S.PlannerConfig(w1=bad)),
+        ("w2", lambda: S.PlannerConfig(w2=bad)),
+        ("w", lambda: B.weighted_astar(GRID, START, GOAL, w=bad)),
+        ("w", lambda: B.wa_union(GRID, START, GOAL, LADDER, w=bad)),
+    ]
+    for name, door in doors:
+        with pytest.raises(InvalidProblemError, match=f"^{name} must be a real number"):
+            door()
