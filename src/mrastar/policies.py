@@ -2,7 +2,9 @@
 
 A policy picks which inadmissible queue (index >= 1) to service next,
 given the currently nonempty ones.  The anchor queue (index 0) is never
-chosen by a policy; the planner falls back to it on its own.
+chosen by a policy; the planner falls back to it on its own.  A policy
+whose feedback attribute is true learns: after each round that services
+queue i, the planner calls update(i, top_h).
 """
 
 import math
@@ -13,6 +15,8 @@ import numpy as np
 class RoundRobin:
     """Cycle through the inadmissible queues in index order, skipping
     empty ones."""
+
+    feedback = False
 
     def __init__(self, n_queues: int, seed: int = 0):
         if n_queues < 1:
@@ -42,6 +46,8 @@ class DynamicThompson:
     ever exposed.  Posterior mass is capped at C so the belief keeps
     adapting (when alpha+beta exceeds C both are rescaled by C/(C+1)).
     """
+
+    feedback = True
 
     def __init__(self, n_queues: int, seed: int = 0, cap: float = 10.0):
         if n_queues < 1:

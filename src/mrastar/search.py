@@ -30,7 +30,7 @@ from .grid import (
     path_cost,
 )
 from .kernels import HIGH_BITS, MASK_BITS, MID_BITS, mask_bits
-from .policies import DynamicThompson, make_policy
+from .policies import make_policy
 
 # Not called by the search core, which reads the grid's move tables and
 # sublattice masks instead; bound here so that layer tracers (see
@@ -173,11 +173,8 @@ def check_deadline(
     Only consults the clock every 1000 expansions to keep its overhead
     out of the inner loop; an infinite timeout never triggers.
     """
-    if expansion_count % 1000 != 0:
-        return False
-    if math.isinf(timeout):
-        return False
-    return (now_fn() - started_at) > timeout
+    due = expansion_count % 1000 == 0 and not math.isinf(timeout)
+    return due and now_fn() - started_at > timeout
 
 
 class OpenList:
@@ -240,6 +237,19 @@ class OpenList:
         raise IndexError("pop on empty open list")
 
 
+class _TableSets(dict):
+    """Space mask -> the tables of its set bits, in scale order, built
+    the first time a state with that mask is expanded, so that a query
+    builds only the sets its states use, however long the ladder."""
+
+    def __init__(self, tables):
+        self.tables = tables
+
+    def __missing__(self, m: int):
+        self[m] = sets = tuple(self.tables[b] for b in mask_bits(m))
+        return sets
+
+
 class FlatSearch:
     """The one search core: a state table over flat cell ids and the
     best-first loop (run) that MRA* and the single-queue baselines share.
@@ -274,12 +284,7 @@ class FlatSearch:
         self.expansions = [0] * len(self.weights)
         self._queue_masks = queue_masks
         self._table_masks = table_masks
-        if table_masks is None:
-            self._choice = [(t,) for t in self.tables]
-        else:  # entry m: the tables of m's set bits, in scale order
-            self._choice = [()]
-            for t in self.tables:
-                self._choice += [c + (t,) for c in self._choice]
+        self._choice = [(t,) for t in self.tables] if table_masks is None else _TableSets(self.tables)
         self._h_of = flat_heuristic(grid, goal, hkind)
         self.expansion_log: list[tuple[int, Cell]] | None = None
         self.start_id = grid.flat_index(start)
@@ -288,9 +293,8 @@ class FlatSearch:
         self.h = {self.start_id: self._h_of(self.start_id)}
         self.bp: dict[int, int] = {}
         self.closed: dict[int, int] = {}
-        if self.goal_id not in self.g:
-            self.g[self.goal_id] = math.inf
-            self.h[self.goal_id] = self._h_of(self.goal_id)
+        self.g.setdefault(self.goal_id, math.inf)
+        self.h.setdefault(self.goal_id, self._h_of(self.goal_id))
         h0 = self.h[self.start_id]
         for j in mask_bits(1 if queue_masks is None else queue_masks[self.start_id]):
             self.opens[j].insert_or_update(self.start_id, self.weights[j] * h0, 0.0)
@@ -361,10 +365,9 @@ class FlatSearch:
         # through OpenList.__len__.
         live = [ol._live for ol in opens]
         anchor_live = live[0]
-        policy = self.policy
         if coarse:
-            choose_queue, update = policy.choose_queue, policy.update
-        feedback = isinstance(policy, DynamicThompson)
+            policy = self.policy
+            choose_queue, update, feedback = policy.choose_queue, policy.update, policy.feedback
         g, h, goal_id = self.g, self.h, self.goal_id
         expand, expansions = self.expand, self.expansions
         choice, masks = self._choice, self._table_masks

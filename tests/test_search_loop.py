@@ -113,3 +113,22 @@ def test_merged_loop_matches_the_replaced_loops(name):
                     assert got == want, query
                     statuses.add(want[0] if isinstance(want, tuple) else want["status"])
     assert statuses == {"invalid", S.STATUS_SOLVED, S.STATUS_EXHAUSTED, S.STATUS_TIMEOUT}
+
+
+# 31 and 70 levels; the second needs more mask bits than a uint64 holds
+LONG_LADDERS = [tuple(range(1, 62, 2)), tuple(range(1, 140, 2))]
+
+
+@pytest.mark.parametrize("scales", LONG_LADDERS, ids=lambda s: f"{len(s)}-levels")
+def test_long_ladders_match_the_replaced_loops(scales):
+    # wa-mr's union tables are built per space mask that a query meets,
+    # so their cost does not grow with the number of ladder levels
+    lad = G.ResolutionLadder(scales)
+    for name in ("2d-a", "3d-a"):
+        extents, density, seed, _ = MAPS[name]
+        grid = syn.random_grid(extents, density, seed)
+        for start, goal in _pairs(grid, seed):
+            for config in (CONFIGS[0], CONFIGS[3]):
+                for algo in ("mra", "wa-mr"):
+                    query = (algo, grid, start, goal, lad, config)
+                    assert _fields(_new, *query) == _fields(_old, *query), query

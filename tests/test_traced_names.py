@@ -1,39 +1,63 @@
-"""The names perfbench's tracer looks up and patches (perfbench/tracing.py
-and perfbench/run.py; listed in ROADMAP.md) survive refactors, and
-patching them on the class still intercepts the calls a plan makes."""
+"""The names perfbench looks up and patches survive refactors, and
+patching them on the class still intercepts the calls a plan makes.
+
+The names are read from their one list, in ROADMAP.md, which must hold
+every name that perfbench/tracing.py patches."""
 
 import functools
 import importlib
+import importlib.util
+import re
+import types
+from pathlib import Path
 
 import pytest
 
+import mrastar
 from mrastar import grid as G
 from mrastar import search as S
 
-NAMES = [
-    *(f"kernels.{n}" for n in (
-        "NUMBA_ENABLED", "successors_2d", "successors_3d", "dijkstra_2d", "dijkstra_3d",
-        "component_labels_2d", "component_labels_3d",
-    )),
-    *(f"{mod}.{n}" for mod in ("search", "baselines") for n in (
-        "successors_at_scale", "get_space_indices", "heuristic", "path_cost",
-    )),
-    "search.Problem.__init__",
-    "search.MraSearch.__init__",
-    "search.MraSearch.run",
-    *(f"search.OpenList.{n}" for n in ("pop", "insert_or_update", "min_key")),
-    *(f"policies.{cls}.{n}" for cls in ("RoundRobin", "DynamicThompson")
-      for n in ("choose_queue", "update")),
-    *(f"maps_io.{n}" for n in (
-        "parse_movingai_map", "parse_vox3", "gen_scenarios", "fine_components",
-    )),
-    "bench.gen_scenarios",
-    "bench.make_tasks",
-    "bench.run_algo",
-    "grid.edge_valid",
-    "grid.path_cost",
-    "baselines.dijkstra_optimal",
-]
+ROOT = Path(__file__).resolve().parents[1]
+HEADER = "- perfbench looks up these names"
+
+
+def roadmap_names() -> list[str]:
+    """The backquoted names of the bullets under HEADER in ROADMAP.md."""
+    lines = (ROOT / "ROADMAP.md").read_text(encoding="utf-8").splitlines()
+    at = next(n for n, line in enumerate(lines) if line.startswith(HEADER))
+    names = []
+    for line in lines[at + 1:]:
+        if line.startswith("  - "):
+            names += re.findall(r"`([^`]+)`", line)
+        elif not line.startswith("  "):
+            break
+    return names
+
+
+def tracing_names() -> set[str]:
+    """module[.Class].attr of every target perfbench/tracing.py patches."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for sub in ("baselines", "bench", "grid", "kernels", "maps_io", "policies", "search"):
+        importlib.import_module(f"mrastar.{sub}")
+    out = set()
+    for targets in (tracing.setup_targets, tracing.plan_targets, tracing.oracle_targets):
+        for owner, attr, *_ in targets(mrastar):
+            if isinstance(owner, types.ModuleType):
+                where = owner.__name__
+            else:
+                where = f"{owner.__module__}.{owner.__qualname__}"
+            out.add(f"{where.removeprefix('mrastar.')}.{attr}")
+    return out
+
+
+NAMES = roadmap_names()
+
+
+def test_roadmap_lists_every_traced_name():
+    assert len(NAMES) > 30
+    assert tracing_names() <= set(NAMES)
 
 
 @pytest.mark.parametrize("name", NAMES)
