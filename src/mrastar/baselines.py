@@ -31,7 +31,6 @@ def weighted_astar(
     *,
     multiplier: int = 1,
     w: float = 1.0,
-    heuristic: str = "auto",
     timeout: float = math.inf,
     log_expansions: bool = False,
 ) -> PlanResult:
@@ -42,11 +41,9 @@ def weighted_astar(
     action space (which for multiplier > 1 may exceed the unit-scale
     optimum, or find no path at all where one exists).
     """
-    start, goal, _, hkind = validate_query(
-        grid, start, goal, heuristic=heuristic, sublattice=multiplier, timeout=timeout, w=w
-    )
+    start, goal, _ = validate_query(grid, start, goal, sublattice=multiplier, timeout=timeout, w=w)
     return FlatSearch(
-        grid, start, goal, hkind, (int(multiplier),), (w,), bound=w, timeout=timeout
+        grid, start, goal, (int(multiplier),), (w,), bound=w, timeout=timeout
     ).run(log_expansions)
 
 
@@ -57,18 +54,15 @@ def wa_union(
     ladder: ResolutionLadder,
     *,
     w: float = 1.0,
-    heuristic: str = "auto",
     timeout: float = math.inf,
     log_expansions: bool = False,
 ) -> PlanResult:
     """Weighted A* over the union of a ladder's action spaces: one queue,
     and each state offers the moves of every space it coincides with."""
-    start, goal, ladder, hkind = validate_query(
-        grid, start, goal, ladder, heuristic, timeout=timeout, w=w
-    )
+    start, goal, ladder = validate_query(grid, start, goal, ladder, timeout=timeout, w=w)
     mults = ladder.multipliers
     return FlatSearch(
-        grid, start, goal, hkind, mults, (w,), bound=w, timeout=timeout,
+        grid, start, goal, mults, (w,), bound=w, timeout=timeout,
         table_masks=grid.space_masks(mults),
     ).run(log_expansions)
 

@@ -74,15 +74,8 @@ class GridMap:
         object.__setattr__(self, "blocked", arr)
         object.__setattr__(self, "_cache", {})
 
-    def __getstate__(self):
-        return {"extents": self.extents, "blocked": self.blocked}
-
-    def __setstate__(self, state):
-        blocked = np.array(state["blocked"], dtype=bool, order="C")
-        blocked.flags.writeable = False
-        object.__setattr__(self, "extents", state["extents"])
-        object.__setattr__(self, "blocked", blocked)
-        object.__setattr__(self, "_cache", {})
+    def __reduce__(self):
+        return type(self), (self.extents, self.blocked)
 
     @classmethod
     def empty(cls, extents) -> "GridMap":
@@ -348,9 +341,6 @@ def successors_at_scale(cell: Cell, k: int, grid: GridMap) -> list[tuple[Cell, f
     return [(grid.cell_of(int(v)), k * _STEP[m]) for v, m in moves]
 
 
-HEURISTICS = ("octile", "euclidean")
-
-
 def heuristic(a: Cell, b: Cell, kind: str = "octile") -> float:
     """Admissible distance estimate between cells.
 
@@ -371,13 +361,13 @@ def heuristic(a: Cell, b: Cell, kind: str = "octile") -> float:
     raise ValueError(f"unknown heuristic kind: {kind!r}")
 
 
-def flat_heuristic(grid: GridMap, goal: Cell, kind: str):
-    """h(flat id): the same float as heuristic(grid.cell_of(id), goal,
-    kind), computed without building the cell tuple."""
+def flat_heuristic(grid: GridMap, goal: Cell):
+    """The planners' h(flat id), fixed by the map: octile distance on a
+    2D map, euclidean on a 3D one.  It is the same float as
+    heuristic(grid.cell_of(id), goal, kind) with that kind, computed
+    without building the cell tuple."""
     w = grid.extents[0]
-    if kind == "octile":
-        if grid.dim != 2:
-            raise InvalidProblemError("octile heuristic is defined for 2D cells only")
+    if grid.dim == 2:
         gx, gy = goal
 
         def octile(sid: int) -> float:
@@ -388,11 +378,6 @@ def flat_heuristic(grid: GridMap, goal: Cell, kind: str):
             return dy * SQRT2 + (dx - dy)
 
         return octile
-    if kind != "euclidean":
-        raise ValueError(f"unknown heuristic kind: {kind!r}")
-    if grid.dim == 2:
-        gx, gy = goal
-        return lambda sid: math.hypot(sid % w - gx, sid // w - gy)
     gx, gy, gz = goal
     wh = w * grid.extents[1]
     return lambda sid: math.hypot(sid % w - gx, sid % wh // w - gy, sid // wh - gz)

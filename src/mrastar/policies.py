@@ -43,27 +43,32 @@ class DynamicThompson:
     Each queue i keeps a Beta(alpha_i, beta_i) belief about how often
     servicing it makes progress.  A round is a success when the heuristic
     of the queue's best state drops below the best value that queue has
-    ever exposed.  Posterior mass is capped at C so the belief keeps
-    adapting (when alpha+beta exceeds C both are rescaled by C/(C+1)).
+    ever exposed.  Posterior mass is capped at cap so the belief keeps
+    adapting (when alpha+beta exceeds cap both are rescaled by
+    cap/(cap+1)).  The generator is built on the first draw, so a query
+    whose coarse queues stay empty never pays for it.
     """
 
     feedback = True
+    cap = 10.0
 
-    def __init__(self, n_queues: int, seed: int = 0, cap: float = 10.0):
+    def __init__(self, n_queues: int, seed: int = 0):
         if n_queues < 1:
             raise ValueError("need at least one inadmissible queue")
         self.n_queues = n_queues
-        self.cap = float(cap)
+        self.seed = seed
         self.alpha = [1.0] * (n_queues + 1)
         self.beta = [1.0] * (n_queues + 1)
         self.best_h = [math.inf] * (n_queues + 1)
-        self.rng = np.random.default_rng(seed)
+        self.rng = None
 
     def choose_queue(self, nonempty: list[int]) -> int:
         """Sample each nonempty queue's Beta belief, pick the argmax
         (ties go to the smallest index); 0 when nonempty is empty."""
         if not nonempty:
             return 0
+        if self.rng is None:
+            self.rng = np.random.default_rng(self.seed)
         best = 0
         best_theta = -1.0
         for i in sorted(nonempty):

@@ -14,12 +14,11 @@ that loop; with the anchor queue alone it is the baselines' weighted A*.
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import InvalidProblemError, SearchCorruptionError
 from .grid import (
-    HEURISTICS,
     Cell,
     GridMap,
     ResolutionLadder,
@@ -30,7 +29,7 @@ from .grid import (
     path_cost,
 )
 from .kernels import HIGH_BITS, MASK_BITS, MID_BITS, mask_bits
-from .policies import make_policy
+from .policies import POLICIES, make_policy
 
 # Not called by the search core, which reads the grid's move tables and
 # sublattice masks instead; bound here so that layer tracers (see
@@ -41,20 +40,20 @@ STATUS_SOLVED = "solved"
 STATUS_EXHAUSTED = "exhausted"
 STATUS_TIMEOUT = "timeout"
 
-POLICY_NAMES = ("round_robin", "dts")
+# shared by every query that names no ladder: frozen, so built only once
+_UNIT_LADDER = ResolutionLadder((1,))
 
 
 def validate_query(
     grid: GridMap | None = None,
     start: Cell = (),
     goal: Cell = (),
-    ladder=(1,),
-    heuristic: str = "auto",
+    ladder=_UNIT_LADDER,
     *,
     sublattice: int = 1,
     timeout: float = math.inf,
     **weights: float,
-) -> tuple[Cell, Cell, ResolutionLadder, str] | None:
+) -> tuple[Cell, Cell, ResolutionLadder] | None:
     """The one check of a planning query, shared by PlannerConfig,
     Problem and the baselines; raises InvalidProblemError up front.
 
@@ -63,10 +62,9 @@ def validate_query(
     > 0 (inf means none).  Given no grid (PlannerConfig's case) it
     returns None.  Given a grid, the endpoints become int tuples (see
     as_cell: integer coordinates only) that must be free cells on the
-    sublattice of the odd scale `sublattice`, the ladder becomes a
-    ResolutionLadder, and the heuristic is resolved: "auto" is octile on
-    2D maps and euclidean otherwise, and octile needs a 2D map.  Returns
-    (start, goal, ladder, heuristic).
+    sublattice of the odd scale `sublattice`, and the ladder becomes a
+    ResolutionLadder (a ResolutionLadder comes back as is).
+    Returns (start, goal, ladder).
     """
     for name, x in (*weights.items(), ("timeout", timeout)):
         # float first: the numbers.Real check alone costs about 1 us per value
@@ -88,15 +86,7 @@ def validate_query(
             raise InvalidProblemError(f"{name} {cell} is blocked or out of bounds")
         if not coincides(cell, k):
             raise InvalidProblemError(f"{name} {cell} is not on the k={k} sublattice")
-    if heuristic == "auto":
-        heuristic = "octile" if grid.dim == 2 else "euclidean"
-    if heuristic not in HEURISTICS:
-        raise InvalidProblemError(
-            f"heuristic must be one of {HEURISTICS} or 'auto', got {heuristic!r}"
-        )
-    if heuristic == "octile" and grid.dim != 2:
-        raise InvalidProblemError("octile heuristic requires a 2D map")
-    return start, goal, ladder, heuristic
+    return start, goal, ladder
 
 
 @dataclass
@@ -116,27 +106,24 @@ class PlannerConfig:
 
     def __post_init__(self):
         validate_query(w1=self.w1, w2=self.w2, timeout=self.timeout)
-        if self.policy not in POLICY_NAMES:
-            raise ValueError(f"policy must be one of {POLICY_NAMES}, got {self.policy!r}")
+        if self.policy not in POLICIES:
+            raise ValueError(f"policy must be one of {tuple(POLICIES)}, got {self.policy!r}")
         self.seed = int(self.seed)
 
 
 @dataclass
 class Problem:
-    """A planning query: grid, endpoints, ladder, heuristic choice.
-
-    heuristic "auto" resolves to octile on 2D maps and euclidean on 3D.
-    """
+    """A planning query: grid, endpoints and ladder.  Every queue's
+    heuristic follows from the map (see grid.flat_heuristic)."""
 
     grid: GridMap
     start: Cell
     goal: Cell
-    ladder: ResolutionLadder = field(default_factory=lambda: ResolutionLadder((1,)))
-    heuristic: str = "auto"
+    ladder: ResolutionLadder = _UNIT_LADDER
 
     def __post_init__(self):
-        self.start, self.goal, self.ladder, self.heuristic = validate_query(
-            self.grid, self.start, self.goal, self.ladder, self.heuristic
+        self.start, self.goal, self.ladder = validate_query(
+            self.grid, self.start, self.goal, self.ladder
         )
 
 
@@ -272,8 +259,8 @@ class FlatSearch:
 
     policy = None
 
-    def __init__(self, grid: GridMap, start: Cell, goal: Cell, hkind: str,
-                 scales, weights, bound: float, timeout: float = math.inf,
+    def __init__(self, grid: GridMap, start: Cell, goal: Cell, scales, weights,
+                 bound: float, timeout: float = math.inf,
                  queue_masks=None, table_masks=None):
         self.grid = grid
         self.tables = [grid.move_table(k) for k in scales]
@@ -285,7 +272,7 @@ class FlatSearch:
         self._queue_masks = queue_masks
         self._table_masks = table_masks
         self._choice = [(t,) for t in self.tables] if table_masks is None else _TableSets(self.tables)
-        self._h_of = flat_heuristic(grid, goal, hkind)
+        self._h_of = flat_heuristic(grid, goal)
         self.expansion_log: list[tuple[int, Cell]] | None = None
         self.start_id = grid.flat_index(start)
         self.goal_id = grid.flat_index(goal)
@@ -452,7 +439,7 @@ class MraSearch(FlatSearch):
         self.config = config = config or PlannerConfig()
         mults = problem.ladder.multipliers
         super().__init__(
-            problem.grid, problem.start, problem.goal, problem.heuristic,
+            problem.grid, problem.start, problem.goal,
             mults, (1.0,) + (config.w1,) * (len(mults) - 1), bound=config.w2,
             timeout=config.timeout, queue_masks=problem.grid.space_masks(mults),
         )

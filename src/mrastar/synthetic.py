@@ -1,4 +1,5 @@
-"""Synthetic map families used by the benchmarks and tests.
+"""Synthetic map families for the tests and examples; perfbench builds
+its own maps.
 
 Each instance generator returns (grid, start, goal) with both endpoints
 free, mutually connected on the unit lattice, and placed on the coarse

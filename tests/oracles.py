@@ -627,7 +627,7 @@ def mra_run(self, log_expansions: bool = False) -> PlanResult:
     return self.result(STATUS_EXHAUSTED, None, t0)
 
 
-def single_queue(grid, start, goal, scales, union, hkind, w, timeout, log_expansions):
+def single_queue(grid, start, goal, scales, union, w, timeout, log_expansions):
     """baselines._single_queue as it was before the merge.
 
     Weighted best-first search with one open list and no re-expansion.
@@ -640,8 +640,9 @@ def single_queue(grid, start, goal, scales, union, hkind, w, timeout, log_expans
     """
     t0 = time.perf_counter()
     started = time.monotonic()
-    # (adapted) the core now takes the bound and inserts the start itself
-    core = FlatSearch(grid, start, goal, hkind, scales, (w,), bound=w)
+    # (adapted) the core now takes the bound and inserts the start itself,
+    # and picks the heuristic from the map (no hkind argument)
+    core = FlatSearch(grid, start, goal, scales, (w,), bound=w)
     core.expansion_log = [] if log_expansions else None
     tables = core.tables
     spaces = grid.space_masks(tuple(scales)) if union else None

@@ -3,6 +3,7 @@ the supercover walk they replace (grid.successors_at_scale) and the
 shifted-copy builder (oracles.shifted_move_table), plus the grid's
 ownership of its occupancy array."""
 
+import copy
 import math
 import pickle
 
@@ -114,12 +115,11 @@ def test_mask_bits():
         assert G.mask_bits(m) == tuple(b for b in range(64) if m >> b & 1)
 
 
-@pytest.mark.parametrize("extents,kind", [((17, 11), "octile"), ((17, 11), "euclidean"),
-                                          ((7, 6, 5), "euclidean")])
+@pytest.mark.parametrize("extents,kind", [((17, 11), "octile"), ((7, 6, 5), "euclidean")])
 def test_flat_heuristic_bitwise_equal(extents, kind):
     grid = G.GridMap.empty(extents)
     goal = grid.cell_of(grid.size // 3)
-    h = G.flat_heuristic(grid, goal, kind)
+    h = G.flat_heuristic(grid, goal)
     for sid in range(grid.size):
         assert h(sid) == G.heuristic(grid.cell_of(sid), goal, kind)
 
@@ -151,14 +151,17 @@ def test_mutating_source_changes_no_plan():
 
 
 def test_pickle_drops_cache():
+    # pickling and both copies go through GridMap.__reduce__
     grid = syn.random_grid((12, 12), 0.2, seed=3)
     table = grid.move_table(3)
-    clone = pickle.loads(pickle.dumps(grid))
-    assert clone._cache == {}
-    assert np.array_equal(clone.blocked, grid.blocked)
-    assert not clone.blocked.flags.writeable
-    assert bytes(clone.move_table(3).masks) == bytes(table.masks)
     res_a = S.plan(S.Problem(grid, (1, 1), (10, 10), ladder=[1, 3]))
-    res_b = S.plan(S.Problem(clone, (1, 1), (10, 10), ladder=[1, 3]))
-    assert res_a.cost == res_b.cost or (math.isinf(res_a.cost) and math.isinf(res_b.cost))
-    assert res_a.path == res_b.path
+    for clone_of in (lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy):
+        clone = clone_of(grid)
+        assert type(clone) is G.GridMap and clone.extents == grid.extents
+        assert clone._cache == {}
+        assert np.array_equal(clone.blocked, grid.blocked)
+        assert not clone.blocked.flags.writeable
+        assert bytes(clone.move_table(3).masks) == bytes(table.masks)
+        res_b = S.plan(S.Problem(clone, (1, 1), (10, 10), ladder=[1, 3]))
+        assert res_a.cost == res_b.cost or (math.isinf(res_a.cost) and math.isinf(res_b.cost))
+        assert res_a.path == res_b.path

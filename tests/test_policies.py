@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from mrastar.policies import DynamicThompson, RoundRobin, make_policy
@@ -50,6 +51,22 @@ def test_dts_seeded_determinism():
     assert seq1 == seq2
 
 
+def test_dts_lazy_generator_draws_like_an_eager_one():
+    lazy = DynamicThompson(3, seed=9)
+    eager = DynamicThompson(3, seed=9)
+    eager.rng = np.random.default_rng(9)
+    picks = {}
+    for dts in (lazy, eager):
+        dts.update(2, 5.0)  # updates draw nothing
+        picks[dts] = []
+        for t in range(60):
+            i = dts.choose_queue([[1, 2, 3], [2], [1, 3]][t % 3])
+            dts.update(i, 100.0 - t if t % 4 else 200.0)
+            picks[dts].append(i)
+    assert picks[lazy] == picks[eager]
+    assert DynamicThompson(3, seed=9).rng is None
+
+
 def test_dts_prefers_strong_posterior():
     dts = DynamicThompson(2, seed=123)
     dts.alpha[1], dts.beta[1] = 50.0, 1.0
@@ -75,7 +92,7 @@ def test_dts_update_below_cap():
 
 
 def test_dts_cap_algebra():
-    dts = DynamicThompson(1, seed=0, cap=10.0)
+    dts = DynamicThompson(1, seed=0)
     dts.alpha[1], dts.beta[1] = 6.0, 4.0  # alpha+beta == C
     dts.best_h[1] = 0.0
     dts.update(1, 5.0)  # r = 0
@@ -85,7 +102,7 @@ def test_dts_cap_algebra():
 
 
 def test_dts_posterior_bounds_invariant():
-    dts = DynamicThompson(2, seed=31, cap=10.0)
+    dts = DynamicThompson(2, seed=31)
     h = 1000.0
     for t in range(500):
         i = 1 + (t % 2)

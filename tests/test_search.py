@@ -77,11 +77,6 @@ def test_problem_validation():
         S.Problem(gb, (3, 3), (7, 7))
     with pytest.raises(InvalidProblemError):
         S.Problem(g, (0, 0), (8, 0))
-    with pytest.raises(InvalidProblemError):
-        S.Problem(G.GridMap.empty((4, 4, 4)), (0, 0, 0), (1, 1, 1), heuristic="octile")
-    assert S.Problem(g, (0, 0), (7, 7)).heuristic == "octile"
-    p3 = S.Problem(G.GridMap.empty((4, 4, 4)), (0, 0, 0), (3, 3, 3))
-    assert p3.heuristic == "euclidean"
     # plain sequences are accepted for the ladder
     assert len(S.Problem(g, (0, 0), (7, 7), ladder=[1, 3]).ladder) == 2
 

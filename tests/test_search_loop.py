@@ -60,9 +60,9 @@ def _old(algo, grid, start, goal, ladder, config):
         "wa-mr": (1, True, config.w1),
         "astar": (1, False, 1.0),
     }[algo]
-    start, goal, _, hkind = S.validate_query(grid, start, goal, sublattice=k, w=w)
+    start, goal, _ = S.validate_query(grid, start, goal, sublattice=k, w=w)
     scales = ladder.multipliers if union else (k,)
-    return oracles.single_queue(grid, start, goal, scales, union, hkind, w, config.timeout, True)
+    return oracles.single_queue(grid, start, goal, scales, union, w, config.timeout, True)
 
 
 def _new(algo, grid, start, goal, ladder, config):

@@ -1,6 +1,6 @@
 """One validation path for every planner: hostile weights, timeouts,
-multipliers, endpoints and heuristic kinds are refused up front with the
-same InvalidProblemError."""
+multipliers and endpoints are refused up front with the same
+InvalidProblemError."""
 
 import math
 
@@ -72,9 +72,9 @@ def test_wa_union_hostile_weights(w):
 
 
 FRONT_DOORS = {
-    "Problem": lambda grid, s, g, h: S.Problem(grid, s, g, heuristic=h),
-    "weighted_astar": lambda grid, s, g, h: B.weighted_astar(grid, s, g, heuristic=h),
-    "wa_union": lambda grid, s, g, h: B.wa_union(grid, s, g, (1,), heuristic=h),
+    "Problem": S.Problem,
+    "weighted_astar": B.weighted_astar,
+    "wa_union": lambda grid, s, g, **kw: B.wa_union(grid, s, g, (1,), **kw),
 }
 
 
@@ -82,16 +82,13 @@ def _bad_queries():
     blocked = np.zeros((8, 8), bool)
     blocked[3, 3] = True
     g2 = G.GridMap((8, 8), blocked)
-    g3 = G.GridMap.empty((4, 4, 4))
     return [
-        (g2, (3, 3), (7, 7), "auto"),  # blocked start
-        (g2, (0, 0), (8, 0), "auto"),  # goal out of bounds
-        (g3, (0, 0, 0), (3, 3, 3), "octile"),  # octile on a 3D map
-        (g2, (0, 0), (7, 7), "manhattan"),  # unknown kind
+        (g2, (3, 3), (7, 7)),  # blocked start
+        (g2, (0, 0), (8, 0)),  # goal out of bounds
     ]
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(2))
 def test_every_planner_refuses_the_same_way(case):
     query = _bad_queries()[case]
     messages = set()
@@ -100,6 +97,19 @@ def test_every_planner_refuses_the_same_way(case):
             door(*query)
         messages.add(str(exc.value))
     assert len(messages) == 1
+
+
+@pytest.mark.parametrize("door", sorted(FRONT_DOORS))
+def test_the_heuristic_is_not_an_option(door):
+    # octile on 2D maps and euclidean on 3D, fixed by the map
+    with pytest.raises(TypeError, match="heuristic"):
+        FRONT_DOORS[door](GRID, START, GOAL, heuristic="euclidean")
+
+
+def test_validate_query_builds_no_ladder_per_call():
+    assert S.validate_query(GRID, START, GOAL)[2] is S.validate_query(GRID, START, GOAL)[2]
+    assert S.validate_query(GRID, START, GOAL, LADDER)[2] is LADDER
+    assert S.validate_query(GRID, START, GOAL, [1, 3, 9])[2] == LADDER
 
 
 def test_single_scale_uses_the_ladder_multiplier_rule():
@@ -123,7 +133,7 @@ def test_planners_refuse_non_integer_coordinates(door, bad):
     g = G.GridMap.empty((5, 4))
     for start, goal in (((bad, 0), (4, 3)), ((0, 0), (4, bad))):
         with pytest.raises(InvalidProblemError, match="non-integer coordinate"):
-            FRONT_DOORS[door](g, start, goal, "auto")
+            FRONT_DOORS[door](g, start, goal)
 
 
 @pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
@@ -172,6 +182,8 @@ def test_ladders_must_be_sequences_of_integers():
         S.Problem(g, (1, 1), (7, 7), ladder="13")  # used to plan on (1, 3)
     with pytest.raises(InvalidProblemError, match="not a sequence of multipliers"):
         S.Problem(g, (1, 1), (7, 7), ladder=13)
+    with pytest.raises(InvalidProblemError, match="not a sequence of multipliers"):
+        B.wa_union(g, (1, 1), (7, 7), None)
 
 
 def test_numpy_integer_multipliers_are_scales():
