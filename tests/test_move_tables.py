@@ -115,7 +115,10 @@ def test_mask_bits():
         assert G.mask_bits(m) == tuple(b for b in range(64) if m >> b & 1)
 
 
-@pytest.mark.parametrize("extents,kind", [((17, 11), "octile"), ((7, 6, 5), "euclidean")])
+# Two 3D shapes: x is the shortest axis in one and the longest in the other,
+# so the flat id's x/y/z decoding is checked both ways round.
+@pytest.mark.parametrize("extents,kind", [((17, 11), "octile"), ((3, 8, 11), "euclidean"),
+                                          ((7, 6, 5), "euclidean")])
 def test_flat_heuristic_bitwise_equal(extents, kind):
     grid = G.GridMap.empty(extents)
     goal = grid.cell_of(grid.size // 3)
