@@ -4,9 +4,12 @@ All baselines share the multi-resolution planner's move semantics and
 search loop: each is a one-queue search.FlatSearch run over the grid's
 cached move tables (same edge validity, same costs) whose gate never
 blocks and whose bound is w, isolating the search strategy as the only
-difference.  The oracle Dijkstra (kernels.dijkstra_2d/3d: heapq over
-unit-move bitmasks it builds per call by the box rule) does not use the
-move tables, so it stays independent of the planners' moves.
+difference.  The oracle, dijkstra_optimal, is an A* (kernels.astar_unit)
+with its own octile (2D) or euclidean (3D) heuristic over unit-move
+bitmasks built by the box rule and cached per map (GridMap.unit_moves).
+It uses neither the move tables nor the planners' heuristic, so it stays
+independent of the planners' moves.  dijkstra_field runs the full-field
+Dijkstra (kernels.dijkstra_2d/3d), which builds its masks per call.
 """
 
 import math
@@ -92,10 +95,11 @@ def dijkstra_field(grid: GridMap, source: Cell) -> tuple[np.ndarray, np.ndarray]
 
 
 def dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:
-    """Optimal unit-scale path cost between two cells, recomputed from
-    the predecessor chain so equal-cost optima agree bitwise.  Returns
-    inf when no path exists (including blocked, out-of-range and
-    non-integer inputs); never raises."""
+    """Optimal unit-scale path cost between two cells, by A* over the
+    grid's cached unit-move masks, recomputed from the predecessor chain
+    so equal-cost optima agree bitwise.  Returns inf when no path exists
+    (including blocked, out-of-range and non-integer inputs); never
+    raises."""
     try:
         start, goal = as_cell(start), as_cell(goal)
     except InvalidProblemError:
@@ -104,19 +108,10 @@ def dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:
         return math.inf
     if start == goal:
         return 0.0
-    occ = grid.flat_blocked
-    if grid.dim == 2:
-        w, h = grid.extents
-        dist, bp = kernels.dijkstra_2d(occ, w, h, start[0], start[1], goal[0], goal[1])
-    else:
-        w, h, d = grid.extents
-        dist, bp = kernels.dijkstra_3d(
-            occ, w, h, d, start[0], start[1], start[2], goal[0], goal[1], goal[2]
-        )
-    goal_id = grid.flat_index(goal)
+    start_id, goal_id = grid.flat_index(start), grid.flat_index(goal)
+    dist, bp = kernels.astar_unit(grid.blocked, grid.unit_moves(), start_id, goal_id)
     if not math.isfinite(dist[goal_id]):
         return math.inf
-    start_id = grid.flat_index(start)
     chain = [goal_id]
     while chain[-1] != start_id:
         chain.append(int(bp[chain[-1]]))

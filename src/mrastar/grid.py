@@ -53,8 +53,9 @@ class GridMap:
     boolean array shaped (H, W) or (D, H, W) with True for obstacles.
 
     The grid keeps its own read-only copy of blocked, so the move tables
-    it caches (move_table, space_masks) cannot go stale.  The cache is
-    derived data: it is dropped when the grid is pickled or copied."""
+    and masks it caches (move_table, space_masks, unit_moves) cannot go
+    stale.  The cache is derived data: it is dropped when the grid is
+    pickled or copied."""
 
     extents: tuple[int, ...]
     blocked: np.ndarray
@@ -126,6 +127,17 @@ class GridMap:
             table = _build_move_table(self, k, unit)
             self._cache[key] = table
         return table
+
+    def unit_moves(self):
+        """kernels.unit_moves of this map: the unit-move masks, offsets
+        and costs the oracle (baselines.dijkstra_optimal) searches,
+        built on first use and cached.  Never a MoveTable and never
+        shared with move_table(1), so the oracle stays independent of
+        the planners' moves."""
+        moves = self._cache.get("unit_moves")
+        if moves is None:
+            moves = self._cache["unit_moves"] = kernels.unit_moves(self.blocked)
+        return moves
 
     def space_masks(self, multipliers: tuple[int, ...]):
         """Per flat cell, the bitmask of ladder spaces (bit i for level

@@ -4,10 +4,14 @@ Everything here operates on flat occupancy sequences (a numpy bool array
 or a list; True for blocked cells) plus integer coordinates.  The
 supercover walk decides which cells a move touches; the successor
 functions (the reference for grid.successors_at_scale and edge_valid)
-are built on it.  The unit-lattice Dijkstra walks no segments: once per
-call it builds each cell's unit-move bitmask with numpy by the box rule
-(unit_moves), which agrees with the walk for unit moves, and it stays
-independent of the planners' move tables (grid.MoveTable).
+are built on it.  The unit-lattice searches walk no segments: they run
+over each cell's unit-move bitmask, built with numpy by the box rule
+(unit_moves), which agrees with the walk for unit moves.  The oracle
+behind baselines.dijkstra_optimal is astar_unit, an A* over the masks
+GridMap.unit_moves caches per map, with its own octile (2D) or
+euclidean (3D) heuristic; dijkstra_2d/3d build the masks per call and
+serve the distance fields.  Both stay independent of the planners' move
+tables (grid.MoveTable) and heuristic (grid.flat_heuristic).
 Connected-component labels come from scipy.ndimage.
 
 Coordinate convention: x is the fastest-varying axis.  A 2D map with
@@ -232,27 +236,29 @@ def unit_moves(blocked):
 
     A unit move is valid iff every cell of the box it spans (source,
     destination and, for a diagonal, each flank) is free.  Returns
-    (masks, offsets, costs): masks is a memoryview over uint32 with bit
-    b set iff direction b is valid from that flat cell, in
-    successors_2d/3d's order (dy, or dz, outermost, dx innermost);
-    offsets[b] is the direction's flat-index step and costs[b] its
-    STEP cost.  Independent of grid.MoveTable on purpose: the oracle
-    checks the planners, so it does not share their move tables.
+    (masks, offsets, costs): masks is a memoryview over uint8 (2D, 8
+    directions) or uint32 (3D, 26 directions) with bit b set iff
+    direction b is valid from that flat cell, in successors_2d/3d's
+    order (dy, or dz, outermost, dx innermost); offsets[b] is the
+    direction's flat-index step and costs[b] its STEP cost.  Independent
+    of grid.MoveTable on purpose: the oracle checks the planners, so it
+    does not share their move tables.
     """
     shape = blocked.shape
     free = np.pad(~blocked, 1)
     strides = [math.prod(shape[axis + 1:]) for axis in range(len(shape))]
-    masks = np.zeros(shape, np.uint32)
+    dtype = np.uint8 if len(shape) == 2 else np.uint32
+    masks = np.zeros(shape, dtype)
     offsets, costs = [], []
     steps = [s for s in itertools.product((-1, 0, 1), repeat=len(shape)) if any(s)]
     for b, step in enumerate(steps):
         ok = np.ones(shape, bool)
         for corner in itertools.product(*((0, s) if s else (0,) for s in step)):
             ok &= free[tuple(slice(1 + c, 1 + c + n) for c, n in zip(corner, shape))]
-        masks |= ok.astype(np.uint32) << b
+        masks |= ok.astype(dtype) << b
         offsets.append(sum(s * st for s, st in zip(step, strides)))
         costs.append(STEP[len(step) - step.count(0)])
-    return memoryview(masks.ravel()), offsets, costs
+    return memoryview(masks.ravel()), tuple(offsets), tuple(costs)
 
 
 def _dijkstra(blocked, source, goal):
@@ -287,6 +293,60 @@ def _dijkstra(blocked, source, goal):
                     dist[v] = nd
                     bp[v] = u
                     heappush(heap, (nd, v))
+    return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
+
+
+def astar_unit(blocked, moves, source, goal):
+    """A* from flat id source to flat id goal over moves, the
+    (masks, offsets, costs) of unit_moves(blocked).  Its heuristic is
+    the obstacle-free distance to goal: octile on a 2D map, euclidean
+    in 3D.  Both are consistent with the unit-move costs, so a settled
+    cell's dist is exact and the search stops once goal is settled; a
+    blocked source reaches nothing.  Returns (dist, bp) like _dijkstra:
+    dist is inf and bp -1 where no cell was reached, and bp is -1 at
+    the source."""
+    n, source, goal = blocked.size, int(source), int(goal)
+    dist = array("d", [math.inf]) * n
+    bp = array("q", [-1]) * n
+    if not blocked.flat[source]:
+        masks, offsets, costs = moves
+        w = blocked.shape[-1]
+        if blocked.ndim == 2:
+            gx, gy = goal % w, goal // w
+
+            def h(v):
+                dx = abs(v % w - gx)
+                dy = abs(v // w - gy)
+                return dx * SQRT2 + (dy - dx) if dx < dy else dy * SQRT2 + (dx - dy)
+        else:
+            wh = w * blocked.shape[1]
+            gx, gy, gz = goal % w, goal % wh // w, goal // wh
+
+            def h(v):
+                return math.hypot(v % w - gx, v % wh // w - gy, v // wh - gz)
+
+        done = bytearray(n)
+        dist[source] = 0.0
+        heap = [(h(source), source)]
+        while heap:
+            u = heappop(heap)[1]
+            if done[u]:
+                continue
+            done[u] = 1
+            if u == goal:
+                break
+            du = dist[u]
+            m = masks[u]
+            for b in (
+                MASK_BITS[m] if m < 512
+                else MASK_BITS[m & 511] + MID_BITS[m >> 9 & 511] + HIGH_BITS[m >> 18]
+            ):
+                v = u + offsets[b]
+                nd = du + costs[b]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    bp[v] = u
+                    heappush(heap, (nd + h(v), v))
     return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
 
 

@@ -13,6 +13,7 @@ from mrastar.errors import InvalidProblemError
 from mrastar.kernels import SQRT2, STEP
 
 import oracles
+from test_kernels import ORACLE_MAPS
 
 
 def random_map(rng, extents, density):
@@ -42,6 +43,53 @@ def test_dijkstra_optimal_examples():
     assert B.dijkstra_optimal(gw, (0, 0), (9, 9)) == math.inf
     assert B.dijkstra_optimal(g, (0, 0), (5, 20)) == math.inf
     assert B.dijkstra_optimal(gw, (5, 0), (0, 0)) == math.inf  # blocked start
+
+
+# the mask-oracle maps (extents of 1, one-cell-wide axes) plus larger
+# ones, where the pairs are long enough for A* to skip cells
+DIFFERENTIAL_MAPS = ORACLE_MAPS + [
+    ((40, 40), 0.3, 13),
+    ((72, 72), 0.3, 14),
+    ((16, 16, 16), 0.25, 15),
+    ((24, 24, 24), 0.25, 16),
+]
+
+
+@pytest.mark.parametrize("extents,density,seed", DIFFERENTIAL_MAPS)
+def test_dijkstra_optimal_hex_equal_to_early_exit_dijkstra(extents, density, seed):
+    # the A* oracle against the early-exit Dijkstra it replaced: random
+    # pairs of free cells and of any cells, start == goal, blocked
+    # endpoints and pairs in different components
+    g = syn.random_grid(extents, density, seed)
+    pick = np.random.default_rng(seed)
+    labels = G.fine_components(g).ravel()
+    free, blocked = np.flatnonzero(labels >= 0), np.flatnonzero(labels < 0)
+    pairs = pick.choice(free, size=(30, 2)).tolist() + pick.integers(g.size, size=(6, 2)).tolist()
+    pairs += [(a, a) for a in pick.integers(g.size, size=3).tolist()]
+    if len(blocked):
+        pairs += [(blocked[0], free[-1]), (free[0], blocked[-1]), (blocked[0], blocked[0])]
+    firsts = np.unique(labels[free], return_index=True)[1]
+    pairs += [(free[firsts[0]], free[i]) for i in firsts[1:4]]
+    for a, b in pairs:
+        start, goal = g.cell_of(int(a)), g.cell_of(int(b))
+        want = oracles.early_exit_dijkstra_optimal(g, start, goal)
+        assert B.dijkstra_optimal(g, start, goal).hex() == want.hex(), (start, goal)
+
+
+@pytest.mark.parametrize("extents", [(7, 5), (4, 3, 2)])
+def test_dijkstra_optimal_refuses_like_early_exit_dijkstra(extents):
+    # malformed endpoints: out of range, wrong arity, non-integer
+    g = G.GridMap.empty(extents)
+    good = (0,) * len(extents)
+    bad = [
+        (-1,) + good[1:], (extents[0],) + good[1:], good + (0,), good[1:],
+        (1.0,) + good[1:], (True,) + good[1:], "ab", None, 3,
+    ]
+    for cell in bad:
+        for start, goal in ((cell, good), (good, cell)):
+            got = B.dijkstra_optimal(g, start, goal)
+            assert got == math.inf
+            assert got.hex() == oracles.early_exit_dijkstra_optimal(g, start, goal).hex()
 
 
 def test_dijkstra_optimal_matches_reference():

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from mrastar import GridMap, random_grid
 from mrastar import kernels
+from mrastar.grid import edge_decomposition, fine_components, path_cost
 
 
 def kernel_visited_2d(a, b):
@@ -210,12 +211,44 @@ def test_unit_moves_equal_reference_graph(extents, density, seed):
     # geometry: same edge set and the same cost on every edge
     g = random_grid(extents, density, seed)
     masks, offsets, costs = kernels.unit_moves(g.blocked)
-    assert masks.format == "I" and len(masks) == g.size
+    assert masks.format == ("B" if g.dim == 2 else "I") and len(masks) == g.size
     ref = oracles.reference_graph(g)
     for u in range(g.size):
         got = {(u + offsets[b], costs[b]) for b in kernels.mask_bits(masks[u])}
         row = ref.getrow(u)
         assert got == set(zip(row.indices.tolist(), row.data.tolist())), g.cell_of(u)
+
+
+@pytest.mark.parametrize("extents,density,seed", [((24, 24, 24), 0.25, 1), ((72, 72), 0.3, 2)])
+def test_astar_unit_reaches_fewer_cells_than_early_exit_dijkstra(extents, density, seed):
+    # the oracle's A* against the early-exit Dijkstra on pairs at least
+    # 8 cells apart: the same goal distance, a bp chain that is a valid
+    # unit path of that cost, and strictly fewer cells reached
+    g = random_grid(extents, density, seed)
+    pick = np.random.default_rng(seed)
+    labels = fine_components(g).ravel()
+    main = np.flatnonzero(labels == np.bincount(labels[labels >= 0]).argmax())
+    moves = kernels.unit_moves(g.blocked)
+    run = kernels.dijkstra_2d if g.dim == 2 else kernels.dijkstra_3d
+    pairs = 0
+    while pairs < 8:
+        a, b = (int(v) for v in pick.choice(main, size=2))
+        if math.dist(g.cell_of(a), g.cell_of(b)) < 8:
+            continue
+        pairs += 1
+        dist, bp = kernels.astar_unit(g.blocked, moves, a, b)
+        want, _ = run(g.flat_blocked, *g.extents, *g.cell_of(a), *g.cell_of(b))
+        assert abs(dist[b] - want[b]) <= 1e-12
+        assert np.isfinite(dist).sum() < np.isfinite(want).sum()
+        chain = [b]
+        while chain[-1] != a:
+            chain.append(int(bp[chain[-1]]))
+            assert chain[-1] >= 0 and len(chain) <= g.size
+        path = [g.cell_of(v) for v in reversed(chain)]
+        for u, v in zip(path, path[1:]):
+            assert edge_decomposition(u, v)[0] == 1
+            assert oracles.edge_free_exact(u, v, g), (u, v)
+        assert abs(path_cost(path) - dist[b]) <= 1e-12
 
 
 def test_component_labels_match_scipy_partition():

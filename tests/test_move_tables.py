@@ -10,7 +10,9 @@ import pickle
 import numpy as np
 import pytest
 
+from mrastar import baselines as B
 from mrastar import grid as G
+from mrastar import kernels
 from mrastar import search as S
 from mrastar import synthetic as syn
 from mrastar.errors import InvalidProblemError
@@ -92,6 +94,25 @@ def test_tables_are_cached_per_scale():
             grid.space_masks((1, bad))
 
 
+@pytest.mark.parametrize("extents,seed", [((16, 16), 1), ((8, 7, 6), 2)])
+def test_oracle_masks_are_cached_apart_from_the_move_tables(monkeypatch, extents, seed):
+    grid = syn.random_grid(extents, 0.2, seed)
+    builds = []
+    build = kernels.unit_moves
+    monkeypatch.setattr(kernels, "unit_moves", lambda blocked: builds.append(1) or build(blocked))
+    labels = G.fine_components(grid).ravel()
+    main = np.flatnonzero(labels == np.bincount(labels[labels >= 0]).argmax())
+    a, b, c = (grid.cell_of(int(v)) for v in (main[0], main[-1], main[len(main) // 2]))
+    assert math.isfinite(B.dijkstra_optimal(grid, a, b))
+    assert len(builds) == 1
+    assert math.isfinite(B.dijkstra_optimal(grid, c, a))
+    moves = grid.unit_moves()
+    assert grid.unit_moves() is moves and len(builds) == 1
+    table = grid.move_table(1)
+    assert moves is not table and moves[0] is not table.masks
+    assert not isinstance(moves, G.MoveTable)
+
+
 @pytest.mark.parametrize("extents", [(22, 17), (10, 12, 9)])
 def test_space_masks_match_get_space_indices(extents):
     grid = G.GridMap.empty(extents)
@@ -157,6 +178,7 @@ def test_pickle_drops_cache():
     # pickling and both copies go through GridMap.__reduce__
     grid = syn.random_grid((12, 12), 0.2, seed=3)
     table = grid.move_table(3)
+    moves = grid.unit_moves()
     res_a = S.plan(S.Problem(grid, (1, 1), (10, 10), ladder=[1, 3]))
     for clone_of in (lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy):
         clone = clone_of(grid)
@@ -165,6 +187,9 @@ def test_pickle_drops_cache():
         assert np.array_equal(clone.blocked, grid.blocked)
         assert not clone.blocked.flags.writeable
         assert bytes(clone.move_table(3).masks) == bytes(table.masks)
+        clone_moves = clone.unit_moves()
+        assert clone_moves is not moves and bytes(clone_moves[0]) == bytes(moves[0])
+        assert clone_moves[1:] == moves[1:]
         res_b = S.plan(S.Problem(clone, (1, 1), (10, 10), ladder=[1, 3]))
         assert res_a.cost == res_b.cost or (math.isinf(res_a.cost) and math.isinf(res_b.cost))
         assert res_a.path == res_b.path
