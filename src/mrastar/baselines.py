@@ -2,12 +2,13 @@
 
 All baselines share the multi-resolution planner's move semantics and
 search loop: each is a one-queue search.FlatSearch run over the grid's
-cached move tables (same edge validity, same costs) whose gate never
-blocks and whose bound is w, isolating the search strategy as the only
-difference.  The oracle, dijkstra_optimal, is an A* (kernels.astar_unit)
-with its own octile (2D) or euclidean (3D) heuristic over unit-move
-bitmasks built by the box rule and cached per map (GridMap.unit_moves).
-It uses neither the move tables nor the planners' heuristic, so it stays
+cached move tables (the box rule of kernels.move_free, same costs)
+whose gate never blocks and whose bound is w, isolating the search
+strategy as the only difference.  The oracle, dijkstra_optimal, is an
+A* (kernels.astar_unit) with its own octile (2D) or euclidean (3D)
+heuristic over unit-move bitmasks built by the same rule
+(kernels.unit_moves) and cached per map (GridMap.unit_moves).  It uses
+neither the move tables nor the planners' heuristic, so it stays
 independent of the planners' moves.  dijkstra_field runs the full-field
 Dijkstra (kernels.dijkstra_2d/3d), which builds its masks per call.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidProblemError
-from .grid import Cell, GridMap, ResolutionLadder, as_cell, path_cost
+from .grid import Cell, GridMap, ResolutionLadder, as_cell, check_cell, path_cost
 
 # Not called here, which reads the grid's move tables instead; bound so
 # that layer tracers (see perfbench/tracing.py) find the same names on
@@ -76,20 +77,9 @@ def dijkstra_field(grid: GridMap, source: Cell) -> tuple[np.ndarray, np.ndarray]
     shaped like grid.blocked.  A blocked source reaches nothing: every
     distance is inf.  Raises InvalidProblemError when source is out of
     bounds, has the wrong number of coordinates or a non-integer one."""
-    source = as_cell(source, "source")
-    if not grid.in_bounds(source):
-        raise InvalidProblemError(
-            f"source {source} is out of bounds or not a {grid.dim}D cell"
-        )
-    occ = grid.flat_blocked
-    if grid.dim == 2:
-        w, h = grid.extents
-        dist, bp = kernels.dijkstra_2d(occ, w, h, source[0], source[1], -1, -1)
-    else:
-        w, h, d = grid.extents
-        dist, bp = kernels.dijkstra_3d(
-            occ, w, h, d, source[0], source[1], source[2], -1, -1, -1
-        )
+    source = check_cell(grid, source, "source")
+    run = kernels.dijkstra_2d if grid.dim == 2 else kernels.dijkstra_3d
+    dist, bp = run(grid.flat_blocked, *grid.extents, *source, *(-1,) * grid.dim)
     shape = grid.blocked.shape
     return dist.reshape(shape), bp.reshape(shape)
 

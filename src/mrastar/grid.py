@@ -4,13 +4,16 @@ A map discretizes the world at unit resolution; coarser action spaces
 reuse the same cells but take moves of length k (an odd multiplier) per
 axis.  A cell belongs to the k-space when it sits at the center of a
 k x k block, i.e. every coordinate is congruent to (k-1)/2 modulo k.
-Edges are straight segments between cell centers and are valid only
-when every cell the segment touches is free (see kernels for the exact
-traversal rules).
+A move of scale k is k unit king steps in one direction, and it is
+valid iff every cell of the box each unit step spans is free: source,
+destination and, for a diagonal, each flank (the box rule, see
+kernels.move_free).
 
-Planners do not walk segments: each GridMap caches, per scale k, a move
-table with one bit per direction per cell (see MoveTable), built with
-vectorized numpy from the same rule.
+Planners read moves from a move table that each GridMap caches per
+scale k, with one bit per direction per cell (see MoveTable), built
+with vectorized numpy from the same rule.  edge_valid and
+successors_at_scale check the rule cell by cell instead, apart from the
+tables.
 """
 
 import itertools
@@ -23,7 +26,7 @@ from . import kernels
 from .errors import InvalidProblemError
 from .kernels import SQRT2, SQRT3
 from .kernels import STEP as _STEP
-from .kernels import MASK_BITS, mask_bits  # noqa: F401  (re-exported)
+from .kernels import MASK_BITS, directions, mask_bits  # noqa: F401  (re-exported)
 
 Cell = tuple[int, ...]
 
@@ -167,6 +170,15 @@ def as_cell(cell, name: str = "cell") -> Cell:
     return tuple(map(int, coords))
 
 
+def check_cell(grid: GridMap, cell, name: str = "cell") -> Cell:
+    """as_cell(cell, name), which must also be an in-bounds cell of
+    grid; raises InvalidProblemError otherwise."""
+    cell = as_cell(cell, name)
+    if not grid.in_bounds(cell):
+        raise InvalidProblemError(f"{name} {cell} is out of bounds or not a {grid.dim}D cell")
+    return cell
+
+
 def check_multiplier(k) -> int:
     """k as an int; raises InvalidProblemError unless it is an integer
     (int or numpy integer, as for as_cell: a bool, a float or a string
@@ -224,31 +236,17 @@ def get_space_indices(cell: Cell, ladder: ResolutionLadder) -> list[int]:
 
 
 def edge_valid(a: Cell, b: Cell, grid: GridMap) -> bool:
-    """True iff the straight segment between the centers of a and b only
-    touches free cells.  Symmetric in its endpoints."""
-    if not grid.in_bounds(a) or not grid.in_bounds(b):
-        raise InvalidProblemError(f"edge endpoints {a}->{b} out of bounds")
-    occ = grid.flat_blocked
-    if grid.dim == 2:
-        return bool(
-            kernels.supercover_free_2d(occ, grid.extents[0], a[0], a[1], b[0], b[1])
-        )
-    return bool(
-        kernels.supercover_free_3d(
-            occ, grid.extents[0], grid.extents[1], a[0], a[1], a[2], b[0], b[1], b[2]
-        )
-    )
-
-
-def directions(dim: int) -> list[tuple[int, ...]]:
-    """King-move unit vectors (x first) in the kernels' successor order:
-    dy (and dz) outermost, dx innermost, the zero vector skipped."""
-    out = []
-    for d in np.ndindex(*(3,) * dim):
-        vec = tuple(c - 1 for c in reversed(d))
-        if any(vec):
-            out.append(vec)
-    return out
+    """True iff the lattice move a->b (see edge_decomposition) only
+    touches free cells under the box rule.  Symmetric in its endpoints.
+    Raises InvalidProblemError unless a and b are in-bounds cells of the
+    map and a->b is a lattice move."""
+    a, b = check_cell(grid, a, "edge endpoint"), check_cell(grid, b, "edge endpoint")
+    try:
+        k, _ = edge_decomposition(a, b)
+    except ValueError as exc:
+        raise InvalidProblemError(str(exc)) from None
+    step = tuple((cb > ca) - (cb < ca) for ca, cb in zip(a, b))
+    return kernels.move_free(grid.flat_blocked, grid.extents, a, step, k)
 
 
 def _window_and(u: np.ndarray, o: int, k: int) -> np.ndarray:
@@ -343,14 +341,14 @@ def _build_space_masks(grid: GridMap, multipliers: tuple[int, ...]):
 
 
 def successors_at_scale(cell: Cell, k: int, grid: GridMap) -> list[tuple[Cell, float]]:
-    """Valid moves of scale k from cell, as (successor, cost) pairs in a
-    fixed deterministic order."""
-    occ = grid.flat_blocked
-    if grid.dim == 2:
-        moves = kernels.successors_2d(occ, *grid.extents, cell[0], cell[1], k)
-    else:
-        moves = kernels.successors_3d(occ, *grid.extents, cell[0], cell[1], cell[2], k)
-    return [(grid.cell_of(int(v)), k * _STEP[m]) for v, m in moves]
+    """Valid moves of scale k from cell, as (successor, cost) pairs in
+    directions' order, by the box rule cell by cell (no move table).
+    Raises InvalidProblemError unless cell is an in-bounds cell of the
+    map and k an odd multiplier >= 1."""
+    cell, k = check_cell(grid, cell), check_multiplier(k)
+    run = kernels.successors_2d if grid.dim == 2 else kernels.successors_3d
+    moves = run(grid.flat_blocked, *grid.extents, *cell, k)
+    return [(grid.cell_of(v), k * _STEP[m]) for v, m in moves]
 
 
 def heuristic(a: Cell, b: Cell, kind: str = "octile") -> float:
@@ -444,11 +442,5 @@ def path_cost(path: list[Cell]) -> float:
 def fine_components(grid: GridMap) -> np.ndarray:
     """Connected-component labels of the free cells under unit moves,
     shaped like grid.blocked; -1 marks blocked cells."""
-    occ = grid.flat_blocked
-    if grid.dim == 2:
-        w, h = grid.extents
-        labels = kernels.component_labels_2d(occ, w, h)
-    else:
-        w, h, d = grid.extents
-        labels = kernels.component_labels_3d(occ, w, h, d)
-    return labels.reshape(grid.blocked.shape)
+    run = kernels.component_labels_2d if grid.dim == 2 else kernels.component_labels_3d
+    return run(grid.flat_blocked, *grid.extents).reshape(grid.blocked.shape)

@@ -1,13 +1,14 @@
 """Plain-Python kernels for grid geometry and the oracle Dijkstra.
 
 Everything here operates on flat occupancy sequences (a numpy bool array
-or a list; True for blocked cells) plus integer coordinates.  The
-supercover walk decides which cells a move touches; the successor
-functions (the reference for grid.successors_at_scale and edge_valid)
-are built on it.  The unit-lattice searches walk no segments: they run
-over each cell's unit-move bitmask, built with numpy by the box rule
-(unit_moves), which agrees with the walk for unit moves.  The oracle
-behind baselines.dijkstra_optimal is astar_unit, an A* over the masks
+or a list; True for blocked cells) plus integer coordinates.  One rule
+decides moves, the box rule: a king move of length k is valid iff every
+cell of the box each of its k unit steps spans is free.  move_free
+checks it cell by cell for grid.edge_valid; successors (and its traced
+2D/3D entry points) builds on it for grid.successors_at_scale.
+The unit-lattice searches run over each cell's unit-move bitmask, built
+with numpy by the same rule (unit_moves).  The oracle behind
+baselines.dijkstra_optimal is astar_unit, an A* over the masks
 GridMap.unit_moves caches per map, with its own octile (2D) or
 euclidean (3D) heuristic; dijkstra_2d/3d build the masks per call and
 serve the distance fields.  Both stay independent of the planners' move
@@ -19,6 +20,7 @@ width w stores cell (x, y) at flat index y*w + x; a 3D map with width w
 and height h stores (x, y, z) at (z*h + y)*w + x.
 """
 
+import functools
 import itertools
 import math
 from array import array
@@ -61,173 +63,58 @@ def mask_bits(m: int) -> tuple[int, ...]:
     return tuple(b for b in range(m.bit_length()) if m >> b & 1)
 
 
-def supercover_free_2d(occ, w, x0, y0, x1, y1):
-    """True iff every cell whose closed unit square the segment from the
-    center of (x0, y0) to the center of (x1, y1) intersects is free.
+@functools.cache
+def directions(dim: int) -> tuple[tuple[int, ...], ...]:
+    """King-move unit vectors (x first) in the kernels' order: dy (and
+    dz) outermost, dx innermost, the zero vector skipped."""
+    return tuple(s[::-1] for s in itertools.product((-1, 0, 1), repeat=dim) if any(s))
 
-    When the segment passes exactly through a lattice corner, both cells
-    flanking the crossing must be free (no squeezing through a corner).
-    Caller guarantees both endpoints are in bounds.
-    """
-    if occ[y0 * w + x0] or occ[y1 * w + x1]:
-        return False
-    nx = x1 - x0
-    ny = y1 - y0
-    sx = 1 if nx > 0 else -1
-    sy = 1 if ny > 0 else -1
-    if nx < 0:
-        nx = -nx
-    if ny < 0:
-        ny = -ny
-    ix = 0
-    iy = 0
-    x = x0
-    y = y0
-    while ix < nx or iy < ny:
-        # Compare the next vertical-crossing fraction (2*ix+1)/(2*nx)
-        # with the next horizontal one; cross-multiplied to stay exact.
-        d = (1 + 2 * ix) * ny - (1 + 2 * iy) * nx
-        if d == 0:
-            # Exact corner crossing: both flanking cells must be free.
-            if occ[y * w + (x + sx)] or occ[(y + sy) * w + x]:
-                return False
-            x += sx
-            y += sy
-            ix += 1
-            iy += 1
-        elif d < 0:
-            x += sx
-            ix += 1
-        else:
-            y += sy
-            iy += 1
-        if occ[y * w + x]:
+
+def move_free(occ, extents, cell, step, k):
+    """True iff the length-k king move from cell along step (-1, 0 or 1
+    per axis, x first) stays on the map and every cell of the box each
+    of its k unit steps spans is free: source, destination and, for a
+    diagonal, each flank (the corner rule).  occ is flat, True for
+    blocked cells; cell has one coordinate per entry of extents."""
+    base = off = 0
+    stride = 1
+    corners = [0]  # flat offsets of a unit box's cells from its source
+    for c, s, n in zip(cell, step, extents):
+        if not (0 <= c < n and 0 <= c + k * s < n):
             return False
+        base += c * stride
+        if s:
+            off += s * stride
+            corners += [q + s * stride for q in corners]
+        stride *= n
+    for t in range(k):
+        p = base + t * off
+        for q in corners:
+            if occ[p + q]:
+                return False
     return True
 
 
-def supercover_free_3d(occ, w, h, x0, y0, z0, x1, y1, z1):
-    """3D analogue of supercover_free_2d.
-
-    At a crossing where two or three grid planes are met simultaneously,
-    every cell reached by advancing a proper nonempty subset of the tied
-    axes must be free as well.
-    """
-    if occ[(z0 * h + y0) * w + x0] or occ[(z1 * h + y1) * w + x1]:
-        return False
-    nx = x1 - x0
-    ny = y1 - y0
-    nz = z1 - z0
-    sx = 1 if nx > 0 else -1
-    sy = 1 if ny > 0 else -1
-    sz = 1 if nz > 0 else -1
-    if nx < 0:
-        nx = -nx
-    if ny < 0:
-        ny = -ny
-    if nz < 0:
-        nz = -nz
-    ix = 0
-    iy = 0
-    iz = 0
-    x = x0
-    y = y0
-    z = z0
-    while ix < nx or iy < ny or iz < nz:
-        # Next crossing fraction per active axis is (2*i+1)/(2*n).
-        mp = 0
-        mq = 0
-        if nx > 0 and ix < nx:
-            mp = 1 + 2 * ix
-            mq = 2 * nx
-        if ny > 0 and iy < ny:
-            p = 1 + 2 * iy
-            q = 2 * ny
-            if mq == 0 or p * mq < mp * q:
-                mp = p
-                mq = q
-        if nz > 0 and iz < nz:
-            p = 1 + 2 * iz
-            q = 2 * nz
-            if mq == 0 or p * mq < mp * q:
-                mp = p
-                mq = q
-        stepx = nx > 0 and ix < nx and (1 + 2 * ix) * mq == mp * (2 * nx)
-        stepy = ny > 0 and iy < ny and (1 + 2 * iy) * mq == mp * (2 * ny)
-        stepz = nz > 0 and iz < nz and (1 + 2 * iz) * mq == mp * (2 * nz)
-        nstep = 0
-        if stepx:
-            nstep += 1
-        if stepy:
-            nstep += 1
-        if stepz:
-            nstep += 1
-        if nstep >= 2:
-            if stepx and occ[(z * h + y) * w + (x + sx)]:
-                return False
-            if stepy and occ[(z * h + (y + sy)) * w + x]:
-                return False
-            if stepz and occ[((z + sz) * h + y) * w + x]:
-                return False
-            if nstep == 3:
-                if occ[(z * h + (y + sy)) * w + (x + sx)]:
-                    return False
-                if occ[((z + sz) * h + y) * w + (x + sx)]:
-                    return False
-                if occ[((z + sz) * h + (y + sy)) * w + x]:
-                    return False
-        if stepx:
-            x += sx
-            ix += 1
-        if stepy:
-            y += sy
-            iy += 1
-        if stepz:
-            z += sz
-            iz += 1
-        if occ[(z * h + y) * w + x]:
-            return False
-    return True
+def successors(occ, extents, cell, k):
+    """Valid king moves of length k from cell (see move_free), as a list
+    of (flat id, axes changed) pairs in directions' order."""
+    strides = [math.prod(extents[:axis]) for axis in range(len(extents))]
+    base = sum(c * st for c, st in zip(cell, strides))
+    return [
+        (base + k * sum(s * st for s, st in zip(step, strides)), len(step) - step.count(0))
+        for step in directions(len(extents))
+        if move_free(occ, extents, cell, step, k)
+    ]
 
 
 def successors_2d(occ, w, h, x, y, k):
-    """Valid 8-connected moves of length k from (x, y), as a list of
-    (flat id, axes changed) pairs.
-
-    Order is fixed: dy from -1 to 1 outer, dx inner, (0, 0) skipped.
-    """
-    out = []
-    for dy in (-1, 0, 1):
-        y1 = y + k * dy
-        if y1 < 0 or y1 >= h:
-            continue
-        for dx in (-1, 0, 1):
-            x1 = x + k * dx
-            if (dx == 0 and dy == 0) or x1 < 0 or x1 >= w:
-                continue
-            if supercover_free_2d(occ, w, x, y, x1, y1):
-                out.append((y1 * w + x1, (dx != 0) + (dy != 0)))
-    return out
+    """successors on a w x h map: dy outermost, dx innermost."""
+    return successors(occ, (w, h), (x, y), k)
 
 
 def successors_3d(occ, w, h, d, x, y, z, k):
-    """26-connected analogue of successors_2d; dz outermost."""
-    out = []
-    for dz in (-1, 0, 1):
-        z1 = z + k * dz
-        if z1 < 0 or z1 >= d:
-            continue
-        for dy in (-1, 0, 1):
-            y1 = y + k * dy
-            if y1 < 0 or y1 >= h:
-                continue
-            for dx in (-1, 0, 1):
-                x1 = x + k * dx
-                if (dx == 0 and dy == 0 and dz == 0) or x1 < 0 or x1 >= w:
-                    continue
-                if supercover_free_3d(occ, w, h, x, y, z, x1, y1, z1):
-                    out.append(((z1 * h + y1) * w + x1, (dx != 0) + (dy != 0) + (dz != 0)))
-    return out
+    """successors on a w x h x d map: dz outermost, dx innermost."""
+    return successors(occ, (w, h, d), (x, y, z), k)
 
 
 def unit_moves(blocked):
@@ -238,10 +125,10 @@ def unit_moves(blocked):
     destination and, for a diagonal, each flank) is free.  Returns
     (masks, offsets, costs): masks is a memoryview over uint8 (2D, 8
     directions) or uint32 (3D, 26 directions) with bit b set iff
-    direction b is valid from that flat cell, in successors_2d/3d's
-    order (dy, or dz, outermost, dx innermost); offsets[b] is the
-    direction's flat-index step and costs[b] its STEP cost.  Independent
-    of grid.MoveTable on purpose: the oracle checks the planners, so it
+    direction b is valid from that flat cell, in directions' order (dy,
+    or dz, outermost, dx innermost); offsets[b] is the direction's
+    flat-index step and costs[b] its STEP cost.  Independent of
+    grid.MoveTable on purpose: the oracle checks the planners, so it
     does not share their move tables.
     """
     shape = blocked.shape
@@ -250,7 +137,7 @@ def unit_moves(blocked):
     dtype = np.uint8 if len(shape) == 2 else np.uint32
     masks = np.zeros(shape, dtype)
     offsets, costs = [], []
-    steps = [s for s in itertools.product((-1, 0, 1), repeat=len(shape)) if any(s)]
+    steps = [d[::-1] for d in directions(len(shape))]  # array axis order
     for b, step in enumerate(steps):
         ok = np.ones(shape, bool)
         for corner in itertools.product(*((0, s) if s else (0,) for s in step)):
@@ -369,6 +256,11 @@ def dijkstra_3d(occ, w, h, d, sx, sy, sz, gx, gy, gz):
     )
 
 
+def _component_labels(occ, shape):
+    labels, _ = ndimage.label(~np.asarray(occ, dtype=bool).reshape(shape))
+    return (labels - 1).astype(np.int32).ravel()
+
+
 def component_labels_2d(occ, w, h):
     """Label connected free regions of the unit lattice (same move rules
     as the planners, including the corner rule).  Blocked cells get -1;
@@ -378,12 +270,10 @@ def component_labels_2d(occ, w, h):
     free, so unit-lattice connectivity is exactly face (4-)connectivity,
     which scipy.ndimage.label computes; its labels also follow scan
     order.  Returns a flat int32 array."""
-    labels, _ = ndimage.label(~np.asarray(occ, dtype=bool).reshape(h, w))
-    return (labels - 1).astype(np.int32).ravel()
+    return _component_labels(occ, (h, w))
 
 
 def component_labels_3d(occ, w, h, d):
     """3D analogue of component_labels_2d: face (6-)connectivity equals
     26-connectivity under the corner rule."""
-    labels, _ = ndimage.label(~np.asarray(occ, dtype=bool).reshape(d, h, w))
-    return (labels - 1).astype(np.int32).ravel()
+    return _component_labels(occ, (d, h, w))

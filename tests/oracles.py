@@ -165,10 +165,185 @@ def reference_distances(grid, source) -> np.ndarray:
     return sp_dijkstra(graph, indices=grid.flat_index(source))
 
 
+# The supercover segment walk that decided moves in src/ before the box
+# rule (kernels.move_free) replaced it, kept verbatim (renamed) as an
+# independent encoding of the move rule: exact integer crossing
+# arithmetic instead of per-cell unit boxes.
+
+
+def walk_free_2d(occ, w, x0, y0, x1, y1):
+    """True iff every cell whose closed unit square the segment from the
+    center of (x0, y0) to the center of (x1, y1) intersects is free.
+
+    When the segment passes exactly through a lattice corner, both cells
+    flanking the crossing must be free (no squeezing through a corner).
+    Caller guarantees both endpoints are in bounds.
+    """
+    if occ[y0 * w + x0] or occ[y1 * w + x1]:
+        return False
+    nx = x1 - x0
+    ny = y1 - y0
+    sx = 1 if nx > 0 else -1
+    sy = 1 if ny > 0 else -1
+    if nx < 0:
+        nx = -nx
+    if ny < 0:
+        ny = -ny
+    ix = 0
+    iy = 0
+    x = x0
+    y = y0
+    while ix < nx or iy < ny:
+        # Compare the next vertical-crossing fraction (2*ix+1)/(2*nx)
+        # with the next horizontal one; cross-multiplied to stay exact.
+        d = (1 + 2 * ix) * ny - (1 + 2 * iy) * nx
+        if d == 0:
+            # Exact corner crossing: both flanking cells must be free.
+            if occ[y * w + (x + sx)] or occ[(y + sy) * w + x]:
+                return False
+            x += sx
+            y += sy
+            ix += 1
+            iy += 1
+        elif d < 0:
+            x += sx
+            ix += 1
+        else:
+            y += sy
+            iy += 1
+        if occ[y * w + x]:
+            return False
+    return True
+
+
+def walk_free_3d(occ, w, h, x0, y0, z0, x1, y1, z1):
+    """3D analogue of walk_free_2d.
+
+    At a crossing where two or three grid planes are met simultaneously,
+    every cell reached by advancing a proper nonempty subset of the tied
+    axes must be free as well.
+    """
+    if occ[(z0 * h + y0) * w + x0] or occ[(z1 * h + y1) * w + x1]:
+        return False
+    nx = x1 - x0
+    ny = y1 - y0
+    nz = z1 - z0
+    sx = 1 if nx > 0 else -1
+    sy = 1 if ny > 0 else -1
+    sz = 1 if nz > 0 else -1
+    if nx < 0:
+        nx = -nx
+    if ny < 0:
+        ny = -ny
+    if nz < 0:
+        nz = -nz
+    ix = 0
+    iy = 0
+    iz = 0
+    x = x0
+    y = y0
+    z = z0
+    while ix < nx or iy < ny or iz < nz:
+        # Next crossing fraction per active axis is (2*i+1)/(2*n).
+        mp = 0
+        mq = 0
+        if nx > 0 and ix < nx:
+            mp = 1 + 2 * ix
+            mq = 2 * nx
+        if ny > 0 and iy < ny:
+            p = 1 + 2 * iy
+            q = 2 * ny
+            if mq == 0 or p * mq < mp * q:
+                mp = p
+                mq = q
+        if nz > 0 and iz < nz:
+            p = 1 + 2 * iz
+            q = 2 * nz
+            if mq == 0 or p * mq < mp * q:
+                mp = p
+                mq = q
+        stepx = nx > 0 and ix < nx and (1 + 2 * ix) * mq == mp * (2 * nx)
+        stepy = ny > 0 and iy < ny and (1 + 2 * iy) * mq == mp * (2 * ny)
+        stepz = nz > 0 and iz < nz and (1 + 2 * iz) * mq == mp * (2 * nz)
+        nstep = 0
+        if stepx:
+            nstep += 1
+        if stepy:
+            nstep += 1
+        if stepz:
+            nstep += 1
+        if nstep >= 2:
+            if stepx and occ[(z * h + y) * w + (x + sx)]:
+                return False
+            if stepy and occ[(z * h + (y + sy)) * w + x]:
+                return False
+            if stepz and occ[((z + sz) * h + y) * w + x]:
+                return False
+            if nstep == 3:
+                if occ[(z * h + (y + sy)) * w + (x + sx)]:
+                    return False
+                if occ[((z + sz) * h + y) * w + (x + sx)]:
+                    return False
+                if occ[((z + sz) * h + (y + sy)) * w + x]:
+                    return False
+        if stepx:
+            x += sx
+            ix += 1
+        if stepy:
+            y += sy
+            iy += 1
+        if stepz:
+            z += sz
+            iz += 1
+        if occ[(z * h + y) * w + x]:
+            return False
+    return True
+
+
+def walk_successors_2d(occ, w, h, x, y, k):
+    """Valid 8-connected moves of length k from (x, y), as a list of
+    (flat id, axes changed) pairs.
+
+    Order is fixed: dy from -1 to 1 outer, dx inner, (0, 0) skipped.
+    """
+    out = []
+    for dy in (-1, 0, 1):
+        y1 = y + k * dy
+        if y1 < 0 or y1 >= h:
+            continue
+        for dx in (-1, 0, 1):
+            x1 = x + k * dx
+            if (dx == 0 and dy == 0) or x1 < 0 or x1 >= w:
+                continue
+            if walk_free_2d(occ, w, x, y, x1, y1):
+                out.append((y1 * w + x1, (dx != 0) + (dy != 0)))
+    return out
+
+
+def walk_successors_3d(occ, w, h, d, x, y, z, k):
+    """26-connected analogue of walk_successors_2d; dz outermost."""
+    out = []
+    for dz in (-1, 0, 1):
+        z1 = z + k * dz
+        if z1 < 0 or z1 >= d:
+            continue
+        for dy in (-1, 0, 1):
+            y1 = y + k * dy
+            if y1 < 0 or y1 >= h:
+                continue
+            for dx in (-1, 0, 1):
+                x1 = x + k * dx
+                if (dx == 0 and dy == 0 and dz == 0) or x1 < 0 or x1 >= w:
+                    continue
+                if walk_free_3d(occ, w, h, x, y, z, x1, y1, z1):
+                    out.append(((z1 * h + y1) * w + x1, (dx != 0) + (dy != 0) + (dz != 0)))
+    return out
+
+
 def supercover_dijkstra(occ, extents, source, goal):
     """The oracle Dijkstra that kernels.dijkstra_2d/3d replaced, kept as
     the reference they are checked against: heapq over the unit moves of
-    the supercover walk (kernels.successors_2d/3d at k=1), one walk per
+    the supercover walk (walk_successors_2d/3d at k=1), one walk per
     move of every settled cell.  source and goal are flat ids (goal = -1
     for a full field); returns (dist, bp) like the kernels."""
     occ = np.asarray(occ, dtype=bool).ravel().tolist()
@@ -177,8 +352,8 @@ def supercover_dijkstra(occ, extents, source, goal):
 
     def succ(u):
         if len(extents) == 2:
-            return kernels.successors_2d(occ, w, h, u % w, u // w, 1)
-        return kernels.successors_3d(occ, w, h, extents[2], u % w, u % wh // w, u // wh, 1)
+            return walk_successors_2d(occ, w, h, u % w, u // w, 1)
+        return walk_successors_3d(occ, w, h, extents[2], u % w, u % wh // w, u // wh, 1)
 
     n, source, goal = len(occ), int(source), int(goal)
     dist = array("d", [math.inf]) * n

@@ -2,7 +2,8 @@
 
 tests/data/golden_plans.json holds one fingerprint per fixed query,
 recorded with the search core that generated moves by walking each
-segment's supercover (kernels.successors_2d/3d) on every expansion.
+segment's supercover on every expansion (that walk is kept as
+oracles.walk_successors_2d/3d).
 Any later core must reproduce every deterministic PlanResult field
 bit for bit: status, path, cost (as float.hex), per-queue expansions,
 generated, winning queue, bound and the expansion log.

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrastar import grid as G
 from mrastar.errors import InvalidProblemError
@@ -205,33 +207,62 @@ def test_union_action_count_3d():
 # ------------------------------------------------------------- edge_valid
 
 
+def walk_free(a, b, grid):
+    """oracles' segment walk on the segment between the centers of a and b."""
+    if grid.dim == 2:
+        return oracles.walk_free_2d(grid.flat_blocked, grid.extents[0], *a, *b)
+    return oracles.walk_free_3d(grid.flat_blocked, *grid.extents[:2], *a, *b)
+
+
+def checked_edge(a, b, grid):
+    """edge_valid(a, b, grid), which must equal edge_valid(b, a, grid), or
+    None when a->b is not a lattice move and edge_valid refuses it."""
+    try:
+        G.edge_decomposition(a, b)
+    except ValueError:
+        with pytest.raises(InvalidProblemError):
+            G.edge_valid(a, b, grid)
+        return None
+    got = G.edge_valid(a, b, grid)
+    assert got is G.edge_valid(b, a, grid)
+    return got
+
+
 def test_edge_valid_degenerate_and_corner():
     g = G.GridMap.empty((4, 4))
-    assert G.edge_valid((2, 2), (2, 2), g)
+    assert G.edge_valid((0, 0), (3, 3), g) and G.edge_valid((3, 0), (1, 0), g)
     blocked = np.zeros((4, 4), bool)
     blocked[2, 2] = True
     gb = G.GridMap((4, 4), blocked)
-    assert not G.edge_valid((2, 2), (2, 2), gb)
+    assert not G.edge_valid((2, 2), (3, 2), gb) and not G.edge_valid((3, 2), (2, 2), gb)
     # both flanks of the (1,1)->(2,2) corner blocked: no corner cutting
     blocked = np.zeros((4, 4), bool)
     blocked[1, 2] = True  # (2,1)
     blocked[2, 1] = True  # (1,2)
     gc = G.GridMap((4, 4), blocked)
     assert not G.edge_valid((1, 1), (2, 2), gc)
-    with pytest.raises(InvalidProblemError):
-        G.edge_valid((0, 0), (4, 0), g)
+    # refused rather than guessed: an endpoint out of bounds or with a
+    # non-integer coordinate (0.5 used to escape as IndexError, True was
+    # read as 1 and "a" raised TypeError), and a->b that is no lattice
+    # move (both used to return True)
+    for a, b in (((0, 0), (4, 0)), ((0.5, 1), (1, 1)), ((True, 1), (1, 1)),
+                 (("a", 1), (1, 1)), ((0, 0), (3, 1)), ((2, 2), (2, 2))):
+        with pytest.raises(InvalidProblemError):
+            G.edge_valid(a, b, g)
 
 
 def test_edge_valid_matches_exact_geometry_2d():
+    # the segment walk decides any segment; edge_valid decides lattice
+    # moves and refuses the rest
     rng = np.random.default_rng(21)
     for _ in range(12):
         g = random_map(rng, (16, 16), 0.3)
         for _ in range(60):
             a = tuple(int(c) for c in rng.integers(0, 16, size=2))
             b = tuple(int(c) for c in rng.integers(0, 16, size=2))
-            got = G.edge_valid(a, b, g)
-            assert got == oracles.edge_free_exact(a, b, g)
-            assert got == G.edge_valid(b, a, g)
+            want = oracles.edge_free_exact(a, b, g)
+            assert walk_free(a, b, g) == want == walk_free(b, a, g)
+            assert checked_edge(a, b, g) in (want, None)
 
 
 def test_edge_valid_never_passes_sampled_obstacle():
@@ -247,7 +278,8 @@ def test_edge_valid_never_passes_sampled_obstacle():
             hit = any(not g.is_free(c) for c in oracles.sampled_cells(a, b))
             if hit:
                 checked += 1
-                assert not G.edge_valid(a, b, g)
+                assert not walk_free(a, b, g)
+                assert not checked_edge(a, b, g)
     assert checked > 100
 
 
@@ -276,9 +308,39 @@ def test_edge_valid_matches_exact_geometry_3d():
         for _ in range(60):
             a = tuple(int(rng.integers(0, e)) for e in g.extents)
             b = tuple(int(rng.integers(0, e)) for e in g.extents)
-            got = G.edge_valid(a, b, g)
-            assert got == oracles.edge_free_exact(a, b, g)
-            assert got == G.edge_valid(b, a, g)
+            want = oracles.edge_free_exact(a, b, g)
+            assert walk_free(a, b, g) == want == walk_free(b, a, g)
+            assert checked_edge(a, b, g) in (want, None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    extents=st.one_of(
+        st.lists(st.integers(1, 12), min_size=2, max_size=2),
+        st.lists(st.integers(1, 8), min_size=3, max_size=3),
+    ),
+    density=st.sampled_from((0.3, 0.15, 0.45)),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 5),
+    data=st.data(),
+)
+def test_edge_valid_matches_exact_geometry_on_lattice_moves(extents, density, seed, k, data):
+    # every direction, lengths up to 5, maps as thin as one cell; a move
+    # that leaves the map is refused
+    g = random_map(np.random.default_rng(seed), tuple(extents), density)
+    a = tuple(data.draw(st.integers(0, e - 1)) for e in extents)
+    step = data.draw(st.sampled_from(G.directions(g.dim)))
+    b = tuple(c + k * s for c, s in zip(a, step))
+    if not g.in_bounds(b):
+        with pytest.raises(InvalidProblemError):
+            G.edge_valid(a, b, g)
+        return
+    assert checked_edge(a, b, g) == oracles.edge_free_exact(a, b, g)
+    if k % 2:
+        # successors_at_scale yields exactly the valid moves of scale k
+        ends = [tuple(c + k * s for c, s in zip(a, d)) for d in G.directions(g.dim)]
+        want = [t for t in ends if g.in_bounds(t) and G.edge_valid(a, t, g)]
+        assert [t for t, _ in G.successors_at_scale(a, k, g)] == want
 
 
 # ----------------------------------------------------------- costs/paths

@@ -12,9 +12,9 @@ from mrastar.grid import edge_decomposition, fine_components, path_cost
 
 
 def kernel_visited_2d(a, b):
-    """Cells the segment-walk kernel treats as traversed, recovered by
-    probing: block one candidate cell at a time in an otherwise free
-    map and see whether the kernel rejects the edge."""
+    """Cells the segment walk (oracles.walk_free_2d) treats as traversed,
+    recovered by probing: block one candidate cell at a time in an
+    otherwise free map and see whether the walk rejects the edge."""
     xs = (a[0], b[0])
     ys = (a[1], b[1])
     off = (min(xs) - 2, min(ys) - 2)
@@ -27,7 +27,7 @@ def kernel_visited_2d(a, b):
         for cx in range(w):
             occ = np.zeros(w * h, dtype=bool)
             occ[cy * w + cx] = True
-            if not kernels.supercover_free_2d(occ, w, a_s[0], a_s[1], b_s[0], b_s[1]):
+            if not oracles.walk_free_2d(occ, w, a_s[0], a_s[1], b_s[0], b_s[1]):
                 visited.add((cx + off[0], cy + off[1]))
     return visited
 
@@ -44,7 +44,7 @@ def kernel_visited_3d(a, b):
             for cx in range(w):
                 occ = np.zeros(w * h * d, dtype=bool)
                 occ[(cz * h + cy) * w + cx] = True
-                if not kernels.supercover_free_3d(
+                if not oracles.walk_free_3d(
                     occ, w, h, a_s[0], a_s[1], a_s[2], b_s[0], b_s[1], b_s[2]
                 ):
                     visited.add((cx + lo[0], cy + lo[1], cz + lo[2]))
@@ -52,7 +52,7 @@ def kernel_visited_3d(a, b):
 
 
 def test_supercover_2d_visited_set_matches_exact_geometry(rng):
-    # Every delta up to (6, 6) plus random endpoints; the kernel's
+    # Every delta up to (6, 6) plus random endpoints; the walk's
     # traversed set must equal the set of cells the segment touches.
     cases = [((0, 0), (dx, dy)) for dx in range(7) for dy in range(7)]
     for _ in range(60):
@@ -86,8 +86,8 @@ def test_supercover_symmetry(rng):
         occ = rng.random(w * h) < 0.35
         a = tuple(int(v) for v in rng.integers(0, w, size=2))
         b = tuple(int(v) for v in rng.integers(0, w, size=2))
-        f = kernels.supercover_free_2d(occ, w, a[0], a[1], b[0], b[1])
-        r = kernels.supercover_free_2d(occ, w, b[0], b[1], a[0], a[1])
+        f = oracles.walk_free_2d(occ, w, a[0], a[1], b[0], b[1])
+        r = oracles.walk_free_2d(occ, w, b[0], b[1], a[0], a[1])
         assert f == r
 
 

@@ -1,7 +1,9 @@
 """Move tables and sublattice masks cached on GridMap, checked against
-the supercover walk they replace (grid.successors_at_scale) and the
-shifted-copy builder (oracles.shifted_move_table), plus the grid's
-ownership of its occupancy array."""
+the supercover segment walk (oracles.walk_successors_2d/3d), an
+encoding of the move rule independent of the box rule that builds the
+tables, and against the shifted-copy builder (oracles.shifted_move_table),
+plus the grid's ownership of its occupancy array.  successors_at_scale,
+which checks the box rule cell by cell, is held to the same walk."""
 
 import copy
 import math
@@ -38,18 +40,26 @@ def decoded(table, sid):
     return [(sid + table.offsets[b], table.costs[b]) for b in G.mask_bits(table.masks[sid])]
 
 
+def walk(grid, cell, k):
+    """oracles' segment walk from cell at scale k: (flat id, cost) pairs."""
+    run = oracles.walk_successors_2d if grid.dim == 2 else oracles.walk_successors_3d
+    moves = run(grid.flat_blocked, *grid.extents, *cell, k)
+    return [(v, k * kernels.STEP[m]) for v, m in moves]
+
+
 @pytest.mark.parametrize("extents,density,seed", MAPS)
 def test_table_matches_successors_at_scale(extents, density, seed):
+    # the table and successors_at_scale both equal the segment walk, on
+    # every cell (blocked ones included) at every scale
     grid = syn.random_grid(extents, density, seed)
     for k in SCALES:
         table = grid.move_table(k)
         assert table.k == k
         for sid in range(grid.size):
             cell = grid.cell_of(sid)
-            if not grid.is_free(cell):
-                assert table.masks[sid] == 0
-                continue
-            want = [(grid.flat_index(s), c) for s, c in G.successors_at_scale(cell, k, grid)]
+            want = walk(grid, cell, k)
+            got = [(grid.flat_index(s), c) for s, c in G.successors_at_scale(cell, k, grid)]
+            assert got == want, (cell, k)
             assert decoded(table, sid) == want, (cell, k)
 
 

@@ -155,6 +155,20 @@ def test_numpy_integer_coordinates_are_cells():
     assert math.isclose(dist[0, 0], 3 * math.sqrt(2.0) + 1)
 
 
+@pytest.mark.parametrize(
+    "cell,k",
+    [((-1, 0), 1), ((5, 5), 1), ((2.0, 2), 1), ((1, 1, 1), 1),
+     ((2, 2), 0), ((2, 2), -1), ((2, 2), 2)],
+    ids=repr,
+)
+def test_successors_at_scale_refuses_what_it_cannot_check(cell, k):
+    # (-1, 0) used to yield moves through a wrapped index, (5, 5) and
+    # (2.0, 2) let an IndexError escape, (1, 1, 1) was read as (1, 1),
+    # k = 0 gave zero-cost self-loops, -1 negative costs, and 2 passed
+    with pytest.raises(InvalidProblemError):
+        G.successors_at_scale(cell, k, G.GridMap.empty((5, 5)))
+
+
 # -------------------------------------------------------------- multipliers
 
 # 3.9 and "3" used to plan at scale 3, True at scale 1; inf and nan
