@@ -4,13 +4,13 @@ All baselines share the multi-resolution planner's move semantics and
 search loop: each is a one-queue search.FlatSearch run over the grid's
 cached move tables (the box rule of kernels.move_free, same costs)
 whose gate never blocks and whose bound is w, isolating the search
-strategy as the only difference.  The oracle, dijkstra_optimal, is an
-A* (kernels.astar_unit) with its own octile (2D) or euclidean (3D)
-heuristic over unit-move bitmasks built by the same rule
-(kernels.unit_moves) and cached per map (GridMap.unit_moves).  It uses
-neither the move tables nor the planners' heuristic, so it stays
-independent of the planners' moves.  dijkstra_field runs the full-field
-Dijkstra (kernels.dijkstra_2d/3d), which builds its masks per call.
+strategy as the only difference.  The exact oracle is one search loop,
+kernels.astar_unit, over unit-move bitmasks built by the same rule
+(kernels.unit_moves) and cached per map (GridMap.unit_moves):
+dijkstra_optimal runs it toward the goal, with its own octile (2D) or
+euclidean (3D) heuristic, and dijkstra_field runs it with no goal for
+the full distance field.  It uses neither the move tables nor the
+planners' heuristic, so it stays independent of the planners' moves.
 """
 
 import math
@@ -73,13 +73,14 @@ def wa_union(
 
 def dijkstra_field(grid: GridMap, source: Cell) -> tuple[np.ndarray, np.ndarray]:
     """Exact unit-scale distances from source to every cell, plus the
-    predecessor field (flat indices, -1 where unreached).  Arrays are
-    shaped like grid.blocked.  A blocked source reaches nothing: every
-    distance is inf.  Raises InvalidProblemError when source is out of
-    bounds, has the wrong number of coordinates or a non-integer one."""
+    predecessor field (flat indices, -1 where unreached): the oracle's
+    search with no goal, over the grid's cached unit-move masks.
+    Arrays are shaped like grid.blocked.  A blocked source reaches
+    nothing: every distance is inf.  Raises InvalidProblemError when
+    source is out of bounds, has the wrong number of coordinates or a
+    non-integer one."""
     source = check_cell(grid, source, "source")
-    run = kernels.dijkstra_2d if grid.dim == 2 else kernels.dijkstra_3d
-    dist, bp = run(grid.flat_blocked, *grid.extents, *source, *(-1,) * grid.dim)
+    dist, bp = kernels.astar_unit(grid.blocked, grid.unit_moves(), grid.flat_index(source), -1)
     shape = grid.blocked.shape
     return dist.reshape(shape), bp.reshape(shape)
 

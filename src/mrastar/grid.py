@@ -64,12 +64,8 @@ class GridMap:
     blocked: np.ndarray
 
     def __post_init__(self):
-        ext = tuple(int(e) for e in self.extents)
+        ext = _as_extents(self.extents)
         object.__setattr__(self, "extents", ext)
-        if len(ext) not in (2, 3):
-            raise ValueError(f"extents must have 2 or 3 entries, got {len(ext)}")
-        if any(e < 1 for e in ext):
-            raise ValueError(f"extents must be positive, got {ext}")
         shape = tuple(reversed(ext))
         arr = np.array(self.blocked, dtype=bool, order="C")
         if arr.shape != shape:
@@ -83,7 +79,7 @@ class GridMap:
 
     @classmethod
     def empty(cls, extents) -> "GridMap":
-        ext = tuple(int(e) for e in extents)
+        ext = _as_extents(extents)
         return cls(ext, np.zeros(tuple(reversed(ext)), dtype=bool))
 
     @property
@@ -99,11 +95,16 @@ class GridMap:
         return self.blocked.ravel()
 
     def in_bounds(self, cell: Cell) -> bool:
-        return len(cell) == self.dim and all(
-            0 <= c < e for c, e in zip(cell, self.extents)
-        )
+        """True iff cell has one coordinate per axis, each in range.
+        Raises InvalidProblemError for what as_cell refuses (a
+        non-integer coordinate, a non-sequence); a tuple of ints, the
+        planners' case, is taken as is."""
+        if type(cell) is not tuple or not {int}.issuperset(map(type, cell)):
+            as_cell(cell)
+        return len(cell) == self.dim and all(0 <= c < e for c, e in zip(cell, self.extents))
 
     def is_free(self, cell: Cell) -> bool:
+        """True iff cell is in bounds (see in_bounds) and not blocked."""
         return self.in_bounds(cell) and not bool(self.blocked[tuple(reversed(cell))])
 
     def flat_index(self, cell: Cell) -> int:
@@ -153,6 +154,20 @@ class GridMap:
             masks = _build_space_masks(self, multipliers)
             self._cache[key] = masks
         return masks
+
+
+def _as_extents(extents) -> tuple[int, ...]:
+    """extents as 2 or 3 positive Python ints (numpy integers allowed);
+    raises ValueError otherwise, for a float, bool or string extent too."""
+    ext = tuple(extents)
+    if any(isinstance(e, bool) or not isinstance(e, (int, np.integer)) for e in ext):
+        raise ValueError(f"extents must be integers, got {ext!r}")
+    ext = tuple(map(int, ext))
+    if len(ext) not in (2, 3):
+        raise ValueError(f"extents must have 2 or 3 entries, got {len(ext)}")
+    if any(e < 1 for e in ext):
+        raise ValueError(f"extents must be positive, got {ext}")
+    return ext
 
 
 def as_cell(cell, name: str = "cell") -> Cell:
@@ -356,10 +371,13 @@ def heuristic(a: Cell, b: Cell, kind: str = "octile") -> float:
 
     octile (2D only): sqrt(2)*min(|dx|,|dy|) + ||dx|-|dy||, the exact
     free-space distance under 8-connected unit moves.  euclidean: the
-    straight-line distance, admissible in any dimension.
+    straight-line distance, admissible in any dimension.  Raises
+    InvalidProblemError when a and b differ in dimension.
     """
+    if len(a) != len(b):
+        raise InvalidProblemError(f"cells {a} and {b} differ in dimension")
     if kind == "octile":
-        if len(a) != 2 or len(b) != 2:
+        if len(a) != 2:
             raise InvalidProblemError("octile heuristic is defined for 2D cells only")
         dx = abs(a[0] - b[0])
         dy = abs(a[1] - b[1])

@@ -1,4 +1,4 @@
-"""Plain-Python kernels for grid geometry and the oracle Dijkstra.
+"""Plain-Python kernels for grid geometry and the exact unit-lattice search.
 
 Everything here operates on flat occupancy sequences (a numpy bool array
 or a list; True for blocked cells) plus integer coordinates.  One rule
@@ -6,14 +6,16 @@ decides moves, the box rule: a king move of length k is valid iff every
 cell of the box each of its k unit steps spans is free.  move_free
 checks it cell by cell for grid.edge_valid; successors (and its traced
 2D/3D entry points) builds on it for grid.successors_at_scale.
-The unit-lattice searches run over each cell's unit-move bitmask, built
-with numpy by the same rule (unit_moves).  The oracle behind
-baselines.dijkstra_optimal is astar_unit, an A* over the masks
-GridMap.unit_moves caches per map, with its own octile (2D) or
-euclidean (3D) heuristic; dijkstra_2d/3d build the masks per call and
-serve the distance fields.  Both stay independent of the planners' move
-tables (grid.MoveTable) and heuristic (grid.flat_heuristic).
-Connected-component labels come from scipy.ndimage.
+The unit-lattice search runs over each cell's unit-move bitmask, built
+with numpy by the same rule (unit_moves).  There is one search loop,
+astar_unit: toward a goal it is an A* with its own octile (2D) or
+euclidean (3D) heuristic, the oracle behind baselines.dijkstra_optimal;
+with goal = -1 it is a full Dijkstra field, behind
+baselines.dijkstra_field and the traced dijkstra_2d/3d.  Both callers
+in baselines pass the masks GridMap.unit_moves caches per map, apart
+from the planners' move tables (grid.MoveTable) and heuristic
+(grid.flat_heuristic).  Connected-component labels come from
+scipy.ndimage.
 
 Coordinate convention: x is the fastest-varying axis.  A 2D map with
 width w stores cell (x, y) at flat index y*w + x; a 3D map with width w
@@ -148,57 +150,28 @@ def unit_moves(blocked):
     return memoryview(masks.ravel()), tuple(offsets), tuple(costs)
 
 
-def _dijkstra(blocked, source, goal):
-    """Exact distances from flat id source over blocked's unit moves
-    (see unit_moves).  Stops once goal is settled (goal = -1 for a full
-    field); a blocked source reaches nothing.  Returns (dist, bp) as
-    numpy arrays; bp holds predecessor flat ids, -1 for the source and
-    unreached cells."""
-    n, source, goal = blocked.size, int(source), int(goal)
-    dist = array("d", [math.inf]) * n
-    bp = array("q", [-1]) * n
-    if not blocked.flat[source]:
-        masks, offsets, costs = unit_moves(blocked)
-        done = bytearray(n)
-        dist[source] = 0.0
-        heap = [(0.0, source)]
-        while heap:
-            du, u = heappop(heap)
-            if done[u]:
-                continue
-            done[u] = 1
-            if u == goal:
-                break
-            m = masks[u]
-            for b in (
-                MASK_BITS[m] if m < 512
-                else MASK_BITS[m & 511] + MID_BITS[m >> 9 & 511] + HIGH_BITS[m >> 18]
-            ):
-                v = u + offsets[b]
-                nd = du + costs[b]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    bp[v] = u
-                    heappush(heap, (nd, v))
-    return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
-
-
 def astar_unit(blocked, moves, source, goal):
-    """A* from flat id source to flat id goal over moves, the
-    (masks, offsets, costs) of unit_moves(blocked).  Its heuristic is
-    the obstacle-free distance to goal: octile on a 2D map, euclidean
-    in 3D.  Both are consistent with the unit-move costs, so a settled
-    cell's dist is exact and the search stops once goal is settled; a
-    blocked source reaches nothing.  Returns (dist, bp) like _dijkstra:
-    dist is inf and bp -1 where no cell was reached, and bp is -1 at
-    the source."""
+    """The one exact search over the unit lattice: A* from flat id
+    source over moves, the (masks, offsets, costs) of
+    unit_moves(blocked).  Toward a flat id goal its heuristic is the
+    obstacle-free distance to goal, octile on a 2D map and euclidean in
+    3D; both are consistent with the unit-move costs, so a settled
+    cell's dist is exact and the search stops once goal is settled.
+    With goal = -1 the heuristic is zero and the search settles every
+    reachable cell: a Dijkstra distance field.  A blocked source
+    reaches nothing.  Returns (dist, bp) as flat numpy arrays: dist is
+    inf and bp -1 where no cell was reached, and bp holds predecessor
+    flat ids, -1 at the source."""
     n, source, goal = blocked.size, int(source), int(goal)
     dist = array("d", [math.inf]) * n
     bp = array("q", [-1]) * n
     if not blocked.flat[source]:
         masks, offsets, costs = moves
         w = blocked.shape[-1]
-        if blocked.ndim == 2:
+        if goal < 0:
+            def h(v):
+                return 0.0
+        elif blocked.ndim == 2:
             gx, gy = goal % w, goal // w
 
             def h(v):
@@ -237,23 +210,16 @@ def astar_unit(blocked, moves, source, goal):
     return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
 
 
-def dijkstra_2d(occ, w, h, sx, sy, gx, gy):
-    """Exact shortest-path distances from (sx, sy) on the unit lattice.
-
-    Returns (dist, bp) flat arrays; bp holds predecessor flat indices,
-    -1 for the source and unreached cells.  A nonnegative gx enables
-    early exit once the goal is settled; pass gx = -1 for a full field.
-    """
-    goal = gy * w + gx if gx >= 0 else -1
-    return _dijkstra(np.asarray(occ, dtype=bool).reshape(h, w), sy * w + sx, goal)
+def dijkstra_2d(occ, w, h, sx, sy):
+    """astar_unit's full field from (sx, sy) on a w x h map: (dist, bp)."""
+    blocked = np.asarray(occ, dtype=bool).reshape(h, w)
+    return astar_unit(blocked, unit_moves(blocked), sy * w + sx, -1)
 
 
-def dijkstra_3d(occ, w, h, d, sx, sy, sz, gx, gy, gz):
-    """3D version of dijkstra_2d on the 26-connected unit lattice."""
-    goal = (gz * h + gy) * w + gx if gx >= 0 else -1
-    return _dijkstra(
-        np.asarray(occ, dtype=bool).reshape(d, h, w), (sz * h + sy) * w + sx, goal
-    )
+def dijkstra_3d(occ, w, h, d, sx, sy, sz):
+    """dijkstra_2d on a w x h x d map, 26-connected."""
+    blocked = np.asarray(occ, dtype=bool).reshape(d, h, w)
+    return astar_unit(blocked, unit_moves(blocked), (sz * h + sy) * w + sx, -1)
 
 
 def _component_labels(occ, shape):

@@ -208,9 +208,12 @@ def gen_scenarios(
     connected component, by rejection from a seeded generator.
 
     The pairs live on the unit lattice; planners that need sublattice
-    endpoints reject unsuitable pairs themselves.  Raises
-    ScenarioGenerationError when the attempt budget runs out.
+    endpoints reject unsuitable pairs themselves.  Raises ValueError for
+    a negative count and ScenarioGenerationError when the attempt budget
+    runs out.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     free = np.flatnonzero(~grid.flat_blocked)
     if len(free) < 2:
         raise ScenarioGenerationError(

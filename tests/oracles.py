@@ -30,7 +30,7 @@ from mrastar.grid import (
 )
 from mrastar.kernels import SQRT2, SQRT3
 from mrastar.kernels import STEP as _STEP
-from mrastar.kernels import mask_bits
+from mrastar.kernels import HIGH_BITS, MASK_BITS, MID_BITS, mask_bits, unit_moves
 from mrastar.maps_io import Scenario
 from mrastar.search import (
     STATUS_EXHAUSTED,
@@ -341,11 +341,12 @@ def walk_successors_3d(occ, w, h, d, x, y, z, k):
 
 
 def supercover_dijkstra(occ, extents, source, goal):
-    """The oracle Dijkstra that kernels.dijkstra_2d/3d replaced, kept as
-    the reference they are checked against: heapq over the unit moves of
-    the supercover walk (walk_successors_2d/3d at k=1), one walk per
-    move of every settled cell.  source and goal are flat ids (goal = -1
-    for a full field); returns (dist, bp) like the kernels."""
+    """The oracle Dijkstra that the mask searches replaced, kept as the
+    reference that kernels.dijkstra_2d/3d's full fields and
+    mask_dijkstra's early exits are checked against: heapq over the unit
+    moves of the supercover walk (walk_successors_2d/3d at k=1), one
+    walk per move of every settled cell.  source and goal are flat ids
+    (goal = -1 for a full field); returns (dist, bp) like the kernels."""
     occ = np.asarray(occ, dtype=bool).ravel().tolist()
     w, h = extents[0], extents[1]
     wh = w * h
@@ -378,11 +379,51 @@ def supercover_dijkstra(occ, extents, source, goal):
     return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
 
 
+def mask_dijkstra(blocked, source, goal):
+    """kernels._dijkstra, the Dijkstra that served the distance fields
+    and the early-exit oracle before both ran through kernels.astar_unit,
+    kept verbatim (renamed) as the reference that astar_unit's fields are
+    checked against.
+
+    Exact distances from flat id source over blocked's unit moves
+    (see unit_moves).  Stops once goal is settled (goal = -1 for a full
+    field); a blocked source reaches nothing.  Returns (dist, bp) as
+    numpy arrays; bp holds predecessor flat ids, -1 for the source and
+    unreached cells."""
+    n, source, goal = blocked.size, int(source), int(goal)
+    dist = array("d", [math.inf]) * n
+    bp = array("q", [-1]) * n
+    if not blocked.flat[source]:
+        masks, offsets, costs = unit_moves(blocked)
+        done = bytearray(n)
+        dist[source] = 0.0
+        heap = [(0.0, source)]
+        while heap:
+            du, u = heappop(heap)
+            if done[u]:
+                continue
+            done[u] = 1
+            if u == goal:
+                break
+            m = masks[u]
+            for b in (
+                MASK_BITS[m] if m < 512
+                else MASK_BITS[m & 511] + MID_BITS[m >> 9 & 511] + HIGH_BITS[m >> 18]
+            ):
+                v = u + offsets[b]
+                nd = du + costs[b]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    bp[v] = u
+                    heappush(heap, (nd, v))
+    return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
+
+
 def early_exit_dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:
     """baselines.dijkstra_optimal as it was before the A* oracle, kept
-    verbatim (renamed) as the reference it is checked against: the
-    goal form of kernels.dijkstra_2d/3d, which builds its unit-move
-    masks per call and stops once the goal is settled."""
+    (adapted) as the reference it is checked against: mask_dijkstra,
+    the early-exit Dijkstra that builds its unit-move masks per call and
+    stops once the goal is settled."""
     try:
         start, goal = as_cell(start), as_cell(goal)
     except InvalidProblemError:
@@ -391,19 +432,10 @@ def early_exit_dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float
         return math.inf
     if start == goal:
         return 0.0
-    occ = grid.flat_blocked
-    if grid.dim == 2:
-        w, h = grid.extents
-        dist, bp = kernels.dijkstra_2d(occ, w, h, start[0], start[1], goal[0], goal[1])
-    else:
-        w, h, d = grid.extents
-        dist, bp = kernels.dijkstra_3d(
-            occ, w, h, d, start[0], start[1], start[2], goal[0], goal[1], goal[2]
-        )
-    goal_id = grid.flat_index(goal)
+    start_id, goal_id = grid.flat_index(start), grid.flat_index(goal)
+    dist, bp = mask_dijkstra(grid.blocked, start_id, goal_id)
     if not math.isfinite(dist[goal_id]):
         return math.inf
-    start_id = grid.flat_index(start)
     chain = [goal_id]
     while chain[-1] != start_id:
         chain.append(int(bp[chain[-1]]))

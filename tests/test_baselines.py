@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrastar import baselines as B
 from mrastar import grid as G
+from mrastar import kernels
 from mrastar import search as S
 from mrastar import synthetic as syn
 from mrastar.errors import InvalidProblemError
@@ -148,6 +151,63 @@ def test_dijkstra_field_blocked_source_reaches_nothing():
     assert np.all(np.isinf(dist)) and np.all(bp == -1)
     dist, _ = B.dijkstra_field(g, (4, 3))
     assert dist[3, 4] == 0.0 and np.isfinite(dist).sum() == 19
+
+
+@pytest.mark.parametrize("extents,density,seed", ORACLE_MAPS)
+def test_distance_fields_bitwise_equal_to_mask_dijkstra(extents, density, seed):
+    # dijkstra_field and the traced kernels run astar_unit with no goal;
+    # their dist and bp against the Dijkstra loop that served the fields
+    # before, byte for byte, from free and blocked sources
+    g = syn.random_grid(extents, density, seed)
+    pick = np.random.default_rng(seed)
+    run = kernels.dijkstra_2d if g.dim == 2 else kernels.dijkstra_3d
+    free, blocked = np.flatnonzero(~g.flat_blocked), np.flatnonzero(g.flat_blocked)
+    sources = {int(v) for v in pick.integers(g.size, size=3)}
+    sources |= {int(v) for v in (*free[:1], *free[-1:], *blocked[:1], *blocked[-1:])}
+    for src in sorted(sources):
+        want = oracles.mask_dijkstra(g.blocked, src, -1)
+        cell = g.cell_of(src)
+        for dist, bp in (B.dijkstra_field(g, cell), run(g.flat_blocked, *g.extents, *cell)):
+            assert dist.tobytes() == want[0].tobytes(), cell
+            assert bp.tobytes() == want[1].tobytes(), cell
+
+
+@pytest.mark.parametrize("extents,seed", [((16, 16), 1), ((8, 7, 6), 2)])
+def test_dijkstra_field_shares_the_oracle_mask_cache(monkeypatch, extents, seed):
+    g = syn.random_grid(extents, 0.2, seed)
+    builds = []
+    build = kernels.unit_moves
+    monkeypatch.setattr(kernels, "unit_moves", lambda blocked: builds.append(1) or build(blocked))
+    a, b = connected_free_pair(g, np.random.default_rng(seed))
+    dist, _ = B.dijkstra_field(g, a)
+    assert B.dijkstra_optimal(g, a, b) == dist[tuple(reversed(b))]
+    B.dijkstra_field(g, b)
+    assert len(builds) == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    extents=st.one_of(
+        st.lists(st.integers(1, 8), min_size=2, max_size=2),
+        st.lists(st.integers(1, 5), min_size=3, max_size=3),
+    ),
+    density=st.sampled_from((0.2, 0.35)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_dijkstra_field_chains_hex_equal_to_dijkstra_optimal(extents, density, seed, data):
+    # equal-cost optima have equal integer counts of 1, sqrt2 and sqrt3
+    # steps, so path_cost of the field's bp chain to any reached cell is
+    # the same float as the goal-directed oracle's answer
+    g = syn.random_grid(tuple(extents), density, seed)
+    s = g.cell_of(data.draw(st.integers(0, g.size - 1)))
+    dist, bp = (a.ravel() for a in B.dijkstra_field(g, s))
+    for t in np.flatnonzero(np.isfinite(dist)).tolist():
+        chain = [t]
+        while bp[chain[-1]] >= 0:
+            chain.append(int(bp[chain[-1]]))
+        got = G.path_cost([g.cell_of(v) for v in reversed(chain)])
+        assert got.hex() == B.dijkstra_optimal(g, s, g.cell_of(t)).hex(), (s, t)
 
 
 # ----------------------------------------------------------- weighted A*

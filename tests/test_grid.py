@@ -44,6 +44,35 @@ def test_gridmap_queries():
     blocked[2, 3] = True  # cell (3,2)
     g = G.GridMap((5, 4), blocked)
     assert g.is_free((3, 1)) and not g.is_free((3, 2)) and not g.is_free((9, 9))
+    # a wrong arity is no error, just not a cell of this map
+    assert not g.is_free((1,)) and g.is_free((np.int64(2), 2)) and g.is_free([2, 2])
+
+
+@pytest.mark.parametrize("extents", [(2.5, 3), (3, 2.0), (True, 3), ("3", 3), (2, 2, 1.5)], ids=repr)
+def test_gridmap_refuses_non_integer_extents(extents):
+    # (2.5, 3) used to build a 2x3 map: int() truncated it
+    with pytest.raises(ValueError, match="extents must be integers"):
+        G.GridMap.empty(extents)
+    shape = tuple(reversed([int(e) for e in extents]))
+    with pytest.raises(ValueError, match="extents must be integers"):
+        G.GridMap(extents, np.zeros(shape, bool))
+
+
+def test_gridmap_accepts_numpy_integer_extents():
+    g = G.GridMap.empty((np.int64(5), np.int32(4)))
+    assert g.extents == (5, 4) and all(type(e) is int for e in g.extents)
+    assert G.GridMap(np.array([3, 2, 2]), np.zeros((2, 2, 3), bool)).extents == (3, 2, 2)
+
+
+@pytest.mark.parametrize("cell", [(0.5, 1), (2.0, 2), (True, 1), ("a", 1), (1, 1.0), 3, None], ids=repr)
+def test_gridmap_queries_refuse_non_integer_coordinates(cell):
+    # on a 5x5 map, (0.5, 1) and (2.0, 2) used to escape from is_free as
+    # numpy's IndexError, (True, 1) as an ambiguous-truth ValueError and
+    # ("a", 1) from in_bounds as TypeError
+    g = G.GridMap.empty((5, 5))
+    for query in (g.in_bounds, g.is_free):
+        with pytest.raises(InvalidProblemError):
+            query(cell)
 
 
 @pytest.mark.parametrize("extents", [(5, 4), (4, 3, 6)])
@@ -128,6 +157,9 @@ def test_heuristic_values():
 def test_heuristic_domain_errors():
     with pytest.raises(InvalidProblemError):
         G.heuristic((1, 2, 3), (4, 5, 6), "octile")
+    # zip used to truncate the 3D cell: sqrt(2) for (0, 0) -> (1, 1, 1)
+    with pytest.raises(InvalidProblemError):
+        G.heuristic((0, 0), (1, 1, 1), "euclidean")
     with pytest.raises(ValueError):
         G.heuristic((0, 0), (1, 1), "manhattan")
 

@@ -128,9 +128,7 @@ def test_successors_3d_count_interior():
 def test_dijkstra_2d_matches_scipy_reference(shape, density, seed):
     g = random_grid(shape, density, seed)
     src = next(c for c in oracles.grid_cells(g) if g.is_free(c))
-    dist, bp = kernels.dijkstra_2d(
-        g.flat_blocked, g.extents[0], g.extents[1], src[0], src[1], -1, -1
-    )
+    dist, bp = kernels.dijkstra_2d(g.flat_blocked, g.extents[0], g.extents[1], src[0], src[1])
     ref = oracles.reference_distances(g, src)
     assert np.allclose(dist, ref, rtol=1e-12, atol=1e-12, equal_nan=False)
     # backpointers reconstruct monotone shortest paths
@@ -145,23 +143,22 @@ def test_dijkstra_2d_matches_scipy_reference(shape, density, seed):
 def test_dijkstra_3d_matches_scipy_reference():
     g = random_grid((9, 9, 9), 0.25, seed=3)
     src = next(c for c in oracles.grid_cells(g) if g.is_free(c))
-    dist, _ = kernels.dijkstra_3d(
-        g.flat_blocked, 9, 9, 9, src[0], src[1], src[2], -1, -1, -1
-    )
+    dist, _ = kernels.dijkstra_3d(g.flat_blocked, 9, 9, 9, src[0], src[1], src[2])
     ref = oracles.reference_distances(g, src)
     assert np.allclose(dist, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_dijkstra_early_exit_agrees_with_full_field():
+    # the reference early-exit Dijkstra against the kernels' full field
     for extents, seed in (((20, 20), 4), ((9, 8, 7), 5)):
         g = random_grid(extents, 0.3, seed=seed)
         src = next(c for c in oracles.grid_cells(g) if g.is_free(c))
         run = kernels.dijkstra_2d if g.dim == 2 else kernels.dijkstra_3d
-        full, _ = run(g.flat_blocked, *g.extents, *src, *(-1,) * g.dim)
+        full, _ = run(g.flat_blocked, *g.extents, *src)
         # a goal halfway out, so the early exit has cells left to skip
         reached = np.flatnonzero(np.isfinite(full))
         t = int(reached[np.argsort(full[reached], kind="stable")[len(reached) // 2]])
-        early, _ = run(g.flat_blocked, *g.extents, *src, *g.cell_of(t))
+        early, _ = oracles.mask_dijkstra(g.blocked, g.flat_index(src), t)
         assert early[t] == full[t]
         settled = early <= early[t]
         assert np.array_equal(early[settled], full[settled])
@@ -188,9 +185,10 @@ ORACLE_MAPS = [
 
 @pytest.mark.parametrize("extents,density,seed", ORACLE_MAPS)
 def test_dijkstra_bitwise_equal_to_supercover_oracle(extents, density, seed):
-    # the mask-driven oracle against the segment-walk Dijkstra it
-    # replaced: dist and bp equal byte for byte, for full fields and
-    # early exits, from free and blocked sources
+    # the mask-driven searches against the segment-walk Dijkstra they
+    # replaced: dist and bp equal byte for byte, from free and blocked
+    # sources, for the kernels' full fields and the reference
+    # mask_dijkstra's early exits
     g = random_grid(extents, density, seed)
     pick = np.random.default_rng(seed)
     run = kernels.dijkstra_2d if g.dim == 2 else kernels.dijkstra_3d
@@ -199,8 +197,10 @@ def test_dijkstra_bitwise_equal_to_supercover_oracle(extents, density, seed):
     for src in sorted(sources):
         for goal in (-1, int(pick.integers(g.size)), src):
             want = oracles.supercover_dijkstra(g.flat_blocked, g.extents, src, goal)
-            target = g.cell_of(goal) if goal >= 0 else (-1,) * g.dim
-            got = run(g.flat_blocked, *g.extents, *g.cell_of(src), *target)
+            if goal < 0:
+                got = run(g.flat_blocked, *g.extents, *g.cell_of(src))
+            else:
+                got = oracles.mask_dijkstra(g.blocked, src, goal)
             assert got[0].tobytes() == want[0].tobytes(), (src, goal)
             assert got[1].tobytes() == want[1].tobytes(), (src, goal)
 
@@ -229,7 +229,6 @@ def test_astar_unit_reaches_fewer_cells_than_early_exit_dijkstra(extents, densit
     labels = fine_components(g).ravel()
     main = np.flatnonzero(labels == np.bincount(labels[labels >= 0]).argmax())
     moves = kernels.unit_moves(g.blocked)
-    run = kernels.dijkstra_2d if g.dim == 2 else kernels.dijkstra_3d
     pairs = 0
     while pairs < 8:
         a, b = (int(v) for v in pick.choice(main, size=2))
@@ -237,7 +236,7 @@ def test_astar_unit_reaches_fewer_cells_than_early_exit_dijkstra(extents, densit
             continue
         pairs += 1
         dist, bp = kernels.astar_unit(g.blocked, moves, a, b)
-        want, _ = run(g.flat_blocked, *g.extents, *g.cell_of(a), *g.cell_of(b))
+        want, _ = oracles.mask_dijkstra(g.blocked, a, b)
         assert abs(dist[b] - want[b]) <= 1e-12
         assert np.isfinite(dist).sum() < np.isfinite(want).sum()
         chain = [b]
@@ -272,6 +271,6 @@ def test_component_labels_match_scipy_partition():
 def test_heap_growth_past_initial_capacity():
     # a 64x64 free map: thousands of heap entries, exact corner distance
     g = GridMap.empty((64, 64))
-    dist, _ = kernels.dijkstra_2d(g.flat_blocked, 64, 64, 0, 0, -1, -1)
+    dist, _ = kernels.dijkstra_2d(g.flat_blocked, 64, 64, 0, 0)
     assert math.isclose(dist[64 * 64 - 1], 63 * math.sqrt(2.0), rel_tol=1e-12)
     assert np.all(np.isfinite(dist))

@@ -179,6 +179,14 @@ def test_gen_scenarios_connected_and_distinct():
     assert [s.index for s in scens] == list(range(100))
 
 
+def test_gen_scenarios_refuses_a_negative_count():
+    g = M.parse_movingai_map(MOVINGAI_3X3)
+    # -3 used to return [], like a count of 0
+    with pytest.raises(ValueError, match="count"):
+        M.gen_scenarios(g, -3, seed=9)
+    assert M.gen_scenarios(g, 0, seed=9) == []
+
+
 def test_gen_scenarios_two_disconnected_cells():
     blocked = np.ones((3, 3), bool)
     blocked[0, 0] = False
