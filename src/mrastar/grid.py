@@ -11,7 +11,9 @@ kernels.move_free).
 
 Planners read moves from a move table that each GridMap caches per
 scale k, with one bit per direction per cell (see MoveTable), built
-with vectorized numpy from the same rule.  edge_valid and
+with vectorized numpy from the same rule.  A coarse (k > 1) table
+holds moves only at the cells of its k-space, the only cells a planner
+reads it at; elsewhere it holds 0.  edge_valid and
 successors_at_scale check the rule cell by cell instead, apart from the
 tables.
 """
@@ -19,6 +21,7 @@ tables.
 import itertools
 import math
 from dataclasses import dataclass
+from operator import lt
 
 import numpy as np
 
@@ -36,7 +39,13 @@ class MoveTable:
     """Every valid move of one scale k on one map.
 
     masks[c] holds bit b set iff direction b is a valid length-k move
-    from flat cell c; blocked cells hold 0.  Directions follow the
+    from flat cell c; blocked cells hold 0.  For k > 1 only the cells of
+    the k-sublattice (see coincides) hold moves and every other cell
+    holds 0, since no planner reads a scale-k table anywhere else: MRA*
+    queue i holds only states on level i's sublattice, wa_union picks
+    each state's tables by its space mask, and weighted_astar at scale k
+    starts on the sublattice, which moves of length k never leave.
+    The k = 1 table holds the moves of every cell.  Directions follow the
     kernels' order (dy, or dz, outermost, dx innermost, zero vector
     skipped), so decoding the bits upward yields successors_at_scale's
     order.  offsets[b] is the flat-index step of direction b and
@@ -99,13 +108,14 @@ class GridMap:
         Raises InvalidProblemError for what as_cell refuses (a
         non-integer coordinate, a non-sequence); a tuple of ints, the
         planners' case, is taken as is."""
-        if type(cell) is not tuple or not {int}.issuperset(map(type, cell)):
-            as_cell(cell)
-        return len(cell) == self.dim and all(0 <= c < e for c, e in zip(cell, self.extents))
+        cell, ext = as_cell(cell), self.extents
+        return len(cell) == len(ext) and min(cell) >= 0 and all(map(lt, cell, ext))
 
     def is_free(self, cell: Cell) -> bool:
-        """True iff cell is in bounds (see in_bounds) and not blocked."""
-        return self.in_bounds(cell) and not bool(self.blocked[tuple(reversed(cell))])
+        """True iff cell is in bounds (see in_bounds) and not blocked, read
+        at its flat index."""
+        cell = as_cell(cell)  # Python ints: a flat index of numpy ints could overflow
+        return self.in_bounds(cell) and not self.blocked.item(self.flat_index(cell))
 
     def flat_index(self, cell: Cell) -> int:
         if self.dim == 2:
@@ -175,6 +185,8 @@ def as_cell(cell, name: str = "cell") -> Cell:
     cell is a sequence of integers (int or numpy integer): a bool, a
     float, even an integral one, or a string is refused rather than
     truncated."""
+    if type(cell) is tuple and {int}.issuperset(map(type, cell)):
+        return cell  # already a tuple of ints, the planners' case
     try:
         coords = tuple(cell)
     except TypeError:
@@ -264,48 +276,15 @@ def edge_valid(a: Cell, b: Cell, grid: GridMap) -> bool:
     return kernels.move_free(grid.flat_blocked, grid.extents, a, step, k)
 
 
-def _window_and(u: np.ndarray, o: int, k: int) -> np.ndarray:
-    """out[c] = all(u[c + t*o] for t in range(k)) over flat ids c, and
-    False where c + (k-1)*o leaves u; by doubling, on slices of u.
-
-    For unit-move bits a window that wraps past a row edge is harmless:
-    the first unit move along it that leaves the map is already False at
-    the last cell inside, so the wrapped reads never decide a result."""
-    n, p = len(u), abs(o)
-    span = (k - 1) * p
-    out = np.zeros(n, bool)
-    if span >= n:
-        return out
-    m = n - span
-    # fwd[c] = all(u[c + t*p] for t < k), c < m.  block[c] holds the
-    # window of `width` reads from c; it is valid for c < len(block).
-    fwd = None
-    covered, width, block = 0, 1, u
-    while True:
-        if k & 1:
-            part = block[covered * p:covered * p + m]
-            fwd = part if fwd is None else fwd & part
-            covered += width
-        k >>= 1
-        if not k:
-            break
-        block = block[:len(block) - width * p] & block[width * p:]
-        width *= 2
-    if o > 0:
-        out[:m] = fwd
-    else:  # all(u[c - t*p] for t < k) = fwd[c - span]
-        out[span:] = fwd
-    return out
-
-
 def _build_move_table(grid: GridMap, k: int, unit: MoveTable | None) -> MoveTable:
     """A unit move is valid iff every cell of the box it spans is free
     (for a diagonal that is both flanks: the corner rule).  King moves
     of length k run along the line of k unit moves, so a length-k move
     is valid iff those k unit moves all are.  unit, the k = 1 table,
-    supplies the unit moves when k > 1.  A direction that steps along
-    an axis no longer than k leaves the map from every cell, so its bit
-    stays 0 without any array work."""
+    supplies the unit moves when k > 1; then only the cells of the
+    k-sublattice get moves and every other cell holds 0 (see MoveTable).
+    A direction that steps along an axis no longer than k leaves the map
+    from every cell, so its bit stays 0 without any array work."""
     dirs = directions(grid.dim)
     dtype = np.uint8 if grid.dim == 2 else np.uint32
     shape = grid.blocked.shape
@@ -316,25 +295,32 @@ def _build_move_table(grid: GridMap, k: int, unit: MoveTable | None) -> MoveTabl
         b for b, vec in enumerate(dirs)
         if not any(v and n <= k for v, n in zip(vec, grid.extents))
     ]
+    masks = np.zeros(shape, dtype)
     if unit is None:
         # Each cell of a unit move's box is a slice of the zero-padded
         # free array, shifted by one corner of the step.
         free = np.pad(~grid.blocked, 1)
-        masks = np.zeros(shape, dtype)
         for b in live:
             step = tuple(reversed(dirs[b]))  # array axis order
             ok = np.ones(shape, bool)
             for corner in itertools.product(*((0, s) if s else (0,) for s in step)):
                 ok &= free[tuple(slice(1 + c, 1 + c + n) for c, n in zip(corner, shape))]
             masks |= ok.astype(dtype) << b
-        masks = masks.ravel()
-    else:
-        unit_masks = np.frombuffer(unit.masks, dtype)
-        masks = np.zeros(grid.size, dtype)
-        for b in live:
-            ok = _window_and(unit_masks & (1 << b) != 0, offsets[b] // k, k)
-            masks |= ok.astype(dtype) << b
-    return MoveTable(k, memoryview(masks), tuple(offsets), tuple(costs))
+    elif live:
+        on = (slice((k - 1) // 2, None, k),) * grid.dim  # the k-sublattice
+        cells = np.arange(grid.size).reshape(shape)[on]
+        units = np.array([offsets[b] // k for b in live])
+        # reads[j, t, c]: the unit masks t unit steps along direction
+        # live[j] from sublattice cell c.  A read past a row edge (wrapped)
+        # or past the array (clipped) comes after the first unit move that
+        # leaves the map, whose bit is already 0, so it never decides a bit.
+        reads = np.frombuffer(unit.masks, dtype).take(
+            cells.ravel() + np.arange(k)[:, None] * units[:, None, None], mode="clip"
+        )
+        bits = np.array([1 << b for b in live], dtype)[:, None]
+        runs = np.bitwise_and.reduce(reads, axis=1) & bits
+        masks[on] = np.bitwise_or.reduce(runs, axis=0).reshape(cells.shape)
+    return MoveTable(k, memoryview(masks.ravel()), tuple(offsets), tuple(costs))
 
 
 def _build_space_masks(grid: GridMap, multipliers: tuple[int, ...]):

@@ -16,7 +16,9 @@ serialized map always round-trips.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -188,13 +190,74 @@ def load_map(path: str, fmt: str) -> GridMap:
     raise ValueError(f"unknown map format {fmt!r}")
 
 
-@dataclass(frozen=True)
-class Scenario:
-    map_id: str
-    index: int
-    start: Cell
-    goal: Cell
-    seed: int
+def _no_order(op: str):
+    def compare(self, other):
+        if isinstance(other, tuple):  # tuple's own order would apply
+            raise TypeError(
+                f"'{op}' not supported between instances of "
+                f"{type(self).__name__!r} and {type(other).__name__!r}"
+            )
+        return NotImplemented
+
+    return compare
+
+
+class Scenario(tuple):
+    """One sampled query: map_id (str), index (int), start and goal
+    (cells) and the sampler's seed (int), in that order.
+
+    A tuple underneath, so that gen_scenarios builds thousands cheaply,
+    it behaves as a frozen dataclass of these fields does: construction
+    by position or keyword, the dataclass repr, equality and hash by
+    field values, FrozenInstanceError on assignment and no order (<, >
+    raise TypeError).  It equals another Scenario only, never a plain
+    tuple of the same values.  It pickles and copies."""
+
+    __slots__ = ()
+    __match_args__ = ("map_id", "index", "start", "goal", "seed")
+
+    def __new__(cls, map_id: str, index: int, start: Cell, goal: Cell, seed: int):
+        return tuple.__new__(cls, (map_id, index, start, goal, seed))
+
+    map_id = property(itemgetter(0))
+    index = property(itemgetter(1))
+    start = property(itemgetter(2))
+    goal = property(itemgetter(3))
+    seed = property(itemgetter(4))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # a plain tuple would otherwise compare field by field, from either side
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__  # hash of the field values, as the dataclass's
+    __lt__, __le__, __gt__, __ge__ = map(_no_order, ("<", "<=", ">", ">="))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+def _as_int(name: str, x) -> int:
+    """x as a Python int; raises ValueError unless it is an int or a
+    numpy integer (a bool, a float, a string or None is refused)."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
 
 
 def gen_scenarios(
@@ -208,10 +271,12 @@ def gen_scenarios(
     connected component, by rejection from a seeded generator.
 
     The pairs live on the unit lattice; planners that need sublattice
-    endpoints reject unsuitable pairs themselves.  Raises ValueError for
-    a negative count and ScenarioGenerationError when the attempt budget
-    runs out.
+    endpoints reject unsuitable pairs themselves.  count and seed must
+    be integers (int or numpy integer).  Raises ValueError for any other
+    count or seed and for a negative count, and ScenarioGenerationError
+    when the attempt budget runs out.
     """
+    count, seed = _as_int("count", count), _as_int("seed", seed)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     free = np.flatnonzero(~grid.flat_blocked)
@@ -242,10 +307,10 @@ def gen_scenarios(
         coords = np.unravel_index(np.concatenate(ids), grid.blocked.shape)
         return zip(*(axis.tolist() for axis in reversed(coords)))
 
-    return [
-        Scenario(map_id, i, s, g, seed)
-        for i, (s, g) in enumerate(zip(cells(starts), cells(goals)))
-    ]
+    # each record is tuple.__new__(Scenario, its fields), which skips the
+    # call to Scenario.__new__
+    fields = zip(repeat(map_id), range(count), cells(starts), cells(goals), repeat(seed))
+    return list(map(tuple.__new__, repeat(Scenario), fields))
 
 
 @dataclass

@@ -10,6 +10,7 @@ import itertools
 import math
 import time
 from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 
@@ -716,6 +717,17 @@ def per_draw_gen_scenarios(
 
 
 
+# maps_io.Scenario as it was before it became a tuple, kept verbatim
+# (renamed) as the reference of its parity test (tests/test_maps_io.py).
+@dataclass(frozen=True)
+class DataclassScenario:
+    map_id: str
+    index: int
+    start: Cell
+    goal: Cell
+    seed: int
+
+
 def _shifted(a: np.ndarray, off: tuple[int, ...]) -> np.ndarray:
     """out[c] = a[c + off] where c + off is inside a, else False; off is
     in array axis order."""
@@ -780,6 +792,84 @@ def shifted_move_table(grid: GridMap, k: int, unit: MoveTable | None) -> MoveTab
     return MoveTable(k, memoryview(masks.ravel()), tuple(offsets), tuple(costs))
 
 
+
+
+def _window_and(u: np.ndarray, o: int, k: int) -> np.ndarray:
+    """out[c] = all(u[c + t*o] for t in range(k)) over flat ids c, and
+    False where c + (k-1)*o leaves u; by doubling, on slices of u.
+
+    For unit-move bits a window that wraps past a row edge is harmless:
+    the first unit move along it that leaves the map is already False at
+    the last cell inside, so the wrapped reads never decide a result."""
+    n, p = len(u), abs(o)
+    span = (k - 1) * p
+    out = np.zeros(n, bool)
+    if span >= n:
+        return out
+    m = n - span
+    # fwd[c] = all(u[c + t*p] for t < k), c < m.  block[c] holds the
+    # window of `width` reads from c; it is valid for c < len(block).
+    fwd = None
+    covered, width, block = 0, 1, u
+    while True:
+        if k & 1:
+            part = block[covered * p:covered * p + m]
+            fwd = part if fwd is None else fwd & part
+            covered += width
+        k >>= 1
+        if not k:
+            break
+        block = block[:len(block) - width * p] & block[width * p:]
+        width *= 2
+    if o > 0:
+        out[:m] = fwd
+    else:  # all(u[c - t*p] for t < k) = fwd[c - span]
+        out[span:] = fwd
+    return out
+
+
+def full_move_table(grid: GridMap, k: int, unit: MoveTable | None) -> MoveTable:
+    """grid._build_move_table before coarse tables were built on their
+    sublattice only, kept verbatim (renamed) as the reference that the
+    sublattice builder and the plans over it are checked against: its
+    k > 1 tables hold moves at every cell.
+
+    A unit move is valid iff every cell of the box it spans is free
+    (for a diagonal that is both flanks: the corner rule).  King moves
+    of length k run along the line of k unit moves, so a length-k move
+    is valid iff those k unit moves all are.  unit, the k = 1 table,
+    supplies the unit moves when k > 1.  A direction that steps along
+    an axis no longer than k leaves the map from every cell, so its bit
+    stays 0 without any array work."""
+    dirs = directions(grid.dim)
+    dtype = np.uint8 if grid.dim == 2 else np.uint32
+    shape = grid.blocked.shape
+    strides = [math.prod(grid.extents[:axis]) for axis in range(grid.dim)]
+    offsets = [k * sum(v * st for v, st in zip(vec, strides)) for vec in dirs]
+    costs = [k * _STEP[sum(1 for v in vec if v)] for vec in dirs]
+    live = [
+        b for b, vec in enumerate(dirs)
+        if not any(v and n <= k for v, n in zip(vec, grid.extents))
+    ]
+    if unit is None:
+        # Each cell of a unit move's box is a slice of the zero-padded
+        # free array, shifted by one corner of the step.
+        free = np.pad(~grid.blocked, 1)
+        masks = np.zeros(shape, dtype)
+        for b in live:
+            step = tuple(reversed(dirs[b]))  # array axis order
+            ok = np.ones(shape, bool)
+            for corner in itertools.product(*((0, s) if s else (0,) for s in step)):
+                ok &= free[tuple(slice(1 + c, 1 + c + n) for c, n in zip(corner, shape))]
+            masks |= ok.astype(dtype) << b
+        masks = masks.ravel()
+    else:
+        unit_masks = np.frombuffer(unit.masks, dtype)
+        masks = np.zeros(grid.size, dtype)
+        for b in live:
+            ok = _window_and(unit_masks & (1 << b) != 0, offsets[b] // k, k)
+            masks |= ok.astype(dtype) << b
+    return MoveTable(k, memoryview(masks), tuple(offsets), tuple(costs))
 
 
 def listwise_edge_decomposition(a: Cell, b: Cell) -> tuple[int, int]:

@@ -2,9 +2,14 @@
 
 The whole-array parsers and scenario sampler are checked against the
 per-glyph and per-draw code they replaced (oracles.per_glyph_*,
-oracles.per_draw_gen_scenarios)."""
+oracles.per_draw_gen_scenarios), and the tuple-backed Scenario against
+the frozen dataclass it replaced (oracles.DataclassScenario)."""
 
+import copy
 import math
+import operator
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -248,6 +253,116 @@ def test_gen_scenarios_disconnected_matches_reference():
     for seed in range(5):
         got = _scenario_outcome(M.gen_scenarios, g, 50, seed)
         assert got == _scenario_outcome(oracles.per_draw_gen_scenarios, g, 50, seed)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [dict(count=2.5), dict(count=2.0), dict(count="3"), dict(count=True), dict(count=None),
+     dict(seed=None), dict(seed=1.0), dict(seed="1"), dict(seed=False)],
+)
+def test_gen_scenarios_refuses_non_integer_count_and_seed(kw):
+    # 2.5 and 2.0 used to escape as a slicing TypeError, "3" as a
+    # comparison TypeError, True to return one scenario, and seed=None
+    # to draw from OS entropy while each record stored None
+    g = M.parse_movingai_map(MOVINGAI_3X3)
+    args = dict(count=3, seed=9) | kw
+    name = next(iter(kw))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        M.gen_scenarios(g, **args)
+
+
+def test_gen_scenarios_takes_numpy_integers():
+    g = M.parse_movingai_map(MOVINGAI_3X3)
+    got = M.gen_scenarios(g, np.int64(4), seed=np.uint32(9))
+    assert got == M.gen_scenarios(g, 4, seed=9)
+    assert all(type(s.seed) is int for s in got)
+
+
+# -------------------------------------- Scenario against the old dataclass
+
+FIELDS = ("map_id", "index", "start", "goal", "seed")
+RECORDS = [
+    ("m", 1, (1, 2), (3, 4), 7),
+    ("m", 1, (1, 2, 0), (3, 4, 5), 7),
+    ("n", 1, (1, 2), (3, 4), 7),
+    ("m", 2, (1, 2), (3, 4), 7),
+    ("m", 1, (2, 1), (3, 4), 7),
+    ("m", 1, (1, 2), (4, 3), 7),
+    ("m", 1, (1, 2), (3, 4), 8),
+    ("m", 1, (1, 2), (3, 4), 7),  # equal to the first
+]
+
+
+def test_scenario_fields_construction_and_repr_match_the_dataclass():
+    old_type = oracles.DataclassScenario
+    assert M.Scenario.__match_args__ == old_type.__match_args__ == FIELDS
+    for values in RECORDS:
+        old = old_type(*values)
+        for new in (M.Scenario(*values), M.Scenario(**dict(zip(FIELDS, values)))):
+            assert type(new) is M.Scenario
+            assert tuple(getattr(new, f) for f in FIELDS) == values
+            assert repr(new) == repr(old).replace("DataclassScenario", "Scenario", 1)
+    with pytest.raises(TypeError):
+        M.Scenario("m", 1, (1, 2), (3, 4))
+    with pytest.raises(TypeError):
+        M.Scenario("m", 1, (1, 2), (3, 4), 7, 8)
+
+
+def test_scenario_equality_and_hash_match_the_dataclass():
+    old = [oracles.DataclassScenario(*v) for v in RECORDS]
+    new = [M.Scenario(*v) for v in RECORDS]
+    for a_old, a_new in zip(old, new):
+        assert hash(a_new) == hash(a_old)
+        for b_old, b_new in zip(old, new):
+            assert (a_new == b_new) == (a_old == b_old)
+            assert (a_new != b_new) == (a_old != b_old)
+    assert new[0] == new[-1] and new[0] is not new[-1]
+    assert len({*new}) == len({*old}) == len(RECORDS) - 1
+    # never equal to a plain tuple of the same values, from either side
+    # or inside a container, as a dataclass is not
+    for values, rec in zip(RECORDS, new):
+        assert not rec == values and not values == rec
+        assert rec != values and values != rec
+        assert [values] != [rec] and values not in {rec} and rec not in {values}
+        assert rec != oracles.DataclassScenario(*values)
+
+
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_scenario_has_no_order_like_the_dataclass(op):
+    a, b = (M.Scenario(*v) for v in RECORDS[:2])
+    old = oracles.DataclassScenario(*RECORDS[0])
+    for x, y in ((a, b), (a, a), (a, RECORDS[0]), (RECORDS[0], a), (a, ()), ((), a),
+                 (a, 1), (old, old)):
+        with pytest.raises(TypeError):
+            op(x, y)
+
+
+def test_scenario_is_frozen_like_the_dataclass():
+    for rec in (M.Scenario(*RECORDS[0]), oracles.DataclassScenario(*RECORDS[0])):
+        for name in ("seed", "start", "other"):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(rec, name, 3)
+        with pytest.raises(FrozenInstanceError, match="cannot delete field 'seed'"):
+            del rec.seed
+        assert rec.seed == 7
+
+
+def test_scenario_pickles_and_copies():
+    for values in RECORDS[:2]:
+        rec = M.Scenario(*values)
+        clones = [pickle.loads(pickle.dumps(rec, proto))
+                  for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in clones + [copy.copy(rec), copy.deepcopy(rec)]:
+            assert type(clone) is M.Scenario and clone == rec
+            assert repr(clone) == repr(rec) and hash(clone) == hash(rec)
+
+
+def test_gen_scenarios_builds_scenarios_equal_to_the_reference():
+    g = syn.random_grid((12, 9, 7), 0.25, 2)
+    got = M.gen_scenarios(g, 40, seed=5, map_id="m")
+    want = oracles.per_draw_gen_scenarios(g, 40, seed=5, map_id="m")
+    assert got == want and all(type(s) is M.Scenario for s in got)
+    assert [repr(s) for s in got] == [repr(s) for s in want]
 
 
 # ------------------------------------------------- parsers vs per-glyph code

@@ -3,9 +3,13 @@ the supercover segment walk (oracles.walk_successors_2d/3d), an
 encoding of the move rule independent of the box rule that builds the
 tables, and against the shifted-copy builder (oracles.shifted_move_table),
 plus the grid's ownership of its occupancy array.  successors_at_scale,
-which checks the box rule cell by cell, is held to the same walk."""
+which checks the box rule cell by cell, is held to the same walk.  A
+coarse table holds moves on its sublattice only, so plans over it are
+checked against plans over the tables of the builder that filled every
+cell (oracles.full_move_table)."""
 
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -13,11 +17,13 @@ import numpy as np
 import pytest
 
 from mrastar import baselines as B
+from mrastar import bench as BE
 from mrastar import grid as G
 from mrastar import kernels
 from mrastar import search as S
 from mrastar import synthetic as syn
 from mrastar.errors import InvalidProblemError
+from mrastar.maps_io import gen_scenarios
 
 import oracles
 
@@ -40,6 +46,15 @@ def decoded(table, sid):
     return [(sid + table.offsets[b], table.costs[b]) for b in G.mask_bits(table.masks[sid])]
 
 
+def on_sublattice(grid, table):
+    """table's masks with every entry off its k-sublattice (see
+    coincides) set to 0."""
+    masks = np.frombuffer(table.masks, np.uint8 if grid.dim == 2 else np.uint32).copy()
+    off = [not G.coincides(grid.cell_of(sid), table.k) for sid in range(grid.size)]
+    masks[off] = 0
+    return masks
+
+
 def walk(grid, cell, k):
     """oracles' segment walk from cell at scale k: (flat id, cost) pairs."""
     run = oracles.walk_successors_2d if grid.dim == 2 else oracles.walk_successors_3d
@@ -49,8 +64,9 @@ def walk(grid, cell, k):
 
 @pytest.mark.parametrize("extents,density,seed", MAPS)
 def test_table_matches_successors_at_scale(extents, density, seed):
-    # the table and successors_at_scale both equal the segment walk, on
-    # every cell (blocked ones included) at every scale
+    # successors_at_scale equals the segment walk on every cell (blocked
+    # ones included) at every scale, and so does the table on every cell
+    # of its k-sublattice; off the sublattice a k > 1 table holds 0
     grid = syn.random_grid(extents, density, seed)
     for k in SCALES:
         table = grid.move_table(k)
@@ -60,7 +76,10 @@ def test_table_matches_successors_at_scale(extents, density, seed):
             want = walk(grid, cell, k)
             got = [(grid.flat_index(s), c) for s, c in G.successors_at_scale(cell, k, grid)]
             assert got == want, (cell, k)
-            assert decoded(table, sid) == want, (cell, k)
+            if G.coincides(cell, k):
+                assert decoded(table, sid) == want, (cell, k)
+            else:
+                assert table.masks[sid] == 0, (cell, k)
 
 
 @pytest.mark.parametrize(
@@ -69,16 +88,97 @@ def test_table_matches_successors_at_scale(extents, density, seed):
             ((1, 1, 1), 0.0, 11), ((24, 24, 24), 0.25, 12), ((40, 2), 0.0, 13)),
 )
 def test_table_matches_shifted_builder(extents, density, seed):
-    # byte-equal to the builder the slice-based one replaced, including
-    # extents of 1 and maps narrower than k along some axis
+    # byte-equal to the builder the slice-based one replaced, with the
+    # entries off the k-sublattice zeroed for k > 1, including extents
+    # of 1 and maps narrower than k along some axis
     grid = syn.random_grid(extents, density, seed)
     unit = oracles.shifted_move_table(grid, 1, None)
     for k in SCALES:
         want = unit if k == 1 else oracles.shifted_move_table(grid, k, unit)
         got = grid.move_table(k)
-        assert bytes(got.masks) == bytes(want.masks), k
+        assert bytes(got.masks) == bytes(on_sublattice(grid, want)), k
         assert got.masks.format == want.masks.format and got.masks.shape == want.masks.shape
         assert got.offsets == want.offsets and got.costs == want.costs
+
+
+# ------------------------------------- plans over the full coarse tables
+
+PLAN_MAPS = (
+    ((24, 24), 0.15, 1),
+    ((20, 26), 0.25, 2),
+    ((10, 10, 10), 0.10, 3),
+    ((9, 11, 8), 0.15, 4),
+)
+# nested, non-nested, and with a scale wider than every map
+PLAN_LADDERS = ((1, 3), (1, 3, 5), (1, 5, 7), (1, 3, 41), (1, 9, 27))
+PLAN_CONFIGS = (
+    S.PlannerConfig(w1=3.0, w2=3.0, policy="round_robin"),
+    S.PlannerConfig(w1=3.0, w2=2.0, policy="dts", seed=5),
+    S.PlannerConfig(w1=1.0, w2=1.0, policy="dts", seed=1),
+)
+
+
+def _plan_fields(grid, algo, start, goal, ladder, config):
+    """Every deterministic PlanResult field, or the refusal message."""
+    try:
+        res = BE.run_algo(algo, grid, start, goal, ladder, config, log_expansions=True)
+    except InvalidProblemError as exc:
+        return ("invalid", str(exc))
+    out = dataclasses.asdict(res)
+    del out["wall_time"]
+    out["cost"] = float(out["cost"]).hex()
+    return out
+
+
+def _coarse_pair(grid, k):
+    """A free k-sublattice cell that has a scale-k move and the last cell
+    a breadth-first walk of scale-k moves (successors_at_scale) reaches
+    from it, or None when no cell has a scale-k move."""
+    for sid in range(grid.size):
+        start = grid.cell_of(sid)
+        if not G.coincides(start, k) or not G.successors_at_scale(start, k, grid):
+            continue
+        seen, frontier = {start}, [start]
+        while frontier:
+            last, reached = frontier[-1], []
+            for cell in frontier:
+                for nxt, _ in G.successors_at_scale(cell, k, grid):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        reached.append(nxt)
+            frontier = reached
+        return start, last
+    return None
+
+
+@pytest.mark.parametrize("extents,density,seed", PLAN_MAPS)
+def test_plans_over_full_tables_equal_plans_over_sublattice_tables(monkeypatch, extents,
+                                                                    density, seed):
+    # the same queries on a second grid whose coarse tables come from the
+    # builder that filled every cell (oracles.full_move_table)
+    grid = syn.random_grid(extents, density, seed)
+    full = G.GridMap(grid.extents, grid.blocked)
+    scales = sorted({k for lad in PLAN_LADDERS for k in lad})
+    with monkeypatch.context() as m:
+        m.setattr(G, "_build_move_table", oracles.full_move_table)
+        for k in scales:
+            full.move_table(k)
+    assert any(bytes(full.move_table(k).masks) != bytes(grid.move_table(k).masks)
+               for k in scales)
+    pairs = [(sc.start, sc.goal) for sc in gen_scenarios(grid, 3, seed)]
+    # pairs joined by coarse moves, so that wa-low plans
+    pairs += filter(None, (_coarse_pair(grid, k) for k in (3, 5, 7)))
+    solved = set()
+    for start, goal in pairs:
+        for lad in map(G.ResolutionLadder, PLAN_LADDERS):
+            for config in PLAN_CONFIGS:
+                for algo in ("mra", "wa-low", "wa-mr"):
+                    query = (algo, start, goal, lad, config)
+                    want = _plan_fields(full, *query)
+                    assert _plan_fields(grid, *query) == want, query
+                    if isinstance(want, dict) and want["status"] == S.STATUS_SOLVED:
+                        solved.add(algo)
+    assert solved == {"mra", "wa-low", "wa-mr"}
 
 
 def test_table_dtypes_and_directions():
