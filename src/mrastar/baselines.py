@@ -5,12 +5,13 @@ search loop: each is a one-queue search.FlatSearch run over the grid's
 cached move tables (the box rule of kernels.move_free, same costs)
 whose gate never blocks and whose bound is w, isolating the search
 strategy as the only difference.  The exact oracle is one search loop,
-kernels.astar_unit, over unit-move bitmasks built by the same rule
-(kernels.unit_moves) and cached per map (GridMap.unit_moves):
-dijkstra_optimal runs it toward the goal, with its own octile (2D) or
-euclidean (3D) heuristic, and dijkstra_field runs it with no goal for
-the full distance field.  It uses neither the move tables nor the
-planners' heuristic, so it stays independent of the planners' moves.
+kernels.astar_unit, over the planners' own k = 1 table
+(GridMap.move_table(1)): dijkstra_optimal runs it toward the goal, with
+its own octile (2D) or euclidean (3D) heuristic rather than the
+planners', and dijkstra_field runs it with no goal for the full
+distance field.  The table is checked apart from its builder by
+tests/test_kernels.py, tests/test_move_tables.py and perfbench's scipy
+reference, which checks every oracle answer.
 """
 
 import math
@@ -74,20 +75,23 @@ def wa_union(
 def dijkstra_field(grid: GridMap, source: Cell) -> tuple[np.ndarray, np.ndarray]:
     """Exact unit-scale distances from source to every cell, plus the
     predecessor field (flat indices, -1 where unreached): the oracle's
-    search with no goal, over the grid's cached unit-move masks.
+    search with no goal, over the grid's k = 1 move table.
     Arrays are shaped like grid.blocked.  A blocked source reaches
     nothing: every distance is inf.  Raises InvalidProblemError when
     source is out of bounds, has the wrong number of coordinates or a
     non-integer one."""
     source = check_cell(grid, source, "source")
-    dist, bp = kernels.astar_unit(grid.blocked, grid.unit_moves(), grid.flat_index(source), -1)
+    t = grid.move_table(1)
+    dist, bp = kernels.astar_unit(
+        grid.blocked, t.masks, t.offsets, t.costs, grid.flat_index(source), -1
+    )
     shape = grid.blocked.shape
     return dist.reshape(shape), bp.reshape(shape)
 
 
 def dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:
     """Optimal unit-scale path cost between two cells, by A* over the
-    grid's cached unit-move masks, recomputed from the predecessor chain
+    grid's k = 1 move table, recomputed from the predecessor chain
     so equal-cost optima agree bitwise.  Returns inf when no path exists
     (including blocked, out-of-range and non-integer inputs); never
     raises."""
@@ -100,7 +104,8 @@ def dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:
     if start == goal:
         return 0.0
     start_id, goal_id = grid.flat_index(start), grid.flat_index(goal)
-    dist, bp = kernels.astar_unit(grid.blocked, grid.unit_moves(), start_id, goal_id)
+    t = grid.move_table(1)
+    dist, bp = kernels.astar_unit(grid.blocked, t.masks, t.offsets, t.costs, start_id, goal_id)
     if not math.isfinite(dist[goal_id]):
         return math.inf
     chain = [goal_id]

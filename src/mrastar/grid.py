@@ -11,14 +11,15 @@ kernels.move_free).
 
 Planners read moves from a move table that each GridMap caches per
 scale k, with one bit per direction per cell (see MoveTable), built
-with vectorized numpy from the same rule.  A coarse (k > 1) table
-holds moves only at the cells of its k-space, the only cells a planner
-reads it at; elsewhere it holds 0.  edge_valid and
-successors_at_scale check the rule cell by cell instead, apart from the
-tables.
+with vectorized numpy from the same rule.  The k = 1 table is
+kernels.unit_moves, which the exact oracle (baselines.dijkstra_optimal)
+searches too, with its own heuristic; see MoveTable for how it is
+checked.  A coarse (k > 1) table is gathered from it and holds moves
+only at the cells of its k-space, the only cells a planner reads it at;
+elsewhere it holds 0.  edge_valid and successors_at_scale check the
+rule cell by cell instead, apart from the tables.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from operator import lt
@@ -45,7 +46,11 @@ class MoveTable:
     queue i holds only states on level i's sublattice, wa_union picks
     each state's tables by its space mask, and weighted_astar at scale k
     starts on the sublattice, which moves of length k never leave.
-    The k = 1 table holds the moves of every cell.  Directions follow the
+    The k = 1 table, kernels.unit_moves of the map, holds the moves of
+    every cell; the planners and the exact oracle, with its own
+    heuristic, both search it.  tests/test_kernels.py,
+    tests/test_move_tables.py and perfbench's scipy reference check it
+    apart from its builder.  Directions follow the
     kernels' order (dy, or dz, outermost, dx innermost, zero vector
     skipped), so decoding the bits upward yields successors_at_scale's
     order.  offsets[b] is the flat-index step of direction b and
@@ -65,9 +70,10 @@ class GridMap:
     boolean array shaped (H, W) or (D, H, W) with True for obstacles.
 
     The grid keeps its own read-only copy of blocked, so the move tables
-    and masks it caches (move_table, space_masks, unit_moves) cannot go
-    stale.  The cache is derived data: it is dropped when the grid is
-    pickled or copied."""
+    and masks it caches (move_table, space_masks) cannot go stale; the
+    planners and the exact oracle, with its own heuristic, search the
+    one move_table(1) (see MoveTable for its checks).  The cache is
+    derived data: it is dropped when the grid is pickled or copied."""
 
     extents: tuple[int, ...]
     blocked: np.ndarray
@@ -132,26 +138,17 @@ class GridMap:
 
     def move_table(self, k: int) -> MoveTable:
         """The scale-k MoveTable of this map, built on first use and
-        cached for every later query and planner."""
+        cached for every later query, planner and oracle call."""
         key = ("moves", k)
         table = self._cache.get(key)
         if table is None:
             k = check_multiplier(k)
-            unit = None if k == 1 else self.move_table(1)
-            table = _build_move_table(self, k, unit)
+            if k == 1:
+                table = MoveTable(1, *kernels.unit_moves(self.blocked))
+            else:
+                table = _build_move_table(self, k, self.move_table(1))
             self._cache[key] = table
         return table
-
-    def unit_moves(self):
-        """kernels.unit_moves of this map: the unit-move masks, offsets
-        and costs the oracle (baselines.dijkstra_optimal) searches,
-        built on first use and cached.  Never a MoveTable and never
-        shared with move_table(1), so the oracle stays independent of
-        the planners' moves."""
-        moves = self._cache.get("unit_moves")
-        if moves is None:
-            moves = self._cache["unit_moves"] = kernels.unit_moves(self.blocked)
-        return moves
 
     def space_masks(self, multipliers: tuple[int, ...]):
         """Per flat cell, the bitmask of ladder spaces (bit i for level
@@ -166,11 +163,19 @@ class GridMap:
         return masks
 
 
+def is_integer(x) -> bool:
+    """True iff x is an int or a numpy integer, and not a bool: the one
+    integer test for extents, coordinates, multipliers and seeds, so a
+    float, even an integral one, or a string is refused rather than
+    truncated."""
+    return not isinstance(x, bool) and isinstance(x, (int, np.integer))
+
+
 def _as_extents(extents) -> tuple[int, ...]:
-    """extents as 2 or 3 positive Python ints (numpy integers allowed);
-    raises ValueError otherwise, for a float, bool or string extent too."""
+    """extents as 2 or 3 positive Python ints (see is_integer); raises
+    ValueError otherwise."""
     ext = tuple(extents)
-    if any(isinstance(e, bool) or not isinstance(e, (int, np.integer)) for e in ext):
+    if not all(map(is_integer, ext)):
         raise ValueError(f"extents must be integers, got {ext!r}")
     ext = tuple(map(int, ext))
     if len(ext) not in (2, 3):
@@ -182,9 +187,7 @@ def _as_extents(extents) -> tuple[int, ...]:
 
 def as_cell(cell, name: str = "cell") -> Cell:
     """cell as a tuple of Python ints.  Raises InvalidProblemError unless
-    cell is a sequence of integers (int or numpy integer): a bool, a
-    float, even an integral one, or a string is refused rather than
-    truncated."""
+    cell is a sequence of integers (see is_integer)."""
     if type(cell) is tuple and {int}.issuperset(map(type, cell)):
         return cell  # already a tuple of ints, the planners' case
     try:
@@ -192,7 +195,7 @@ def as_cell(cell, name: str = "cell") -> Cell:
     except TypeError:
         raise InvalidProblemError(f"{name} {cell!r} is not a sequence of coordinates") from None
     for c in coords:
-        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+        if not is_integer(c):
             raise InvalidProblemError(f"{name} {cell!r} has a non-integer coordinate {c!r}")
     return tuple(map(int, coords))
 
@@ -208,10 +211,9 @@ def check_cell(grid: GridMap, cell, name: str = "cell") -> Cell:
 
 def check_multiplier(k) -> int:
     """k as an int; raises InvalidProblemError unless it is an integer
-    (int or numpy integer, as for as_cell: a bool, a float or a string
-    is refused rather than truncated), odd and >= 1, the rule for every
-    action scale (ladder level or single-scale planner)."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+    (see is_integer), odd and >= 1, the rule for every action scale
+    (ladder level or single-scale planner)."""
+    if not is_integer(k):
         raise InvalidProblemError(f"multipliers must be integers, got {k!r}")
     k = int(k)
     if k < 1 or k % 2 == 0:
@@ -276,40 +278,25 @@ def edge_valid(a: Cell, b: Cell, grid: GridMap) -> bool:
     return kernels.move_free(grid.flat_blocked, grid.extents, a, step, k)
 
 
-def _build_move_table(grid: GridMap, k: int, unit: MoveTable | None) -> MoveTable:
-    """A unit move is valid iff every cell of the box it spans is free
-    (for a diagonal that is both flanks: the corner rule).  King moves
+def _build_move_table(grid: GridMap, k: int, unit: MoveTable) -> MoveTable:
+    """The scale-k table (k > 1) from unit, the k = 1 table.  King moves
     of length k run along the line of k unit moves, so a length-k move
-    is valid iff those k unit moves all are.  unit, the k = 1 table,
-    supplies the unit moves when k > 1; then only the cells of the
-    k-sublattice get moves and every other cell holds 0 (see MoveTable).
-    A direction that steps along an axis no longer than k leaves the map
-    from every cell, so its bit stays 0 without any array work."""
-    dirs = directions(grid.dim)
+    is valid iff those k unit moves all are; its offset and cost are k
+    times the unit move's.  Only the cells of the k-sublattice get moves
+    and every other cell holds 0 (see MoveTable).  A direction that
+    steps along an axis no longer than k leaves the map from every cell,
+    so its bit stays 0 without any array work."""
     dtype = np.uint8 if grid.dim == 2 else np.uint32
     shape = grid.blocked.shape
-    strides = [math.prod(grid.extents[:axis]) for axis in range(grid.dim)]
-    offsets = [k * sum(v * st for v, st in zip(vec, strides)) for vec in dirs]
-    costs = [k * _STEP[sum(1 for v in vec if v)] for vec in dirs]
     live = [
-        b for b, vec in enumerate(dirs)
+        b for b, vec in enumerate(directions(grid.dim))
         if not any(v and n <= k for v, n in zip(vec, grid.extents))
     ]
     masks = np.zeros(shape, dtype)
-    if unit is None:
-        # Each cell of a unit move's box is a slice of the zero-padded
-        # free array, shifted by one corner of the step.
-        free = np.pad(~grid.blocked, 1)
-        for b in live:
-            step = tuple(reversed(dirs[b]))  # array axis order
-            ok = np.ones(shape, bool)
-            for corner in itertools.product(*((0, s) if s else (0,) for s in step)):
-                ok &= free[tuple(slice(1 + c, 1 + c + n) for c, n in zip(corner, shape))]
-            masks |= ok.astype(dtype) << b
-    elif live:
+    if live:
         on = (slice((k - 1) // 2, None, k),) * grid.dim  # the k-sublattice
         cells = np.arange(grid.size).reshape(shape)[on]
-        units = np.array([offsets[b] // k for b in live])
+        units = np.array([unit.offsets[b] for b in live])
         # reads[j, t, c]: the unit masks t unit steps along direction
         # live[j] from sublattice cell c.  A read past a row edge (wrapped)
         # or past the array (clipped) comes after the first unit move that
@@ -320,7 +307,9 @@ def _build_move_table(grid: GridMap, k: int, unit: MoveTable | None) -> MoveTabl
         bits = np.array([1 << b for b in live], dtype)[:, None]
         runs = np.bitwise_and.reduce(reads, axis=1) & bits
         masks[on] = np.bitwise_or.reduce(runs, axis=0).reshape(cells.shape)
-    return MoveTable(k, memoryview(masks.ravel()), tuple(offsets), tuple(costs))
+    offsets = tuple(k * o for o in unit.offsets)
+    costs = tuple(k * c for c in unit.costs)
+    return MoveTable(k, memoryview(masks.ravel()), offsets, costs)
 
 
 def _build_space_masks(grid: GridMap, multipliers: tuple[int, ...]):
@@ -352,34 +341,29 @@ def successors_at_scale(cell: Cell, k: int, grid: GridMap) -> list[tuple[Cell, f
     return [(grid.cell_of(v), k * _STEP[m]) for v, m in moves]
 
 
-def heuristic(a: Cell, b: Cell, kind: str = "octile") -> float:
-    """Admissible distance estimate between cells.
-
-    octile (2D only): sqrt(2)*min(|dx|,|dy|) + ||dx|-|dy||, the exact
-    free-space distance under 8-connected unit moves.  euclidean: the
-    straight-line distance, admissible in any dimension.  Raises
+def heuristic(a: Cell, b: Cell) -> float:
+    """Admissible distance estimate between cells, by their dimension as
+    in flat_heuristic.  2D: the octile distance sqrt(2)*min(|dx|,|dy|)
+    + ||dx|-|dy||, the exact free-space distance under 8-connected unit
+    moves.  3D: the straight-line (euclidean) distance.  Raises
     InvalidProblemError when a and b differ in dimension.
     """
     if len(a) != len(b):
         raise InvalidProblemError(f"cells {a} and {b} differ in dimension")
-    if kind == "octile":
-        if len(a) != 2:
-            raise InvalidProblemError("octile heuristic is defined for 2D cells only")
+    if len(a) == 2:
         dx = abs(a[0] - b[0])
         dy = abs(a[1] - b[1])
         lo = dx if dx < dy else dy
         hi = dx + dy - lo
         return lo * SQRT2 + (hi - lo)
-    if kind == "euclidean":
-        return math.hypot(*(ca - cb for ca, cb in zip(a, b)))
-    raise ValueError(f"unknown heuristic kind: {kind!r}")
+    return math.hypot(*(ca - cb for ca, cb in zip(a, b)))
 
 
 def flat_heuristic(grid: GridMap, goal: Cell):
     """The planners' h(flat id), fixed by the map: octile distance on a
     2D map, euclidean on a 3D one.  It is the same float as
-    heuristic(grid.cell_of(id), goal, kind) with that kind, computed
-    without building the cell tuple."""
+    heuristic(grid.cell_of(id), goal), computed without building the
+    cell tuple."""
     w = grid.extents[0]
     if grid.dim == 2:
         gx, gy = goal

@@ -6,16 +6,16 @@ decides moves, the box rule: a king move of length k is valid iff every
 cell of the box each of its k unit steps spans is free.  move_free
 checks it cell by cell for grid.edge_valid; successors (and its traced
 2D/3D entry points) builds on it for grid.successors_at_scale.
-The unit-lattice search runs over each cell's unit-move bitmask, built
-with numpy by the same rule (unit_moves).  There is one search loop,
-astar_unit: toward a goal it is an A* with its own octile (2D) or
-euclidean (3D) heuristic, the oracle behind baselines.dijkstra_optimal;
-with goal = -1 it is a full Dijkstra field, behind
-baselines.dijkstra_field and the traced dijkstra_2d/3d.  Both callers
-in baselines pass the masks GridMap.unit_moves caches per map, apart
-from the planners' move tables (grid.MoveTable) and heuristic
-(grid.flat_heuristic).  Connected-component labels come from
-scipy.ndimage.
+unit_moves, the one builder of unit moves, builds each cell's unit-move
+bitmask with numpy by the same rule; GridMap.move_table(1) is its
+result.  There is one search loop, astar_unit: toward a goal it is an
+A* with its own octile (2D) or euclidean (3D) heuristic, the oracle
+behind baselines.dijkstra_optimal; with goal = -1 it is a full Dijkstra
+field, behind baselines.dijkstra_field and the traced dijkstra_2d/3d.
+Both callers search the planners' own k = 1 table, which is checked
+apart from this builder (tests/test_kernels.py, tests/test_move_tables.py
+and perfbench's scipy reference).  Connected-component labels come
+from scipy.ndimage.
 
 Coordinate convention: x is the fastest-varying axis.  A 2D map with
 width w stores cell (x, y) at flat index y*w + x; a 3D map with width w
@@ -129,9 +129,8 @@ def unit_moves(blocked):
     directions) or uint32 (3D, 26 directions) with bit b set iff
     direction b is valid from that flat cell, in directions' order (dy,
     or dz, outermost, dx innermost); offsets[b] is the direction's
-    flat-index step and costs[b] its STEP cost.  Independent of
-    grid.MoveTable on purpose: the oracle checks the planners, so it
-    does not share their move tables.
+    flat-index step and costs[b] its STEP cost.  The one builder of unit
+    moves: GridMap.move_table(1) is MoveTable(1, *unit_moves(blocked)).
     """
     shape = blocked.shape
     free = np.pad(~blocked, 1)
@@ -150,23 +149,24 @@ def unit_moves(blocked):
     return memoryview(masks.ravel()), tuple(offsets), tuple(costs)
 
 
-def astar_unit(blocked, moves, source, goal):
+def astar_unit(blocked, masks, offsets, costs, source, goal):
     """The one exact search over the unit lattice: A* from flat id
-    source over moves, the (masks, offsets, costs) of
-    unit_moves(blocked).  Toward a flat id goal its heuristic is the
-    obstacle-free distance to goal, octile on a 2D map and euclidean in
-    3D; both are consistent with the unit-move costs, so a settled
-    cell's dist is exact and the search stops once goal is settled.
-    With goal = -1 the heuristic is zero and the search settles every
-    reachable cell: a Dijkstra distance field.  A blocked source
-    reaches nothing.  Returns (dist, bp) as flat numpy arrays: dist is
-    inf and bp -1 where no cell was reached, and bp holds predecessor
-    flat ids, -1 at the source."""
+    source over the unit moves of blocked, (masks, offsets, costs) as
+    unit_moves returns them and the planners' own k = 1 table
+    (GridMap.move_table(1)) holds them.  Toward a flat id goal its own
+    heuristic, not the planners', is the obstacle-free distance to
+    goal, octile on a 2D map and euclidean in 3D; both are consistent
+    with the unit-move costs, so a settled cell's dist is exact and the
+    search stops once goal is settled.  With goal = -1 the heuristic is
+    zero and the search settles every reachable cell: a Dijkstra
+    distance field.  A blocked source reaches nothing.  Returns (dist,
+    bp) as flat numpy arrays: dist is inf and bp -1 where no cell was
+    reached, and bp holds predecessor flat ids, -1 at the source.  The
+    table is checked apart from unit_moves (see the module docstring)."""
     n, source, goal = blocked.size, int(source), int(goal)
     dist = array("d", [math.inf]) * n
     bp = array("q", [-1]) * n
     if not blocked.flat[source]:
-        masks, offsets, costs = moves
         w = blocked.shape[-1]
         if goal < 0:
             def h(v):
@@ -213,13 +213,13 @@ def astar_unit(blocked, moves, source, goal):
 def dijkstra_2d(occ, w, h, sx, sy):
     """astar_unit's full field from (sx, sy) on a w x h map: (dist, bp)."""
     blocked = np.asarray(occ, dtype=bool).reshape(h, w)
-    return astar_unit(blocked, unit_moves(blocked), sy * w + sx, -1)
+    return astar_unit(blocked, *unit_moves(blocked), sy * w + sx, -1)
 
 
 def dijkstra_3d(occ, w, h, d, sx, sy, sz):
     """dijkstra_2d on a w x h x d map, 26-connected."""
     blocked = np.asarray(occ, dtype=bool).reshape(d, h, w)
-    return astar_unit(blocked, unit_moves(blocked), (sz * h + sy) * w + sx, -1)
+    return astar_unit(blocked, *unit_moves(blocked), (sz * h + sy) * w + sx, -1)
 
 
 def _component_labels(occ, shape):

@@ -23,7 +23,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import MapParseError, ScenarioGenerationError
-from .grid import Cell, GridMap, fine_components
+from .grid import Cell, GridMap, fine_components, is_integer
 from .search import PlanResult
 
 MOVINGAI_FREE = frozenset(".GS")
@@ -253,9 +253,9 @@ class Scenario(tuple):
 
 
 def _as_int(name: str, x) -> int:
-    """x as a Python int; raises ValueError unless it is an int or a
-    numpy integer (a bool, a float, a string or None is refused)."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+    """x as a Python int; raises ValueError unless it is an integer (see
+    grid.is_integer: a bool, a float, a string or None is refused)."""
+    if not is_integer(x):
         raise ValueError(f"{name} must be an integer, got {x!r}")
     return int(x)
 
@@ -273,12 +273,13 @@ def gen_scenarios(
     The pairs live on the unit lattice; planners that need sublattice
     endpoints reject unsuitable pairs themselves.  count and seed must
     be integers (int or numpy integer).  Raises ValueError for any other
-    count or seed and for a negative count, and ScenarioGenerationError
+    count or seed and for a negative one, and ScenarioGenerationError
     when the attempt budget runs out.
     """
     count, seed = _as_int("count", count), _as_int("seed", seed)
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    for name, x in (("count", count), ("seed", seed)):
+        if x < 0:
+            raise ValueError(f"{name} must be >= 0, got {x}")
     free = np.flatnonzero(~grid.flat_blocked)
     if len(free) < 2:
         raise ScenarioGenerationError(

@@ -26,6 +26,7 @@ from .grid import (
     check_multiplier,
     coincides,
     flat_heuristic,
+    is_integer,
     path_cost,
 )
 from .kernels import HIGH_BITS, MASK_BITS, MID_BITS, mask_bits
@@ -95,7 +96,8 @@ class PlannerConfig:
 
     w1 inflates the heuristic inside the non-anchor queues; w2 caps how
     far any queue may run ahead of the anchor and therefore bounds the
-    returned cost at w2 times the anchor-space optimum.
+    returned cost at w2 times the anchor-space optimum.  seed, for the
+    dts policy, must be a non-negative integer (see grid.is_integer).
     """
 
     w1: float = 3.0
@@ -108,6 +110,8 @@ class PlannerConfig:
         validate_query(w1=self.w1, w2=self.w2, timeout=self.timeout)
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {tuple(POLICIES)}, got {self.policy!r}")
+        if not is_integer(self.seed) or self.seed < 0:
+            raise InvalidProblemError(f"seed must be a non-negative integer, got {self.seed!r}")
         self.seed = int(self.seed)
 
 

@@ -43,6 +43,22 @@ from mrastar.search import (
 )
 
 
+def octile_distance(a: Cell, b: Cell) -> float:
+    """sqrt(2)*min(|dx|,|dy|) + ||dx|-|dy||, the exact obstacle-free
+    distance between 2D cells under 8-connected unit moves."""
+    lo, hi = sorted(abs(ca - cb) for ca, cb in zip(a, b))
+    return lo * SQRT2 + (hi - lo)
+
+
+def euclidean_distance(a: Cell, b: Cell) -> float:
+    return math.hypot(*(ca - cb for ca, cb in zip(a, b)))
+
+
+# The distance the planners' heuristic is, by name: octile on 2D cells,
+# euclidean on 3D ones.
+HEURISTICS = {"octile": octile_distance, "euclidean": euclidean_distance}
+
+
 def segment_touches_box(a, b, lo, hi) -> bool:
     """Exact test: does the closed segment a->b intersect the closed box
     [lo, hi]?  Coordinates are integers or Fractions."""

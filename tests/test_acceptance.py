@@ -290,12 +290,12 @@ def test_acceptance_8_heuristic_consistency(capsys):
                 if not grid.is_free(s):
                     continue
                 cells_checked += 1
-                h = G.heuristic(s, goal, "octile")
+                h = G.heuristic(s, goal)
                 d = dist[y, x]
                 if math.isfinite(d) and h > d * (1 + 1e-9) + 1e-12:
                     violations += 1
                 for t, c in G.successors_at_scale(s, 1, grid):
-                    ht = G.heuristic(t, goal, "octile")
+                    ht = G.heuristic(t, goal)
                     if h > c + ht + 1e-9:
                         violations += 1
     ok = violations == 0 and cells_checked > 3000

@@ -80,6 +80,17 @@ def test_plan_even_multiplier_usage_error(empty10, capsys):
     assert "odd" in err
 
 
+def test_plan_negative_seed_usage_error(empty10, capsys):
+    # -1 used to be taken and then fail inside the dts search with only
+    # numpy's "expected non-negative integer"
+    code = run_cli(
+        "plan", "--map", empty10, "--format", "movingai",
+        "--start", "0,0", "--goal", "9,9", "--policy", "dts", "--seed", "-1",
+    )
+    assert code == 1
+    assert "mrastar: error: seed must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_plan_wa_multiplier_endpoints(tmp_path, capsys):
     p = tmp_path / "m.map"
     p.write_text(movingai_text(21, 21))

@@ -147,28 +147,30 @@ def test_space_indices_sorted_and_anchor_universal():
 
 
 def test_heuristic_values():
-    assert math.isclose(G.heuristic((0, 0), (3, 4), "octile"), 3 * SQRT2 + 1)
-    assert round(G.heuristic((0, 0), (3, 4), "octile"), 4) == 5.2426
-    assert G.heuristic((1, 2, 3), (4, 6, 3), "euclidean") == 5.0
-    assert G.heuristic((9, 9), (9, 9), "octile") == 0.0
-    assert G.heuristic((9, 9, 9), (9, 9, 9), "euclidean") == 0.0
+    # octile on 2D cells, euclidean on 3D ones
+    assert math.isclose(G.heuristic((0, 0), (3, 4)), 3 * SQRT2 + 1)
+    assert round(G.heuristic((0, 0), (3, 4)), 4) == 5.2426
+    assert G.heuristic((1, 2, 3), (4, 6, 3)) == 5.0
+    assert G.heuristic((9, 9), (9, 9)) == 0.0
+    assert G.heuristic((9, 9, 9), (9, 9, 9)) == 0.0
 
 
 def test_heuristic_domain_errors():
-    with pytest.raises(InvalidProblemError):
-        G.heuristic((1, 2, 3), (4, 5, 6), "octile")
     # zip used to truncate the 3D cell: sqrt(2) for (0, 0) -> (1, 1, 1)
     with pytest.raises(InvalidProblemError):
-        G.heuristic((0, 0), (1, 1, 1), "euclidean")
-    with pytest.raises(ValueError):
-        G.heuristic((0, 0), (1, 1), "manhattan")
+        G.heuristic((0, 0), (1, 1, 1))
+    with pytest.raises(InvalidProblemError):
+        G.heuristic((1, 2, 3), (4, 5))
+    with pytest.raises(TypeError):
+        G.heuristic((0, 0), (1, 1), "euclidean")  # the kind argument is gone
 
 
+# kind names the distance the cells' dimension picks (oracles.HEURISTICS)
 @pytest.mark.parametrize(
     "extents,density,kind,seed",
     [
         ((24, 20), 0.25, "octile", 11),
-        ((24, 20), 0.25, "euclidean", 11),
+        ((13, 31), 0.30, "octile", 13),
         ((11, 9, 8), 0.20, "euclidean", 12),
     ],
 )
@@ -179,12 +181,13 @@ def test_heuristic_admissible_and_consistent(extents, density, kind, seed):
     goal = free[len(free) // 2]
     dist = oracles.reference_distances(g, goal)
     for s in free:
-        h = G.heuristic(s, goal, kind)
+        h = G.heuristic(s, goal)
+        assert h == oracles.HEURISTICS[kind](s, goal)
         d = dist[g.flat_index(s)]
         if math.isfinite(d):
             assert h <= d + 1e-9
         for t, c in G.successors_at_scale(s, 1, g):
-            assert G.heuristic(s, goal, kind) <= c + G.heuristic(t, goal, kind) + 1e-9
+            assert h <= c + G.heuristic(t, goal) + 1e-9
 
 
 # ------------------------------------------------------------- successors

@@ -235,7 +235,7 @@ def test_astar_unit_reaches_fewer_cells_than_early_exit_dijkstra(extents, densit
         if math.dist(g.cell_of(a), g.cell_of(b)) < 8:
             continue
         pairs += 1
-        dist, bp = kernels.astar_unit(g.blocked, moves, a, b)
+        dist, bp = kernels.astar_unit(g.blocked, *moves, a, b)
         want, _ = oracles.mask_dijkstra(g.blocked, a, b)
         assert abs(dist[b] - want[b]) <= 1e-12
         assert np.isfinite(dist).sum() < np.isfinite(want).sum()

@@ -192,6 +192,15 @@ def test_gen_scenarios_refuses_a_negative_count():
     assert M.gen_scenarios(g, 0, seed=9) == []
 
 
+def test_gen_scenarios_refuses_a_negative_seed():
+    g = M.parse_movingai_map(MOVINGAI_3X3)
+    # -1 used to escape with numpy's "expected non-negative integer"
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1"):
+        M.gen_scenarios(g, 3, seed=-1)
+    with pytest.raises(ValueError, match="^seed must be >= 0"):
+        M.gen_scenarios(g, 3, seed=np.int64(-5))
+
+
 def test_gen_scenarios_two_disconnected_cells():
     blocked = np.ones((3, 3), bool)
     blocked[0, 0] = False

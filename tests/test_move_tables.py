@@ -1,12 +1,13 @@
 """Move tables and sublattice masks cached on GridMap, checked against
 the supercover segment walk (oracles.walk_successors_2d/3d), an
 encoding of the move rule independent of the box rule that builds the
-tables, and against the shifted-copy builder (oracles.shifted_move_table),
-plus the grid's ownership of its occupancy array.  successors_at_scale,
-which checks the box rule cell by cell, is held to the same walk.  A
-coarse table holds moves on its sublattice only, so plans over it are
-checked against plans over the tables of the builder that filled every
-cell (oracles.full_move_table)."""
+tables, against the shifted-copy builder (oracles.shifted_move_table)
+and against the builder whose k = 1 branch kernels.unit_moves replaced
+(oracles.full_move_table), plus the grid's ownership of its
+occupancy array.  successors_at_scale, which checks the box rule cell
+by cell, is held to the same walk.  A coarse table holds moves on its
+sublattice only, so plans over it are checked against plans over the
+tables of the builder that filled every cell."""
 
 import copy
 import dataclasses
@@ -99,6 +100,30 @@ def test_table_matches_shifted_builder(extents, density, seed):
         assert bytes(got.masks) == bytes(on_sublattice(grid, want)), k
         assert got.masks.format == want.masks.format and got.masks.shape == want.masks.shape
         assert got.offsets == want.offsets and got.costs == want.costs
+
+
+@pytest.mark.parametrize(
+    "extents,density,seed",
+    MAPS + (((1, 1), 0.0, 8), ((1, 30), 0.1, 9), ((24, 1, 24), 0.2, 10),
+            ((1, 1, 1), 0.0, 11), ((2, 2), 0.0, 14), ((2, 7), 0.3, 15),
+            ((2, 1, 2), 0.0, 16), ((2, 9, 5), 0.2, 17), ((24, 24, 24), 0.25, 12)),
+)
+def test_unit_table_matches_replaced_builder(extents, density, seed):
+    # move_table(1) is kernels.unit_moves; it must equal the k = 1 branch
+    # it replaced (full_move_table with no unit table) byte for byte, and
+    # the coarse tables' offsets and costs, now k times the unit table's,
+    # must equal that builder's own
+    grid = syn.random_grid(extents, density, seed)
+    unit = oracles.full_move_table(grid, 1, None)
+    got = grid.move_table(1)
+    assert got.k == 1 and got.masks.format == unit.masks.format
+    assert bytes(got.masks) == bytes(unit.masks)
+    assert got.offsets == unit.offsets
+    assert [c.hex() for c in got.costs] == [c.hex() for c in unit.costs]
+    for k in (3, 9, 27):
+        want, got = oracles.full_move_table(grid, k, unit), grid.move_table(k)
+        assert got.offsets == want.offsets, k
+        assert [c.hex() for c in got.costs] == [c.hex() for c in want.costs], k
 
 
 # ------------------------------------- plans over the full coarse tables
@@ -205,7 +230,9 @@ def test_tables_are_cached_per_scale():
 
 
 @pytest.mark.parametrize("extents,seed", [((16, 16), 1), ((8, 7, 6), 2)])
-def test_oracle_masks_are_cached_apart_from_the_move_tables(monkeypatch, extents, seed):
+def test_one_unit_move_build_per_map(monkeypatch, extents, seed):
+    # a plan, then the oracle and a distance field on the same fresh map:
+    # all of them search the one cached k = 1 table
     grid = syn.random_grid(extents, 0.2, seed)
     builds = []
     build = kernels.unit_moves
@@ -213,14 +240,12 @@ def test_oracle_masks_are_cached_apart_from_the_move_tables(monkeypatch, extents
     labels = G.fine_components(grid).ravel()
     main = np.flatnonzero(labels == np.bincount(labels[labels >= 0]).argmax())
     a, b, c = (grid.cell_of(int(v)) for v in (main[0], main[-1], main[len(main) // 2]))
-    assert math.isfinite(B.dijkstra_optimal(grid, a, b))
-    assert len(builds) == 1
+    res = S.plan(S.Problem(grid, a, b, ladder=[1, 3]))
+    assert res.status == S.STATUS_SOLVED and len(builds) == 1
     assert math.isfinite(B.dijkstra_optimal(grid, c, a))
-    moves = grid.unit_moves()
-    assert grid.unit_moves() is moves and len(builds) == 1
-    table = grid.move_table(1)
-    assert moves is not table and moves[0] is not table.masks
-    assert not isinstance(moves, G.MoveTable)
+    dist, _ = B.dijkstra_field(grid, b)
+    assert math.isfinite(dist[tuple(reversed(a))])
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("extents", [(22, 17), (10, 12, 9)])
@@ -247,7 +272,8 @@ def test_mask_bits():
 
 
 # Two 3D shapes: x is the shortest axis in one and the longest in the other,
-# so the flat id's x/y/z decoding is checked both ways round.
+# so the flat id's x/y/z decoding is checked both ways round.  kind names
+# the distance the map's dimension picks (oracles.HEURISTICS).
 @pytest.mark.parametrize("extents,kind", [((17, 11), "octile"), ((3, 8, 11), "euclidean"),
                                           ((7, 6, 5), "euclidean")])
 def test_flat_heuristic_bitwise_equal(extents, kind):
@@ -255,7 +281,8 @@ def test_flat_heuristic_bitwise_equal(extents, kind):
     goal = grid.cell_of(grid.size // 3)
     h = G.flat_heuristic(grid, goal)
     for sid in range(grid.size):
-        assert h(sid) == G.heuristic(grid.cell_of(sid), goal, kind)
+        cell = grid.cell_of(sid)
+        assert h(sid) == G.heuristic(cell, goal) == oracles.HEURISTICS[kind](cell, goal)
 
 
 # ------------------------------------------------------- grid ownership
@@ -288,7 +315,6 @@ def test_pickle_drops_cache():
     # pickling and both copies go through GridMap.__reduce__
     grid = syn.random_grid((12, 12), 0.2, seed=3)
     table = grid.move_table(3)
-    moves = grid.unit_moves()
     res_a = S.plan(S.Problem(grid, (1, 1), (10, 10), ladder=[1, 3]))
     for clone_of in (lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy):
         clone = clone_of(grid)
@@ -297,9 +323,6 @@ def test_pickle_drops_cache():
         assert np.array_equal(clone.blocked, grid.blocked)
         assert not clone.blocked.flags.writeable
         assert bytes(clone.move_table(3).masks) == bytes(table.masks)
-        clone_moves = clone.unit_moves()
-        assert clone_moves is not moves and bytes(clone_moves[0]) == bytes(moves[0])
-        assert clone_moves[1:] == moves[1:]
         res_b = S.plan(S.Problem(clone, (1, 1), (10, 10), ladder=[1, 3]))
         assert res_a.cost == res_b.cost or (math.isinf(res_a.cost) and math.isinf(res_b.cost))
         assert res_a.path == res_b.path

@@ -37,11 +37,11 @@ def test_start_keys_per_queue():
     g = G.GridMap.empty((43, 43))
     prob = S.Problem(g, (10, 10), (40, 30), ladder=G.ResolutionLadder((1, 3, 7)))
     search = S.MraSearch(prob, S.PlannerConfig(w1=2.5, w2=3.0))
-    h = G.heuristic((10, 10), (40, 30), "octile")
+    h = G.heuristic((10, 10), (40, 30))
     assert [ol.min_key() for ol in search.opens] == [h, 2.5 * h, 2.5 * h]
     # a start off the 3-sublattice stays out of that queue
     off = S.MraSearch(S.Problem(g, (3, 3), (40, 30), ladder=G.ResolutionLadder((1, 3, 7))))
-    h = G.heuristic((3, 3), (40, 30), "octile")
+    h = G.heuristic((3, 3), (40, 30))
     assert [ol.min_key() for ol in off.opens] == [h, math.inf, 3.0 * h]
 
 
@@ -106,7 +106,7 @@ def test_expand_relaxes_into_all_open_spaces():
     succ = (31, 31)  # on the 7- and 21-sublattices
     sid = g.flat_index(succ)
     assert search.g[sid] == 21 * SQRT2 and search.bp[sid] == search.start_id
-    h = G.heuristic(succ, (94, 94), "octile")
+    h = G.heuristic(succ, (94, 94))
     assert search.h[sid] == h
     for j, w in enumerate((1.0, cfg.w1, cfg.w1)):
         ol = search.opens[j]

@@ -255,3 +255,19 @@ def test_non_real_timeouts_and_weights_are_refused(bad):
     for name, door in doors:
         with pytest.raises(InvalidProblemError, match=f"^{name} must be a real number"):
             door()
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, "3", True, None, -1], ids=repr)
+def test_planner_seed_must_be_a_non_negative_integer(bad):
+    # 2.7, 2.0, "3" and True used to become 2, 2, 3 and 1, None escaped as
+    # a bare TypeError, and -1 was taken and then failed inside a dts search
+    with pytest.raises(InvalidProblemError, match="^seed must be a non-negative integer"):
+        S.PlannerConfig(policy="dts", seed=bad)
+
+
+def test_numpy_integer_seeds_are_stored_as_int():
+    config = S.PlannerConfig(policy="dts", seed=np.uint16(5))
+    assert type(config.seed) is int and config.seed == 5
+    prob = S.Problem(GRID, START, GOAL, LADDER)
+    got, want = S.plan(prob, config), S.plan(prob, S.PlannerConfig(policy="dts", seed=5))
+    assert (got.path, got.expansions, got.cost) == (want.path, want.expansions, want.cost)
