@@ -7,9 +7,9 @@ whose gate never blocks and whose bound is w, isolating the search
 strategy as the only difference.  The exact oracle is one search loop,
 kernels.astar_unit, over the planners' own k = 1 table
 (GridMap.move_table(1)): dijkstra_optimal runs it toward the goal, with
-its own octile (2D) or euclidean (3D) heuristic rather than the
-planners', and dijkstra_field runs it with no goal for the full
-distance field.  The table is checked apart from its builder by
+its own heuristic (the obstacle-free unit-move distance, octile in 2D)
+rather than the planners', and dijkstra_field runs it with no goal for
+the full distance field.  The table is checked apart from its builder by
 tests/test_kernels.py, tests/test_move_tables.py and perfbench's scipy
 reference, which checks every oracle answer.
 """

@@ -9,9 +9,10 @@ checks it cell by cell for grid.edge_valid; successors (and its traced
 unit_moves, the one builder of unit moves, builds each cell's unit-move
 bitmask with numpy by the same rule; GridMap.move_table(1) is its
 result.  There is one search loop, astar_unit: toward a goal it is an
-A* with its own octile (2D) or euclidean (3D) heuristic, the oracle
-behind baselines.dijkstra_optimal; with goal = -1 it is a full Dijkstra
-field, behind baselines.dijkstra_field and the traced dijkstra_2d/3d.
+A* with its own heuristic, the obstacle-free distance of unit moves
+(octile in 2D), the oracle behind baselines.dijkstra_optimal; with
+goal = -1 it is a full Dijkstra field, behind baselines.dijkstra_field
+and the traced dijkstra_2d/3d.
 Both callers search the planners' own k = 1 table, which is checked
 apart from this builder (tests/test_kernels.py, tests/test_move_tables.py
 and perfbench's scipy reference).  Connected-component labels come
@@ -154,12 +155,13 @@ def astar_unit(blocked, masks, offsets, costs, source, goal):
     source over the unit moves of blocked, (masks, offsets, costs) as
     unit_moves returns them and the planners' own k = 1 table
     (GridMap.move_table(1)) holds them.  Toward a flat id goal its own
-    heuristic, not the planners', is the obstacle-free distance to
-    goal, octile on a 2D map and euclidean in 3D; both are consistent
-    with the unit-move costs, so a settled cell's dist is exact and the
-    search stops once goal is settled.  With goal = -1 the heuristic is
-    zero and the search settles every reachable cell: a Dijkstra
-    distance field.  A blocked source reaches nothing.  Returns (dist,
+    heuristic, not the planners', is the exact obstacle-free distance
+    of unit moves to goal: with the axis distances sorted as
+    lo <= mid <= hi, lo * SQRT3 + (mid - lo) * SQRT2 + (hi - mid) in 3D
+    and octile in 2D.  Both are consistent with the unit-move costs, so
+    a settled cell's dist is exact and the search stops once goal is
+    settled.  With goal = -1 the heuristic is zero and the search
+    settles every reachable cell: a Dijkstra distance field.  A blocked source reaches nothing.  Returns (dist,
     bp) as flat numpy arrays: dist is inf and bp -1 where no cell was
     reached, and bp holds predecessor flat ids, -1 at the source.  The
     table is checked apart from unit_moves (see the module docstring)."""
@@ -183,7 +185,10 @@ def astar_unit(blocked, masks, offsets, costs, source, goal):
             gx, gy, gz = goal % w, goal % wh // w, goal // wh
 
             def h(v):
-                return math.hypot(v % w - gx, v % wh // w - gy, v // wh - gz)
+                lo, mid, hi = sorted(
+                    (abs(v % w - gx), abs(v % wh // w - gy), abs(v // wh - gz))
+                )
+                return lo * SQRT3 + (mid - lo) * SQRT2 + (hi - mid)
 
         done = bytearray(n)
         dist[source] = 0.0

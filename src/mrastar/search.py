@@ -9,6 +9,10 @@ claimed under that gate costs at most w2 times the optimal cost in the
 anchor space, even though coarse queues use the inflated key g + w1*h
 and no state is ever re-expanded by the same queue.  FlatSearch.run is
 that loop; with the anchor queue alone it is the baselines' weighted A*.
+It is one fused loop: it reads the anchor's best key, relaxes each
+expanded state's moves and pushes improved successors onto the open
+lists' heaps itself, so that OpenList.pop is its only method call per
+expansion.
 """
 
 import math
@@ -90,7 +94,7 @@ def validate_query(
     return start, goal, ladder
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlannerConfig:
     """Knobs shared by the planners.
 
@@ -98,6 +102,8 @@ class PlannerConfig:
     far any queue may run ahead of the anchor and therefore bounds the
     returned cost at w2 times the anchor-space optimum.  seed, for the
     dts policy, must be a non-negative integer (see grid.is_integer).
+    Frozen, so that no field changes after its check; derive a variant
+    with dataclasses.replace, which checks it again.
     """
 
     w1: float = 3.0
@@ -112,13 +118,14 @@ class PlannerConfig:
             raise ValueError(f"policy must be one of {tuple(POLICIES)}, got {self.policy!r}")
         if not is_integer(self.seed) or self.seed < 0:
             raise InvalidProblemError(f"seed must be a non-negative integer, got {self.seed!r}")
-        self.seed = int(self.seed)
+        object.__setattr__(self, "seed", int(self.seed))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
     """A planning query: grid, endpoints and ladder.  Every queue's
-    heuristic follows from the map (see grid.flat_heuristic)."""
+    heuristic follows from the map (see grid.flat_heuristic).  Frozen
+    like PlannerConfig: dataclasses.replace checks a variant again."""
 
     grid: GridMap
     start: Cell
@@ -126,9 +133,9 @@ class Problem:
     ladder: ResolutionLadder = _UNIT_LADDER
 
     def __post_init__(self):
-        self.start, self.goal, self.ladder = validate_query(
-            self.grid, self.start, self.goal, self.ladder
-        )
+        checked = validate_query(self.grid, self.start, self.goal, self.ladder)
+        for name, value in zip(("start", "goal", "ladder"), checked):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -173,12 +180,15 @@ class OpenList:
 
     Orders by (key, -g, state id): equal keys prefer the larger g (the
     deeper, better-informed state), then the smaller id, making pops
-    fully deterministic.  Holds at most one live entry per state:
-    inserting an existing state pushes a new entry and marks it live,
-    and the superseded one stays in the heap until it reaches the top,
-    where pop, peek and min_key discard it (the test is by identity, so
-    an equal-valued superseded entry is dropped too).  Stale entries
-    are therefore bounded by the inserts of one search.
+    fully deterministic.  _heap is a heapq list of (key, -g, id) entries
+    and _live maps each queued id to its one live entry, found by
+    identity: inserting an existing state pushes a new entry and marks
+    it live, and the superseded one stays in the heap until it reaches
+    the top, where pop, peek and min_key discard it (an equal-valued
+    superseded entry is dropped too).  Stale entries are therefore
+    bounded by the inserts of one search.  FlatSearch.run pushes and
+    reads the anchor's top on _heap/_live directly, by these rules;
+    insert_or_update inserts each query's start.
     """
 
     __slots__ = ("_heap", "_live")
@@ -254,9 +264,10 @@ class FlatSearch:
 
     queue_masks gives, per flat id, the queues an improved state (and
     the start) enters unless already closed there; None means queue 0
-    alone.  Queue i expands a state with the scale-i table, or, given
-    table_masks, with the tables whose bits the state's mask sets, in
-    scale order.  bound gates the coarse queues (see run) and is the
+    alone, and then the loop decodes no mask: a state enters queue 0
+    unless closed.  Queue i expands a state with the scale-i table, or,
+    given table_masks, with the tables whose bits the state's mask sets,
+    in scale order.  bound gates the coarse queues (see run) and is the
     suboptimality factor a solved result reports; timeout is in seconds.
     A subclass with coarse queues sets policy, which picks among them.
     """
@@ -294,45 +305,6 @@ class FlatSearch:
     def generated(self) -> int:
         return len(self.h)
 
-    def expand(self, sid: int, i: int, tables) -> None:
-        """Close sid in queue i and relax its moves from each of tables
-        in turn: an improved successor takes the new g and backpointer
-        and enters every queue of its mask that has not closed it."""
-        closed = self.closed
-        c = closed.get(sid, 0)
-        if c >> i & 1:
-            raise SearchCorruptionError(
-                f"state {self.grid.cell_of(sid)} expanded twice by queue {i}"
-            )
-        closed[sid] = c | 1 << i
-        self.expansions[i] += 1
-        if self.expansion_log is not None:
-            self.expansion_log.append((i, self.grid.cell_of(sid)))
-        g, h, bp, h_of = self.g, self.h, self.bp, self._h_of
-        opens, weights, qmasks = self.opens, self.weights, self._queue_masks
-        g_s = g[sid]
-        for table in tables:
-            m = table.masks[sid]
-            offsets, costs = table.offsets, table.costs
-            for b in (
-                MASK_BITS[m] if m < 512
-                else MASK_BITS[m & 511] + MID_BITS[m >> 9 & 511] + HIGH_BITS[m >> 18]
-            ):
-                nid = sid + offsets[b]
-                ng = g_s + costs[b]
-                gn = g.get(nid)
-                if gn is None:
-                    h[nid] = hn = h_of(nid)
-                elif ng < gn:
-                    hn = h[nid]
-                else:
-                    continue
-                g[nid] = ng
-                bp[nid] = sid
-                targets = (1 if qmasks is None else qmasks[nid]) & ~closed.get(nid, 0)
-                for j in MASK_BITS[targets] if targets < 512 else mask_bits(targets):
-                    opens[j].insert_or_update(nid, ng + weights[j] * hn, ng)
-
     def run(self, log_expansions: bool = False) -> PlanResult:
         """Search until a queue claims the goal, the timeout passes or
         every queue is empty.
@@ -345,26 +317,36 @@ class FlatSearch:
         for a blocked pick); a key that overflowed to inf claims nothing.
         With one queue the gate always passes (mk0 <= bound * mk0), so
         this is weighted A*.  The clock is read every 1000 expansions.
+
+        Expanding sid in queue i closes it there and relaxes its moves
+        from each of its tables in turn: an improved successor takes the
+        new g and backpointer and enters every queue of its mask that
+        has not closed it (with queue_masks None, queue 0 unless closed).
+        The loop reads the anchor's top and pushes onto the open lists'
+        _heap/_live itself; OpenList.pop is its one call per expansion.
         """
-        self.expansion_log = [] if log_expansions else None
+        self.expansion_log = log = [] if log_expansions else None
         started = time.monotonic()
         t0 = time.perf_counter()
         opens = self.opens
         anchor = opens[0]
         coarse = range(1, len(opens))
+        heaps = [ol._heap for ol in opens]
         # Emptiness is read from the live-entry dicts, in C, rather than
         # through OpenList.__len__.
         live = [ol._live for ol in opens]
-        anchor_live = live[0]
+        anchor_heap, anchor_live = heaps[0], live[0]
         if coarse:
             policy = self.policy
             choose_queue, update, feedback = policy.choose_queue, policy.update, policy.feedback
-        g, h, goal_id = self.g, self.h, self.goal_id
-        expand, expansions = self.expand, self.expansions
+        g, h, bp, closed, goal_id = self.g, self.h, self.bp, self.closed, self.goal_id
+        h_of, weights, w0, qmasks = self._h_of, self.weights, self.weights[0], self._queue_masks
+        expansions, cell_of = self.expansions, self.grid.cell_of
         choice, masks = self._choice, self._table_masks
         bound, timeout = self.bound, self.timeout
         timed = timeout < math.inf
         inf = math.inf
+        push = heappush
         nonempty = ()
         i, ol = 0, anchor  # the expanding queue, back to the anchor after each coarse step
         while True:
@@ -374,7 +356,13 @@ class FlatSearch:
                 break
             if timed and check_deadline(sum(expansions), started, timeout):
                 return self.result(STATUS_TIMEOUT, None, t0)
-            mk = anchor.min_key()
+            mk = inf  # the anchor's best key, its stale tops dropped in place
+            while anchor_heap:
+                top = anchor_heap[0]
+                if anchor_live.get(top[2]) is top:
+                    mk = top[0]
+                    break
+                heappop(anchor_heap)
             if nonempty:
                 mk0 = mk
                 i = choose_queue(nonempty)
@@ -385,7 +373,41 @@ class FlatSearch:
             if g[goal_id] <= mk < inf:
                 return self.result(STATUS_SOLVED, i, t0)
             sid = ol.pop()
-            expand(sid, i, choice[i] if masks is None else choice[masks[sid]])
+            c = closed.get(sid, 0)
+            if c >> i & 1:
+                raise SearchCorruptionError(f"state {cell_of(sid)} expanded twice by queue {i}")
+            closed[sid] = c | 1 << i
+            expansions[i] += 1
+            if log is not None:
+                log.append((i, cell_of(sid)))
+            g_s = g[sid]
+            for table in choice[i] if masks is None else choice[masks[sid]]:
+                m = table.masks[sid]
+                offsets, costs = table.offsets, table.costs
+                for b in (
+                    MASK_BITS[m] if m < 512
+                    else MASK_BITS[m & 511] + MID_BITS[m >> 9 & 511] + HIGH_BITS[m >> 18]
+                ):
+                    nid = sid + offsets[b]
+                    ng = g_s + costs[b]
+                    gn = g.get(nid)
+                    if gn is None:
+                        h[nid] = hn = h_of(nid)
+                    elif ng < gn:
+                        hn = h[nid]
+                    else:
+                        continue
+                    g[nid] = ng
+                    bp[nid] = sid
+                    if qmasks is None:
+                        if nid not in closed:
+                            anchor_live[nid] = entry = (ng + w0 * hn, -ng, nid)
+                            push(anchor_heap, entry)
+                        continue
+                    targets = qmasks[nid] & ~closed.get(nid, 0)
+                    for j in MASK_BITS[targets] if targets < 512 else mask_bits(targets):
+                        live[j][nid] = entry = (ng + weights[j] * hn, -ng, nid)
+                        push(heaps[j], entry)
             if i:
                 if feedback:
                     update(i, h[ol.peek()] if ol else inf)

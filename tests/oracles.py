@@ -19,7 +19,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra as sp_dijkstra
 
 from mrastar import kernels
-from mrastar.errors import InvalidProblemError, MapParseError, ScenarioGenerationError
+from mrastar.errors import (
+    InvalidProblemError,
+    MapParseError,
+    ScenarioGenerationError,
+    SearchCorruptionError,
+)
 from mrastar.grid import (
     Cell,
     GridMap,
@@ -27,18 +32,22 @@ from mrastar.grid import (
     as_cell,
     directions,
     fine_components,
+    flat_heuristic,
     path_cost,
 )
 from mrastar.kernels import SQRT2, SQRT3
 from mrastar.kernels import STEP as _STEP
 from mrastar.kernels import HIGH_BITS, MASK_BITS, MID_BITS, mask_bits, unit_moves
 from mrastar.maps_io import Scenario
+from mrastar.policies import make_policy
 from mrastar.search import (
     STATUS_EXHAUSTED,
     STATUS_SOLVED,
     STATUS_TIMEOUT,
-    FlatSearch,
+    PlannerConfig,
     PlanResult,
+    Problem,
+    _TableSets,
     check_deadline,
 )
 
@@ -926,16 +935,292 @@ def listwise_path_cost(path: list[Cell]) -> float:
     return (float(a1) + a2 * SQRT2) + a3 * SQRT3
 
 
+# search.OpenList and search.FlatSearch (with MraSearch on top) as they
+# were before FlatSearch.run fused expand and the open-list pushes into
+# its loop, kept verbatim as the old core of that loop's differential
+# test (tests/test_search_loop.py) and as the core that mra_run and
+# single_queue below drive.
+
+
+class OpenList:
+    """Min-priority queue of states with lazy deletion.
+
+    Orders by (key, -g, state id): equal keys prefer the larger g (the
+    deeper, better-informed state), then the smaller id, making pops
+    fully deterministic.  Holds at most one live entry per state:
+    inserting an existing state pushes a new entry and marks it live,
+    and the superseded one stays in the heap until it reaches the top,
+    where pop, peek and min_key discard it (the test is by identity, so
+    an equal-valued superseded entry is dropped too).  Stale entries
+    are therefore bounded by the inserts of one search.
+    """
+
+    __slots__ = ("_heap", "_live")
+
+    def __init__(self):
+        self._heap: list[tuple[float, float, int]] = []
+        self._live: dict[int, tuple[float, float, int]] = {}
+
+    def __len__(self) -> int:
+        return len(self._live)
+
+    def __contains__(self, sid: int) -> bool:
+        return sid in self._live
+
+    def _top(self):
+        """The live minimum entry, or None; drops stale entries above it."""
+        heap, live = self._heap, self._live
+        while heap:
+            top = heap[0]
+            if live.get(top[2]) is top:
+                return top
+            heappop(heap)
+        return None
+
+    def min_key(self) -> float:
+        top = self._top()
+        return math.inf if top is None else top[0]
+
+    def peek(self) -> int:
+        top = self._top()
+        if top is None:
+            raise IndexError("peek on empty open list")
+        return top[2]
+
+    def insert_or_update(self, sid: int, key: float, g: float) -> None:
+        self._live[sid] = entry = (key, -g, sid)
+        heappush(self._heap, entry)
+
+    def pop(self) -> int:
+        heap, live = self._heap, self._live
+        while heap:
+            top = heappop(heap)
+            sid = top[2]
+            if live.get(sid) is top:
+                del live[sid]
+                return sid
+        raise IndexError("pop on empty open list")
+
+
+class FlatSearch:
+    """The one search core: a state table over flat cell ids and the
+    best-first loop (run) that MRA* and the single-queue baselines share.
+
+    g, bp and h map a flat id to its cost-to-come, backpointer and
+    heuristic; a state is generated once it has an h entry (start and
+    goal from the outset), so generated == len(h).  closed maps a flat
+    id to the bitmask of queues that expanded it.  Moves come from the
+    grid's cached MoveTables, one per entry of scales, decoded in
+    direction order.  Queue j keys a state g + weights[j] * h.
+
+    queue_masks gives, per flat id, the queues an improved state (and
+    the start) enters unless already closed there; None means queue 0
+    alone.  Queue i expands a state with the scale-i table, or, given
+    table_masks, with the tables whose bits the state's mask sets, in
+    scale order.  bound gates the coarse queues (see run) and is the
+    suboptimality factor a solved result reports; timeout is in seconds.
+    A subclass with coarse queues sets policy, which picks among them.
+    """
+
+    policy = None
+
+    def __init__(self, grid: GridMap, start: Cell, goal: Cell, scales, weights,
+                 bound: float, timeout: float = math.inf,
+                 queue_masks=None, table_masks=None):
+        self.grid = grid
+        self.tables = [grid.move_table(k) for k in scales]
+        self.weights = tuple(weights)
+        self.bound = bound
+        self.timeout = timeout
+        self.opens = [OpenList() for _ in self.weights]
+        self.expansions = [0] * len(self.weights)
+        self._queue_masks = queue_masks
+        self._table_masks = table_masks
+        self._choice = [(t,) for t in self.tables] if table_masks is None else _TableSets(self.tables)
+        self._h_of = flat_heuristic(grid, goal)
+        self.expansion_log: list[tuple[int, Cell]] | None = None
+        self.start_id = grid.flat_index(start)
+        self.goal_id = grid.flat_index(goal)
+        self.g = {self.start_id: 0.0}
+        self.h = {self.start_id: self._h_of(self.start_id)}
+        self.bp: dict[int, int] = {}
+        self.closed: dict[int, int] = {}
+        self.g.setdefault(self.goal_id, math.inf)
+        self.h.setdefault(self.goal_id, self._h_of(self.goal_id))
+        h0 = self.h[self.start_id]
+        for j in mask_bits(1 if queue_masks is None else queue_masks[self.start_id]):
+            self.opens[j].insert_or_update(self.start_id, self.weights[j] * h0, 0.0)
+
+    @property
+    def generated(self) -> int:
+        return len(self.h)
+
+    def expand(self, sid: int, i: int, tables) -> None:
+        """Close sid in queue i and relax its moves from each of tables
+        in turn: an improved successor takes the new g and backpointer
+        and enters every queue of its mask that has not closed it."""
+        closed = self.closed
+        c = closed.get(sid, 0)
+        if c >> i & 1:
+            raise SearchCorruptionError(
+                f"state {self.grid.cell_of(sid)} expanded twice by queue {i}"
+            )
+        closed[sid] = c | 1 << i
+        self.expansions[i] += 1
+        if self.expansion_log is not None:
+            self.expansion_log.append((i, self.grid.cell_of(sid)))
+        g, h, bp, h_of = self.g, self.h, self.bp, self._h_of
+        opens, weights, qmasks = self.opens, self.weights, self._queue_masks
+        g_s = g[sid]
+        for table in tables:
+            m = table.masks[sid]
+            offsets, costs = table.offsets, table.costs
+            for b in (
+                MASK_BITS[m] if m < 512
+                else MASK_BITS[m & 511] + MID_BITS[m >> 9 & 511] + HIGH_BITS[m >> 18]
+            ):
+                nid = sid + offsets[b]
+                ng = g_s + costs[b]
+                gn = g.get(nid)
+                if gn is None:
+                    h[nid] = hn = h_of(nid)
+                elif ng < gn:
+                    hn = h[nid]
+                else:
+                    continue
+                g[nid] = ng
+                bp[nid] = sid
+                targets = (1 if qmasks is None else qmasks[nid]) & ~closed.get(nid, 0)
+                for j in MASK_BITS[targets] if targets < 512 else mask_bits(targets):
+                    opens[j].insert_or_update(nid, ng + weights[j] * hn, ng)
+
+    def run(self, log_expansions: bool = False) -> PlanResult:
+        """Search until a queue claims the goal, the timeout passes or
+        every queue is empty.
+
+        Each iteration the policy picks a nonempty coarse queue i, which
+        expands while its best key mk_i <= bound * mk0, the anchor's best
+        key; otherwise, or with every coarse queue empty, the anchor
+        expands.  Before popping, the expanding queue claims the goal
+        once g(goal) <= its key (bound * mk0 when the anchor steps in
+        for a blocked pick); a key that overflowed to inf claims nothing.
+        With one queue the gate always passes (mk0 <= bound * mk0), so
+        this is weighted A*.  The clock is read every 1000 expansions.
+        """
+        self.expansion_log = [] if log_expansions else None
+        started = time.monotonic()
+        t0 = time.perf_counter()
+        opens = self.opens
+        anchor = opens[0]
+        coarse = range(1, len(opens))
+        # Emptiness is read from the live-entry dicts, in C, rather than
+        # through OpenList.__len__.
+        live = [ol._live for ol in opens]
+        anchor_live = live[0]
+        if coarse:
+            policy = self.policy
+            choose_queue, update, feedback = policy.choose_queue, policy.update, policy.feedback
+        g, h, goal_id = self.g, self.h, self.goal_id
+        expand, expansions = self.expand, self.expansions
+        choice, masks = self._choice, self._table_masks
+        bound, timeout = self.bound, self.timeout
+        timed = timeout < math.inf
+        inf = math.inf
+        nonempty = ()
+        i, ol = 0, anchor  # the expanding queue, back to the anchor after each coarse step
+        while True:
+            if coarse:
+                nonempty = [j for j in coarse if live[j]]
+            if not anchor_live and not nonempty:
+                break
+            if timed and check_deadline(sum(expansions), started, timeout):
+                return self.result(STATUS_TIMEOUT, None, t0)
+            mk = anchor.min_key()
+            if nonempty:
+                mk0 = mk
+                i = choose_queue(nonempty)
+                ol = opens[i]
+                mk = ol.min_key()
+                if mk > bound * mk0:  # the gate blocks i: the anchor expands
+                    i, ol, mk = 0, anchor, bound * mk0
+            if g[goal_id] <= mk < inf:
+                return self.result(STATUS_SOLVED, i, t0)
+            sid = ol.pop()
+            expand(sid, i, choice[i] if masks is None else choice[masks[sid]])
+            if i:
+                if feedback:
+                    update(i, h[ol.peek()] if ol else inf)
+                i, ol = 0, anchor
+        if g[goal_id] < inf:
+            # The goal sits in the anchor keyed g(goal) from the moment it
+            # is reached, and every queue claims it before popping it.
+            raise SearchCorruptionError("queues drained with the goal reached but unclaimed")
+        return self.result(STATUS_EXHAUSTED, None, t0)
+
+    def reconstruct_path(self) -> list[Cell]:
+        """Follow backpointers from the goal to the start."""
+        chain = []
+        sid = self.goal_id
+        limit = len(self.g) + 1
+        while sid != self.start_id:
+            chain.append(sid)
+            sid = self.bp.get(sid, -1)
+            if sid < 0 or len(chain) > limit:
+                raise SearchCorruptionError("broken backpointer chain at goal")
+        chain.append(self.start_id)
+        chain.reverse()
+        return [self.grid.cell_of(s) for s in chain]
+
+    def result(self, status: str, winning_queue: int | None, t0: float) -> PlanResult:
+        wall = time.perf_counter() - t0
+        solved = status == STATUS_SOLVED
+        path = self.reconstruct_path() if solved else []
+        return PlanResult(
+            status=status,
+            path=path,
+            cost=path_cost(path) if solved else math.inf,
+            expansions=list(self.expansions),
+            generated=self.generated,
+            wall_time=wall,
+            winning_queue=winning_queue,
+            bound=self.bound if solved else None,
+            expansion_log=self.expansion_log,
+        )
+
+
+class MraSearch(FlatSearch):
+    """One MRA* run; see plan() for the usual entry point.
+
+    Queue i searches ladder level i: it keys states g + w1 * h (the
+    anchor, queue 0, g + h), expands them with the scale-i move table
+    and holds only states on the level's sublattice.  w2 is the gate
+    bound and the policy picks among the coarse queues.  The instance
+    keeps its full state (open lists, state table, counters) after
+    run() returns, which the tests use to poke at internals.
+    """
+
+    def __init__(self, problem: Problem, config: PlannerConfig | None = None):
+        self.problem = problem
+        self.config = config = config or PlannerConfig()
+        mults = problem.ladder.multipliers
+        super().__init__(
+            problem.grid, problem.start, problem.goal,
+            mults, (1.0,) + (config.w1,) * (len(mults) - 1), bound=config.w2,
+            timeout=config.timeout, queue_masks=problem.grid.space_masks(mults),
+        )
+        self.policy = make_policy(config.policy, max(1, len(mults) - 1), config.seed)
+
+
 # The two best-first loops that search.FlatSearch.run replaced, kept as the
 # references of its differential test (tests/test_search_loop.py).  Both
-# run over the current state table and expand; the adaptations to it are
-# marked "(adapted)".  Their drained-queue fallbacks answer "solved"
+# run over the state table and expand of the FlatSearch copy above; the
+# adaptations to it are marked "(adapted)".  Their drained-queue fallbacks answer "solved"
 # where the merged loop raises, and are unreachable.
 
 
 def mra_run(self, log_expansions: bool = False) -> PlanResult:
     """MraSearch.run as it was before the merge, over a freshly built
-    search.MraSearch (self).  Its gate_probe hook is left out."""
+    MraSearch of this module (self).  Its gate_probe hook is left out."""
     self.expansion_log = [] if log_expansions else None
     started = time.monotonic()
     t0 = time.perf_counter()

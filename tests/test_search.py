@@ -1,6 +1,7 @@
 """Planner core: keys, deadline, expansion semantics, full plan() behaviour."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -81,7 +82,7 @@ def test_problem_validation():
     assert len(S.Problem(g, (0, 0), (7, 7), ladder=[1, 3]).ladder) == 2
 
 
-# ----------------------------------------------------------------- expand
+# ------------------------------------------------- expansion in the loop
 
 
 def test_new_states_initialized_unreached():
@@ -94,6 +95,47 @@ def test_new_states_initialized_unreached():
     assert g.flat_index((4, 4)) not in search.g
 
 
+class Halt(Exception):
+    """Stops a run between two expansions (see run_expansions)."""
+
+
+def run_expansions(search, n):
+    """Run search, logging expansions, until it has expanded n states:
+    the loop's (n + 1)-th OpenList.pop raises Halt before popping."""
+    pop = S.OpenList.pop
+    pops = itertools.count()
+
+    def halting(self):
+        if next(pops) == n:
+            raise Halt
+        return pop(self)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(S.OpenList, "pop", halting)
+        with pytest.raises(Halt):
+            search.run(log_expansions=True)
+
+
+class Picks:
+    """A policy that picks queue i whenever it is nonempty."""
+
+    feedback = False
+
+    def __init__(self, i):
+        self.i = i
+
+    def choose_queue(self, nonempty):
+        return self.i if self.i in nonempty else nonempty[0]
+
+    def update(self, i, top_h):
+        pass
+
+
+def heap_ids(ol):
+    """Every state with an entry in ol's heap, live or superseded."""
+    return {entry[2] for entry in ol._heap}
+
+
 def test_expand_relaxes_into_all_open_spaces():
     # a fully coincident successor lands in all three queues with the
     # anchor key g+h and the inflated key g+w1*h elsewhere
@@ -102,7 +144,9 @@ def test_expand_relaxes_into_all_open_spaces():
     prob = S.Problem(g, (10, 10), (94, 94), ladder=lad)
     cfg = S.PlannerConfig(w1=3.0, w2=3.0)
     search = S.MraSearch(prob, cfg)
-    search.expand(search.start_id, 2, [search.tables[2]])
+    search.policy = Picks(2)
+    run_expansions(search, 1)
+    assert search.expansion_log == [(2, (10, 10))]
     succ = (31, 31)  # on the 7- and 21-sublattices
     sid = g.flat_index(succ)
     assert search.g[sid] == 21 * SQRT2 and search.bp[sid] == search.start_id
@@ -118,45 +162,62 @@ def test_expand_relaxes_into_all_open_spaces():
     assert search.expansions == [0, 0, 1]
 
 
+def _one_queue_searches(g, start, goal):
+    """An MRA* search with the unit ladder and a baseline's core (no
+    queue masks) on the same query."""
+    return [
+        S.MraSearch(S.Problem(g, start, goal)),
+        S.FlatSearch(g, start, goal, (1,), (1.0,), bound=1.0),
+    ]
+
+
 def test_closed_queue_not_reinserted():
     lad = G.ResolutionLadder((1, 3))
     g = G.GridMap.empty((9, 9))
     search = S.MraSearch(S.Problem(g, (0, 0), (8, 8), ladder=lad))
     sid = g.flat_index((1, 1))
     search.closed[sid] = 1  # pretend queue 0 already expanded it
-    search.expand(search.start_id, 0, [search.tables[0]])
+    run_expansions(search, 1)
+    assert search.expansion_log == [(0, (0, 0))]
     assert search.g[sid] == SQRT2  # g/bp still update
     assert search.bp[sid] == search.start_id
-    assert sid not in search.opens[0]
+    assert sid not in search.opens[0] and sid not in heap_ids(search.opens[0])
     assert sid in search.opens[1]
+    assert search.closed[sid] == 1
+    for search in _one_queue_searches(g, (0, 0), (8, 8)):
+        search.closed[sid] = 1
+        run_expansions(search, 1)
+        assert search.g[sid] == SQRT2 and search.bp[sid] == search.start_id
+        assert sid not in search.opens[0] and sid not in heap_ids(search.opens[0])
 
 
 def test_double_expansion_rejected():
     g = G.GridMap.empty((9, 9))
-    search = S.MraSearch(S.Problem(g, (0, 0), (8, 8)))
-    search.expand(search.start_id, 0, [search.tables[0]])
-    assert search.closed[search.start_id] == 1
-    with pytest.raises(SearchCorruptionError):
-        search.expand(search.start_id, 0, [search.tables[0]])
+    for search in _one_queue_searches(g, (0, 0), (8, 8)):
+        run_expansions(search, 1)
+        assert search.closed[search.start_id] == 1
+    for search in _one_queue_searches(g, (0, 0), (8, 8)):
+        search.closed[search.start_id] = 1  # the start was closed before its pop
+        with pytest.raises(SearchCorruptionError, match="expanded twice by queue 0"):
+            search.run()
+        assert search.expansions == [0]
 
 
-def test_no_improvement_no_touch(monkeypatch):
+def test_no_improvement_no_touch():
     g = G.GridMap.empty((9, 9))
-    search = S.MraSearch(S.Problem(g, (0, 0), (8, 8)))
-    search.expand(search.start_id, 0, [search.tables[0]])
     sid = g.flat_index((1, 1))
-    search.g[sid] = 0.1  # better than anything a re-relaxation could offer
-    search.bp[sid] = -7
-    generated = search.generated
-    search.closed[search.start_id] = 0
-    inserts = []
-    monkeypatch.setattr(
-        S.OpenList, "insert_or_update", lambda self, *args: inserts.append(args)
-    )
-    search.expand(search.start_id, 0, [search.tables[0]])
-    assert search.g[sid] == 0.1 and search.bp[sid] == -7
-    assert inserts == []
-    assert search.generated == generated
+    for search in _one_queue_searches(g, (0, 0), (8, 8)):
+        search.g[sid] = 0.1  # better than anything a relaxation could offer
+        search.bp[sid] = -7
+        search.h[sid] = 9.0
+        run_expansions(search, 1)
+        assert search.expansion_log == [(0, (0, 0))]
+        assert search.g[sid] == 0.1 and search.bp[sid] == -7 and search.h[sid] == 9.0
+        assert sid not in search.opens[0] and sid not in heap_ids(search.opens[0])
+        # the other two moves improved and entered the anchor
+        improved = {g.flat_index((1, 0)), g.flat_index((0, 1))}
+        assert heap_ids(search.opens[0]) == improved
+        assert search.generated == 5  # start, goal, sid and the improved two
 
 
 # ------------------------------------------------------------------- plan
@@ -279,13 +340,27 @@ def test_each_state_expanded_once_per_queue():
     assert per_queue == res.expansions
 
 
-def test_anchor_min_key_never_exceeds_optimal_cost(monkeypatch):
+class RecordingHeap(list):
+    """An open list's heap that records the key of each live top read
+    through heap[0], as the loop reads the anchor's best key."""
+
+    def __init__(self, ol, probes):
+        super().__init__(ol._heap)
+        self.live, self.probes = ol._live, probes
+
+    def __getitem__(self, k):
+        entry = super().__getitem__(k)
+        if k == 0 and self.live.get(entry[2]) is entry:
+            self.probes.append(entry[0])
+        return entry
+
+
+def test_anchor_min_key_never_exceeds_optimal_cost():
     # the quantity the suboptimality bound rests on: while the goal is
     # unclaimed the anchor's best key stays below the true optimum.  The
-    # loop reads the anchor's min key once per iteration; the patch
-    # records those reads.
+    # loop reads the anchor's best key once per iteration, from the top
+    # of its heap; the recording heap records those reads.
     rng = np.random.default_rng(22)
-    min_key = S.OpenList.min_key
     for _ in range(6):
         g = random_map(rng, (32, 32), 0.3)
         start, goal = connected_free_pair(g, rng)
@@ -293,16 +368,9 @@ def test_anchor_min_key_never_exceeds_optimal_cost(monkeypatch):
         search = S.MraSearch(
             S.Problem(g, start, goal, ladder=[1, 7]), S.PlannerConfig(w1=5.0, w2=2.0)
         )
-
-        def recording(self):
-            key = min_key(self)
-            if self is search.opens[0]:
-                probes.append(key)
-            return key
-
-        monkeypatch.setattr(S.OpenList, "min_key", recording)
+        anchor = search.opens[0]
+        anchor._heap = RecordingHeap(anchor, probes)
         res = search.run()
-        monkeypatch.undo()
         assert len(probes) == sum(res.expansions) + 1
         assert res.status == S.STATUS_SOLVED
         ref = oracles.reference_distances(g, start)[g.flat_index(goal)]

@@ -1,15 +1,19 @@
-"""Differential test of the one search loop, search.FlatSearch.run.
+"""Differential tests of the one search loop, search.FlatSearch.run.
 
 MRA* and the single-queue baselines used to run two copies of the
 best-first loop (MraSearch.run and baselines._single_queue, kept as
-oracles.mra_run and oracles.single_queue).  Every bench.ALGOS entry must
-give the same deterministic PlanResult through the merged loop as
-through the loop it replaced: status, path, cost (as float.hex),
-per-queue expansions, generated, winning queue, bound and expansion log.
+oracles.mra_run and oracles.single_queue).  Then the loop called
+FlatSearch.expand and OpenList.insert_or_update for every expansion and
+improved successor; run now relaxes and pushes inline, and that core is
+kept as oracles.FlatSearch, oracles.OpenList and oracles.MraSearch, which
+the two old loops drive.  Every bench.ALGOS entry must give the same
+deterministic PlanResult through the fused loop as through the old core
+and the loops it replaced: status, path, cost (as float.hex), per-queue
+expansions, generated, winning queue, bound and expansion log.
 The queries are seeded random 2D and 3D maps with solvable, exhausted
 and sublattice-aligned pairs, both policies, nested, non-nested and
 wider-than-the-map ladders, weights up to 1e307 (keys that overflow to
-inf) and a timeout that fires before the first expansion.
+inf), w1 > w2 and a timeout that fires before the first expansion.
 """
 
 import dataclasses
@@ -17,6 +21,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mrastar import baselines as B
 from mrastar import bench as BE
 from mrastar import grid as G
 from mrastar import search as S
@@ -52,7 +57,7 @@ LADDER_FREE = ("wa-high", "astar")
 def _old(algo, grid, start, goal, ladder, config):
     """The query through the loops that FlatSearch.run replaced."""
     if algo == "mra":
-        search = S.MraSearch(S.Problem(grid, start, goal, ladder), config)
+        search = oracles.MraSearch(S.Problem(grid, start, goal, ladder), config)
         return oracles.mra_run(search, log_expansions=True)
     k, union, w = {
         "wa-high": (1, False, config.w1),
@@ -67,6 +72,15 @@ def _old(algo, grid, start, goal, ladder, config):
 
 def _new(algo, grid, start, goal, ladder, config):
     return BE.run_algo(algo, grid, start, goal, ladder, config, log_expansions=True)
+
+
+def _old_core(algo, grid, start, goal, ladder, config):
+    """The query through the same front doors, run by the core that the
+    fused loop replaced (FlatSearch.run calling expand, kept in oracles)."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(B, "FlatSearch", oracles.FlatSearch)
+        m.setattr(S, "MraSearch", oracles.MraSearch)
+        return _new(algo, grid, start, goal, ladder, config)
 
 
 def _fields(call, *args):
@@ -132,3 +146,21 @@ def test_long_ladders_match_the_replaced_loops(scales):
                 for algo in ("mra", "wa-mr"):
                     query = (algo, grid, start, goal, lad, config)
                     assert _fields(_new, *query) == _fields(_old, *query), query
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_fused_loop_matches_the_old_core(name):
+    extents, density, seed, ladders = MAPS[name]
+    grid = syn.random_grid(extents, density, seed)
+    statuses = set()
+    for start, goal in _pairs(grid, seed):
+        for n, lad in enumerate(map(G.ResolutionLadder, ladders + LONG_LADDERS)):
+            for config in CONFIGS:
+                for algo in BE.ALGOS:
+                    if n and algo in LADDER_FREE:
+                        continue
+                    query = (algo, grid, start, goal, lad, config)
+                    want = _fields(_old_core, *query)
+                    assert _fields(_new, *query) == want, query
+                    statuses.add(want[0] if isinstance(want, tuple) else want["status"])
+    assert statuses == {"invalid", S.STATUS_SOLVED, S.STATUS_EXHAUSTED, S.STATUS_TIMEOUT}

@@ -2,6 +2,7 @@
 multipliers and endpoints are refused up front with the same
 InvalidProblemError."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -271,3 +272,47 @@ def test_numpy_integer_seeds_are_stored_as_int():
     prob = S.Problem(GRID, START, GOAL, LADDER)
     got, want = S.plan(prob, config), S.plan(prob, S.PlannerConfig(policy="dts", seed=5))
     assert (got.path, got.expansions, got.cost) == (want.path, want.expansions, want.cost)
+
+
+# An 8x8 map with (6, 5) blocked and ladder (1, 3): a query and a config
+# that pass their checks, and assignments that would bypass them.
+_BLOCKED = np.zeros((8, 8), bool)
+_BLOCKED[5, 6] = True
+PROBE_PROBLEM = S.Problem(G.GridMap((8, 8), _BLOCKED), (0, 0), (7, 7), ladder=(1, 3))
+PROBE_CONFIG = S.PlannerConfig(policy="dts")
+PROBES = [
+    (PROBE_PROBLEM, "goal", (8, 0)),
+    (PROBE_PROBLEM, "goal", (6, 5)),
+    (PROBE_PROBLEM, "goal", (7.5, 7)),
+    (PROBE_PROBLEM, "start", (-1, 0)),
+    (PROBE_PROBLEM, "ladder", (1, 2)),
+    (PROBE_PROBLEM, "grid", G.GridMap.empty((4, 4, 4))),
+    (PROBE_CONFIG, "w2", 0.5),
+    (PROBE_CONFIG, "w1", math.nan),
+    (PROBE_CONFIG, "timeout", -1),
+    (PROBE_CONFIG, "seed", -1),
+]
+
+
+@pytest.mark.parametrize("obj,name,bad", PROBES, ids=lambda v: repr(v)[:24])
+def test_checked_queries_cannot_change(obj, name, bad):
+    # these assignments used to plan anyway (exhausted, solved with a
+    # bound of 0.5, timeout) or escape as AttributeError/ValueError;
+    # replace builds a new instance, and so checks it again
+    before = getattr(obj, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, bad)
+    assert getattr(obj, name) is before
+    with pytest.raises(InvalidProblemError):
+        dataclasses.replace(obj, **{name: bad})
+    res = S.plan(PROBE_PROBLEM, PROBE_CONFIG)
+    assert res.status == S.STATUS_SOLVED and res.bound == PROBE_CONFIG.w2
+
+
+def test_replace_keeps_a_checked_query():
+    # a good variant takes the same checks: its cells and seed normalised
+    problem = dataclasses.replace(PROBE_PROBLEM, goal=np.array([7, 6]), ladder=[1, 3, 5])
+    assert problem.goal == (7, 6) and type(problem.goal[0]) is int
+    assert problem.ladder == G.ResolutionLadder((1, 3, 5))
+    config = dataclasses.replace(PROBE_CONFIG, seed=np.uint16(5))
+    assert type(config.seed) is int and config.seed == 5
