@@ -37,6 +37,14 @@ def worker_count() -> int:
     return max(1, n)
 
 
+def usable_cores() -> int:
+    """The CPUs this process may run on (its affinity mask, where the OS
+    has one), at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
+
+
 # The one name -> planner table, shared by `mrastar plan`, `mrastar bench`
 # and run_bench.  Each entry takes (grid, start, goal, ladder, config,
 # log_expansions):
@@ -118,10 +126,13 @@ def run_bench(
     config: PlannerConfig,
 ) -> list[BenchRow]:
     """Run every algo on every task; rows come back sorted by
-    (map, algo, scenario) regardless of worker scheduling."""
+    (map, algo, scenario) regardless of worker scheduling.  The process
+    pool starts all its workers at once, so it is no larger than
+    worker_count(), the number of jobs or the usable cores, whichever is
+    least; with one worker the jobs run in this process."""
     jobs = [(task, algo, ladder, config) for task in tasks for algo in algos]
-    workers = worker_count()
-    if workers > 1 and len(jobs) > 1:
+    workers = min(worker_count(), len(jobs), usable_cores())
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one, jobs, chunksize=4))
     else:

@@ -16,12 +16,14 @@ kernels.unit_moves, which the exact oracle (baselines.dijkstra_optimal)
 searches too, with its own heuristic; see MoveTable for how it is
 checked.  A coarse (k > 1) table is gathered from it and holds moves
 only at the cells of its k-space, the only cells a planner reads it at;
-elsewhere it holds 0.  edge_valid and successors_at_scale check the
-rule cell by cell instead, apart from the tables.
+elsewhere it holds 0.  Each table also caches its masks decoded into
+(offset, cost) pairs (MoveTable.moves), which the planners' search loop
+reads.  edge_valid and successors_at_scale check the rule cell by cell
+instead, apart from the tables.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import lt
 
 import numpy as np
@@ -56,12 +58,42 @@ class MoveTable:
     order.  offsets[b] is the flat-index step of direction b and
     costs[b] its cost k * sqrt(axes changed).  masks is a memoryview
     over uint8 (2D, 8 directions) or uint32 (3D, 26 directions) values.
+
+    moves maps a mask value to the (offset, cost) pairs of its set bits
+    in that order, so the planners' search loop relaxes a state's moves
+    with `for off, cost in table.moves[table.masks[sid]]`.  It is filled
+    on first read of each mask value (see DecodedMoves) and lives as long
+    as the table, so every query and planner that reads this scale on
+    the map shares it: at most 256 entries in 2D, and in 3D at most one
+    per distinct mask value read.  The exact oracle (kernels.astar_unit) decodes the
+    masks itself and never reads it.
     """
 
     k: int
     masks: memoryview
     offsets: tuple[int, ...]
     costs: tuple[float, ...]
+    moves: "DecodedMoves" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "moves", DecodedMoves(self.offsets, self.costs))
+
+
+class DecodedMoves(dict):
+    """Mask value -> tuple of the (offset, cost) pairs of its set bits,
+    ascending, each entry built the first time its mask is read.  The
+    pairs are built once per table, and every entry holds those same
+    pair objects."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, offsets, costs):
+        self.pairs = tuple(zip(offsets, costs))
+
+    def __missing__(self, m: int):
+        pairs = self.pairs
+        self[m] = moves = tuple(pairs[b] for b in mask_bits(m))
+        return moves
 
 
 @dataclass(frozen=True, eq=False)

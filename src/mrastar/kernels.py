@@ -132,22 +132,42 @@ def unit_moves(blocked):
     or dz, outermost, dx innermost); offsets[b] is the direction's
     flat-index step and costs[b] its STEP cost.  The one builder of unit
     moves: GridMap.move_table(1) is MoveTable(1, *unit_moves(blocked)).
+    Boxes share their sub-boxes (see _box), so each direction costs one
+    array AND.
     """
     shape = blocked.shape
-    free = np.pad(~blocked, 1)
     strides = [math.prod(shape[axis + 1:]) for axis in range(len(shape))]
     dtype = np.uint8 if len(shape) == 2 else np.uint32
+    boxes = {(0,) * len(shape): np.pad(~blocked, 1)}
+    inside = (slice(1, -1),) * len(shape)  # the map's own cells of a padded box
     masks = np.zeros(shape, dtype)
     offsets, costs = [], []
     steps = [d[::-1] for d in directions(len(shape))]  # array axis order
     for b, step in enumerate(steps):
-        ok = np.ones(shape, bool)
-        for corner in itertools.product(*((0, s) if s else (0,) for s in step)):
-            ok &= free[tuple(slice(1 + c, 1 + c + n) for c, n in zip(corner, shape))]
-        masks |= ok.astype(dtype) << b
+        masks |= _box(boxes, step)[inside].astype(dtype) << b
         offsets.append(sum(s * st for s, st in zip(step, strides)))
         costs.append(STEP[len(step) - step.count(0)])
     return memoryview(masks.ravel()), tuple(offsets), tuple(costs)
+
+
+def _box(boxes, step):
+    """boxes[step], built on first use: True at a cell of the padded map
+    iff every cell of the box that step (array axis order, -1, 0 or 1
+    per axis) spans from it is in the padded map and free.  boxes holds
+    the zero step's box, the padded free array.  The box over the axes
+    a step changes is its box with its last changed axis a dropped,
+    ANDed with that sub-box one cell along a: one AND per box, and a
+    step over d axes shares its sub-boxes with the steps over d - 1."""
+    box = boxes.get(step)
+    if box is None:
+        a = max(axis for axis, s in enumerate(step) if s)
+        sub = _box(boxes, step[:a] + (0,) + step[a + 1:])
+        n = sub.shape[a]
+        near, far = [slice(None)] * len(step), [slice(None)] * len(step)
+        near[a], far[a] = (slice(0, n - 1), slice(1, n))[::step[a]]
+        box = boxes[step] = np.zeros_like(sub)
+        np.logical_and(sub[tuple(near)], sub[tuple(far)], out=box[tuple(near)])
+    return box
 
 
 def astar_unit(blocked, masks, offsets, costs, source, goal):

@@ -33,7 +33,7 @@ from .grid import (
     is_integer,
     path_cost,
 )
-from .kernels import HIGH_BITS, MASK_BITS, MID_BITS, mask_bits
+from .kernels import MASK_BITS, mask_bits
 from .policies import POLICIES, make_policy
 
 # Not called by the search core, which reads the grid's move tables and
@@ -259,8 +259,9 @@ class FlatSearch:
     heuristic; a state is generated once it has an h entry (start and
     goal from the outset), so generated == len(h).  closed maps a flat
     id to the bitmask of queues that expanded it.  Moves come from the
-    grid's cached MoveTables, one per entry of scales, decoded in
-    direction order.  Queue j keys a state g + weights[j] * h.
+    grid's cached MoveTables, one per entry of scales, read through each
+    table's decoded-move cache (MoveTable.moves) in direction order.
+    Queue j keys a state g + weights[j] * h.
 
     queue_masks gives, per flat id, the queues an improved state (and
     the start) enters unless already closed there; None means queue 0
@@ -319,11 +320,16 @@ class FlatSearch:
         this is weighted A*.  The clock is read every 1000 expansions.
 
         Expanding sid in queue i closes it there and relaxes its moves
-        from each of its tables in turn: an improved successor takes the
-        new g and backpointer and enters every queue of its mask that
-        has not closed it (with queue_masks None, queue 0 unless closed).
-        The loop reads the anchor's top and pushes onto the open lists'
-        _heap/_live itself; OpenList.pop is its one call per expansion.
+        from each of its tables in turn, as the (offset, cost) pairs
+        that table.moves caches for sid's mask: an improved successor
+        takes the new g and backpointer and enters every queue of its
+        mask that has not closed it.  A successor whose mask is 1 (or
+        any, with queue_masks None) enters only the anchor, so only the
+        anchor can have closed it: it is pushed there unless closed,
+        without decoding a mask.  The coarse queues' nonempty list is
+        built only while one of them holds a state.  The loop reads the
+        anchor's top and pushes onto the open lists' _heap/_live itself;
+        OpenList.pop is its one call per expansion.
         """
         self.expansion_log = log = [] if log_expansions else None
         started = time.monotonic()
@@ -336,6 +342,7 @@ class FlatSearch:
         # through OpenList.__len__.
         live = [ol._live for ol in opens]
         anchor_heap, anchor_live = heaps[0], live[0]
+        coarse_live = live[1:]
         if coarse:
             policy = self.policy
             choose_queue, update, feedback = policy.choose_queue, policy.update, policy.feedback
@@ -347,11 +354,9 @@ class FlatSearch:
         timed = timeout < math.inf
         inf = math.inf
         push = heappush
-        nonempty = ()
         i, ol = 0, anchor  # the expanding queue, back to the anchor after each coarse step
         while True:
-            if coarse:
-                nonempty = [j for j in coarse if live[j]]
+            nonempty = [j for j in coarse if live[j]] if any(coarse_live) else ()
             if not anchor_live and not nonempty:
                 break
             if timed and check_deadline(sum(expansions), started, timeout):
@@ -382,14 +387,9 @@ class FlatSearch:
                 log.append((i, cell_of(sid)))
             g_s = g[sid]
             for table in choice[i] if masks is None else choice[masks[sid]]:
-                m = table.masks[sid]
-                offsets, costs = table.offsets, table.costs
-                for b in (
-                    MASK_BITS[m] if m < 512
-                    else MASK_BITS[m & 511] + MID_BITS[m >> 9 & 511] + HIGH_BITS[m >> 18]
-                ):
-                    nid = sid + offsets[b]
-                    ng = g_s + costs[b]
+                for off, cost in table.moves[table.masks[sid]]:
+                    nid = sid + off
+                    ng = g_s + cost
                     gn = g.get(nid)
                     if gn is None:
                         h[nid] = hn = h_of(nid)
@@ -399,12 +399,12 @@ class FlatSearch:
                         continue
                     g[nid] = ng
                     bp[nid] = sid
-                    if qmasks is None:
+                    if qmasks is None or (qm := qmasks[nid]) == 1:
                         if nid not in closed:
                             anchor_live[nid] = entry = (ng + w0 * hn, -ng, nid)
                             push(anchor_heap, entry)
                         continue
-                    targets = qmasks[nid] & ~closed.get(nid, 0)
+                    targets = qm & ~closed.get(nid, 0)
                     for j in MASK_BITS[targets] if targets < 512 else mask_bits(targets):
                         live[j][nid] = entry = (ng + weights[j] * hn, -ng, nid)
                         push(heaps[j], entry)

@@ -897,6 +897,39 @@ def full_move_table(grid: GridMap, k: int, unit: MoveTable | None) -> MoveTable:
     return MoveTable(k, memoryview(masks), tuple(offsets), tuple(costs))
 
 
+def corner_unit_moves(blocked):
+    """kernels.unit_moves before its boxes shared sub-boxes, kept
+    verbatim (renamed) as the reference it is checked against: each
+    direction ANDs every corner of its box.
+
+    Every valid unit move of an occupancy array shaped (H, W) or
+    (D, H, W), True for blocked cells, by the box rule.
+
+    A unit move is valid iff every cell of the box it spans (source,
+    destination and, for a diagonal, each flank) is free.  Returns
+    (masks, offsets, costs): masks is a memoryview over uint8 (2D, 8
+    directions) or uint32 (3D, 26 directions) with bit b set iff
+    direction b is valid from that flat cell, in directions' order (dy,
+    or dz, outermost, dx innermost); offsets[b] is the direction's
+    flat-index step and costs[b] its STEP cost.
+    """
+    shape = blocked.shape
+    free = np.pad(~blocked, 1)
+    strides = [math.prod(shape[axis + 1:]) for axis in range(len(shape))]
+    dtype = np.uint8 if len(shape) == 2 else np.uint32
+    masks = np.zeros(shape, dtype)
+    offsets, costs = [], []
+    steps = [d[::-1] for d in directions(len(shape))]  # array axis order
+    for b, step in enumerate(steps):
+        ok = np.ones(shape, bool)
+        for corner in itertools.product(*((0, s) if s else (0,) for s in step)):
+            ok &= free[tuple(slice(1 + c, 1 + c + n) for c, n in zip(corner, shape))]
+        masks |= ok.astype(dtype) << b
+        offsets.append(sum(s * st for s, st in zip(step, strides)))
+        costs.append(_STEP[len(step) - step.count(0)])
+    return memoryview(masks.ravel()), tuple(offsets), tuple(costs)
+
+
 def listwise_edge_decomposition(a: Cell, b: Cell) -> tuple[int, int]:
     """(scale, changed-axis count) of the lattice move a->b.
 

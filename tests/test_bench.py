@@ -1,6 +1,7 @@
 """Benchmark harness: task fan-out, aggregation, sweeps, worker config."""
 
 import math
+import os
 from dataclasses import replace
 
 import pytest
@@ -205,6 +206,54 @@ def test_worker_count(monkeypatch):
     assert B.worker_count() == 1
     monkeypatch.setenv("MRA_THREADS", "soon")
     assert B.worker_count() == 1
+
+
+def test_usable_cores():
+    assert 1 <= B.usable_cores() <= (os.cpu_count() or 1)
+
+
+def test_run_bench_pool_size_is_capped(small_setup, monkeypatch):
+    # the pool starts every worker at once, so its size is the least of
+    # MRA_THREADS, the job count and the usable cores; a stand-in for
+    # ProcessPoolExecutor records each size and starts no process
+    maps, ladder, tasks = small_setup
+    cfg = PlannerConfig()
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    def run(n):
+        rows = B.run_bench(tasks[:n], ["mra", "astar"], ladder, cfg)
+        return [replace(r, time_s=0.0) for r in rows]
+
+    monkeypatch.setattr(B, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(B, "usable_cores", lambda: 4)
+    monkeypatch.setenv("MRA_THREADS", "1")
+    serial = run(3)
+    assert sizes == []
+    monkeypatch.setenv("MRA_THREADS", "100000")
+    assert run(1) == serial[:1] + serial[3:4]
+    assert sizes == [2]  # two jobs
+    assert run(3) == serial
+    assert sizes == [2, 4]  # six jobs, four cores
+    monkeypatch.setenv("MRA_THREADS", "3")
+    assert run(3) == serial
+    assert sizes == [2, 4, 3]
+    monkeypatch.setattr(B, "usable_cores", lambda: 1)
+    monkeypatch.setenv("MRA_THREADS", "100000")
+    assert run(3) == serial
+    assert sizes == [2, 4, 3]  # one core: the jobs run in this process
 
 
 def test_run_bench_parallel_matches_serial(small_setup, monkeypatch):

@@ -219,6 +219,23 @@ def test_unit_moves_equal_reference_graph(extents, density, seed):
         assert got == set(zip(row.indices.tolist(), row.data.tolist())), g.cell_of(u)
 
 
+@pytest.mark.parametrize("extents,density,seed", [
+    ((1, 1), 0.0, 1), ((1, 9), 0.2, 2), ((2, 2), 0.0, 3), ((2, 7), 0.3, 4),
+    ((20, 17), 0.3, 5), ((80, 72), 0.25, 6), ((6, 5), 1.0, 7),
+    ((1, 1, 1), 0.0, 8), ((2, 1, 2), 0.0, 9), ((1, 2, 1), 0.1, 10), ((2, 9, 5), 0.2, 11),
+    ((12, 5, 3), 0.2, 12), ((24, 1, 24), 0.2, 13), ((24, 24, 24), 0.25, 14),
+])
+def test_unit_moves_equal_corner_builder(extents, density, seed):
+    # the builder whose boxes share sub-boxes against the one it replaced,
+    # which ANDs every corner of each box (oracles.corner_unit_moves):
+    # masks byte for byte with the same format, offsets, float.hex costs
+    g = random_grid(extents, density, seed)
+    got, want = kernels.unit_moves(g.blocked), oracles.corner_unit_moves(g.blocked)
+    assert got[0].format == want[0].format and bytes(got[0]) == bytes(want[0])
+    assert got[1] == want[1]
+    assert [c.hex() for c in got[2]] == [c.hex() for c in want[2]]
+
+
 @pytest.mark.parametrize("extents,density,seed", [((24, 24, 24), 0.25, 1), ((72, 72), 0.3, 2)])
 def test_astar_unit_reaches_fewer_cells_than_early_exit_dijkstra(extents, density, seed):
     # the oracle's A* against the early-exit Dijkstra on pairs at least

@@ -7,7 +7,10 @@ and against the builder whose k = 1 branch kernels.unit_moves replaced
 occupancy array.  successors_at_scale, which checks the box rule cell
 by cell, is held to the same walk.  A coarse table holds moves on its
 sublattice only, so plans over it are checked against plans over the
-tables of the builder that filled every cell."""
+tables of the builder that filled every cell.  Each table's
+decoded-move cache (MoveTable.moves) is checked entry by entry against
+the table's mask bits, and for being one object per table that every
+plan on the map fills and that stays bounded."""
 
 import copy
 import dataclasses
@@ -246,6 +249,84 @@ def test_one_unit_move_build_per_map(monkeypatch, extents, seed):
     dist, _ = B.dijkstra_field(grid, b)
     assert math.isfinite(dist[tuple(reversed(a))])
     assert len(builds) == 1
+
+
+# ------------------------------------------------ decoded-move cache
+
+CACHE_MAPS = (
+    ((1, 1), 0.0, 1), ((2, 2), 0.0, 2), ((2, 9), 0.2, 3), ((20, 17), 0.3, 4),
+    ((1, 1, 1), 0.0, 5), ((2, 1, 2), 0.0, 6), ((2, 9, 5), 0.2, 7), ((9, 8, 7), 0.25, 8),
+    ((24, 24, 24), 0.25, 9),
+)
+
+
+@pytest.mark.parametrize("extents,density,seed", CACHE_MAPS)
+def test_decoded_moves_equal_the_mask_bits(extents, density, seed):
+    # every entry, read for every mask value a table holds (and, in 2D,
+    # for all 256), is its set bits' (offset, cost) pairs in ascending
+    # bit order, built from the table's one tuple of pairs
+    grid = syn.random_grid(extents, density, seed)
+    for k in SCALES:
+        table = grid.move_table(k)
+        values = set(table.masks) | (set(range(256)) if grid.dim == 2 else set())
+        assert table.moves.pairs == tuple(zip(table.offsets, table.costs))
+        for m in sorted(values):
+            got = table.moves[m]
+            assert got == tuple((table.offsets[b], table.costs[b]) for b in G.mask_bits(m))
+            assert all(p is table.moves.pairs[b] for p, b in zip(got, G.mask_bits(m)))
+        assert set(table.moves) == values
+
+
+def _main_cells(grid, n):
+    """n cells of the map's largest component, spread over it."""
+    labels = G.fine_components(grid).ravel()
+    main = np.flatnonzero(labels == np.bincount(labels[labels >= 0]).argmax())
+    return [grid.cell_of(int(v)) for v in main[:: max(1, len(main) // n)][:n]]
+
+
+@pytest.mark.parametrize("extents,ladder", [((30, 30), (1, 3, 5)), ((10, 9, 8), (1, 3))])
+def test_decoded_moves_are_one_cache_per_table(monkeypatch, extents, ladder):
+    # every plan on a map, of every algo and query, fills the same cache
+    # objects, one per table, and repeating the queries adds no entry
+    grid = syn.random_grid(extents, 0.2, 5)
+    lad = G.ResolutionLadder(ladder)
+    caches = {k: grid.move_table(k).moves for k in ladder}
+    filled = []
+    missing = G.DecodedMoves.__missing__
+    monkeypatch.setattr(G.DecodedMoves, "__missing__",
+                        lambda self, m: filled.append(self) or missing(self, m))
+    cells = _main_cells(grid, 4)
+    queries = [(a, b) for a in cells for b in cells if a != b]
+
+    def run_all():
+        for start, goal in queries:
+            for algo in ("mra", "wa-high", "wa-mr", "astar"):
+                res = BE.run_algo(algo, grid, start, goal, lad, S.PlannerConfig())
+                assert res.status == S.STATUS_SOLVED
+
+    run_all()
+    assert filled and {id(c) for c in filled} <= {id(c) for c in caches.values()}
+    assert all(grid.move_table(k).moves is caches[k] for k in ladder)
+    sizes = {k: len(c) for k, c in caches.items()}
+    del filled[:]
+    run_all()
+    assert filled == [] and {k: len(c) for k, c in caches.items()} == sizes
+
+
+def test_decoded_moves_stay_bounded():
+    # a 2D cache holds at most one entry per uint8 mask value, and a 3D
+    # cache one per distinct mask value read, however many queries run
+    for extents in ((40, 40), (12, 12, 12)):
+        grid = syn.random_grid(extents, 0.15, 3)
+        cells = _main_cells(grid, 8)
+        for start in cells:
+            for goal in cells:
+                S.plan(S.Problem(grid, start, goal, ladder=(1, 3)))
+        for k in (1, 3):
+            table = grid.move_table(k)
+            assert set(table.moves) <= set(table.masks)
+            assert grid.dim == 3 or len(table.moves) <= 256
+        assert len(grid.move_table(1).moves) > 1
 
 
 @pytest.mark.parametrize("extents", [(22, 17), (10, 12, 9)])

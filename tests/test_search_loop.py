@@ -4,7 +4,8 @@ MRA* and the single-queue baselines used to run two copies of the
 best-first loop (MraSearch.run and baselines._single_queue, kept as
 oracles.mra_run and oracles.single_queue).  Then the loop called
 FlatSearch.expand and OpenList.insert_or_update for every expansion and
-improved successor; run now relaxes and pushes inline, and that core is
+improved successor; run now relaxes and pushes inline, reading each
+state's moves from its tables' decoded-move caches, and that core is
 kept as oracles.FlatSearch, oracles.OpenList and oracles.MraSearch, which
 the two old loops drive.  Every bench.ALGOS entry must give the same
 deterministic PlanResult through the fused loop as through the old core
@@ -13,7 +14,9 @@ expansions, generated, winning queue, bound and expansion log.
 The queries are seeded random 2D and 3D maps with solvable, exhausted
 and sublattice-aligned pairs, both policies, nested, non-nested and
 wider-than-the-map ladders, weights up to 1e307 (keys that overflow to
-inf), w1 > w2 and a timeout that fires before the first expansion.
+inf), w1 > w2 and a timeout that fires before the first expansion,
+plus ACCEPTANCE 4's cul-de-sac instances, where the coarse queues do
+most of MRA*'s expansions.
 """
 
 import dataclasses
@@ -164,3 +167,23 @@ def test_fused_loop_matches_the_old_core(name):
                     assert _fields(_new, *query) == want, query
                     statuses.add(want[0] if isinstance(want, tuple) else want["status"])
     assert statuses == {"invalid", S.STATUS_SOLVED, S.STATUS_EXHAUSTED, S.STATUS_TIMEOUT}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_culdesac_matches_the_old_core(seed):
+    # ACCEPTANCE 4's cul-de-sac, endpoints on the k = 21 sublattice: the
+    # coarse queues expand states other than the start, which only the
+    # multi-queue push (successors whose mask is not 1) puts there; the
+    # single-queue algos take the anchor-only push
+    grid, start, goal = syn.cul_de_sac_instance(seed)
+    lad = G.ResolutionLadder((1, 7, 21))
+    configs = (S.PlannerConfig(w1=3.0, w2=3.0, policy="round_robin"),
+               S.PlannerConfig(w1=3.0, w2=3.0, policy="dts", seed=seed))
+    for config in configs:
+        for algo in BE.ALGOS:
+            query = (algo, grid, start, goal, lad, config)
+            want = _fields(_old_core, *query)
+            assert _fields(_new, *query) == want, query
+            assert want["status"] == S.STATUS_SOLVED
+            if algo == "mra":
+                assert any(q and cell != start for q, cell in want["expansion_log"])
