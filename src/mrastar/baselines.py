@@ -4,9 +4,11 @@ All baselines share the multi-resolution planner's move semantics and
 search loop: each is a one-queue search.FlatSearch run over the grid's
 cached move tables (the box rule of kernels.move_free, same costs)
 whose gate never blocks and whose bound is w, isolating the search
-strategy as the only difference.  The exact oracle is one search loop,
-kernels.astar_unit, over the planners' own k = 1 table
-(GridMap.move_table(1)): dijkstra_optimal runs it toward the goal, with
+strategy as the only difference.  weighted_astar's queue reads one
+scale's table, wa_union's every ladder level's.  The exact oracle is
+one search loop, kernels.astar_unit, over the planners' own k = 1
+table (GridMap.move_table(1)) and its decoded-move cache, which the
+planners fill too: dijkstra_optimal runs it toward the goal, with
 its own heuristic (the obstacle-free unit-move distance, octile in 2D)
 rather than the planners', and dijkstra_field runs it with no goal for
 the full distance field.  The table is checked apart from its builder by
@@ -48,7 +50,7 @@ def weighted_astar(
     """
     start, goal, _ = validate_query(grid, start, goal, sublattice=multiplier, timeout=timeout, w=w)
     return FlatSearch(
-        grid, start, goal, (int(multiplier),), (w,), bound=w, timeout=timeout
+        grid, start, goal, [(int(multiplier),)], (w,), bound=w, timeout=timeout
     ).run(log_expansions)
 
 
@@ -62,13 +64,13 @@ def wa_union(
     timeout: float = math.inf,
     log_expansions: bool = False,
 ) -> PlanResult:
-    """Weighted A* over the union of a ladder's action spaces: one queue,
-    and each state offers the moves of every space it coincides with."""
+    """Weighted A* over the union of a ladder's action spaces: one queue
+    that reads every level's move table, so that each state offers the
+    moves of every space it coincides with (a coarse table holds no
+    moves off its sublattice)."""
     start, goal, ladder = validate_query(grid, start, goal, ladder, timeout=timeout, w=w)
-    mults = ladder.multipliers
     return FlatSearch(
-        grid, start, goal, mults, (w,), bound=w, timeout=timeout,
-        table_masks=grid.space_masks(mults),
+        grid, start, goal, [ladder.multipliers], (w,), bound=w, timeout=timeout
     ).run(log_expansions)
 
 
@@ -82,9 +84,7 @@ def dijkstra_field(grid: GridMap, source: Cell) -> tuple[np.ndarray, np.ndarray]
     non-integer one."""
     source = check_cell(grid, source, "source")
     t = grid.move_table(1)
-    dist, bp = kernels.astar_unit(
-        grid.blocked, t.masks, t.offsets, t.costs, grid.flat_index(source), -1
-    )
+    dist, bp = kernels.astar_unit(grid.blocked, t.masks, t.moves, grid.flat_index(source), -1)
     shape = grid.blocked.shape
     return dist.reshape(shape), bp.reshape(shape)
 
@@ -105,7 +105,7 @@ def dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:
         return 0.0
     start_id, goal_id = grid.flat_index(start), grid.flat_index(goal)
     t = grid.move_table(1)
-    dist, bp = kernels.astar_unit(grid.blocked, t.masks, t.offsets, t.costs, start_id, goal_id)
+    dist, bp = kernels.astar_unit(grid.blocked, t.masks, t.moves, start_id, goal_id)
     if not math.isfinite(dist[goal_id]):
         return math.inf
     chain = [goal_id]

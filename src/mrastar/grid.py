@@ -15,11 +15,11 @@ with vectorized numpy from the same rule.  The k = 1 table is
 kernels.unit_moves, which the exact oracle (baselines.dijkstra_optimal)
 searches too, with its own heuristic; see MoveTable for how it is
 checked.  A coarse (k > 1) table is gathered from it and holds moves
-only at the cells of its k-space, the only cells a planner reads it at;
-elsewhere it holds 0.  Each table also caches its masks decoded into
-(offset, cost) pairs (MoveTable.moves), which the planners' search loop
-reads.  edge_valid and successors_at_scale check the rule cell by cell
-instead, apart from the tables.
+only at the cells of its k-space; elsewhere it holds 0, which decodes
+to no moves.  Each table also caches its masks decoded into (offset,
+cost) pairs (MoveTable.moves), which every search loop, the planners'
+and the oracle's, reads.  edge_valid and successors_at_scale check the
+rule cell by cell instead, apart from the tables.
 """
 
 import math
@@ -44,56 +44,36 @@ class MoveTable:
     masks[c] holds bit b set iff direction b is a valid length-k move
     from flat cell c; blocked cells hold 0.  For k > 1 only the cells of
     the k-sublattice (see coincides) hold moves and every other cell
-    holds 0, since no planner reads a scale-k table anywhere else: MRA*
-    queue i holds only states on level i's sublattice, wa_union picks
-    each state's tables by its space mask, and weighted_astar at scale k
-    starts on the sublattice, which moves of length k never leave.
-    The k = 1 table, kernels.unit_moves of the map, holds the moves of
-    every cell; the planners and the exact oracle, with its own
-    heuristic, both search it.  tests/test_kernels.py,
-    tests/test_move_tables.py and perfbench's scipy reference check it
-    apart from its builder.  Directions follow the
-    kernels' order (dy, or dz, outermost, dx innermost, zero vector
-    skipped), so decoding the bits upward yields successors_at_scale's
-    order.  offsets[b] is the flat-index step of direction b and
-    costs[b] its cost k * sqrt(axes changed).  masks is a memoryview
+    holds 0, which decodes to no moves: so wa_union's one queue reads
+    every level's table at every state, and a state moves at exactly
+    the scales whose sublattice holds it.  The k = 1 table,
+    kernels.unit_moves of the map, holds the moves of every cell; the
+    planners and the exact oracle, with its own heuristic, both search
+    it.  tests/test_kernels.py, tests/test_move_tables.py and
+    perfbench's scipy reference check it apart from its builder.
+    Directions follow the kernels' order (dy, or dz, outermost, dx
+    innermost, zero vector skipped), so decoding the bits upward yields
+    successors_at_scale's order.  offsets[b] is the flat-index step of
+    direction b and costs[b] its cost k * sqrt(axes changed).  masks is a memoryview
     over uint8 (2D, 8 directions) or uint32 (3D, 26 directions) values.
 
     moves maps a mask value to the (offset, cost) pairs of its set bits
-    in that order, so the planners' search loop relaxes a state's moves
-    with `for off, cost in table.moves[table.masks[sid]]`.  It is filled
-    on first read of each mask value (see DecodedMoves) and lives as long
-    as the table, so every query and planner that reads this scale on
-    the map shares it: at most 256 entries in 2D, and in 3D at most one
-    per distinct mask value read.  The exact oracle (kernels.astar_unit) decodes the
-    masks itself and never reads it.
+    in that order, so every search relaxes a state's moves with
+    `for off, cost in table.moves[table.masks[sid]]`.  It is filled on
+    first read of each mask value (see kernels.DecodedMoves) and lives
+    as long as the table, so every query, planner and oracle call that
+    reads this scale on the map shares it: at most 256 entries in 2D,
+    and in 3D at most one per distinct mask value read.
     """
 
     k: int
     masks: memoryview
     offsets: tuple[int, ...]
     costs: tuple[float, ...]
-    moves: "DecodedMoves" = field(init=False, repr=False, compare=False)
+    moves: kernels.DecodedMoves = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "moves", DecodedMoves(self.offsets, self.costs))
-
-
-class DecodedMoves(dict):
-    """Mask value -> tuple of the (offset, cost) pairs of its set bits,
-    ascending, each entry built the first time its mask is read.  The
-    pairs are built once per table, and every entry holds those same
-    pair objects."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, offsets, costs):
-        self.pairs = tuple(zip(offsets, costs))
-
-    def __missing__(self, m: int):
-        pairs = self.pairs
-        self[m] = moves = tuple(pairs[b] for b in mask_bits(m))
-        return moves
+        object.__setattr__(self, "moves", kernels.DecodedMoves(self.offsets, self.costs))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,15 +8,15 @@ checks it cell by cell for grid.edge_valid; successors (and its traced
 2D/3D entry points) builds on it for grid.successors_at_scale.
 unit_moves, the one builder of unit moves, builds each cell's unit-move
 bitmask with numpy by the same rule; GridMap.move_table(1) is its
-result.  There is one search loop, astar_unit: toward a goal it is an
-A* with its own heuristic, the obstacle-free distance of unit moves
-(octile in 2D), the oracle behind baselines.dijkstra_optimal; with
-goal = -1 it is a full Dijkstra field, behind baselines.dijkstra_field
-and the traced dijkstra_2d/3d.
-Both callers search the planners' own k = 1 table, which is checked
-apart from this builder (tests/test_kernels.py, tests/test_move_tables.py
-and perfbench's scipy reference).  Connected-component labels come
-from scipy.ndimage.
+result.  Every search, the planners' and the exact oracle's, reads a
+state's moves through a DecodedMoves cache.  The oracle is one loop,
+astar_unit: toward a goal an A* with its own heuristic, the
+obstacle-free distance of unit moves (octile in 2D), behind
+baselines.dijkstra_optimal; with goal = -1 a full Dijkstra field,
+behind baselines.dijkstra_field and the traced dijkstra_2d/3d.  Both
+baselines search the planners' own k = 1 table, which is checked apart
+from this builder (tests/test_kernels.py, tests/test_move_tables.py and
+perfbench's scipy reference).  Labels come from scipy.ndimage.
 
 Coordinate convention: x is the fastest-varying axis.  A 2D map with
 width w stores cell (x, y) at flat index y*w + x; a 3D map with width w
@@ -64,6 +64,23 @@ def mask_bits(m: int) -> tuple[int, ...]:
     if m < 1 << 27:
         return MASK_BITS[m & 511] + MID_BITS[m >> 9 & 511] + HIGH_BITS[m >> 18]
     return tuple(b for b in range(m.bit_length()) if m >> b & 1)
+
+
+class DecodedMoves(dict):
+    """Mask value -> tuple of the (offset, cost) pairs of its set bits,
+    ascending, each entry built the first time its mask is read.  The
+    pairs are built once per table, and every entry holds those same
+    pair objects."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, offsets, costs):
+        self.pairs = tuple(zip(offsets, costs))
+
+    def __missing__(self, m: int):
+        pairs = self.pairs
+        self[m] = moves = tuple(pairs[b] for b in mask_bits(m))
+        return moves
 
 
 @functools.cache
@@ -170,18 +187,19 @@ def _box(boxes, step):
     return box
 
 
-def astar_unit(blocked, masks, offsets, costs, source, goal):
+def astar_unit(blocked, masks, moves, source, goal):
     """The one exact search over the unit lattice: A* from flat id
-    source over the unit moves of blocked, (masks, offsets, costs) as
-    unit_moves returns them and the planners' own k = 1 table
-    (GridMap.move_table(1)) holds them.  Toward a flat id goal its own
-    heuristic, not the planners', is the exact obstacle-free distance
-    of unit moves to goal: with the axis distances sorted as
-    lo <= mid <= hi, lo * SQRT3 + (mid - lo) * SQRT2 + (hi - mid) in 3D
-    and octile in 2D.  Both are consistent with the unit-move costs, so
-    a settled cell's dist is exact and the search stops once goal is
-    settled.  With goal = -1 the heuristic is zero and the search
-    settles every reachable cell: a Dijkstra distance field.  A blocked source reaches nothing.  Returns (dist,
+    source over the unit moves of blocked, unit_moves' masks and a
+    DecodedMoves of its offsets and costs, as the planners' own k = 1
+    table holds them (GridMap.move_table(1).masks and .moves).  Toward
+    a flat id goal its own heuristic, not the planners', is the exact
+    obstacle-free distance of unit moves to goal: with the axis
+    distances sorted as lo <= mid <= hi, lo * SQRT3 + (mid - lo) *
+    SQRT2 + (hi - mid) in 3D and octile in 2D.  Both are consistent with
+    the unit-move costs, so a settled cell's dist is exact and the
+    search stops once goal is settled.  With goal = -1 the heuristic is
+    zero and the search settles every reachable cell: a Dijkstra
+    distance field.  A blocked source reaches nothing.  Returns (dist,
     bp) as flat numpy arrays: dist is inf and bp -1 where no cell was
     reached, and bp holds predecessor flat ids, -1 at the source.  The
     table is checked apart from unit_moves (see the module docstring)."""
@@ -221,13 +239,9 @@ def astar_unit(blocked, masks, offsets, costs, source, goal):
             if u == goal:
                 break
             du = dist[u]
-            m = masks[u]
-            for b in (
-                MASK_BITS[m] if m < 512
-                else MASK_BITS[m & 511] + MID_BITS[m >> 9 & 511] + HIGH_BITS[m >> 18]
-            ):
-                v = u + offsets[b]
-                nd = du + costs[b]
+            for off, cost in moves[masks[u]]:
+                v = u + off
+                nd = du + cost
                 if nd < dist[v]:
                     dist[v] = nd
                     bp[v] = u
@@ -238,13 +252,15 @@ def astar_unit(blocked, masks, offsets, costs, source, goal):
 def dijkstra_2d(occ, w, h, sx, sy):
     """astar_unit's full field from (sx, sy) on a w x h map: (dist, bp)."""
     blocked = np.asarray(occ, dtype=bool).reshape(h, w)
-    return astar_unit(blocked, *unit_moves(blocked), sy * w + sx, -1)
+    masks, offsets, costs = unit_moves(blocked)
+    return astar_unit(blocked, masks, DecodedMoves(offsets, costs), sy * w + sx, -1)
 
 
 def dijkstra_3d(occ, w, h, d, sx, sy, sz):
     """dijkstra_2d on a w x h x d map, 26-connected."""
     blocked = np.asarray(occ, dtype=bool).reshape(d, h, w)
-    return astar_unit(blocked, *unit_moves(blocked), (sz * h + sy) * w + sx, -1)
+    masks, offsets, costs = unit_moves(blocked)
+    return astar_unit(blocked, masks, DecodedMoves(offsets, costs), (sz * h + sy) * w + sx, -1)
 
 
 def _component_labels(occ, shape):

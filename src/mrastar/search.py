@@ -114,7 +114,7 @@ class PlannerConfig:
 
     def __post_init__(self):
         validate_query(w1=self.w1, w2=self.w2, timeout=self.timeout)
-        if self.policy not in POLICIES:
+        if not isinstance(self.policy, str) or self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {tuple(POLICIES)}, got {self.policy!r}")
         if not is_integer(self.seed) or self.seed < 0:
             raise InvalidProblemError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -238,19 +238,6 @@ class OpenList:
         raise IndexError("pop on empty open list")
 
 
-class _TableSets(dict):
-    """Space mask -> the tables of its set bits, in scale order, built
-    the first time a state with that mask is expanded, so that a query
-    builds only the sets its states use, however long the ladder."""
-
-    def __init__(self, tables):
-        self.tables = tables
-
-    def __missing__(self, m: int):
-        self[m] = sets = tuple(self.tables[b] for b in mask_bits(m))
-        return sets
-
-
 class FlatSearch:
     """The one search core: a state table over flat cell ids and the
     best-first loop (run) that MRA* and the single-queue baselines share.
@@ -258,36 +245,33 @@ class FlatSearch:
     g, bp and h map a flat id to its cost-to-come, backpointer and
     heuristic; a state is generated once it has an h entry (start and
     goal from the outset), so generated == len(h).  closed maps a flat
-    id to the bitmask of queues that expanded it.  Moves come from the
-    grid's cached MoveTables, one per entry of scales, read through each
-    table's decoded-move cache (MoveTable.moves) in direction order.
-    Queue j keys a state g + weights[j] * h.
+    id to the bitmask of queues that expanded it.  Queue j keys a state
+    g + weights[j] * h and expands it with the grid's MoveTables of the
+    scales in queue_scales[j], in order, each read through its decoded
+    moves (MoveTable.moves).  A coarse table holds no moves off its
+    sublattice, so wa_union's one queue, listing the whole ladder, gives
+    a state the moves of exactly the scales whose sublattice holds it.
 
     queue_masks gives, per flat id, the queues an improved state (and
     the start) enters unless already closed there; None means queue 0
     alone, and then the loop decodes no mask: a state enters queue 0
-    unless closed.  Queue i expands a state with the scale-i table, or,
-    given table_masks, with the tables whose bits the state's mask sets,
-    in scale order.  bound gates the coarse queues (see run) and is the
+    unless closed.  bound gates the coarse queues (see run) and is the
     suboptimality factor a solved result reports; timeout is in seconds.
     A subclass with coarse queues sets policy, which picks among them.
     """
 
     policy = None
 
-    def __init__(self, grid: GridMap, start: Cell, goal: Cell, scales, weights,
-                 bound: float, timeout: float = math.inf,
-                 queue_masks=None, table_masks=None):
+    def __init__(self, grid: GridMap, start: Cell, goal: Cell, queue_scales, weights,
+                 bound: float, timeout: float = math.inf, queue_masks=None):
         self.grid = grid
-        self.tables = [grid.move_table(k) for k in scales]
+        self.tables = [tuple(map(grid.move_table, scales)) for scales in queue_scales]
         self.weights = tuple(weights)
         self.bound = bound
         self.timeout = timeout
         self.opens = [OpenList() for _ in self.weights]
         self.expansions = [0] * len(self.weights)
         self._queue_masks = queue_masks
-        self._table_masks = table_masks
-        self._choice = [(t,) for t in self.tables] if table_masks is None else _TableSets(self.tables)
         self._h_of = flat_heuristic(grid, goal)
         self.expansion_log: list[tuple[int, Cell]] | None = None
         self.start_id = grid.flat_index(start)
@@ -320,7 +304,7 @@ class FlatSearch:
         this is weighted A*.  The clock is read every 1000 expansions.
 
         Expanding sid in queue i closes it there and relaxes its moves
-        from each of its tables in turn, as the (offset, cost) pairs
+        from each of queue i's tables in turn, as the (offset, cost) pairs
         that table.moves caches for sid's mask: an improved successor
         takes the new g and backpointer and enters every queue of its
         mask that has not closed it.  A successor whose mask is 1 (or
@@ -348,8 +332,7 @@ class FlatSearch:
             choose_queue, update, feedback = policy.choose_queue, policy.update, policy.feedback
         g, h, bp, closed, goal_id = self.g, self.h, self.bp, self.closed, self.goal_id
         h_of, weights, w0, qmasks = self._h_of, self.weights, self.weights[0], self._queue_masks
-        expansions, cell_of = self.expansions, self.grid.cell_of
-        choice, masks = self._choice, self._table_masks
+        expansions, cell_of, tables = self.expansions, self.grid.cell_of, self.tables
         bound, timeout = self.bound, self.timeout
         timed = timeout < math.inf
         inf = math.inf
@@ -386,7 +369,7 @@ class FlatSearch:
             if log is not None:
                 log.append((i, cell_of(sid)))
             g_s = g[sid]
-            for table in choice[i] if masks is None else choice[masks[sid]]:
+            for table in tables[i]:
                 for off, cost in table.moves[table.masks[sid]]:
                     nid = sid + off
                     ng = g_s + cost
@@ -465,8 +448,8 @@ class MraSearch(FlatSearch):
         self.config = config = config or PlannerConfig()
         mults = problem.ladder.multipliers
         super().__init__(
-            problem.grid, problem.start, problem.goal,
-            mults, (1.0,) + (config.w1,) * (len(mults) - 1), bound=config.w2,
+            problem.grid, problem.start, problem.goal, [(k,) for k in mults],
+            (1.0,) + (config.w1,) * (len(mults) - 1), bound=config.w2,
             timeout=config.timeout, queue_masks=problem.grid.space_masks(mults),
         )
         self.policy = make_policy(config.policy, max(1, len(mults) - 1), config.seed)

@@ -8,14 +8,20 @@ sublattices the instance is meant to exercise.
 
 import numpy as np
 
-from .grid import Cell, GridMap, coincides, fine_components
+from .grid import Cell, GridMap, coincides, fine_components, is_integer
+
+CORRIDOR_SCALE = 7  # see corridor_instance
+CUL_DE_SAC_SCALE = 21  # see cul_de_sac_instance
 
 
 def random_grid(extents, density: float, seed: int) -> GridMap:
     """Uniform random obstacles at the given density (fraction of cells
-    blocked, in [0, 1])."""
+    blocked, in [0, 1]).  seed must be a non-negative integer (see
+    grid.is_integer); ValueError otherwise."""
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     shape = tuple(reversed(tuple(int(e) for e in extents)))
     return GridMap(tuple(extents), rng.random(shape) < density)
@@ -29,14 +35,15 @@ def _check_connected(grid: GridMap, start: Cell, goal: Cell) -> None:
         raise AssertionError("generated instance is not connected")
 
 
-def corridor_instance(seed: int, k: int = 7) -> tuple[GridMap, Cell, Cell]:
+def corridor_instance(seed: int) -> tuple[GridMap, Cell, Cell]:
     """A full-height wall pierced by a single one-cell corridor.
 
-    The corridor row is chosen off the k-sublattice, so no scale-k move
-    can thread it (a length-k segment crossing the wall must touch a
-    wall cell in some other row), while unit moves pass freely.  Start
-    and goal sit on the k-sublattice on opposite sides.
+    The corridor row is off the k = CORRIDOR_SCALE sublattice, so no
+    scale-k move can thread it (a length-k segment crossing the wall
+    must touch a wall cell in some other row), while unit moves pass
+    freely.  Start and goal sit on the k-sublattice on opposite sides.
     """
+    k = CORRIDOR_SCALE
     rng = np.random.default_rng(seed)
     half = (k - 1) // 2
     w = k * int(rng.integers(7, 10))
@@ -61,14 +68,15 @@ def corridor_instance(seed: int, k: int = 7) -> tuple[GridMap, Cell, Cell]:
     return grid, start, goal
 
 
-def cul_de_sac_instance(seed: int, k_max: int = 21) -> tuple[GridMap, Cell, Cell]:
+def cul_de_sac_instance(seed: int) -> tuple[GridMap, Cell, Cell]:
     """A bracket-shaped pocket opening toward the start.
 
     The straight start-goal line runs into the pocket, whose interior is
     at least 20 cells deep, creating a heuristic depression a fine-only
     greedy search must flood before escaping.  Both endpoints lie on the
-    k_max-sublattice so every ladder level can reach them.
+    CUL_DE_SAC_SCALE-sublattice so every ladder level can reach them.
     """
+    k_max = CUL_DE_SAC_SCALE
     rng = np.random.default_rng(seed)
     w = h = 96
     half = (k_max - 1) // 2

@@ -47,7 +47,6 @@ from mrastar.search import (
     PlannerConfig,
     PlanResult,
     Problem,
-    _TableSets,
     check_deadline,
 )
 
@@ -442,6 +441,77 @@ def mask_dijkstra(blocked, source, goal):
                     dist[v] = nd
                     bp[v] = u
                     heappush(heap, (nd, v))
+    return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
+
+
+# kernels.astar_unit as it was before it relaxed through the table's
+# decoded-move cache (kernels.DecodedMoves), kept verbatim (renamed) as
+# the reference of that change's differential test (tests/test_kernels.py):
+# it decodes each mask's bits itself, with the chunk tables.
+
+
+def bits_astar_unit(blocked, masks, offsets, costs, source, goal):
+    """The one exact search over the unit lattice: A* from flat id
+    source over the unit moves of blocked, (masks, offsets, costs) as
+    unit_moves returns them and the planners' own k = 1 table
+    (GridMap.move_table(1)) holds them.  Toward a flat id goal its own
+    heuristic, not the planners', is the exact obstacle-free distance
+    of unit moves to goal: with the axis distances sorted as
+    lo <= mid <= hi, lo * SQRT3 + (mid - lo) * SQRT2 + (hi - mid) in 3D
+    and octile in 2D.  Both are consistent with the unit-move costs, so
+    a settled cell's dist is exact and the search stops once goal is
+    settled.  With goal = -1 the heuristic is zero and the search
+    settles every reachable cell: a Dijkstra distance field.  A blocked source reaches nothing.  Returns (dist,
+    bp) as flat numpy arrays: dist is inf and bp -1 where no cell was
+    reached, and bp holds predecessor flat ids, -1 at the source.  The
+    table is checked apart from unit_moves (see the module docstring)."""
+    n, source, goal = blocked.size, int(source), int(goal)
+    dist = array("d", [math.inf]) * n
+    bp = array("q", [-1]) * n
+    if not blocked.flat[source]:
+        w = blocked.shape[-1]
+        if goal < 0:
+            def h(v):
+                return 0.0
+        elif blocked.ndim == 2:
+            gx, gy = goal % w, goal // w
+
+            def h(v):
+                dx = abs(v % w - gx)
+                dy = abs(v // w - gy)
+                return dx * SQRT2 + (dy - dx) if dx < dy else dy * SQRT2 + (dx - dy)
+        else:
+            wh = w * blocked.shape[1]
+            gx, gy, gz = goal % w, goal % wh // w, goal // wh
+
+            def h(v):
+                lo, mid, hi = sorted(
+                    (abs(v % w - gx), abs(v % wh // w - gy), abs(v // wh - gz))
+                )
+                return lo * SQRT3 + (mid - lo) * SQRT2 + (hi - mid)
+
+        done = bytearray(n)
+        dist[source] = 0.0
+        heap = [(h(source), source)]
+        while heap:
+            u = heappop(heap)[1]
+            if done[u]:
+                continue
+            done[u] = 1
+            if u == goal:
+                break
+            du = dist[u]
+            m = masks[u]
+            for b in (
+                MASK_BITS[m] if m < 512
+                else MASK_BITS[m & 511] + MID_BITS[m >> 9 & 511] + HIGH_BITS[m >> 18]
+            ):
+                v = u + offsets[b]
+                nd = du + costs[b]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    bp[v] = u
+                    heappush(heap, (nd + h(v), v))
     return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
 
 
@@ -972,7 +1042,22 @@ def listwise_path_cost(path: list[Cell]) -> float:
 # were before FlatSearch.run fused expand and the open-list pushes into
 # its loop, kept verbatim as the old core of that loop's differential
 # test (tests/test_search_loop.py) and as the core that mra_run and
-# single_queue below drive.
+# single_queue below drive.  search._TableSets, which picked wa_union's
+# tables per space mask until FlatSearch took one tuple of tables per
+# queue, is kept with them.
+
+
+class _TableSets(dict):
+    """Space mask -> the tables of its set bits, in scale order, built
+    the first time a state with that mask is expanded, so that a query
+    builds only the sets its states use, however long the ladder."""
+
+    def __init__(self, tables):
+        self.tables = tables
+
+    def __missing__(self, m: int):
+        self[m] = sets = tuple(self.tables[b] for b in mask_bits(m))
+        return sets
 
 
 class OpenList:

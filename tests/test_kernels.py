@@ -245,14 +245,15 @@ def test_astar_unit_reaches_fewer_cells_than_early_exit_dijkstra(extents, densit
     pick = np.random.default_rng(seed)
     labels = fine_components(g).ravel()
     main = np.flatnonzero(labels == np.bincount(labels[labels >= 0]).argmax())
-    moves = kernels.unit_moves(g.blocked)
+    masks, offsets, costs = kernels.unit_moves(g.blocked)
+    moves = kernels.DecodedMoves(offsets, costs)
     pairs = 0
     while pairs < 8:
         a, b = (int(v) for v in pick.choice(main, size=2))
         if math.dist(g.cell_of(a), g.cell_of(b)) < 8:
             continue
         pairs += 1
-        dist, bp = kernels.astar_unit(g.blocked, *moves, a, b)
+        dist, bp = kernels.astar_unit(g.blocked, masks, moves, a, b)
         want, _ = oracles.mask_dijkstra(g.blocked, a, b)
         assert abs(dist[b] - want[b]) <= 1e-12
         assert np.isfinite(dist).sum() < np.isfinite(want).sum()
@@ -265,6 +266,31 @@ def test_astar_unit_reaches_fewer_cells_than_early_exit_dijkstra(extents, densit
             assert edge_decomposition(u, v)[0] == 1
             assert oracles.edge_free_exact(u, v, g), (u, v)
         assert abs(path_cost(path) - dist[b]) <= 1e-12
+
+
+@pytest.mark.parametrize("extents,density,seed", [
+    ((1, 1), 0.0, 1), ((1, 9), 0.2, 2), ((2, 2), 0.0, 3), ((6, 5), 1.0, 4),
+    ((20, 17), 0.3, 5), ((48, 40), 0.25, 6),
+    ((1, 1, 1), 0.0, 7), ((1, 6, 5), 0.2, 8), ((2, 1, 2), 0.0, 9), ((3, 3, 3), 1.0, 10),
+    ((9, 8, 7), 0.25, 11), ((16, 16, 16), 0.25, 12),
+])
+def test_astar_unit_equal_to_bit_decoding_astar(extents, density, seed):
+    # the oracle relaxing through the k = 1 table's decoded-move cache
+    # against the A* that decoded each mask's bits itself
+    # (oracles.bits_astar_unit): dist and bp byte for byte, toward goals
+    # and as full fields (goal = -1), from free and blocked sources
+    g = random_grid(extents, density, seed)
+    t = g.move_table(1)
+    pick = np.random.default_rng(seed)
+    sources = {int(v) for v in pick.integers(g.size, size=3)}
+    sources |= set(np.flatnonzero(g.flat_blocked)[:1].tolist())
+    sources |= set(np.flatnonzero(~g.flat_blocked)[-1:].tolist())
+    for src in sorted(sources):
+        for goal in (-1, src, int(pick.integers(g.size)), g.size - 1):
+            got = kernels.astar_unit(g.blocked, t.masks, t.moves, src, goal)
+            want = oracles.bits_astar_unit(g.blocked, t.masks, t.offsets, t.costs, src, goal)
+            assert got[0].tobytes() == want[0].tobytes(), (src, goal)
+            assert got[1].tobytes() == want[1].tobytes(), (src, goal)
 
 
 def test_component_labels_match_scipy_partition():

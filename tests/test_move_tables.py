@@ -152,6 +152,24 @@ def _plan_fields(grid, algo, start, goal, ladder, config):
         res = BE.run_algo(algo, grid, start, goal, ladder, config, log_expansions=True)
     except InvalidProblemError as exc:
         return ("invalid", str(exc))
+    return _fields(res)
+
+
+def _union_fields(grid, algo, start, goal, ladder, config):
+    """_plan_fields of wa-mr run by oracles.single_queue, which picks
+    each state's tables by its space mask, as wa_union did before its
+    one queue read every level's table at every state."""
+    assert algo == "wa-mr"
+    try:
+        start, goal, ladder = S.validate_query(grid, start, goal, ladder, w=config.w1,
+                                               timeout=config.timeout)
+    except InvalidProblemError as exc:
+        return ("invalid", str(exc))
+    return _fields(oracles.single_queue(grid, start, goal, ladder.multipliers, True,
+                                        config.w1, config.timeout, True))
+
+
+def _fields(res):
     out = dataclasses.asdict(res)
     del out["wall_time"]
     out["cost"] = float(out["cost"]).hex()
@@ -183,7 +201,10 @@ def _coarse_pair(grid, k):
 def test_plans_over_full_tables_equal_plans_over_sublattice_tables(monkeypatch, extents,
                                                                     density, seed):
     # the same queries on a second grid whose coarse tables come from the
-    # builder that filled every cell (oracles.full_move_table)
+    # builder that filled every cell (oracles.full_move_table).  wa-mr
+    # reads every table at every state, which only a table that holds
+    # no moves off its sublattice allows, so on the full tables it runs
+    # as the search that picks a state's tables by its space mask
     grid = syn.random_grid(extents, density, seed)
     full = G.GridMap(grid.extents, grid.blocked)
     scales = sorted({k for lad in PLAN_LADDERS for k in lad})
@@ -202,7 +223,7 @@ def test_plans_over_full_tables_equal_plans_over_sublattice_tables(monkeypatch, 
             for config in PLAN_CONFIGS:
                 for algo in ("mra", "wa-low", "wa-mr"):
                     query = (algo, start, goal, lad, config)
-                    want = _plan_fields(full, *query)
+                    want = (_union_fields if algo == "wa-mr" else _plan_fields)(full, *query)
                     assert _plan_fields(grid, *query) == want, query
                     if isinstance(want, dict) and want["status"] == S.STATUS_SOLVED:
                         solved.add(algo)
@@ -286,27 +307,41 @@ def _main_cells(grid, n):
 
 @pytest.mark.parametrize("extents,ladder", [((30, 30), (1, 3, 5)), ((10, 9, 8), (1, 3))])
 def test_decoded_moves_are_one_cache_per_table(monkeypatch, extents, ladder):
-    # every plan on a map, of every algo and query, fills the same cache
-    # objects, one per table, and repeating the queries adds no entry
+    # every plan on a map, of every algo and query, and every oracle call
+    # fills the same cache objects, one per table, the oracle's misses
+    # landing in the k = 1 table's; no call builds a cache of its own,
+    # and repeating the calls adds no entry
     grid = syn.random_grid(extents, 0.2, 5)
     lad = G.ResolutionLadder(ladder)
     caches = {k: grid.move_table(k).moves for k in ladder}
-    filled = []
-    missing = G.DecodedMoves.__missing__
-    monkeypatch.setattr(G.DecodedMoves, "__missing__",
+    filled, built = [], []
+    missing, init = kernels.DecodedMoves.__missing__, kernels.DecodedMoves.__init__
+    monkeypatch.setattr(kernels.DecodedMoves, "__missing__",
                         lambda self, m: filled.append(self) or missing(self, m))
+    monkeypatch.setattr(kernels.DecodedMoves, "__init__",
+                        lambda self, *a: built.append(self) or init(self, *a))
     cells = _main_cells(grid, 4)
     queries = [(a, b) for a in cells for b in cells if a != b]
+
+    def run_oracles():
+        for start, goal in queries:
+            assert math.isfinite(B.dijkstra_optimal(grid, start, goal))
+        for start in cells:
+            assert np.isfinite(B.dijkstra_field(grid, start)[0]).sum() > 1
 
     def run_all():
         for start, goal in queries:
             for algo in ("mra", "wa-high", "wa-mr", "astar"):
                 res = BE.run_algo(algo, grid, start, goal, lad, S.PlannerConfig())
                 assert res.status == S.STATUS_SOLVED
+        run_oracles()
 
+    run_oracles()
+    assert filled and {id(c) for c in filled} == {id(caches[1])}
     run_all()
-    assert filled and {id(c) for c in filled} <= {id(c) for c in caches.values()}
+    assert {id(c) for c in filled} <= {id(c) for c in caches.values()}
     assert all(grid.move_table(k).moves is caches[k] for k in ladder)
+    assert built == []
     sizes = {k: len(c) for k, c in caches.items()}
     del filled[:]
     run_all()

@@ -167,7 +167,7 @@ def _one_queue_searches(g, start, goal):
     queue masks) on the same query."""
     return [
         S.MraSearch(S.Problem(g, start, goal)),
-        S.FlatSearch(g, start, goal, (1,), (1.0,), bound=1.0),
+        S.FlatSearch(g, start, goal, [(1,)], (1.0,), bound=1.0),
     ]
 
 

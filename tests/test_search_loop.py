@@ -16,13 +16,18 @@ and sublattice-aligned pairs, both policies, nested, non-nested and
 wider-than-the-map ladders, weights up to 1e307 (keys that overflow to
 inf), w1 > w2 and a timeout that fires before the first expansion,
 plus ACCEPTANCE 4's cul-de-sac instances, where the coarse queues do
-most of MRA*'s expansions.
+most of MRA*'s expansions.  A hypothesis property holds wa_union, whose
+one queue reads every level's table at every state, to the old loop's
+search that picked each state's tables by its space mask.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mrastar import baselines as B
 from mrastar import bench as BE
@@ -77,19 +82,29 @@ def _new(algo, grid, start, goal, ladder, config):
     return BE.run_algo(algo, grid, start, goal, ladder, config, log_expansions=True)
 
 
+def _old_flat_search(grid, start, goal, queue_scales, weights, bound, timeout):
+    """The baselines' one-queue core as oracles.FlatSearch builds it:
+    one scale as is, or a ladder's scales picked per state by its space
+    mask (table_masks)."""
+    (scales,) = queue_scales
+    masks = grid.space_masks(scales) if len(scales) > 1 else None
+    return oracles.FlatSearch(grid, start, goal, scales, weights, bound, timeout,
+                              table_masks=masks)
+
+
 def _old_core(algo, grid, start, goal, ladder, config):
     """The query through the same front doors, run by the core that the
     fused loop replaced (FlatSearch.run calling expand, kept in oracles)."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(B, "FlatSearch", oracles.FlatSearch)
+        m.setattr(B, "FlatSearch", _old_flat_search)
         m.setattr(S, "MraSearch", oracles.MraSearch)
         return _new(algo, grid, start, goal, ladder, config)
 
 
-def _fields(call, *args):
+def _fields(call, *args, **kwargs):
     """Every deterministic PlanResult field, or the refusal message."""
     try:
-        res = call(*args)
+        res = call(*args, **kwargs)
     except InvalidProblemError as exc:
         return ("invalid", str(exc))
     out = dataclasses.asdict(res)
@@ -138,8 +153,8 @@ LONG_LADDERS = [tuple(range(1, 62, 2)), tuple(range(1, 140, 2))]
 
 @pytest.mark.parametrize("scales", LONG_LADDERS, ids=lambda s: f"{len(s)}-levels")
 def test_long_ladders_match_the_replaced_loops(scales):
-    # wa-mr's union tables are built per space mask that a query meets,
-    # so their cost does not grow with the number of ladder levels
+    # wa-mr's one queue reads every level's table at every state, so its
+    # cost per expansion grows with the number of ladder levels
     lad = G.ResolutionLadder(scales)
     for name in ("2d-a", "3d-a"):
         extents, density, seed, _ = MAPS[name]
@@ -187,3 +202,39 @@ def test_culdesac_matches_the_old_core(seed):
             assert want["status"] == S.STATUS_SOLVED
             if algo == "mra":
                 assert any(q and cell != start for q, cell in want["expansion_log"])
+
+
+# odd scales from 3 up to 41, many of them wider than the maps drawn
+# below, weighted toward the small ones that leave coarse moves
+_COARSE = st.lists(st.one_of(st.integers(1, 4), st.integers(1, 20)).map(lambda n: 2 * n + 1),
+                   min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    extents=st.lists(st.integers(1, 16), min_size=2, max_size=3),
+    density=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**16),
+    coarse=_COARSE,
+    ends=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+    level=st.integers(0, 3),
+    w=st.sampled_from([1.0, 1.5, 3.0]),
+)
+def test_union_queue_equals_the_space_mask_search(extents, density, seed, coarse, ends,
+                                                  level, w):
+    # wa_union's one queue reads every level's table at every state; the
+    # search that picks a state's tables by its space mask
+    # (oracles.single_queue with union) gives every deterministic field
+    # alike, on nested, non-nested and wider-than-the-map ladders.  Both
+    # endpoints lie on the sublattice of one ladder level, when free
+    # cells lie there, so that the moves of every level are taken.
+    grid = syn.random_grid(extents, density, seed)
+    scales = (1, *sorted(coarse))
+    free = [grid.cell_of(int(v)) for v in np.flatnonzero(~grid.flat_blocked)]
+    assume(free)
+    on = [c for c in free if G.coincides(c, scales[min(level, len(scales) - 1)])] or free
+    start, goal = (on[e % len(on)] for e in ends)
+    want = _fields(oracles.single_queue, grid, start, goal, scales, True, w, math.inf, True)
+    got = _fields(B.wa_union, grid, start, goal, G.ResolutionLadder(scales), w=w,
+                  log_expansions=True)
+    assert got == want

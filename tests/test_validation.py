@@ -266,6 +266,26 @@ def test_planner_seed_must_be_a_non_negative_integer(bad):
         S.PlannerConfig(policy="dts", seed=bad)
 
 
+@pytest.mark.parametrize("bad", [["dts"], {"dts"}, {"round_robin": 1}], ids=repr)
+def test_planner_policy_must_be_a_policy_name(bad):
+    # an unhashable policy used to escape as TypeError: unhashable type
+    with pytest.raises(ValueError, match="^policy must be one of"):
+        S.PlannerConfig(policy=bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, -1, True, "3", None], ids=repr)
+def test_random_grid_seed_must_be_a_non_negative_integer(bad):
+    # 1.5 used to leak numpy's TypeError, -1 numpy's own ValueError, and
+    # None drew a different map on every call
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        syn.random_grid((4, 4), 0.2, seed=bad)
+
+
+def test_random_grid_takes_numpy_integer_seeds():
+    got, want = syn.random_grid((6, 5), 0.3, np.uint16(3)), syn.random_grid((6, 5), 0.3, 3)
+    assert np.array_equal(got.blocked, want.blocked)
+
+
 def test_numpy_integer_seeds_are_stored_as_int():
     config = S.PlannerConfig(policy="dts", seed=np.uint16(5))
     assert type(config.seed) is int and config.seed == 5
