@@ -13,6 +13,7 @@ from .baselines import (
     wa_union,
     weighted_astar,
 )
+from .bench import BenchRow, write_results_csv
 from .errors import (
     InvalidProblemError,
     MapParseError,
@@ -33,7 +34,6 @@ from .grid import (
     successors_at_scale,
 )
 from .maps_io import (
-    BenchRow,
     Scenario,
     gen_scenarios,
     load_map,
@@ -41,7 +41,6 @@ from .maps_io import (
     parse_vox3,
     serialize_movingai,
     serialize_vox3,
-    write_results_csv,
 )
 from .search import (
     MraSearch,

@@ -65,9 +65,9 @@ def wa_union(
     log_expansions: bool = False,
 ) -> PlanResult:
     """Weighted A* over the union of a ladder's action spaces: one queue
-    that reads every level's move table, so that each state offers the
-    moves of every space it coincides with (a coarse table holds no
-    moves off its sublattice)."""
+    that reads every level's move table (but one holding no move at
+    all), so that each state offers the moves of every space it
+    coincides with (a coarse table holds no moves off its sublattice)."""
     start, goal, ladder = validate_query(grid, start, goal, ladder, timeout=timeout, w=w)
     return FlatSearch(
         grid, start, goal, [ladder.multipliers], (w,), bound=w, timeout=timeout

@@ -1,4 +1,5 @@
-"""Benchmark harness: run planners over scenario sets, aggregate, sweep.
+"""Benchmark harness: run planners over scenario sets, aggregate, sweep,
+and write the results, summary and sweep CSV files.
 
 Used by the CLI and the acceptance tests alike.  Rows are deterministic
 for fixed seeds except for their timing fields.
@@ -11,9 +12,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .baselines import wa_union, weighted_astar
-from .errors import InvalidProblemError
+from .errors import InvalidProblemError, MrastarError
 from .grid import Cell, GridMap, ResolutionLadder
-from .maps_io import BenchRow, gen_scenarios
+from .maps_io import gen_scenarios
 from .search import PlannerConfig, PlanResult, Problem, plan
 
 
@@ -25,6 +26,38 @@ class BenchTask:
     start: Cell
     goal: Cell
     seed: int
+
+
+@dataclass
+class BenchRow:
+    """One planner run, as written to the results CSV.
+
+    status extends the planner statuses with "invalid" for runs whose
+    input the planner rejected (e.g. endpoints off a required
+    sublattice); those carry no cost, expansions or path.
+    """
+
+    map_id: str
+    algo: str
+    scenario: int
+    seed: int
+    status: str
+    time_s: float
+    cost: float | None
+    expansions: list[int]
+    path_len: int
+
+    @classmethod
+    def from_result(
+        cls, map_id: str, algo: str, scenario: int, seed: int, result: PlanResult
+    ) -> "BenchRow":
+        cost = result.cost if result.status == "solved" else None
+        return cls(map_id, algo, scenario, seed, result.status, result.wall_time, cost,
+                   list(result.expansions), len(result.path))
+
+    @classmethod
+    def invalid(cls, map_id: str, algo: str, scenario: int, seed: int) -> "BenchRow":
+        return cls(map_id, algo, scenario, seed, "invalid", 0.0, None, [], 0)
 
 
 def worker_count() -> int:
@@ -97,6 +130,20 @@ def run_algo(
     return ALGOS[algo](grid, start, goal, ladder, config, log_expansions)
 
 
+def _check_algos(algos: list[str]) -> None:
+    """Raise MrastarError unless algos, the planners of one bench run
+    (`mrastar bench --algos`), names at least one ALGOS entry, each
+    known and none twice."""
+    choices = ",".join(ALGOS)
+    if not algos:
+        raise MrastarError(f"--algos names no algo; choose from {choices}")
+    for n, algo in enumerate(algos):
+        if algo not in ALGOS:
+            raise MrastarError(f"unknown algo {algo!r}; choose from {choices}")
+        if algo in algos[:n]:
+            raise MrastarError(f"--algos names {algo!r} twice")
+
+
 def _run_one(args) -> BenchRow:
     task, algo, ladder, config = args
     try:
@@ -129,7 +176,9 @@ def run_bench(
     (map, algo, scenario) regardless of worker scheduling.  The process
     pool starts all its workers at once, so it is no larger than
     worker_count(), the number of jobs or the usable cores, whichever is
-    least; with one worker the jobs run in this process."""
+    least; with one worker the jobs run in this process.  Raises
+    MrastarError for algos that _check_algos refuses."""
+    _check_algos(algos)
     jobs = [(task, algo, ladder, config) for task in tasks for algo in algos]
     workers = min(worker_count(), len(jobs), usable_cores())
     if workers > 1:
@@ -139,6 +188,45 @@ def run_bench(
         rows = [_run_one(job) for job in jobs]
     rows.sort(key=lambda r: (r.map_id, r.algo, r.scenario))
     return rows
+
+
+def _write_csv(path: str, fields, rows) -> None:
+    """Write a header of fields, then rows (lists of cells), to path."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        writer.writerows(rows)
+
+
+def _six(x: float | None) -> str:
+    """x with six decimals; empty when x is None or not finite."""
+    return f"{x:.6f}" if x is not None and math.isfinite(x) else ""
+
+
+RESULTS_CSV_FIELDS = (
+    "map",
+    "algo",
+    "scenario",
+    "seed",
+    "status",
+    "time_s",
+    "cost",
+    "expansions_total",
+    "expansions_per_queue",
+    "path_len",
+)
+
+
+def write_results_csv(rows, path: str) -> None:
+    """Write bench rows sorted by (map, algo, scenario) so output files
+    are deterministic regardless of execution order.  Costs and times
+    use six decimals; per-queue expansion counts are |-separated."""
+    ordered = sorted(rows, key=lambda r: (r.map_id, r.algo, r.scenario))
+    _write_csv(path, RESULTS_CSV_FIELDS, (
+        [r.map_id, r.algo, r.scenario, r.seed, r.status, f"{r.time_s:.6f}", _six(r.cost),
+         sum(r.expansions), "|".join(str(e) for e in r.expansions), r.path_len]
+        for r in ordered
+    ))
 
 
 SUMMARY_CSV_FIELDS = (
@@ -223,21 +311,14 @@ def summarize(rows: list[BenchRow]) -> list[dict]:
 
 def write_summary_csv(summary: list[dict], path: str) -> None:
     def fmt(key: str, value) -> str:
-        if value is None:
-            return ""
-        if key == "success_rate_pct":
-            return f"{value:.2f}"
         if key in ("instances", "solved"):
             return str(value)
-        return f"{value:.6f}"
+        return f"{value:.2f}" if key == "success_rate_pct" else _six(value)
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_CSV_FIELDS)
-        for s in summary:
-            writer.writerow([s["algo"], s["subset"]] + [
-                fmt(k, s[k]) for k in SUMMARY_CSV_FIELDS[2:]
-            ])
+    _write_csv(path, SUMMARY_CSV_FIELDS, (
+        [s["algo"], s["subset"]] + [fmt(k, s[k]) for k in SUMMARY_CSV_FIELDS[2:]]
+        for s in summary
+    ))
 
 
 def run_sweep(
@@ -291,17 +372,8 @@ SWEEP_CSV_FIELDS = ("param", "value", "instances", "solved", "mean_time_s", "mea
 
 
 def write_sweep_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_FIELDS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r["param"],
-                    f"{r['value']:g}",
-                    r["instances"],
-                    r["solved"],
-                    f"{r['mean_time_s']:.6f}" if r["mean_time_s"] is not None else "",
-                    f"{r['mean_cost']:.6f}" if r["mean_cost"] is not None else "",
-                ]
-            )
+    _write_csv(path, SWEEP_CSV_FIELDS, (
+        [r["param"], f"{r['value']:g}", r["instances"], r["solved"],
+         _six(r["mean_time_s"]), _six(r["mean_cost"])]
+        for r in rows
+    ))

@@ -45,11 +45,13 @@ class MoveTable:
     from flat cell c; blocked cells hold 0.  For k > 1 only the cells of
     the k-sublattice (see coincides) hold moves and every other cell
     holds 0, which decodes to no moves: so wa_union's one queue reads
-    every level's table at every state, and a state moves at exactly
-    the scales whose sublattice holds it.  The k = 1 table,
-    kernels.unit_moves of the map, holds the moves of every cell; the
-    planners and the exact oracle, with its own heuristic, both search
-    it.  tests/test_kernels.py, tests/test_move_tables.py and
+    each level's nonempty table at every state, and a state moves at exactly
+    the scales whose sublattice holds it.  empty is True when every
+    mask is 0 (say, no run of k free cells on the sublattice), decided
+    once at build; search.FlatSearch leaves such a table out.  The
+    k = 1 table, kernels.unit_moves of the map, holds the moves of every
+    cell; the planners and the exact oracle, with its own heuristic,
+    both search it.  tests/test_kernels.py, tests/test_move_tables.py and
     perfbench's scipy reference check it apart from its builder.
     Directions follow the kernels' order (dy, or dz, outermost, dx
     innermost, zero vector skipped), so decoding the bits upward yields
@@ -71,9 +73,11 @@ class MoveTable:
     offsets: tuple[int, ...]
     costs: tuple[float, ...]
     moves: kernels.DecodedMoves = field(init=False, repr=False, compare=False)
+    empty: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "moves", kernels.DecodedMoves(self.offsets, self.costs))
+        object.__setattr__(self, "empty", not np.asarray(self.masks).any())
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,6 +294,12 @@ def edge_valid(a: Cell, b: Cell, grid: GridMap) -> bool:
     return kernels.move_free(grid.flat_blocked, grid.extents, a, step, k)
 
 
+def _sublattice(k: int, dim: int) -> tuple[slice, ...]:
+    """The index of the k-sublattice's cells (see coincides) in an array
+    shaped like GridMap.blocked."""
+    return (slice((k - 1) // 2, None, k),) * dim
+
+
 def _build_move_table(grid: GridMap, k: int, unit: MoveTable) -> MoveTable:
     """The scale-k table (k > 1) from unit, the k = 1 table.  King moves
     of length k run along the line of k unit moves, so a length-k move
@@ -306,7 +316,7 @@ def _build_move_table(grid: GridMap, k: int, unit: MoveTable) -> MoveTable:
     ]
     masks = np.zeros(shape, dtype)
     if live:
-        on = (slice((k - 1) // 2, None, k),) * grid.dim  # the k-sublattice
+        on = _sublattice(k, grid.dim)
         cells = np.arange(grid.size).reshape(shape)[on]
         units = np.array([unit.offsets[b] for b in live])
         # reads[j, t, c]: the unit masks t unit steps along direction
@@ -328,16 +338,9 @@ def _build_space_masks(grid: GridMap, multipliers: tuple[int, ...]):
     n = len(multipliers)
     dtype = next((t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
                   if n <= 8 * np.dtype(t).itemsize), object)
-    shape = grid.blocked.shape
-    masks = np.zeros(shape, dtype)
+    masks = np.zeros(grid.blocked.shape, dtype)
     for i, k in enumerate(multipliers):
-        half = (k - 1) // 2
-        hit = np.ones(shape, bool)
-        for axis, n_axis in enumerate(shape):
-            along = [1] * len(shape)
-            along[axis] = n_axis
-            hit &= (np.arange(n_axis) % k == half).reshape(along)
-        masks |= hit.astype(dtype) << i
+        masks[_sublattice(k, grid.dim)] |= 1 << i
     flat = masks.ravel()
     return flat.tolist() if dtype is object else memoryview(flat)
 

@@ -1,4 +1,4 @@
-"""Map file formats, scenario sampling and result CSV output.
+"""Map file formats and scenario sampling.
 
 Supported formats:
 
@@ -14,17 +14,13 @@ Serializers emit a canonical form (``.``/``@`` for movingai); parsing a
 serialized map always round-trips.
 """
 
-import csv
-import math
-from dataclasses import FrozenInstanceError, dataclass
 from itertools import repeat
-from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import MapParseError, ScenarioGenerationError
 from .grid import Cell, GridMap, fine_components, is_integer
-from .search import PlanResult
 
 MOVINGAI_FREE = frozenset(".GS")
 MOVINGAI_BLOCKED = frozenset("@OTW")
@@ -42,20 +38,6 @@ def _glyph_tables(free, blocked) -> tuple[dict, bytes]:
 
 _MOVINGAI_VALID, _MOVINGAI_BITS = _glyph_tables(MOVINGAI_FREE, MOVINGAI_BLOCKED)
 _VOX3_VALID, _VOX3_BITS = _glyph_tables(".", "#")
-
-RESULTS_CSV_FIELDS = (
-    "map",
-    "algo",
-    "scenario",
-    "seed",
-    "status",
-    "time_s",
-    "cost",
-    "expansions_total",
-    "expansions_per_queue",
-    "path_len",
-)
-
 
 def _check_row(row: str, width: int, valid: dict, line: int) -> None:
     """Raise MapParseError unless row is `width` valid glyphs (those the
@@ -190,66 +172,15 @@ def load_map(path: str, fmt: str) -> GridMap:
     raise ValueError(f"unknown map format {fmt!r}")
 
 
-def _no_order(op: str):
-    def compare(self, other):
-        if isinstance(other, tuple):  # tuple's own order would apply
-            raise TypeError(
-                f"'{op}' not supported between instances of "
-                f"{type(self).__name__!r} and {type(other).__name__!r}"
-            )
-        return NotImplemented
+class Scenario(NamedTuple):
+    """One sampled query: map_id, index, start and goal (cells) and the
+    sampler's seed, in that order."""
 
-    return compare
-
-
-class Scenario(tuple):
-    """One sampled query: map_id (str), index (int), start and goal
-    (cells) and the sampler's seed (int), in that order.
-
-    A tuple underneath, so that gen_scenarios builds thousands cheaply,
-    it behaves as a frozen dataclass of these fields does: construction
-    by position or keyword, the dataclass repr, equality and hash by
-    field values, FrozenInstanceError on assignment and no order (<, >
-    raise TypeError).  It equals another Scenario only, never a plain
-    tuple of the same values.  It pickles and copies."""
-
-    __slots__ = ()
-    __match_args__ = ("map_id", "index", "start", "goal", "seed")
-
-    def __new__(cls, map_id: str, index: int, start: Cell, goal: Cell, seed: int):
-        return tuple.__new__(cls, (map_id, index, start, goal, seed))
-
-    map_id = property(itemgetter(0))
-    index = property(itemgetter(1))
-    start = property(itemgetter(2))
-    goal = property(itemgetter(3))
-    seed = property(itemgetter(4))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return tuple.__eq__(self, other)
-        # a plain tuple would otherwise compare field by field, from either side
-        return False if isinstance(other, tuple) else NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    __hash__ = tuple.__hash__  # hash of the field values, as the dataclass's
-    __lt__, __le__, __gt__, __ge__ = map(_no_order, ("<", "<=", ">", ">="))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), tuple(self)
+    map_id: str
+    index: int
+    start: Cell
+    goal: Cell
+    seed: int
 
 
 def _as_int(name: str, x) -> int:
@@ -312,72 +243,3 @@ def gen_scenarios(
     # call to Scenario.__new__
     fields = zip(repeat(map_id), range(count), cells(starts), cells(goals), repeat(seed))
     return list(map(tuple.__new__, repeat(Scenario), fields))
-
-
-@dataclass
-class BenchRow:
-    """One planner run, as written to the results CSV.
-
-    status extends the planner statuses with "invalid" for runs whose
-    input the planner rejected (e.g. endpoints off a required
-    sublattice); those carry no cost, expansions or path.
-    """
-
-    map_id: str
-    algo: str
-    scenario: int
-    seed: int
-    status: str
-    time_s: float
-    cost: float | None
-    expansions: list[int]
-    path_len: int
-
-    @classmethod
-    def from_result(
-        cls, map_id: str, algo: str, scenario: int, seed: int, result: PlanResult
-    ) -> "BenchRow":
-        solved = result.status == "solved"
-        return cls(
-            map_id=map_id,
-            algo=algo,
-            scenario=scenario,
-            seed=seed,
-            status=result.status,
-            time_s=result.wall_time,
-            cost=result.cost if solved else None,
-            expansions=list(result.expansions),
-            path_len=len(result.path),
-        )
-
-    @classmethod
-    def invalid(cls, map_id: str, algo: str, scenario: int, seed: int) -> "BenchRow":
-        return cls(map_id, algo, scenario, seed, "invalid", 0.0, None, [], 0)
-
-
-def write_results_csv(rows, path: str) -> None:
-    """Write bench rows sorted by (map, algo, scenario) so output files
-    are deterministic regardless of execution order.  Costs and times
-    use six decimals; per-queue expansion counts are |-separated."""
-    ordered = sorted(rows, key=lambda r: (r.map_id, r.algo, r.scenario))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_CSV_FIELDS)
-        for r in ordered:
-            cost = ""
-            if r.cost is not None and math.isfinite(r.cost):
-                cost = f"{r.cost:.6f}"
-            writer.writerow(
-                [
-                    r.map_id,
-                    r.algo,
-                    r.scenario,
-                    r.seed,
-                    r.status,
-                    f"{r.time_s:.6f}",
-                    cost,
-                    sum(r.expansions),
-                    "|".join(str(e) for e in r.expansions),
-                    r.path_len,
-                ]
-            )

@@ -248,9 +248,11 @@ class FlatSearch:
     id to the bitmask of queues that expanded it.  Queue j keys a state
     g + weights[j] * h and expands it with the grid's MoveTables of the
     scales in queue_scales[j], in order, each read through its decoded
-    moves (MoveTable.moves).  A coarse table holds no moves off its
-    sublattice, so wa_union's one queue, listing the whole ladder, gives
-    a state the moves of exactly the scales whose sublattice holds it.
+    moves (MoveTable.moves), but for an empty table (no move at any
+    state), which would relax nothing and is left out.  A coarse
+    table holds no moves off its sublattice, so wa_union's one queue,
+    listing the whole ladder, gives a state the moves of exactly the
+    scales whose sublattice holds it.
 
     queue_masks gives, per flat id, the queues an improved state (and
     the start) enters unless already closed there; None means queue 0
@@ -265,7 +267,8 @@ class FlatSearch:
     def __init__(self, grid: GridMap, start: Cell, goal: Cell, queue_scales, weights,
                  bound: float, timeout: float = math.inf, queue_masks=None):
         self.grid = grid
-        self.tables = [tuple(map(grid.move_table, scales)) for scales in queue_scales]
+        self.tables = [tuple(t for t in map(grid.move_table, scales) if not t.empty)
+                       for scales in queue_scales]
         self.weights = tuple(weights)
         self.bound = bound
         self.timeout = timeout

@@ -9,6 +9,7 @@ import pytest
 from mrastar import bench as B
 from mrastar import grid as G
 from mrastar import synthetic as syn
+from mrastar.errors import MrastarError
 from mrastar.search import PlannerConfig, Problem, plan
 
 
@@ -43,6 +44,15 @@ def test_run_bench_cardinality_and_order(small_setup):
     assert {r.algo for r in rows} == {"mra", "astar"}
     for r in rows:
         assert r.status in ("solved", "exhausted", "timeout", "invalid")
+
+
+@pytest.mark.parametrize("algos", [[], ["mra", "bfs"], ["mra", "astar", "mra"]],
+                         ids=["none", "unknown", "repeated"])
+def test_run_bench_refuses_a_bad_algo_list(small_setup, algos):
+    # a repeated algo used to run, and write, every row twice
+    maps, ladder, tasks = small_setup
+    with pytest.raises(MrastarError):
+        B.run_bench(tasks, algos, ladder, PlannerConfig())
 
 
 def test_run_bench_deterministic_modulo_time(small_setup):

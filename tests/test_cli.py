@@ -281,10 +281,11 @@ def test_bench_unknown_algo_no_partial_output(tmp_path, capsys):
         ("--scenarios", "0", "argument --scenarios: must be >= 1, got 0"),
         ("--scenarios", "-2", "argument --scenarios: must be >= 1, got -2"),
         ("--algos", ",", "--algos names no algo"),
+        ("--algos", "mra,wa-mr,mra", "--algos names 'mra' twice"),
     ],
 )
 def test_bench_refuses_empty_run(tmp_path, capsys, flag, value, message):
-    # these used to write an empty CSV and exit 0
+    # these used to write an empty CSV (a repeated algo: every row twice) and exit 0
     g = syn.random_grid((12, 12), 0.1, seed=3)
     (tmp_path / "m.map").write_text(serialize_movingai(g))
     out = tmp_path / "results.csv"

@@ -184,6 +184,24 @@ def test_fused_loop_matches_the_old_core(name):
     assert statuses == {"invalid", S.STATUS_SOLVED, S.STATUS_EXHAUSTED, S.STATUS_TIMEOUT}
 
 
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_queue_tables_leave_out_tables_without_moves(name):
+    # a scale wider than the map, or with no run of k free cells on its
+    # sublattice, has every mask 0: no queue reads its table
+    extents, density, seed, ladders = MAPS[name]
+    grid = syn.random_grid(extents, density, seed)
+    start, goal = _pairs(grid, seed)[0]
+    dropped = 0
+    for scales in ladders + LONG_LADDERS:
+        holds = {k: np.asarray(grid.move_table(k).masks).any() for k in scales}
+        union = S.FlatSearch(grid, start, goal, [scales], (1.0,), bound=1.0)
+        assert [t.k for t in union.tables[0]] == [k for k in scales if holds[k]]
+        mra = S.MraSearch(S.Problem(grid, start, goal, scales))
+        assert [[t.k for t in ts] for ts in mra.tables] == [[k] if holds[k] else [] for k in scales]
+        dropped += not all(holds.values())
+    assert dropped
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_culdesac_matches_the_old_core(seed):
     # ACCEPTANCE 4's cul-de-sac, endpoints on the k = 21 sublattice: the
