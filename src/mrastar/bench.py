@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .baselines import wa_union, weighted_astar
-from .errors import InvalidProblemError, MrastarError
+from .errors import InvalidProblemError
 from .grid import Cell, GridMap, ResolutionLadder
 from .maps_io import gen_scenarios
 from .search import PlannerConfig, PlanResult, Problem, plan
@@ -109,6 +109,13 @@ ALGOS = {
 }
 
 
+def _planner(algo: str):
+    """The ALGOS entry named algo; InvalidProblemError for any other."""
+    if algo not in ALGOS:
+        raise InvalidProblemError(f"unknown algo {algo!r}; choose from {','.join(ALGOS)}")
+    return ALGOS[algo]
+
+
 def run_algo(
     algo: str,
     grid: GridMap,
@@ -121,27 +128,23 @@ def run_algo(
 ) -> PlanResult:
     """Run the planner ALGOS names algo on one query.
 
-    Raises InvalidProblemError when the query violates the planner's
-    preconditions (notably wa-low with endpoints off its sublattice),
-    and ValueError for an unknown algo.
+    Raises InvalidProblemError for an unknown algo and when the query
+    violates the planner's preconditions (notably wa-low with endpoints
+    off its sublattice).
     """
-    if algo not in ALGOS:
-        raise ValueError(f"unknown algo {algo!r}; choose from {','.join(ALGOS)}")
-    return ALGOS[algo](grid, start, goal, ladder, config, log_expansions)
+    return _planner(algo)(grid, start, goal, ladder, config, log_expansions)
 
 
 def _check_algos(algos: list[str]) -> None:
-    """Raise MrastarError unless algos, the planners of one bench run
-    (`mrastar bench --algos`), names at least one ALGOS entry, each
+    """Raise InvalidProblemError unless algos, the planners of one bench
+    run (`mrastar bench --algos`), names at least one ALGOS entry, each
     known and none twice."""
-    choices = ",".join(ALGOS)
     if not algos:
-        raise MrastarError(f"--algos names no algo; choose from {choices}")
+        raise InvalidProblemError(f"--algos names no algo; choose from {','.join(ALGOS)}")
     for n, algo in enumerate(algos):
-        if algo not in ALGOS:
-            raise MrastarError(f"unknown algo {algo!r}; choose from {choices}")
+        _planner(algo)
         if algo in algos[:n]:
-            raise MrastarError(f"--algos names {algo!r} twice")
+            raise InvalidProblemError(f"--algos names {algo!r} twice")
 
 
 def _run_one(args) -> BenchRow:
@@ -177,7 +180,7 @@ def run_bench(
     pool starts all its workers at once, so it is no larger than
     worker_count(), the number of jobs or the usable cores, whichever is
     least; with one worker the jobs run in this process.  Raises
-    MrastarError for algos that _check_algos refuses."""
+    InvalidProblemError for algos that _check_algos refuses."""
     _check_algos(algos)
     jobs = [(task, algo, ladder, config) for task in tasks for algo in algos]
     workers = min(worker_count(), len(jobs), usable_cores())
@@ -336,9 +339,11 @@ def run_sweep(
     Values are interleaved: for each task and each repeat, every value
     runs back to back before the next repeat starts, so a slow phase of
     the host falls on all values alike rather than on one value's block.
-    mean_time_s is the mean over tasks of each task's minimum wall time
-    over repeats.  solved and mean_cost (over solved tasks) come from
-    each task's last repeat."""
+    Each task first runs once untimed, with the first value, so that no
+    value is timed on the map's cold caches (the decoded moves fill on
+    first use).  mean_time_s is the mean over tasks of each task's
+    minimum wall time over repeats.  solved and mean_cost (over solved
+    tasks) come from each task's last repeat."""
     if vary not in ("w1", "w2"):
         raise ValueError(f"vary must be w1 or w2, got {vary!r}")
     if repeats < 1:
@@ -347,24 +352,19 @@ def run_sweep(
     best_times = [[math.inf] * len(tasks) for _ in configs]
     last_results = [[None] * len(tasks) for _ in configs]
     for t, task in enumerate(tasks):
+        problem = Problem(task.grid, task.start, task.goal, ladder)
+        if configs:  # the untimed warm-up
+            plan(problem, configs[0])
         for _ in range(repeats):
             for i, config in enumerate(configs):
-                result = plan(Problem(task.grid, task.start, task.goal, ladder), config)
+                result = plan(problem, config)
                 best_times[i][t] = min(best_times[i][t], result.wall_time)
                 last_results[i][t] = result
     out = []
     for value, times, results in zip(values, best_times, last_results):
         costs = [r.cost for r in results if r.status == "solved"]
-        out.append(
-            {
-                "param": vary,
-                "value": float(value),
-                "instances": len(tasks),
-                "solved": len(costs),
-                "mean_time_s": _mean(times),
-                "mean_cost": _mean(costs),
-            }
-        )
+        out.append({"param": vary, "value": float(value), "instances": len(tasks),
+                    "solved": len(costs), "mean_time_s": _mean(times), "mean_cost": _mean(costs)})
     return out
 
 

@@ -1,10 +1,13 @@
 """Queue-selection policies for the multi-queue planner.
 
 A policy picks which inadmissible queue (index >= 1) to service next,
-given the currently nonempty ones.  The anchor queue (index 0) is never
-chosen by a policy; the planner falls back to it on its own.  A policy
-whose feedback attribute is true learns: after each round that services
-queue i, the planner calls update(i, top_h).
+given the currently nonempty ones: the search loop asks only while one
+of them holds a state, so the list it passes is nonempty and ascending.
+The anchor queue (index 0) is never chosen by a policy; the planner
+falls back to it on its own.  A policy whose feedback attribute is true
+learns: after each round that services queue i, the planner calls
+update(i, top_h).  POLICIES is the one lookup of a policy name, which
+PlannerConfig checks.
 """
 
 import math
@@ -19,16 +22,11 @@ class RoundRobin:
     feedback = False
 
     def __init__(self, n_queues: int, seed: int = 0):
-        if n_queues < 1:
-            raise ValueError("need at least one inadmissible queue")
-        self.n_queues = n_queues
         self._cursor = 0
 
     def choose_queue(self, nonempty: list[int]) -> int:
-        """Smallest index in nonempty strictly after the cursor, wrapping
-        around; 0 when nonempty is empty."""
-        if not nonempty:
-            return 0
+        """Smallest index in nonempty (nonempty, ascending) strictly
+        after the cursor, wrapping around."""
         pick = min((i for i in nonempty if i > self._cursor), default=min(nonempty))
         self._cursor = pick
         return pick
@@ -53,9 +51,6 @@ class DynamicThompson:
     cap = 10.0
 
     def __init__(self, n_queues: int, seed: int = 0):
-        if n_queues < 1:
-            raise ValueError("need at least one inadmissible queue")
-        self.n_queues = n_queues
         self.seed = seed
         self.alpha = [1.0] * (n_queues + 1)
         self.beta = [1.0] * (n_queues + 1)
@@ -63,15 +58,14 @@ class DynamicThompson:
         self.rng = None
 
     def choose_queue(self, nonempty: list[int]) -> int:
-        """Sample each nonempty queue's Beta belief, pick the argmax
-        (ties go to the smallest index); 0 when nonempty is empty."""
-        if not nonempty:
-            return 0
+        """Sample the Beta belief of each queue in nonempty (nonempty,
+        ascending) in order and pick the argmax; ties go to the smallest
+        index."""
         if self.rng is None:
             self.rng = np.random.default_rng(self.seed)
         best = 0
         best_theta = -1.0
-        for i in sorted(nonempty):
+        for i in nonempty:
             theta = float(self.rng.beta(self.alpha[i], self.beta[i]))
             if theta > best_theta:
                 best_theta = theta
@@ -97,11 +91,3 @@ class DynamicThompson:
 
 
 POLICIES = {"round_robin": RoundRobin, "dts": DynamicThompson}
-
-
-def make_policy(name: str, n_queues: int, seed: int = 0):
-    try:
-        cls = POLICIES[name]
-    except KeyError:
-        raise ValueError(f"unknown policy {name!r}; choose from {sorted(POLICIES)}")
-    return cls(n_queues, seed)

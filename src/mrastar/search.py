@@ -33,8 +33,8 @@ from .grid import (
     is_integer,
     path_cost,
 )
-from .kernels import MASK_BITS, mask_bits
-from .policies import POLICIES, make_policy
+from .kernels import mask_bits
+from .policies import POLICIES
 
 # Not called by the search core, which reads the grid's move tables and
 # sublattice masks instead; bound here so that layer tracers (see
@@ -100,8 +100,9 @@ class PlannerConfig:
 
     w1 inflates the heuristic inside the non-anchor queues; w2 caps how
     far any queue may run ahead of the anchor and therefore bounds the
-    returned cost at w2 times the anchor-space optimum.  seed, for the
-    dts policy, must be a non-negative integer (see grid.is_integer).
+    returned cost at w2 times the anchor-space optimum.  policy is a key
+    of policies.POLICIES.  seed, for the dts policy, must be a
+    non-negative integer (see grid.is_integer).
     Frozen, so that no field changes after its check; derive a variant
     with dataclasses.replace, which checks it again.
     """
@@ -115,7 +116,8 @@ class PlannerConfig:
     def __post_init__(self):
         validate_query(w1=self.w1, w2=self.w2, timeout=self.timeout)
         if not isinstance(self.policy, str) or self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {tuple(POLICIES)}, got {self.policy!r}")
+            raise InvalidProblemError(
+                f"policy must be one of {tuple(POLICIES)}, got {self.policy!r}")
         if not is_integer(self.seed) or self.seed < 0:
             raise InvalidProblemError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
@@ -391,7 +393,7 @@ class FlatSearch:
                             push(anchor_heap, entry)
                         continue
                     targets = qm & ~closed.get(nid, 0)
-                    for j in MASK_BITS[targets] if targets < 512 else mask_bits(targets):
+                    for j in mask_bits(targets):
                         live[j][nid] = entry = (ng + weights[j] * hn, -ng, nid)
                         push(heaps[j], entry)
             if i:
@@ -441,9 +443,10 @@ class MraSearch(FlatSearch):
     Queue i searches ladder level i: it keys states g + w1 * h (the
     anchor, queue 0, g + h), expands them with the scale-i move table
     and holds only states on the level's sublattice.  w2 is the gate
-    bound and the policy picks among the coarse queues.  The instance
-    keeps its full state (open lists, state table, counters) after
-    run() returns, which the tests use to poke at internals.
+    bound and the policy picks among the coarse queues; a one-level
+    ladder has none and keeps policy None.  The instance keeps its full
+    state (open lists, state table, counters) after run() returns,
+    which the tests use to poke at internals.
     """
 
     def __init__(self, problem: Problem, config: PlannerConfig | None = None):
@@ -455,7 +458,8 @@ class MraSearch(FlatSearch):
             (1.0,) + (config.w1,) * (len(mults) - 1), bound=config.w2,
             timeout=config.timeout, queue_masks=problem.grid.space_masks(mults),
         )
-        self.policy = make_policy(config.policy, max(1, len(mults) - 1), config.seed)
+        if len(mults) > 1:
+            self.policy = POLICIES[config.policy](len(mults) - 1, config.seed)
 
 
 def plan(

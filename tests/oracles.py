@@ -39,7 +39,7 @@ from mrastar.kernels import SQRT2, SQRT3
 from mrastar.kernels import STEP as _STEP
 from mrastar.kernels import HIGH_BITS, MASK_BITS, MID_BITS, mask_bits, unit_moves
 from mrastar.maps_io import Scenario
-from mrastar.policies import make_policy
+from mrastar.policies import POLICIES
 from mrastar.search import (
     STATUS_EXHAUSTED,
     STATUS_SOLVED,
@@ -1326,7 +1326,9 @@ class MraSearch(FlatSearch):
             mults, (1.0,) + (config.w1,) * (len(mults) - 1), bound=config.w2,
             timeout=config.timeout, queue_masks=problem.grid.space_masks(mults),
         )
-        self.policy = make_policy(config.policy, max(1, len(mults) - 1), config.seed)
+        # (adapted) was make_policy(config.policy, max(1, len(mults) - 1), config.seed);
+        # mra_run reads the policy even on a one-level ladder
+        self.policy = POLICIES[config.policy](len(mults) - 1, config.seed)
 
 
 # The two best-first loops that search.FlatSearch.run replaced, kept as the

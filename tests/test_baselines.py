@@ -185,7 +185,7 @@ def test_dijkstra_field_shares_the_oracle_mask_cache(monkeypatch, extents, seed)
     assert len(builds) == 1
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(
     extents=st.one_of(
         st.lists(st.integers(1, 8), min_size=2, max_size=2),

@@ -9,7 +9,7 @@ import pytest
 from mrastar import bench as B
 from mrastar import grid as G
 from mrastar import synthetic as syn
-from mrastar.errors import MrastarError
+from mrastar.errors import InvalidProblemError, MrastarError
 from mrastar.search import PlannerConfig, Problem, plan
 
 
@@ -53,6 +53,21 @@ def test_run_bench_refuses_a_bad_algo_list(small_setup, algos):
     maps, ladder, tasks = small_setup
     with pytest.raises(MrastarError):
         B.run_bench(tasks, algos, ladder, PlannerConfig())
+
+
+def test_an_unknown_algo_is_refused_one_way(small_setup):
+    # run_algo used to raise a plain ValueError, and run_bench a
+    # MrastarError, for the same name
+    maps, ladder, tasks = small_setup
+    t, cfg = tasks[0], PlannerConfig()
+    refusals = []
+    for call in (lambda: B.run_algo("bfs", t.grid, t.start, t.goal, ladder, cfg),
+                 lambda: B.run_bench(tasks, ["bfs"], ladder, cfg)):
+        with pytest.raises(InvalidProblemError) as info:
+            call()
+        refusals.append((type(info.value), str(info.value)))
+    assert refusals[0] == refusals[1]
+    assert refusals[0][1] == f"unknown algo 'bfs'; choose from {','.join(B.ALGOS)}"
 
 
 def test_run_bench_deterministic_modulo_time(small_setup):
@@ -183,18 +198,39 @@ def test_run_sweep_interleaves_values_and_matches_per_value_order(
 
     monkeypatch.setattr(B, "plan", recording_plan)
     rows = B.run_sweep(tasks, vary, values, base, ladder, repeats=repeats)
-    # within each task and repeat, every value runs before the next repeat
+    # each task's untimed warm-up with the first value, then, within each
+    # repeat, every value before the next repeat
     assert calls == [
         (id(t.grid), tuple(t.start), tuple(t.goal), v)
         for t in tasks
-        for _ in range(repeats)
-        for v in values
+        for v in [values[0]] + values * repeats
     ]
     assert [
         (r["param"], r["value"], r["instances"], r["solved"], r["mean_cost"])
         for r in rows
     ] == _per_value_sweep(tasks, vary, values, base, ladder, repeats)
     assert [set(r) for r in rows] == [set(B.SWEEP_CSV_FIELDS)] * len(values)
+
+
+def test_run_sweep_times_no_value_on_a_tasks_first_plan(small_setup, monkeypatch):
+    # a task's first plan fills the map's first-use caches; it used to be
+    # timed as the first value's, which then read slower than the same
+    # setting later in the list
+    maps, ladder, tasks = small_setup
+    seen = set()
+
+    def cold_first_plan(problem, config):
+        result = plan(problem, config)
+        query = (id(problem.grid), problem.start, problem.goal)
+        if query not in seen:
+            seen.add(query)
+            result = replace(result, wall_time=1e6)
+        return result
+
+    monkeypatch.setattr(B, "plan", cold_first_plan)
+    rows = B.run_sweep(tasks[:3], "w2", [3.0, 3.0, 3.0], PlannerConfig(), ladder)
+    assert len(seen) == 3
+    assert all(0 < r["mean_time_s"] < 1.0 for r in rows)
 
 
 def test_sweep_csv(tmp_path, small_setup):

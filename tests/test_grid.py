@@ -348,7 +348,7 @@ def test_edge_valid_matches_exact_geometry_3d():
             assert checked_edge(a, b, g) in (want, None)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(
     extents=st.one_of(
         st.lists(st.integers(1, 12), min_size=2, max_size=2),

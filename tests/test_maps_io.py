@@ -422,7 +422,7 @@ def test_parsers_match_per_glyph_reference(dim):
     assert errors > 300  # the mutations mostly reach an error
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(
     dim=st.sampled_from([2, 3]),
     extents=st.lists(st.integers(1, 40), min_size=3, max_size=3),

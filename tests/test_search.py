@@ -6,12 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from mrastar import baselines as B
 from mrastar import grid as G
 from mrastar import search as S
 from mrastar import synthetic as syn
 from mrastar.errors import InvalidProblemError, SearchCorruptionError
 from mrastar.kernels import SQRT2, STEP
+from mrastar.policies import POLICIES
 
 import oracles
 
@@ -67,6 +71,23 @@ def test_config_validation():
     for bad in [dict(w1=0.5), dict(w2=0.0), dict(policy="greedy"), dict(timeout=0)]:
         with pytest.raises(ValueError):
             S.PlannerConfig(**bad)
+
+
+def test_unknown_policy_is_an_invalid_problem():
+    # PlannerConfig is the one check of a policy name
+    with pytest.raises(InvalidProblemError, match="^policy must be one of"):
+        S.PlannerConfig(policy="greedy")
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_policy_is_built_only_for_coarse_queues(policy):
+    g = G.GridMap.empty((9, 9))
+    config = S.PlannerConfig(policy=policy, seed=3)
+    flat = S.MraSearch(S.Problem(g, (0, 0), (8, 8)), config)
+    assert flat.policy is None  # a one-level ladder has no coarse queue to pick
+    assert flat.run().status == S.STATUS_SOLVED
+    mra = S.MraSearch(S.Problem(g, (0, 0), (8, 8), ladder=[1, 3, 5]), config)
+    assert type(mra.policy) is POLICIES[policy]
 
 
 def test_problem_validation():
@@ -425,3 +446,58 @@ def test_wa_like_single_ladder_weighted_is_still_bounded():
         )
         assert res.status == S.STATUS_SOLVED
         assert res.cost <= 1.5 * ref + 1e-9
+
+
+# ------------------------------------------------ generative scheduler property
+
+_EXTENTS = st.one_of(st.lists(st.integers(1, 16), min_size=2, max_size=2),
+                     st.lists(st.integers(1, 9), min_size=3, max_size=3))
+# zero to three odd coarse levels, from 3 to 21, weighted toward the
+# small ones that leave coarse moves: nested or not, some wider than
+# every map drawn
+_COARSE = st.sampled_from([3, 2, 1, 0]).flatmap(lambda n: st.lists(
+    st.one_of(st.integers(1, 3), st.integers(1, 10)).map(lambda m: 2 * m + 1),
+    min_size=n, max_size=n, unique=True))
+
+
+@settings(max_examples=300)
+@given(
+    extents=_EXTENTS,
+    density=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**16),
+    coarse=_COARSE,
+    policy=st.sampled_from(sorted(POLICIES)),
+    policy_seed=st.integers(0, 2**64),
+    w1=st.floats(1.0, 10.0),
+    w2=st.floats(1.0, 10.0),
+    ends=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+    level=st.sampled_from([3, 2, 1, 0]),
+)
+def test_plan_properties(extents, density, seed, coarse, policy, policy_seed, w1, w2,
+                         ends, level):
+    # MRA* is resolution-complete and bounded-suboptimal for any ladder,
+    # policy and weights, w1 > w2 (the gate-blocked regime) included.
+    # Both endpoints lie on the sublattice of one ladder level when free
+    # cells lie there, so that the coarse queues do work in some examples.
+    grid = syn.random_grid(extents, density, seed)
+    scales = (1, *sorted(coarse))
+    free = [grid.cell_of(int(v)) for v in np.flatnonzero(~grid.flat_blocked)]
+    assume(free)
+    on = [c for c in free if G.coincides(c, scales[min(level, len(scales) - 1)])] or free
+    start, goal = (on[e % len(on)] for e in ends)
+    problem = S.Problem(grid, start, goal, ladder=scales)
+    config = S.PlannerConfig(w1=w1, w2=w2, policy=policy, seed=policy_seed)
+    res = S.plan(problem, config, log_expansions=True)
+
+    labels = G.fine_components(grid).ravel()
+    connected = labels[grid.flat_index(start)] == labels[grid.flat_index(goal)]
+    assert res.status == (S.STATUS_SOLVED if connected else S.STATUS_EXHAUSTED)
+    if connected:
+        assert res.cost <= w2 * B.dijkstra_optimal(grid, start, goal) * (1 + 1e-9)
+        assert res.cost == G.path_cost(res.path)
+        assert res.path[0] == start and res.path[-1] == goal
+        assert all(G.edge_valid(a, b, grid) for a, b in zip(res.path, res.path[1:]))
+    log = res.expansion_log
+    assert len(set(log)) == len(log) == sum(res.expansions)
+    again = S.plan(problem, config, log_expansions=True)
+    assert dataclasses.replace(again, wall_time=0.0) == dataclasses.replace(res, wall_time=0.0)

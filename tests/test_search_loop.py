@@ -228,7 +228,7 @@ _COARSE = st.lists(st.one_of(st.integers(1, 4), st.integers(1, 20)).map(lambda n
                    min_size=1, max_size=3, unique=True)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(
     extents=st.lists(st.integers(1, 16), min_size=2, max_size=3),
     density=st.floats(0.0, 0.5),

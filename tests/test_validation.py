@@ -31,6 +31,12 @@ WEIGHTS = st.one_of(
 )
 
 
+def test_hypothesis_properties_draw_the_same_examples_every_run():
+    # tests/conftest.py loads one derandomized profile for the whole suite
+    assert settings.default.derandomize
+    assert settings.default.database is None
+
+
 def _valid(*ws):
     return all(1.0 <= w < math.inf for w in ws)
 
@@ -40,7 +46,7 @@ def _assert_within_bound(res):
     assert res.cost <= res.bound * OPT * (1 + 1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(w1=WEIGHTS, w2=WEIGHTS)
 def test_plan_hostile_weights(w1, w2):
     if not _valid(w1, w2):
@@ -52,7 +58,7 @@ def test_plan_hostile_weights(w1, w2):
     _assert_within_bound(res)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(w=WEIGHTS)
 def test_weighted_astar_hostile_weights(w):
     if not _valid(w):
@@ -62,7 +68,7 @@ def test_weighted_astar_hostile_weights(w):
     _assert_within_bound(B.weighted_astar(GRID, START, GOAL, w=w))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(w=WEIGHTS)
 def test_wa_union_hostile_weights(w):
     if not _valid(w):
@@ -226,7 +232,7 @@ TIMEOUTS = st.one_of(
 
 
 @pytest.mark.parametrize("door", sorted(TIMEOUT_DOORS))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(t=TIMEOUTS)
 def test_hostile_timeouts(door, t):
     # the baselines used to take nan as no timeout and -1 as an
