@@ -10,10 +10,12 @@ one search loop, kernels.astar_unit, over the planners' own k = 1
 table (GridMap.move_table(1)) and its decoded-move cache, which the
 planners fill too: dijkstra_optimal runs it toward the goal, with
 its own heuristic (the obstacle-free unit-move distance, octile in 2D)
-rather than the planners', and dijkstra_field runs it with no goal for
-the full distance field.  The table is checked apart from its builder by
-tests/test_kernels.py, tests/test_move_tables.py and perfbench's scipy
-reference, which checks every oracle answer.
+rather than the planners', and sums its answer from the predecessor
+chain of flat ids by grid.chain_cost, as the planners sum theirs;
+dijkstra_field runs it with no goal for the full distance field.  The
+table is checked apart from its builder by tests/test_kernels.py,
+tests/test_move_tables.py and perfbench's scipy reference, which
+checks every oracle answer.
 """
 
 import math
@@ -22,12 +24,12 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidProblemError
-from .grid import Cell, GridMap, ResolutionLadder, as_cell, check_cell, path_cost
+from .grid import Cell, GridMap, ResolutionLadder, as_cell, chain_cost, check_cell
 
-# Not called here, which reads the grid's move tables instead; bound so
-# that layer tracers (see perfbench/tracing.py) find the same names on
-# every planner module.
-from .grid import get_space_indices, heuristic, successors_at_scale  # noqa: F401
+# Not called here, which reads the grid's move tables and sums costs
+# from predecessor chains; bound so that layer tracers (see
+# perfbench/tracing.py) find the same names on every planner module.
+from .grid import get_space_indices, heuristic, path_cost, successors_at_scale  # noqa: F401
 from .search import FlatSearch, PlanResult, validate_query
 
 
@@ -91,10 +93,11 @@ def dijkstra_field(grid: GridMap, source: Cell) -> tuple[np.ndarray, np.ndarray]
 
 def dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:
     """Optimal unit-scale path cost between two cells, by A* over the
-    grid's k = 1 move table, recomputed from the predecessor chain
-    so equal-cost optima agree bitwise.  Returns inf when no path exists
-    (including blocked, out-of-range and non-integer inputs); never
-    raises."""
+    grid's k = 1 move table, summed from the predecessor chain of flat
+    ids by grid.chain_cost, so that equal-cost optima agree bitwise and
+    the answer is the same float as path_cost of the chain's cells.
+    Returns inf when no path exists (including blocked, out-of-range
+    and non-integer inputs); never raises."""
     try:
         start, goal = as_cell(start), as_cell(goal)
     except InvalidProblemError:
@@ -111,5 +114,4 @@ def dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:
     chain = [goal_id]
     while chain[-1] != start_id:
         chain.append(int(bp[chain[-1]]))
-    chain.reverse()
-    return path_cost([grid.cell_of(s) for s in chain])
+    return chain_cost(grid, chain)

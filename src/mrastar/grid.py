@@ -20,6 +20,13 @@ to no moves.  Each table also caches its masks decoded into (offset,
 cost) pairs (MoveTable.moves), which every search loop, the planners'
 and the oracle's, reads.  edge_valid and successors_at_scale check the
 rule cell by cell instead, apart from the tables.
+
+Two functions cost a path.  path_cost takes cells and checks every
+step; it is the public cost that perfbench and the tests check each
+answer with.  chain_cost takes a search's predecessor chain of flat ids
+and checks nothing; the planners and the oracle sum their answers with
+it.  Both sum the same integer scales per number of changed axes and
+end in the same expression, so they agree bitwise.
 """
 
 import math
@@ -421,15 +428,16 @@ def edge_decomposition(a: Cell, b: Cell) -> tuple[int, int]:
 
 
 def path_cost(path: list[Cell]) -> float:
-    """Total cost of a move sequence.
+    """Total cost of a move sequence; raises ValueError on a step that is
+    not a lattice move (see edge_decomposition).
 
     Each edge costs k*sqrt(m) for m changed axes, so the sum decomposes
     into integer multiples of 1, sqrt(2) and sqrt(3).  Accumulating the
     integer parts first makes the float result independent of edge order,
-    so equal-cost paths produce bitwise-equal totals.
+    so equal-cost paths produce bitwise-equal totals.  The public,
+    validating cost of a cell path; the searches sum their chains with
+    chain_cost, the same float (see the module docstring).
     """
-    if len(path) < 2:
-        return 0.0
     a1 = a2 = a3 = 0
     for u, v in zip(path, path[1:]):
         k, m = edge_decomposition(u, v)
@@ -439,6 +447,28 @@ def path_cost(path: list[Cell]) -> float:
             a2 += k
         else:
             a3 += k
+    return _lattice_total(a1, a2, a3)
+
+
+def chain_cost(grid: GridMap, chain) -> float:
+    """path_cost of the cells of a chain of grid's flat ids, read from
+    each step's coordinate deltas without building a cell: a step that
+    changes m axes by k adds k to the sum of the m-axis moves.  Every
+    step must be a lattice move (a search's predecessor chain is); it
+    is not checked."""
+    w = grid.extents[0]
+    wh = w * grid.extents[1]  # on a 2D map every z is 0
+    per_axes = [0, 0, 0, 0]
+    for u, v in zip(chain, chain[1:]):
+        dx, dy, dz = abs(v % w - u % w), abs(v % wh // w - u % wh // w), abs(v // wh - u // wh)
+        per_axes[(dx > 0) + (dy > 0) + (dz > 0)] += dx or dy or dz
+    return _lattice_total(*per_axes[1:])
+
+
+def _lattice_total(a1: int, a2: int, a3: int) -> float:
+    """The cost of moves whose scales sum to a1 over the moves changing
+    one axis, a2 over those changing two and a3 over those changing
+    three."""
     return (float(a1) + a2 * SQRT2) + a3 * SQRT3
 
 

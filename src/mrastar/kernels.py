@@ -11,12 +11,13 @@ bitmask with numpy by the same rule; GridMap.move_table(1) is its
 result.  Every search, the planners' and the exact oracle's, reads a
 state's moves through a DecodedMoves cache.  The oracle is one loop,
 astar_unit: toward a goal an A* with its own heuristic, the
-obstacle-free distance of unit moves (octile in 2D), behind
-baselines.dijkstra_optimal; with goal = -1 a full Dijkstra field,
-behind baselines.dijkstra_field and the traced dijkstra_2d/3d.  Both
-baselines search the planners' own k = 1 table, which is checked apart
-from this builder (tests/test_kernels.py, tests/test_move_tables.py and
-perfbench's scipy reference).  Labels come from scipy.ndimage.
+obstacle-free distance of unit moves (octile in 2D), computed inline
+on each push with no call, behind baselines.dijkstra_optimal; with
+goal = -1 a full Dijkstra field, behind baselines.dijkstra_field and
+the traced dijkstra_2d/3d.  Both baselines search the planners' own
+k = 1 table, which is checked apart from this builder
+(tests/test_kernels.py, tests/test_move_tables.py and perfbench's
+scipy reference).  Labels come from scipy.ndimage.
 
 Coordinate convention: x is the fastest-varying axis.  A 2D map with
 width w stores cell (x, y) at flat index y*w + x; a 3D map with width w
@@ -199,38 +200,25 @@ def astar_unit(blocked, masks, moves, source, goal):
     the unit-move costs, so a settled cell's dist is exact and the
     search stops once goal is settled.  With goal = -1 the heuristic is
     zero and the search settles every reachable cell: a Dijkstra
-    distance field.  A blocked source reaches nothing.  Returns (dist,
-    bp) as flat numpy arrays: dist is inf and bp -1 where no cell was
-    reached, and bp holds predecessor flat ids, -1 at the source.  The
-    table is checked apart from unit_moves (see the module docstring)."""
+    distance field.  The case is picked once per call, and each
+    improving push computes its key inline, with no call: the 3D axis
+    distances are sorted by three compare-and-swaps.  A blocked source
+    reaches nothing.  Returns (dist, bp) as flat numpy arrays: dist is
+    inf and bp -1 where no cell was reached, and bp holds predecessor
+    flat ids, -1 at the source.  The table is checked apart from
+    unit_moves (see the module docstring)."""
     n, source, goal = blocked.size, int(source), int(goal)
     dist = array("d", [math.inf]) * n
     bp = array("q", [-1]) * n
     if not blocked.flat[source]:
         w = blocked.shape[-1]
-        if goal < 0:
-            def h(v):
-                return 0.0
-        elif blocked.ndim == 2:
-            gx, gy = goal % w, goal // w
-
-            def h(v):
-                dx = abs(v % w - gx)
-                dy = abs(v // w - gy)
-                return dx * SQRT2 + (dy - dx) if dx < dy else dy * SQRT2 + (dx - dy)
-        else:
-            wh = w * blocked.shape[1]
-            gx, gy, gz = goal % w, goal % wh // w, goal // wh
-
-            def h(v):
-                lo, mid, hi = sorted(
-                    (abs(v % w - gx), abs(v % wh // w - gy), abs(v // wh - gz))
-                )
-                return lo * SQRT3 + (mid - lo) * SQRT2 + (hi - mid)
-
+        wh = w * blocked.shape[-2]  # on a 2D map every z is 0
+        gx, gy, gz = goal % w, goal % wh // w, goal // wh
+        cube, flat = goal >= 0 and blocked.ndim == 3, goal >= 0 and blocked.ndim == 2
+        sqrt2, sqrt3 = SQRT2, SQRT3
         done = bytearray(n)
         dist[source] = 0.0
-        heap = [(h(source), source)]
+        heap = [(0.0, source)]  # popped first whatever its key
         while heap:
             u = heappop(heap)[1]
             if done[u]:
@@ -245,7 +233,19 @@ def astar_unit(blocked, masks, moves, source, goal):
                 if nd < dist[v]:
                     dist[v] = nd
                     bp[v] = u
-                    heappush(heap, (nd + h(v), v))
+                    if cube:
+                        lo, mid, hi = abs(v % w - gx), abs(v % wh // w - gy), abs(v // wh - gz)
+                        if lo > mid:
+                            lo, mid = mid, lo
+                        if mid > hi:
+                            mid, hi = hi, mid
+                            if lo > mid:
+                                lo, mid = mid, lo
+                        nd += lo * sqrt3 + (mid - lo) * sqrt2 + (hi - mid)
+                    elif flat:
+                        dx, dy = abs(v % w - gx), abs(v // w - gy)
+                        nd += dx * sqrt2 + (dy - dx) if dx < dy else dy * sqrt2 + (dx - dy)
+                    heappush(heap, (nd, v))
     return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
 
 

@@ -27,19 +27,20 @@ from .grid import (
     GridMap,
     ResolutionLadder,
     as_cell,
+    chain_cost,
     check_multiplier,
     coincides,
     flat_heuristic,
     is_integer,
-    path_cost,
 )
 from .kernels import mask_bits
 from .policies import POLICIES
 
 # Not called by the search core, which reads the grid's move tables and
-# sublattice masks instead; bound here so that layer tracers (see
-# perfbench/tracing.py) find the same names on every planner module.
-from .grid import get_space_indices, heuristic, successors_at_scale  # noqa: F401
+# sublattice masks and sums costs from predecessor chains instead; bound
+# here so that layer tracers (see perfbench/tracing.py) find the same
+# names on every planner module.
+from .grid import get_space_indices, heuristic, path_cost, successors_at_scale  # noqa: F401
 
 STATUS_SOLVED = "solved"
 STATUS_EXHAUSTED = "exhausted"
@@ -406,8 +407,8 @@ class FlatSearch:
             raise SearchCorruptionError("queues drained with the goal reached but unclaimed")
         return self.result(STATUS_EXHAUSTED, None, t0)
 
-    def reconstruct_path(self) -> list[Cell]:
-        """Follow backpointers from the goal to the start."""
+    def reconstruct_path(self) -> list[int]:
+        """The flat ids from the start to the goal, by backpointers."""
         chain = []
         sid = self.goal_id
         limit = len(self.g) + 1
@@ -418,16 +419,16 @@ class FlatSearch:
                 raise SearchCorruptionError("broken backpointer chain at goal")
         chain.append(self.start_id)
         chain.reverse()
-        return [self.grid.cell_of(s) for s in chain]
+        return chain
 
     def result(self, status: str, winning_queue: int | None, t0: float) -> PlanResult:
         wall = time.perf_counter() - t0
         solved = status == STATUS_SOLVED
-        path = self.reconstruct_path() if solved else []
+        chain = self.reconstruct_path() if solved else []
         return PlanResult(
             status=status,
-            path=path,
-            cost=path_cost(path) if solved else math.inf,
+            path=[self.grid.cell_of(s) for s in chain],
+            cost=chain_cost(self.grid, chain) if solved else math.inf,
             expansions=list(self.expansions),
             generated=self.generated,
             wall_time=wall,

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mrastar import baselines as B
@@ -345,3 +345,48 @@ def test_walow_success_contained_in_mra():
         assert mra.status == S.STATUS_SOLVED
         solved_both += 1
     assert solved_both >= 3
+
+
+# ------------------------------------------------ generative baseline property
+
+
+@settings(max_examples=300)
+@given(
+    extents=st.one_of(
+        st.lists(st.integers(1, 16), min_size=2, max_size=2),
+        st.lists(st.integers(1, 9), min_size=3, max_size=3),
+    ),
+    density=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**16),
+    coarse=st.lists(st.integers(1, 10).map(lambda m: 2 * m + 1), max_size=3, unique=True),
+    w=st.floats(1.0, 5.0),
+    ends=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+)
+def test_baseline_properties(extents, density, seed, coarse, w, ends):
+    # astar is exact, float.hex equal to the oracle; wa-high and wa-mr
+    # (over a ladder of zero to three odd coarse levels) stay within
+    # w times the unit-lattice optimum; every planner solves a query iff
+    # its endpoints share a fine component, and a solved cost is the
+    # path_cost of its path
+    grid = syn.random_grid(tuple(extents), density, seed)
+    free = np.flatnonzero(~grid.flat_blocked)
+    assume(free.size)
+    start, goal = (grid.cell_of(int(free[e % free.size])) for e in ends)
+    labels = G.fine_components(grid).ravel()
+    connected = labels[grid.flat_index(start)] == labels[grid.flat_index(goal)]
+    opt = B.dijkstra_optimal(grid, start, goal)
+    assert math.isfinite(opt) == connected
+    results = {
+        "astar": B.weighted_astar(grid, start, goal),
+        "wa-high": B.weighted_astar(grid, start, goal, w=w),
+        "wa-mr": B.wa_union(grid, start, goal, (1, *sorted(coarse)), w=w),
+    }
+    for name, res in results.items():
+        assert res.status == (S.STATUS_SOLVED if connected else S.STATUS_EXHAUSTED), name
+        if connected:
+            assert res.cost == G.path_cost(res.path), name
+            assert res.path[0] == start and res.path[-1] == goal, name
+    if connected:
+        assert results["astar"].cost.hex() == opt.hex()
+        for name in ("wa-high", "wa-mr"):
+            assert results[name].cost <= w * opt * (1 + 1e-9), name

@@ -1,5 +1,6 @@
 """Grid-layer tests: maps, ladders, coincidence, moves, costs, heuristics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -416,6 +417,36 @@ def test_path_cost_matches_naive_sum():
         steps = (G.edge_decomposition(u, v) for u, v in zip(path, path[1:]))
         naive = sum(k * STEP[m] for k, m in steps)
         assert math.isclose(G.path_cost(path), naive, rel_tol=1e-12)
+
+
+@settings(max_examples=250)
+@given(
+    extents=st.one_of(
+        st.lists(st.integers(1, 16), min_size=2, max_size=2),
+        st.lists(st.integers(1, 9), min_size=3, max_size=3),
+    ),
+    origin=st.lists(st.integers(0, 2**16), min_size=3, max_size=3),
+    steps=st.lists(st.integers(0, 2**32), max_size=39),
+)
+def test_chain_cost_hex_equal_to_path_cost(extents, origin, steps):
+    # random walks of 1-40 cells, each step a lattice move of an odd
+    # scale that fits the map from the walk's cell, kept on the map
+    g = G.GridMap.empty(tuple(extents))
+    path = [tuple(o % n for o, n in zip(origin, extents))]
+    for pick in steps:
+        cell = path[-1]
+        scales = [k for k in range(1, max(extents), 2)
+                  if any(c + k < n or c >= k for c, n in zip(cell, extents))]
+        if not scales:  # a one-cell map
+            break
+        k = scales[pick % len(scales)]
+        axes = [[s for s in (0, -1, 1) if 0 <= c + k * s < n] for c, n in zip(cell, extents)]
+        moves = [step for step in itertools.product(*axes) if any(step)]
+        step = moves[pick // len(scales) % len(moves)]
+        path.append(tuple(c + k * s for c, s in zip(cell, step)))
+    ids = [g.flat_index(c) for c in path]
+    assert G.chain_cost(g, ids).hex() == G.path_cost(path).hex()
+    assert G.chain_cost(g, ids[:1]).hex() == G.path_cost(path[:1]).hex() == (0.0).hex()
 
 
 def _outcome(f, path):

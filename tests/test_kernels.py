@@ -268,29 +268,53 @@ def test_astar_unit_reaches_fewer_cells_than_early_exit_dijkstra(extents, densit
         assert abs(path_cost(path) - dist[b]) <= 1e-12
 
 
+# Goals at these axis distances (|dx|, |dy|, |dz|) from the corners of
+# a free 7 x 6 x 5 map: every order of three distinct values, two- and
+# three-way ties and zero axes; on a free 9 x 7 map dx < dy, dx > dy
+# and dx == dy.
+_DELTAS = {
+    (7, 6, 5): (
+        (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1),
+        (2, 2, 1), (2, 1, 2), (1, 2, 2), (1, 1, 3), (3, 1, 1), (3, 3, 4), (6, 5, 4),
+        (2, 2, 2), (4, 4, 4), (0, 0, 3), (0, 2, 0), (6, 0, 0), (0, 3, 3), (4, 0, 1), (0, 0, 0),
+    ),
+    (9, 7): ((2, 5), (5, 2), (4, 4), (1, 6), (0, 3), (3, 0), (0, 0)),
+}
+
+
 @pytest.mark.parametrize("extents,density,seed", [
     ((1, 1), 0.0, 1), ((1, 9), 0.2, 2), ((2, 2), 0.0, 3), ((6, 5), 1.0, 4),
     ((20, 17), 0.3, 5), ((48, 40), 0.25, 6),
     ((1, 1, 1), 0.0, 7), ((1, 6, 5), 0.2, 8), ((2, 1, 2), 0.0, 9), ((3, 3, 3), 1.0, 10),
-    ((9, 8, 7), 0.25, 11), ((16, 16, 16), 0.25, 12),
+    ((9, 8, 7), 0.25, 11), ((16, 16, 16), 0.25, 12), ((7, 6, 5), 0.0, 13), ((9, 7), 0.0, 14),
 ])
 def test_astar_unit_equal_to_bit_decoding_astar(extents, density, seed):
-    # the oracle relaxing through the k = 1 table's decoded-move cache
-    # against the A* that decoded each mask's bits itself
+    # the oracle relaxing through the k = 1 table's decoded-move cache,
+    # its heuristic keys computed inline, against the A* that decoded
+    # each mask's bits itself and called a heuristic closure per push
     # (oracles.bits_astar_unit): dist and bp byte for byte, toward goals
-    # and as full fields (goal = -1), from free and blocked sources
+    # and as full fields (goal = -1), from free and blocked sources, and
+    # on the maps of _DELTAS between each corner and the goals at its
+    # deltas from it, either way round, so that every axis difference
+    # takes both signs
     g = random_grid(extents, density, seed)
     t = g.move_table(1)
     pick = np.random.default_rng(seed)
     sources = {int(v) for v in pick.integers(g.size, size=3)}
     sources |= set(np.flatnonzero(g.flat_blocked)[:1].tolist())
     sources |= set(np.flatnonzero(~g.flat_blocked)[-1:].tolist())
-    for src in sorted(sources):
-        for goal in (-1, src, int(pick.integers(g.size)), g.size - 1):
-            got = kernels.astar_unit(g.blocked, t.masks, t.moves, src, goal)
-            want = oracles.bits_astar_unit(g.blocked, t.masks, t.offsets, t.costs, src, goal)
-            assert got[0].tobytes() == want[0].tobytes(), (src, goal)
-            assert got[1].tobytes() == want[1].tobytes(), (src, goal)
+    pairs = [(src, goal) for src in sorted(sources)
+             for goal in (-1, src, int(pick.integers(g.size)), g.size - 1)]
+    last = g.size - 1
+    for d in _DELTAS.get(extents, ()):
+        near = g.flat_index(d)
+        far = g.flat_index(tuple(n - 1 - c for n, c in zip(extents, d)))
+        pairs += [(0, near), (near, 0), (last, far), (far, last)]
+    for src, goal in pairs:
+        got = kernels.astar_unit(g.blocked, t.masks, t.moves, src, goal)
+        want = oracles.bits_astar_unit(g.blocked, t.masks, t.offsets, t.costs, src, goal)
+        assert got[0].tobytes() == want[0].tobytes(), (src, goal)
+        assert got[1].tobytes() == want[1].tobytes(), (src, goal)
 
 
 def test_component_labels_match_scipy_partition():
