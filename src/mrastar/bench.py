@@ -185,8 +185,14 @@ def run_bench(
     jobs = [(task, algo, ladder, config) for task in tasks for algo in algos]
     workers = min(worker_count(), len(jobs), usable_cores())
     if workers > 1:
+        # A worker unpickles a fresh GridMap, with empty move-table
+        # caches, for each chunk of jobs it is sent.  Grouped by map, in
+        # one chunk per worker, the jobs build a map's tables at most
+        # maps + workers - 1 times; a serial run builds them once per map.
+        first = {}
+        jobs.sort(key=lambda job: first.setdefault(id(job[0].grid), len(first)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_one, jobs, chunksize=4))
+            rows = list(pool.map(_run_one, jobs, chunksize=-(-len(jobs) // workers)))
     else:
         rows = [_run_one(job) for job in jobs]
     rows.sort(key=lambda r: (r.map_id, r.algo, r.scenario))

@@ -26,10 +26,12 @@ from .bench import (
 from .errors import MrastarError
 from .grid import ResolutionLadder
 from .maps_io import load_map
+from .policies import POLICIES
 from .search import PlannerConfig
 from .svg import save_svg
 
-_POLICY_ALIASES = {"rr": "round_robin", "round_robin": "round_robin", "dts": "dts"}
+# --policy takes any POLICIES name, or one of these short names.
+_POLICY_ALIASES = {"rr": "round_robin"}
 
 # Negative values argparse would read as options: -inf, -nan, -1,0, -1e3.
 _NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
@@ -82,7 +84,7 @@ def _add_common(p: argparse.ArgumentParser, weights: bool = True) -> None:
     if weights:  # sweep sets both weights itself (--vary, --values, --fix)
         p.add_argument("--w1", type=float, default=3.0)
         p.add_argument("--w2", type=float, default=3.0)
-    p.add_argument("--policy", choices=sorted(_POLICY_ALIASES), default="rr")
+    p.add_argument("--policy", choices=sorted({*POLICIES, *_POLICY_ALIASES}), default="rr")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout", type=float, default=math.inf, help="seconds")
 
@@ -127,7 +129,7 @@ def _config(args, w1: float, w2: float) -> PlannerConfig:
     return PlannerConfig(
         w1=w1,
         w2=w2,
-        policy=_POLICY_ALIASES[args.policy],
+        policy=_POLICY_ALIASES.get(args.policy, args.policy),
         timeout=args.timeout,
         seed=args.seed,
     )

@@ -1,9 +1,19 @@
-"""Independent reference implementations used to check the package.
+"""Reference implementations used to check the package.
 
-Everything here is deliberately built on different primitives than the
-code under test: exact rational geometry (fractions) for segment/cell
-intersection, scipy for graph search and connectivity, and brute-force
-enumeration elsewhere.  Slow is fine; these run on small inputs.
+Two kinds live here.  The independent ones are built on different
+primitives than the code under test: exact rational geometry
+(fractions) for segment/cell intersection, scipy for graph search and
+connectivity, the supercover segment walk and the Dijkstra over it,
+and brute-force enumeration elsewhere.  The others are code that src/
+replaced, kept verbatim (or marked "(adapted)") as the reference of
+the replacement's differential test: one per layer, the newest, for
+the move tables (full_move_table), the unit-lattice A*
+(bits_astar_unit), the search core (OpenList, FlatSearch, MraSearch),
+the open list, the parsers, scenario sampling and path costs.  When a
+replaced path moves in here, any reference whose outputs the new one
+pins on the same inputs leaves with its tests, and
+tests/test_oracles.py fails on a name no test reaches.  Slow is fine;
+these run on small inputs.
 """
 
 import itertools
@@ -20,7 +30,6 @@ from scipy.sparse.csgraph import connected_components, dijkstra as sp_dijkstra
 
 from mrastar import kernels
 from mrastar.errors import (
-    InvalidProblemError,
     MapParseError,
     ScenarioGenerationError,
     SearchCorruptionError,
@@ -29,7 +38,6 @@ from mrastar.grid import (
     Cell,
     GridMap,
     MoveTable,
-    as_cell,
     directions,
     fine_components,
     flat_heuristic,
@@ -37,7 +45,7 @@ from mrastar.grid import (
 )
 from mrastar.kernels import SQRT2, SQRT3
 from mrastar.kernels import STEP as _STEP
-from mrastar.kernels import HIGH_BITS, MASK_BITS, MID_BITS, mask_bits, unit_moves
+from mrastar.kernels import HIGH_BITS, MASK_BITS, MID_BITS, mask_bits
 from mrastar.maps_io import Scenario
 from mrastar.policies import POLICIES
 from mrastar.search import (
@@ -365,13 +373,13 @@ def walk_successors_3d(occ, w, h, d, x, y, z, k):
     return out
 
 
-def supercover_dijkstra(occ, extents, source, goal):
+def supercover_dijkstra(occ, extents, source):
     """The oracle Dijkstra that the mask searches replaced, kept as the
-    reference that kernels.dijkstra_2d/3d's full fields and
-    mask_dijkstra's early exits are checked against: heapq over the unit
+    reference that the full distance fields (kernels.dijkstra_2d/3d and
+    baselines.dijkstra_field) are checked against: heapq over the unit
     moves of the supercover walk (walk_successors_2d/3d at k=1), one
-    walk per move of every settled cell.  source and goal are flat ids
-    (goal = -1 for a full field); returns (dist, bp) like the kernels."""
+    walk per move of every settled cell.  source is a flat id; returns
+    (dist, bp) like the kernels."""
     occ = np.asarray(occ, dtype=bool).ravel().tolist()
     w, h = extents[0], extents[1]
     wh = w * h
@@ -381,7 +389,7 @@ def supercover_dijkstra(occ, extents, source, goal):
             return walk_successors_2d(occ, w, h, u % w, u // w, 1)
         return walk_successors_3d(occ, w, h, extents[2], u % w, u % wh // w, u // wh, 1)
 
-    n, source, goal = len(occ), int(source), int(goal)
+    n, source = len(occ), int(source)
     dist = array("d", [math.inf]) * n
     bp = array("q", [-1]) * n
     if not occ[source]:
@@ -393,50 +401,8 @@ def supercover_dijkstra(occ, extents, source, goal):
             if done[u]:
                 continue
             done[u] = 1
-            if u == goal:
-                break
             for v, m in succ(u):
                 nd = du + kernels.STEP[m]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    bp[v] = u
-                    heappush(heap, (nd, v))
-    return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
-
-
-def mask_dijkstra(blocked, source, goal):
-    """kernels._dijkstra, the Dijkstra that served the distance fields
-    and the early-exit oracle before both ran through kernels.astar_unit,
-    kept verbatim (renamed) as the reference that astar_unit's fields are
-    checked against.
-
-    Exact distances from flat id source over blocked's unit moves
-    (see unit_moves).  Stops once goal is settled (goal = -1 for a full
-    field); a blocked source reaches nothing.  Returns (dist, bp) as
-    numpy arrays; bp holds predecessor flat ids, -1 for the source and
-    unreached cells."""
-    n, source, goal = blocked.size, int(source), int(goal)
-    dist = array("d", [math.inf]) * n
-    bp = array("q", [-1]) * n
-    if not blocked.flat[source]:
-        masks, offsets, costs = unit_moves(blocked)
-        done = bytearray(n)
-        dist[source] = 0.0
-        heap = [(0.0, source)]
-        while heap:
-            du, u = heappop(heap)
-            if done[u]:
-                continue
-            done[u] = 1
-            if u == goal:
-                break
-            m = masks[u]
-            for b in (
-                MASK_BITS[m] if m < 512
-                else MASK_BITS[m & 511] + MID_BITS[m >> 9 & 511] + HIGH_BITS[m >> 18]
-            ):
-                v = u + offsets[b]
-                nd = du + costs[b]
                 if nd < dist[v]:
                     dist[v] = nd
                     bp[v] = u
@@ -513,30 +479,6 @@ def bits_astar_unit(blocked, masks, offsets, costs, source, goal):
                     bp[v] = u
                     heappush(heap, (nd + h(v), v))
     return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
-
-
-def early_exit_dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:
-    """baselines.dijkstra_optimal as it was before the A* oracle, kept
-    (adapted) as the reference it is checked against: mask_dijkstra,
-    the early-exit Dijkstra that builds its unit-move masks per call and
-    stops once the goal is settled."""
-    try:
-        start, goal = as_cell(start), as_cell(goal)
-    except InvalidProblemError:
-        return math.inf
-    if not grid.is_free(start) or not grid.is_free(goal):
-        return math.inf
-    if start == goal:
-        return 0.0
-    start_id, goal_id = grid.flat_index(start), grid.flat_index(goal)
-    dist, bp = mask_dijkstra(grid.blocked, start_id, goal_id)
-    if not math.isfinite(dist[goal_id]):
-        return math.inf
-    chain = [goal_id]
-    while chain[-1] != start_id:
-        chain.append(int(bp[chain[-1]]))
-    chain.reverse()
-    return path_cost([grid.cell_of(s) for s in chain])
 
 
 def reference_components(grid) -> np.ndarray:
@@ -823,72 +765,6 @@ class DataclassScenario:
     seed: int
 
 
-def _shifted(a: np.ndarray, off: tuple[int, ...]) -> np.ndarray:
-    """out[c] = a[c + off] where c + off is inside a, else False; off is
-    in array axis order."""
-    out = np.zeros_like(a)
-    if any(abs(o) >= n for o, n in zip(off, a.shape)):
-        return out
-    src = tuple(slice(max(o, 0), n + min(o, 0)) for o, n in zip(off, a.shape))
-    dst = tuple(slice(max(-o, 0), n + min(-o, 0)) for o, n in zip(off, a.shape))
-    out[dst] = a[src]
-    return out
-
-
-def _shifted_window_and(u: np.ndarray, step: tuple[int, ...], k: int) -> np.ndarray:
-    """out[c] = all(u[c + t*step] for t in range(k)), by doubling."""
-    out = None
-    covered = 0
-    block, width = u, 1
-    while True:
-        if k & 1:
-            if out is None:
-                out = block
-            else:
-                out = out & _shifted(block, tuple(covered * s for s in step))
-            covered += width
-        k >>= 1
-        if not k:
-            return out
-        block = block & _shifted(block, tuple(width * s for s in step))
-        width *= 2
-
-
-def shifted_move_table(grid: GridMap, k: int, unit: MoveTable | None) -> MoveTable:
-    """A unit move is valid iff every cell of the box it spans is free
-    (for a diagonal that is both flanks: the corner rule).  King moves
-    of length k run along the line of k unit moves, so a length-k move
-    is valid iff those k unit moves all are.  unit, the k = 1 table,
-    supplies the unit moves when k > 1."""
-    dirs = directions(grid.dim)
-    dtype = np.uint8 if grid.dim == 2 else np.uint32
-    shape = grid.blocked.shape
-    free = ~grid.blocked
-    masks = np.zeros(shape, dtype)
-    unit_masks = None
-    if unit is not None:
-        unit_masks = np.frombuffer(unit.masks, dtype).reshape(shape)
-    strides = [math.prod(grid.extents[:axis]) for axis in range(grid.dim)]
-    offsets, costs = [], []
-    for b, vec in enumerate(dirs):
-        step = tuple(reversed(vec))  # array axis order
-        if unit_masks is None:
-            ok = free.copy()
-            for corner in itertools.product(*((0, s) if s else (0,) for s in step)):
-                if any(corner):
-                    ok &= _shifted(free, corner)
-        else:
-            ok = unit_masks & (1 << b) != 0
-        if k > 1:
-            ok = _shifted_window_and(ok, step, k)
-        masks |= ok.astype(dtype) << b
-        offsets.append(k * sum(v * st for v, st in zip(vec, strides)))
-        costs.append(k * _STEP[sum(1 for v in vec if v)])
-    return MoveTable(k, memoryview(masks.ravel()), tuple(offsets), tuple(costs))
-
-
-
-
 def _window_and(u: np.ndarray, o: int, k: int) -> np.ndarray:
     """out[c] = all(u[c + t*o] for t in range(k)) over flat ids c, and
     False where c + (k-1)*o leaves u; by doubling, on slices of u.
@@ -967,39 +843,6 @@ def full_move_table(grid: GridMap, k: int, unit: MoveTable | None) -> MoveTable:
     return MoveTable(k, memoryview(masks), tuple(offsets), tuple(costs))
 
 
-def corner_unit_moves(blocked):
-    """kernels.unit_moves before its boxes shared sub-boxes, kept
-    verbatim (renamed) as the reference it is checked against: each
-    direction ANDs every corner of its box.
-
-    Every valid unit move of an occupancy array shaped (H, W) or
-    (D, H, W), True for blocked cells, by the box rule.
-
-    A unit move is valid iff every cell of the box it spans (source,
-    destination and, for a diagonal, each flank) is free.  Returns
-    (masks, offsets, costs): masks is a memoryview over uint8 (2D, 8
-    directions) or uint32 (3D, 26 directions) with bit b set iff
-    direction b is valid from that flat cell, in directions' order (dy,
-    or dz, outermost, dx innermost); offsets[b] is the direction's
-    flat-index step and costs[b] its STEP cost.
-    """
-    shape = blocked.shape
-    free = np.pad(~blocked, 1)
-    strides = [math.prod(shape[axis + 1:]) for axis in range(len(shape))]
-    dtype = np.uint8 if len(shape) == 2 else np.uint32
-    masks = np.zeros(shape, dtype)
-    offsets, costs = [], []
-    steps = [d[::-1] for d in directions(len(shape))]  # array axis order
-    for b, step in enumerate(steps):
-        ok = np.ones(shape, bool)
-        for corner in itertools.product(*((0, s) if s else (0,) for s in step)):
-            ok &= free[tuple(slice(1 + c, 1 + c + n) for c, n in zip(corner, shape))]
-        masks |= ok.astype(dtype) << b
-        offsets.append(sum(s * st for s, st in zip(step, strides)))
-        costs.append(_STEP[len(step) - step.count(0)])
-    return memoryview(masks.ravel()), tuple(offsets), tuple(costs)
-
-
 def listwise_edge_decomposition(a: Cell, b: Cell) -> tuple[int, int]:
     """(scale, changed-axis count) of the lattice move a->b.
 
@@ -1041,10 +884,9 @@ def listwise_path_cost(path: list[Cell]) -> float:
 # search.OpenList and search.FlatSearch (with MraSearch on top) as they
 # were before FlatSearch.run fused expand and the open-list pushes into
 # its loop, kept verbatim as the old core of that loop's differential
-# test (tests/test_search_loop.py) and as the core that mra_run and
-# single_queue below drive.  search._TableSets, which picked wa_union's
-# tables per space mask until FlatSearch took one tuple of tables per
-# queue, is kept with them.
+# test (tests/test_search_loop.py).  search._TableSets, which picked
+# wa_union's tables per space mask until FlatSearch took one tuple of
+# tables per queue, is kept with them.
 
 
 class _TableSets(dict):
@@ -1326,103 +1168,5 @@ class MraSearch(FlatSearch):
             mults, (1.0,) + (config.w1,) * (len(mults) - 1), bound=config.w2,
             timeout=config.timeout, queue_masks=problem.grid.space_masks(mults),
         )
-        # (adapted) was make_policy(config.policy, max(1, len(mults) - 1), config.seed);
-        # mra_run reads the policy even on a one-level ladder
+        # (adapted) was make_policy(config.policy, max(1, len(mults) - 1), config.seed)
         self.policy = POLICIES[config.policy](len(mults) - 1, config.seed)
-
-
-# The two best-first loops that search.FlatSearch.run replaced, kept as the
-# references of its differential test (tests/test_search_loop.py).  Both
-# run over the state table and expand of the FlatSearch copy above; the
-# adaptations to it are marked "(adapted)".  Their drained-queue fallbacks answer "solved"
-# where the merged loop raises, and are unreachable.
-
-
-def mra_run(self, log_expansions: bool = False) -> PlanResult:
-    """MraSearch.run as it was before the merge, over a freshly built
-    MraSearch of this module (self).  Its gate_probe hook is left out."""
-    self.expansion_log = [] if log_expansions else None
-    started = time.monotonic()
-    t0 = time.perf_counter()
-    opens = self.opens
-    anchor = opens[0]
-    rest = range(1, len(opens))  # (adapted) was self.n_queues
-    g, h = self.g, self.h
-    goal_id = self.goal_id
-    tables = [(t,) for t in self.tables]
-    expand = self.expand
-    choose_queue, update = self.policy.choose_queue, self.policy.update
-    is_dts = self.config.policy == "dts"
-    timeout = self.config.timeout
-    timed = timeout < math.inf
-    w2 = self.config.w2  # (adapted) was self.w2
-    total = 0
-    while True:
-        nonempty = [i for i in rest if opens[i]]
-        if not nonempty and not anchor:
-            break
-        if timed and check_deadline(total, started, timeout):
-            return self.result(STATUS_TIMEOUT, None, t0)  # (adapted) bound is self.bound
-        i = choose_queue(nonempty) if nonempty else 0
-        mk0 = anchor.min_key()
-        ol = opens[i]
-        mk_i = ol.min_key() if i else mk0
-        if mk_i <= w2 * mk0:
-            # mk_i can only be inf when w1 * h overflows; it claims nothing.
-            if g[goal_id] <= mk_i < math.inf:
-                return self.result(STATUS_SOLVED, i, t0)
-            expand(ol.pop(), i, tables[i])
-            if is_dts and i:
-                update(i, h[ol.peek()] if ol else math.inf)
-        else:
-            if g[goal_id] <= w2 * mk0:
-                return self.result(STATUS_SOLVED, 0, t0)
-            expand(anchor.pop(), 0, tables[0])
-        total += 1
-    if g[goal_id] < math.inf:
-        # Defensive: queues drained in the same iteration the goal
-        # became claimable.  Cost bound still holds.
-        return self.result(STATUS_SOLVED, None, t0)
-    return self.result(STATUS_EXHAUSTED, None, t0)
-
-
-def single_queue(grid, start, goal, scales, union, w, timeout, log_expansions):
-    """baselines._single_queue as it was before the merge.
-
-    Weighted best-first search with one open list and no re-expansion.
-    Without union every state moves at each scale of `scales` (one, for
-    weighted_astar); with union `scales` is a ladder's multipliers and a
-    state moves at the scales whose sublattice holds it, in ladder
-    order.  With w = 1 and a consistent heuristic this is plain A*; with
-    w > 1 the first claimed solution costs at most w times the action
-    space's optimum.
-    """
-    t0 = time.perf_counter()
-    started = time.monotonic()
-    # (adapted) the core now takes the bound and inserts the start itself,
-    # and picks the heuristic from the map (no hkind argument)
-    core = FlatSearch(grid, start, goal, scales, (w,), bound=w)
-    core.expansion_log = [] if log_expansions else None
-    tables = core.tables
-    spaces = grid.space_masks(tuple(scales)) if union else None
-    open_list = core.opens[0]
-    g, goal_id = core.g, core.goal_id
-    timed = timeout < math.inf
-    status = STATUS_EXHAUSTED
-    while len(open_list):
-        if timed and check_deadline(core.expansions[0], started, timeout):
-            status = STATUS_TIMEOUT
-            break
-        # A key can only be inf when w * h overflows; such keys claim nothing.
-        if g[goal_id] <= open_list.min_key() < math.inf:
-            status = STATUS_SOLVED
-            break
-        sid = open_list.pop()
-        if spaces is None:
-            core.expand(sid, 0, tables)
-        else:
-            core.expand(sid, 0, [tables[i] for i in mask_bits(spaces[sid])])
-    else:
-        if g[goal_id] < math.inf:
-            status = STATUS_SOLVED
-    return core.result(status, 0 if status == STATUS_SOLVED else None, t0)

@@ -58,11 +58,24 @@ DIFFERENTIAL_MAPS = ORACLE_MAPS + [
 ]
 
 
+def field_chain_cost(grid, dist, bp, t):
+    """path_cost of the bp chain to flat id t in a dijkstra_field (dist,
+    bp), raveled; inf where t is unreached."""
+    if not math.isfinite(dist[t]):
+        return math.inf
+    chain = [t]
+    while bp[chain[-1]] >= 0:
+        chain.append(int(bp[chain[-1]]))
+    return G.path_cost([grid.cell_of(v) for v in reversed(chain)])
+
+
 @pytest.mark.parametrize("extents,density,seed", DIFFERENTIAL_MAPS)
 def test_dijkstra_optimal_hex_equal_to_early_exit_dijkstra(extents, density, seed):
-    # the A* oracle against the early-exit Dijkstra it replaced: random
-    # pairs of free cells and of any cells, start == goal, blocked
-    # endpoints and pairs in different components
+    # the A* oracle against the answer of an early-exit Dijkstra: path_cost
+    # of the bp chain in the start's full field (dijkstra_field, which
+    # the supercover test pins), on random pairs of free cells and of any
+    # cells, start == goal, blocked endpoints and pairs in different
+    # components
     g = syn.random_grid(extents, density, seed)
     pick = np.random.default_rng(seed)
     labels = G.fine_components(g).ravel()
@@ -75,7 +88,8 @@ def test_dijkstra_optimal_hex_equal_to_early_exit_dijkstra(extents, density, see
     pairs += [(free[firsts[0]], free[i]) for i in firsts[1:4]]
     for a, b in pairs:
         start, goal = g.cell_of(int(a)), g.cell_of(int(b))
-        want = oracles.early_exit_dijkstra_optimal(g, start, goal)
+        dist, bp = (f.ravel() for f in B.dijkstra_field(g, start))
+        want = field_chain_cost(g, dist, bp, int(b))
         assert B.dijkstra_optimal(g, start, goal).hex() == want.hex(), (start, goal)
 
 
@@ -90,9 +104,7 @@ def test_dijkstra_optimal_refuses_like_early_exit_dijkstra(extents):
     ]
     for cell in bad:
         for start, goal in ((cell, good), (good, cell)):
-            got = B.dijkstra_optimal(g, start, goal)
-            assert got == math.inf
-            assert got.hex() == oracles.early_exit_dijkstra_optimal(g, start, goal).hex()
+            assert B.dijkstra_optimal(g, start, goal) == math.inf
 
 
 def test_dijkstra_optimal_matches_reference():
@@ -153,25 +165,6 @@ def test_dijkstra_field_blocked_source_reaches_nothing():
     assert dist[3, 4] == 0.0 and np.isfinite(dist).sum() == 19
 
 
-@pytest.mark.parametrize("extents,density,seed", ORACLE_MAPS)
-def test_distance_fields_bitwise_equal_to_mask_dijkstra(extents, density, seed):
-    # dijkstra_field and the traced kernels run astar_unit with no goal;
-    # their dist and bp against the Dijkstra loop that served the fields
-    # before, byte for byte, from free and blocked sources
-    g = syn.random_grid(extents, density, seed)
-    pick = np.random.default_rng(seed)
-    run = kernels.dijkstra_2d if g.dim == 2 else kernels.dijkstra_3d
-    free, blocked = np.flatnonzero(~g.flat_blocked), np.flatnonzero(g.flat_blocked)
-    sources = {int(v) for v in pick.integers(g.size, size=3)}
-    sources |= {int(v) for v in (*free[:1], *free[-1:], *blocked[:1], *blocked[-1:])}
-    for src in sorted(sources):
-        want = oracles.mask_dijkstra(g.blocked, src, -1)
-        cell = g.cell_of(src)
-        for dist, bp in (B.dijkstra_field(g, cell), run(g.flat_blocked, *g.extents, *cell)):
-            assert dist.tobytes() == want[0].tobytes(), cell
-            assert bp.tobytes() == want[1].tobytes(), cell
-
-
 @pytest.mark.parametrize("extents,seed", [((16, 16), 1), ((8, 7, 6), 2)])
 def test_dijkstra_field_shares_the_oracle_mask_cache(monkeypatch, extents, seed):
     g = syn.random_grid(extents, 0.2, seed)
@@ -203,10 +196,7 @@ def test_dijkstra_field_chains_hex_equal_to_dijkstra_optimal(extents, density, s
     s = g.cell_of(data.draw(st.integers(0, g.size - 1)))
     dist, bp = (a.ravel() for a in B.dijkstra_field(g, s))
     for t in np.flatnonzero(np.isfinite(dist)).tolist():
-        chain = [t]
-        while bp[chain[-1]] >= 0:
-            chain.append(int(bp[chain[-1]]))
-        got = G.path_cost([g.cell_of(v) for v in reversed(chain)])
+        got = field_chain_cost(g, dist, bp, t)
         assert got.hex() == B.dijkstra_optimal(g, s, g.cell_of(t)).hex(), (s, t)
 
 
@@ -353,7 +343,7 @@ def test_walow_success_contained_in_mra():
 @settings(max_examples=300)
 @given(
     extents=st.one_of(
-        st.lists(st.integers(1, 16), min_size=2, max_size=2),
+        st.lists(st.integers(1, 40), min_size=2, max_size=2),
         st.lists(st.integers(1, 9), min_size=3, max_size=3),
     ),
     density=st.floats(0.0, 0.5),

@@ -2,12 +2,14 @@
 
 import math
 import os
+import pickle
 from dataclasses import replace
 
 import pytest
 
 from mrastar import bench as B
 from mrastar import grid as G
+from mrastar import kernels
 from mrastar import synthetic as syn
 from mrastar.errors import InvalidProblemError, MrastarError
 from mrastar.search import PlannerConfig, Problem, plan
@@ -300,6 +302,48 @@ def test_run_bench_pool_size_is_capped(small_setup, monkeypatch):
     monkeypatch.setenv("MRA_THREADS", "100000")
     assert run(3) == serial
     assert sizes == [2, 4, 3]  # one core: the jobs run in this process
+
+
+def test_pooled_run_bench_builds_few_move_tables(small_setup, monkeypatch):
+    # a process pool pickles each chunk of jobs it sends a worker, and a
+    # GridMap drops its move tables on pickling; a stand-in pool that
+    # round-trips each chunk through pickle counts the unit-move builds.
+    # With the tasks of two maps interleaved, a map's tables are built at
+    # most maps + workers - 1 times, and the rows equal a serial run's
+    maps, ladder, tasks = small_setup
+    cfg = PlannerConfig()
+    mixed = [t for pair in zip(tasks[:5], tasks[5:]) for t in pair]
+    builds = []
+    build = kernels.unit_moves
+    monkeypatch.setattr(kernels, "unit_moves", lambda blocked: builds.append(1) or build(blocked))
+
+    class PicklingPool:
+        def __init__(self, max_workers=None):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            for i in range(0, len(jobs), chunksize):
+                yield from map(fn, pickle.loads(pickle.dumps(jobs[i:i + chunksize])))
+
+    def run():
+        rows = B.run_bench(mixed, ["mra", "astar"], ladder, cfg)
+        return [replace(r, time_s=0.0) for r in rows]
+
+    monkeypatch.setenv("MRA_THREADS", "1")
+    serial = run()
+    monkeypatch.setattr(B, "ProcessPoolExecutor", PicklingPool)
+    monkeypatch.setattr(B, "usable_cores", lambda: 8)
+    for workers in (2, 3, 6):
+        monkeypatch.setenv("MRA_THREADS", str(workers))
+        del builds[:]
+        assert run() == serial
+        assert 0 < len(builds) <= len(maps) + workers - 1, workers
 
 
 def test_run_bench_parallel_matches_serial(small_setup, monkeypatch):

@@ -12,6 +12,7 @@ from mrastar.bench import ALGOS, run_algo
 from mrastar.errors import InvalidProblemError
 from mrastar.grid import GridMap, ResolutionLadder
 from mrastar.maps_io import load_map, serialize_movingai, serialize_vox3
+from mrastar.policies import POLICIES
 from mrastar.search import PlannerConfig
 from mrastar import synthetic as syn
 
@@ -200,6 +201,19 @@ def test_plan_vox3_and_policy_alias(tmp_path, capsys):
     )
     assert code == 0
     assert plan_line(capsys)["status"] == "solved"
+
+
+def test_plan_takes_every_policy_name(empty10, capsys, monkeypatch):
+    # --policy offers every POLICIES name, one added to the table
+    # included, and the rr alias; each plans through `mrastar plan`
+    monkeypatch.setitem(POLICIES, "round_robin_too", POLICIES["round_robin"])
+    for name in (*POLICIES, "rr"):
+        code = run_cli(
+            "plan", "--map", empty10, "--format", "movingai", "--res", "1,3",
+            "--start", "0,0", "--goal", "9,9", "--policy", name,
+        )
+        assert code == 0, name
+        assert plan_line(capsys)["status"] == "solved", name
 
 
 def test_plan_emit_path_and_svg(empty10, tmp_path, capsys):

@@ -422,7 +422,7 @@ def test_path_cost_matches_naive_sum():
 @settings(max_examples=250)
 @given(
     extents=st.one_of(
-        st.lists(st.integers(1, 16), min_size=2, max_size=2),
+        st.lists(st.integers(1, 40), min_size=2, max_size=2),
         st.lists(st.integers(1, 9), min_size=3, max_size=3),
     ),
     origin=st.lists(st.integers(0, 2**16), min_size=3, max_size=3),

@@ -1,4 +1,10 @@
-"""Kernel correctness against exact-geometry and scipy oracles."""
+"""Kernel correctness against exact-geometry and scipy oracles: the
+supercover segment walk against exact segment geometry, the unit-move
+masks against the exact-geometry graph, the distance fields against
+scipy and, byte for byte, against the Dijkstra over the segment walk
+(oracles.supercover_dijkstra), and astar_unit against the A* that
+decoded each mask's bits itself (oracles.bits_astar_unit) and against
+its own full field."""
 
 import math
 
@@ -8,6 +14,7 @@ import pytest
 import oracles
 from mrastar import GridMap, random_grid
 from mrastar import kernels
+from mrastar.baselines import dijkstra_field
 from mrastar.grid import edge_decomposition, fine_components, path_cost
 
 
@@ -148,24 +155,7 @@ def test_dijkstra_3d_matches_scipy_reference():
     assert np.allclose(dist, ref, rtol=1e-12, atol=1e-12)
 
 
-def test_dijkstra_early_exit_agrees_with_full_field():
-    # the reference early-exit Dijkstra against the kernels' full field
-    for extents, seed in (((20, 20), 4), ((9, 8, 7), 5)):
-        g = random_grid(extents, 0.3, seed=seed)
-        src = next(c for c in oracles.grid_cells(g) if g.is_free(c))
-        run = kernels.dijkstra_2d if g.dim == 2 else kernels.dijkstra_3d
-        full, _ = run(g.flat_blocked, *g.extents, *src)
-        # a goal halfway out, so the early exit has cells left to skip
-        reached = np.flatnonzero(np.isfinite(full))
-        t = int(reached[np.argsort(full[reached], kind="stable")[len(reached) // 2]])
-        early, _ = oracles.mask_dijkstra(g.blocked, g.flat_index(src), t)
-        assert early[t] == full[t]
-        settled = early <= early[t]
-        assert np.array_equal(early[settled], full[settled])
-        assert np.isfinite(early).sum() < len(reached)
-
-
-# (extents, density, seed) for the mask-oracle checks: extents of 1,
+# (extents, density, seed) for the exact-oracle checks: extents of 1,
 # maps one cell wide along each axis, dense and non-cubic maps
 ORACLE_MAPS = [
     ((1, 1), 0.0, 1),
@@ -185,24 +175,23 @@ ORACLE_MAPS = [
 
 @pytest.mark.parametrize("extents,density,seed", ORACLE_MAPS)
 def test_dijkstra_bitwise_equal_to_supercover_oracle(extents, density, seed):
-    # the mask-driven searches against the segment-walk Dijkstra they
-    # replaced: dist and bp equal byte for byte, from free and blocked
-    # sources, for the kernels' full fields and the reference
-    # mask_dijkstra's early exits
+    # the full distance fields, which astar_unit computes with no goal
+    # (kernels.dijkstra_2d/3d and baselines.dijkstra_field), against the
+    # segment-walk Dijkstra they replaced: dist and bp equal byte for
+    # byte, from random sources and the first and last free and blocked
+    # cells
     g = random_grid(extents, density, seed)
     pick = np.random.default_rng(seed)
     run = kernels.dijkstra_2d if g.dim == 2 else kernels.dijkstra_3d
+    free, blocked = np.flatnonzero(~g.flat_blocked), np.flatnonzero(g.flat_blocked)
     sources = {int(v) for v in pick.integers(g.size, size=4)}
-    sources |= set(np.flatnonzero(g.flat_blocked)[:1].tolist())
+    sources |= {int(v) for v in (*free[:1], *free[-1:], *blocked[:1], *blocked[-1:])}
     for src in sorted(sources):
-        for goal in (-1, int(pick.integers(g.size)), src):
-            want = oracles.supercover_dijkstra(g.flat_blocked, g.extents, src, goal)
-            if goal < 0:
-                got = run(g.flat_blocked, *g.extents, *g.cell_of(src))
-            else:
-                got = oracles.mask_dijkstra(g.blocked, src, goal)
-            assert got[0].tobytes() == want[0].tobytes(), (src, goal)
-            assert got[1].tobytes() == want[1].tobytes(), (src, goal)
+        want = oracles.supercover_dijkstra(g.flat_blocked, g.extents, src)
+        cell = g.cell_of(src)
+        for dist, bp in (run(g.flat_blocked, *g.extents, *cell), dijkstra_field(g, cell)):
+            assert dist.tobytes() == want[0].tobytes(), cell
+            assert bp.tobytes() == want[1].tobytes(), cell
 
 
 @pytest.mark.parametrize("extents,density,seed", ORACLE_MAPS)
@@ -219,28 +208,14 @@ def test_unit_moves_equal_reference_graph(extents, density, seed):
         assert got == set(zip(row.indices.tolist(), row.data.tolist())), g.cell_of(u)
 
 
-@pytest.mark.parametrize("extents,density,seed", [
-    ((1, 1), 0.0, 1), ((1, 9), 0.2, 2), ((2, 2), 0.0, 3), ((2, 7), 0.3, 4),
-    ((20, 17), 0.3, 5), ((80, 72), 0.25, 6), ((6, 5), 1.0, 7),
-    ((1, 1, 1), 0.0, 8), ((2, 1, 2), 0.0, 9), ((1, 2, 1), 0.1, 10), ((2, 9, 5), 0.2, 11),
-    ((12, 5, 3), 0.2, 12), ((24, 1, 24), 0.2, 13), ((24, 24, 24), 0.25, 14),
-])
-def test_unit_moves_equal_corner_builder(extents, density, seed):
-    # the builder whose boxes share sub-boxes against the one it replaced,
-    # which ANDs every corner of each box (oracles.corner_unit_moves):
-    # masks byte for byte with the same format, offsets, float.hex costs
-    g = random_grid(extents, density, seed)
-    got, want = kernels.unit_moves(g.blocked), oracles.corner_unit_moves(g.blocked)
-    assert got[0].format == want[0].format and bytes(got[0]) == bytes(want[0])
-    assert got[1] == want[1]
-    assert [c.hex() for c in got[2]] == [c.hex() for c in want[2]]
-
-
 @pytest.mark.parametrize("extents,density,seed", [((24, 24, 24), 0.25, 1), ((72, 72), 0.3, 2)])
 def test_astar_unit_reaches_fewer_cells_than_early_exit_dijkstra(extents, density, seed):
-    # the oracle's A* against the early-exit Dijkstra on pairs at least
-    # 8 cells apart: the same goal distance, a bp chain that is a valid
-    # unit path of that cost, and strictly fewer cells reached
+    # the oracle's A* on pairs at least 8 cells apart, against the full
+    # field from the start (astar_unit with no goal, which the supercover
+    # test pins): exactly the field's goal distance, a bp chain that is a
+    # valid unit path of that cost, and fewer cells reached than the
+    # field holds strictly nearer than the goal, which is the least an
+    # early-exit Dijkstra settles before it stops
     g = random_grid(extents, density, seed)
     pick = np.random.default_rng(seed)
     labels = fine_components(g).ravel()
@@ -254,9 +229,9 @@ def test_astar_unit_reaches_fewer_cells_than_early_exit_dijkstra(extents, densit
             continue
         pairs += 1
         dist, bp = kernels.astar_unit(g.blocked, masks, moves, a, b)
-        want, _ = oracles.mask_dijkstra(g.blocked, a, b)
-        assert abs(dist[b] - want[b]) <= 1e-12
-        assert np.isfinite(dist).sum() < np.isfinite(want).sum()
+        field, _ = kernels.astar_unit(g.blocked, masks, moves, a, -1)
+        assert dist[b] == field[b]
+        assert np.isfinite(dist).sum() < (field < field[b]).sum()
         chain = [b]
         while chain[-1] != a:
             chain.append(int(bp[chain[-1]]))

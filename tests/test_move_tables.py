@@ -1,16 +1,15 @@
 """Move tables and sublattice masks cached on GridMap, checked against
 the supercover segment walk (oracles.walk_successors_2d/3d), an
 encoding of the move rule independent of the box rule that builds the
-tables, against the shifted-copy builder (oracles.shifted_move_table)
-and against the builder whose k = 1 branch kernels.unit_moves replaced
-(oracles.full_move_table), plus the grid's ownership of its
-occupancy array.  successors_at_scale, which checks the box rule cell
-by cell, is held to the same walk.  A coarse table holds moves on its
-sublattice only, so plans over it are checked against plans over the
-tables of the builder that filled every cell.  Each table's
-decoded-move cache (MoveTable.moves) is checked entry by entry against
-the table's mask bits, and for being one object per table that every
-plan on the map fills and that stays bounded."""
+tables, and against the builder that kernels.unit_moves and the
+sublattice builder replaced (oracles.full_move_table), plus the grid's
+ownership of its occupancy array.  successors_at_scale, which checks
+the box rule cell by cell, is held to the same walk.  A coarse table
+holds moves on its sublattice only, so plans over it are checked
+against plans over the tables of the builder that filled every cell.
+Each table's decoded-move cache (MoveTable.moves) is checked entry by
+entry against the table's mask bits, and for being one object per
+table that every plan on the map fills and that stays bounded."""
 
 import copy
 import dataclasses
@@ -89,42 +88,28 @@ def test_table_matches_successors_at_scale(extents, density, seed):
 @pytest.mark.parametrize(
     "extents,density,seed",
     MAPS + (((1, 1), 0.0, 8), ((1, 30), 0.1, 9), ((24, 1, 24), 0.2, 10),
-            ((1, 1, 1), 0.0, 11), ((24, 24, 24), 0.25, 12), ((40, 2), 0.0, 13)),
-)
-def test_table_matches_shifted_builder(extents, density, seed):
-    # byte-equal to the builder the slice-based one replaced, with the
-    # entries off the k-sublattice zeroed for k > 1, including extents
-    # of 1 and maps narrower than k along some axis
-    grid = syn.random_grid(extents, density, seed)
-    unit = oracles.shifted_move_table(grid, 1, None)
-    for k in SCALES:
-        want = unit if k == 1 else oracles.shifted_move_table(grid, k, unit)
-        got = grid.move_table(k)
-        assert bytes(got.masks) == bytes(on_sublattice(grid, want)), k
-        assert got.masks.format == want.masks.format and got.masks.shape == want.masks.shape
-        assert got.offsets == want.offsets and got.costs == want.costs
-
-
-@pytest.mark.parametrize(
-    "extents,density,seed",
-    MAPS + (((1, 1), 0.0, 8), ((1, 30), 0.1, 9), ((24, 1, 24), 0.2, 10),
             ((1, 1, 1), 0.0, 11), ((2, 2), 0.0, 14), ((2, 7), 0.3, 15),
-            ((2, 1, 2), 0.0, 16), ((2, 9, 5), 0.2, 17), ((24, 24, 24), 0.25, 12)),
+            ((2, 1, 2), 0.0, 16), ((2, 9, 5), 0.2, 17), ((24, 24, 24), 0.25, 12),
+            ((40, 2), 0.0, 13), ((1, 9), 0.2, 2), ((2, 7), 0.3, 4), ((80, 72), 0.25, 6),
+            ((6, 5), 1.0, 7), ((1, 2, 1), 0.1, 10), ((2, 9, 5), 0.2, 11), ((12, 5, 3), 0.2, 12),
+            ((24, 1, 24), 0.2, 13), ((24, 24, 24), 0.25, 14), ((20, 17), 0.3, 5)),
 )
 def test_unit_table_matches_replaced_builder(extents, density, seed):
-    # move_table(1) is kernels.unit_moves; it must equal the k = 1 branch
-    # it replaced (full_move_table with no unit table) byte for byte, and
-    # the coarse tables' offsets and costs, now k times the unit table's,
-    # must equal that builder's own
+    # every table against the builder that kernels.unit_moves and the
+    # sublattice builder replaced (oracles.full_move_table, whose k > 1
+    # tables hold moves at every cell): masks byte for byte, with the
+    # entries off the k-sublattice zeroed for k > 1, the same format and
+    # shape, offsets and float.hex costs, at every scale.  The maps
+    # include extents of 1 and 2, maps narrower than k along some axis,
+    # free and fully blocked maps.
     grid = syn.random_grid(extents, density, seed)
     unit = oracles.full_move_table(grid, 1, None)
-    got = grid.move_table(1)
-    assert got.k == 1 and got.masks.format == unit.masks.format
-    assert bytes(got.masks) == bytes(unit.masks)
-    assert got.offsets == unit.offsets
-    assert [c.hex() for c in got.costs] == [c.hex() for c in unit.costs]
-    for k in (3, 9, 27):
-        want, got = oracles.full_move_table(grid, k, unit), grid.move_table(k)
+    for k in SCALES:
+        want = unit if k == 1 else oracles.full_move_table(grid, k, unit)
+        got = grid.move_table(k)
+        assert got.k == k
+        assert got.masks.format == want.masks.format and got.masks.shape == want.masks.shape
+        assert bytes(got.masks) == bytes(on_sublattice(grid, want)), k
         assert got.offsets == want.offsets, k
         assert [c.hex() for c in got.costs] == [c.hex() for c in want.costs], k
 
@@ -156,17 +141,20 @@ def _plan_fields(grid, algo, start, goal, ladder, config):
 
 
 def _union_fields(grid, algo, start, goal, ladder, config):
-    """_plan_fields of wa-mr run by oracles.single_queue, which picks
-    each state's tables by its space mask, as wa_union did before its
-    one queue read every level's table at every state."""
+    """_plan_fields of wa-mr run by the old search core
+    (oracles.FlatSearch), which picks each state's tables by its space
+    mask (table_masks), as wa_union did before its one queue read every
+    level's table at every state."""
     assert algo == "wa-mr"
     try:
         start, goal, ladder = S.validate_query(grid, start, goal, ladder, w=config.w1,
                                                timeout=config.timeout)
     except InvalidProblemError as exc:
         return ("invalid", str(exc))
-    return _fields(oracles.single_queue(grid, start, goal, ladder.multipliers, True,
-                                        config.w1, config.timeout, True))
+    scales = ladder.multipliers
+    old = oracles.FlatSearch(grid, start, goal, scales, (config.w1,), bound=config.w1,
+                             timeout=config.timeout, table_masks=grid.space_masks(scales))
+    return _fields(old.run(log_expansions=True))
 
 
 def _fields(res):

@@ -450,7 +450,7 @@ def test_wa_like_single_ladder_weighted_is_still_bounded():
 
 # ------------------------------------------------ generative scheduler property
 
-_EXTENTS = st.one_of(st.lists(st.integers(1, 16), min_size=2, max_size=2),
+_EXTENTS = st.one_of(st.lists(st.integers(1, 40), min_size=2, max_size=2),
                      st.lists(st.integers(1, 9), min_size=3, max_size=3))
 # zero to three odd coarse levels, from 3 to 21, weighted toward the
 # small ones that leave coarse moves: nested or not, some wider than

@@ -1,24 +1,23 @@
 """Differential tests of the one search loop, search.FlatSearch.run.
 
-MRA* and the single-queue baselines used to run two copies of the
-best-first loop (MraSearch.run and baselines._single_queue, kept as
-oracles.mra_run and oracles.single_queue).  Then the loop called
-FlatSearch.expand and OpenList.insert_or_update for every expansion and
-improved successor; run now relaxes and pushes inline, reading each
-state's moves from its tables' decoded-move caches, and that core is
-kept as oracles.FlatSearch, oracles.OpenList and oracles.MraSearch, which
-the two old loops drive.  Every bench.ALGOS entry must give the same
-deterministic PlanResult through the fused loop as through the old core
-and the loops it replaced: status, path, cost (as float.hex), per-queue
-expansions, generated, winning queue, bound and expansion log.
-The queries are seeded random 2D and 3D maps with solvable, exhausted
-and sublattice-aligned pairs, both policies, nested, non-nested and
-wider-than-the-map ladders, weights up to 1e307 (keys that overflow to
-inf), w1 > w2 and a timeout that fires before the first expansion,
-plus ACCEPTANCE 4's cul-de-sac instances, where the coarse queues do
-most of MRA*'s expansions.  A hypothesis property holds wa_union, whose
-one queue reads every level's table at every state, to the old loop's
-search that picked each state's tables by its space mask.
+MRA* and the single-queue baselines share one best-first loop.  It
+relaxes and pushes inline, reading each state's moves from its tables'
+decoded-move caches.  The core it replaced, whose loop called
+FlatSearch.expand and OpenList.insert_or_update for every expansion
+and improved successor, is kept as oracles.FlatSearch, oracles.OpenList
+and oracles.MraSearch; it is the one reference of this layer.  Every
+bench.ALGOS entry must give the same deterministic PlanResult through
+the fused loop as through the old core: status, path, cost (as
+float.hex), per-queue expansions, generated, winning queue, bound and
+expansion log.  The queries are seeded random 2D and 3D maps with
+solvable, exhausted and sublattice-aligned pairs, both policies,
+nested, non-nested, wider-than-the-map and 31- and 70-level ladders,
+weights up to 1e307 (keys that overflow to inf), w1 > w2 and a timeout
+that fires before the first expansion, plus ACCEPTANCE 4's cul-de-sac
+instances, where the coarse queues do most of MRA*'s expansions.  A
+hypothesis property holds wa_union, whose one queue reads every
+level's table at every state, to the old core's search that picks each
+state's tables by its space mask.
 """
 
 import dataclasses
@@ -60,22 +59,6 @@ CONFIGS = [
 
 # algos that ignore the ladder, run with the first one only
 LADDER_FREE = ("wa-high", "astar")
-
-
-def _old(algo, grid, start, goal, ladder, config):
-    """The query through the loops that FlatSearch.run replaced."""
-    if algo == "mra":
-        search = oracles.MraSearch(S.Problem(grid, start, goal, ladder), config)
-        return oracles.mra_run(search, log_expansions=True)
-    k, union, w = {
-        "wa-high": (1, False, config.w1),
-        "wa-low": (ladder.multipliers[-1], False, config.w1),
-        "wa-mr": (1, True, config.w1),
-        "astar": (1, False, 1.0),
-    }[algo]
-    start, goal, _ = S.validate_query(grid, start, goal, sublattice=k, w=w)
-    scales = ladder.multipliers if union else (k,)
-    return oracles.single_queue(grid, start, goal, scales, union, w, config.timeout, True)
 
 
 def _new(algo, grid, start, goal, ladder, config):
@@ -128,42 +111,8 @@ def _pairs(grid, seed):
     return pairs
 
 
-@pytest.mark.parametrize("name", sorted(MAPS))
-def test_merged_loop_matches_the_replaced_loops(name):
-    extents, density, seed, ladders = MAPS[name]
-    grid = syn.random_grid(extents, density, seed)
-    statuses = set()
-    for start, goal in _pairs(grid, seed):
-        for n, lad in enumerate(map(G.ResolutionLadder, ladders)):
-            for config in CONFIGS:
-                for algo in BE.ALGOS:
-                    if n and algo in LADDER_FREE:
-                        continue
-                    query = (algo, grid, start, goal, lad, config)
-                    want = _fields(_old, *query)
-                    got = _fields(_new, *query)
-                    assert got == want, query
-                    statuses.add(want[0] if isinstance(want, tuple) else want["status"])
-    assert statuses == {"invalid", S.STATUS_SOLVED, S.STATUS_EXHAUSTED, S.STATUS_TIMEOUT}
-
-
 # 31 and 70 levels; the second needs more mask bits than a uint64 holds
 LONG_LADDERS = [tuple(range(1, 62, 2)), tuple(range(1, 140, 2))]
-
-
-@pytest.mark.parametrize("scales", LONG_LADDERS, ids=lambda s: f"{len(s)}-levels")
-def test_long_ladders_match_the_replaced_loops(scales):
-    # wa-mr's one queue reads every level's table at every state, so its
-    # cost per expansion grows with the number of ladder levels
-    lad = G.ResolutionLadder(scales)
-    for name in ("2d-a", "3d-a"):
-        extents, density, seed, _ = MAPS[name]
-        grid = syn.random_grid(extents, density, seed)
-        for start, goal in _pairs(grid, seed):
-            for config in (CONFIGS[0], CONFIGS[3]):
-                for algo in ("mra", "wa-mr"):
-                    query = (algo, grid, start, goal, lad, config)
-                    assert _fields(_new, *query) == _fields(_old, *query), query
 
 
 @pytest.mark.parametrize("name", sorted(MAPS))
@@ -241,10 +190,10 @@ _COARSE = st.lists(st.one_of(st.integers(1, 4), st.integers(1, 20)).map(lambda n
 def test_union_queue_equals_the_space_mask_search(extents, density, seed, coarse, ends,
                                                   level, w):
     # wa_union's one queue reads every level's table at every state; the
-    # search that picks a state's tables by its space mask
-    # (oracles.single_queue with union) gives every deterministic field
-    # alike, on nested, non-nested and wider-than-the-map ladders.  Both
-    # endpoints lie on the sublattice of one ladder level, when free
+    # old core's search that picks a state's tables by its space mask
+    # (_old_flat_search) gives every deterministic
+    # field alike, on nested, non-nested and wider-than-the-map ladders.
+    # Both endpoints lie on the sublattice of one ladder level, when free
     # cells lie there, so that the moves of every level are taken.
     grid = syn.random_grid(extents, density, seed)
     scales = (1, *sorted(coarse))
@@ -252,7 +201,8 @@ def test_union_queue_equals_the_space_mask_search(extents, density, seed, coarse
     assume(free)
     on = [c for c in free if G.coincides(c, scales[min(level, len(scales) - 1)])] or free
     start, goal = (on[e % len(on)] for e in ends)
-    want = _fields(oracles.single_queue, grid, start, goal, scales, True, w, math.inf, True)
+    old = _old_flat_search(grid, start, goal, (scales,), (w,), w, math.inf)
+    want = _fields(old.run, log_expansions=True)
     got = _fields(B.wa_union, grid, start, goal, G.ResolutionLadder(scales), w=w,
                   log_expansions=True)
     assert got == want
