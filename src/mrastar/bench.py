@@ -10,6 +10,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .baselines import wa_union, weighted_astar
 from .errors import InvalidProblemError
@@ -18,8 +19,10 @@ from .maps_io import gen_scenarios
 from .search import PlannerConfig, PlanResult, Problem, plan
 
 
-@dataclass(frozen=True)
-class BenchTask:
+class BenchTask(NamedTuple):
+    """One bench query: map_id, grid, scenario index, start and goal
+    (cells) and the map's scenario seed, in that order."""
+
     map_id: str
     grid: GridMap
     scenario: int

@@ -144,10 +144,12 @@ def _load_maps(pattern: str, fmt: str) -> list[tuple[str, object]]:
 
 def cmd_plan(args) -> int:
     grid = load_map(args.map, args.format)
+    want_svg = args.emit_svg is not None
+    if want_svg and grid.dim != 2:  # refused before planning prints or writes anything
+        raise ValueError("SVG rendering expects a 2D map")
     ladder = _parse_ladder(args.res)
     start = _parse_cell(args.start)
     goal = _parse_cell(args.goal)
-    want_svg = args.emit_svg is not None
     config = _config(args, args.w1, args.w2)
     result = run_algo(args.algo, grid, start, goal, ladder, config, log_expansions=want_svg)
     cost = f"{result.cost:.6f}" if result.status == "solved" else "-"

@@ -7,8 +7,8 @@ cell of the box each of its k unit steps spans is free.  move_free
 checks it cell by cell for grid.edge_valid; successors (and its traced
 2D/3D entry points) builds on it for grid.successors_at_scale.
 unit_moves, the one builder of unit moves, builds each cell's unit-move
-bitmask with numpy by the same rule; GridMap.move_table(1) is its
-result.  Every search, the planners' and the exact oracle's, reads a
+bitmask with numpy by the same rule, reading each of the 3^d neighbour
+offsets once; GridMap.move_table(1) is its result.  Every search, the planners' and the exact oracle's, reads a
 state's moves through a DecodedMoves cache.  The oracle is one loop,
 astar_unit: toward a goal an A* with its own heuristic, the
 obstacle-free distance of unit moves (octile in 2D), computed inline
@@ -138,6 +138,20 @@ def successors_3d(occ, w, h, d, x, y, z, k):
     return successors(occ, (w, h, d), (x, y, z), k)
 
 
+@functools.cache
+def _box_bits(dim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(c, bits) for each offset c in {-1, 0, 1}^dim, in array axis order
+    and the zero offset included: bit b of bits is set iff the box of
+    unit direction b (directions' order) holds the cell c away from the
+    source, that is iff on every axis c is 0 or direction b's step."""
+    steps = [d[::-1] for d in directions(dim)]  # array axis order
+    return tuple(
+        (c, sum(1 << b for b, step in enumerate(steps)
+                if all(ca in (0, sa) for ca, sa in zip(c, step))))
+        for c in itertools.product((-1, 0, 1), repeat=dim)
+    )
+
+
 def unit_moves(blocked):
     """Every valid unit move of an occupancy array shaped (H, W) or
     (D, H, W), True for blocked cells, by the box rule.
@@ -150,42 +164,35 @@ def unit_moves(blocked):
     or dz, outermost, dx innermost); offsets[b] is the direction's
     flat-index step and costs[b] its STEP cost.  The one builder of unit
     moves: GridMap.move_table(1) is MoveTable(1, *unit_moves(blocked)).
-    Boxes share their sub-boxes (see _box), so each direction costs one
-    array AND.
+
+    Each neighbour offset is read once.  blocked is padded with one
+    blocked cell per side and flattened, so that offset c is one
+    contiguous slice, and a blocked cell c away clears the bits of
+    every direction whose box holds c (_box_bits): 3^d multiply-ORs in
+    all.  The zero offset is in every box, so a blocked cell gets 0, and
+    the padding clears every direction that leaves the map.
     """
     shape = blocked.shape
-    strides = [math.prod(shape[axis + 1:]) for axis in range(len(shape))]
-    dtype = np.uint8 if len(shape) == 2 else np.uint32
-    boxes = {(0,) * len(shape): np.pad(~blocked, 1)}
-    inside = (slice(1, -1),) * len(shape)  # the map's own cells of a padded box
-    masks = np.zeros(shape, dtype)
-    offsets, costs = [], []
-    steps = [d[::-1] for d in directions(len(shape))]  # array axis order
-    for b, step in enumerate(steps):
-        masks |= _box(boxes, step)[inside].astype(dtype) << b
-        offsets.append(sum(s * st for s, st in zip(step, strides)))
-        costs.append(STEP[len(step) - step.count(0)])
-    return memoryview(masks.ravel()), tuple(offsets), tuple(costs)
-
-
-def _box(boxes, step):
-    """boxes[step], built on first use: True at a cell of the padded map
-    iff every cell of the box that step (array axis order, -1, 0 or 1
-    per axis) spans from it is in the padded map and free.  boxes holds
-    the zero step's box, the padded free array.  The box over the axes
-    a step changes is its box with its last changed axis a dropped,
-    ANDed with that sub-box one cell along a: one AND per box, and a
-    step over d axes shares its sub-boxes with the steps over d - 1."""
-    box = boxes.get(step)
-    if box is None:
-        a = max(axis for axis, s in enumerate(step) if s)
-        sub = _box(boxes, step[:a] + (0,) + step[a + 1:])
-        n = sub.shape[a]
-        near, far = [slice(None)] * len(step), [slice(None)] * len(step)
-        near[a], far[a] = (slice(0, n - 1), slice(1, n))[::step[a]]
-        box = boxes[step] = np.zeros_like(sub)
-        np.logical_and(sub[tuple(near)], sub[tuple(far)], out=box[tuple(near)])
-    return box
+    dim = len(shape)
+    dtype = np.uint8 if dim == 2 else np.uint32
+    padded = np.pad(blocked, 1, constant_values=True)
+    pad_strides = [math.prod(padded.shape[axis + 1:]) for axis in range(dim)]
+    occ = padded.ravel().astype(dtype)  # 1 where blocked
+    first = sum(pad_strides)  # padded flat id of the map's first cell
+    n = occ.size - 2 * first  # from the map's first cell to its last
+    cleared = np.zeros(occ.size, dtype)
+    span, part = cleared[first:first + n], np.empty(n, dtype)
+    for c, bits in _box_bits(dim):
+        at = first + sum(ca * st for ca, st in zip(c, pad_strides))
+        np.multiply(occ[at:at + n], bits, out=part)
+        span |= part  # the span's padding cells are dropped below
+    every = dtype((1 << len(directions(dim))) - 1)
+    masks = cleared.reshape(padded.shape)[(slice(1, -1),) * dim] ^ every
+    strides = [math.prod(shape[axis + 1:]) for axis in range(dim)]
+    steps = [d[::-1] for d in directions(dim)]  # array axis order
+    offsets = tuple(sum(s * st for s, st in zip(step, strides)) for step in steps)
+    costs = tuple(STEP[len(step) - step.count(0)] for step in steps)
+    return memoryview(masks.ravel()), offsets, costs
 
 
 def astar_unit(blocked, masks, moves, source, goal):

@@ -39,6 +39,7 @@ def _glyph_tables(free, blocked) -> tuple[dict, bytes]:
 _MOVINGAI_VALID, _MOVINGAI_BITS = _glyph_tables(MOVINGAI_FREE, MOVINGAI_BLOCKED)
 _VOX3_VALID, _VOX3_BITS = _glyph_tables(".", "#")
 
+
 def _check_row(row: str, width: int, valid: dict, line: int) -> None:
     """Raise MapParseError unless row is `width` valid glyphs (those the
     translate table `valid` deletes); names the first bad glyph."""
@@ -51,16 +52,32 @@ def _check_row(row: str, width: int, valid: dict, line: int) -> None:
         raise MapParseError(f"unknown glyph {row[x]!r}", line, x + 1)
 
 
-def _blocked(rows: list[str], bits: bytes, shape) -> np.ndarray:
-    """The occupancy array of checked rows, by the bytes.translate table
-    bits (glyph to 0 or 1)."""
-    data = "".join(rows).encode("ascii").translate(bits)
+def _checked_body(rows: list[str], count: int, width: int, valid: dict) -> str | None:
+    """The rows joined into one string if there are count >= 1 of them
+    and each is `width` valid glyphs (those the translate table `valid`
+    deletes), else None: one str.translate over the whole body.  With
+    count * width glyphs in all, a longest row of width means every row
+    has width."""
+    body = "".join(rows)
+    if (len(rows) == count and len(body) == count * width
+            and max(map(len, rows)) == width and not body.translate(valid)):
+        return body
+    return None
+
+
+def _blocked(body: str, bits: bytes, shape) -> np.ndarray:
+    """The occupancy array of a checked body of rows, by the
+    bytes.translate table bits (glyph to 0 or 1)."""
+    data = body.encode("ascii").translate(bits)
     return np.frombuffer(data, bool).reshape(shape)
 
 
 def parse_movingai_map(text: str) -> GridMap:
     """Parse the 2D benchmark map format; raises MapParseError with a
-    1-based line (and column, for glyph errors) on malformed input."""
+    1-based line (and column, for glyph errors) on malformed input.
+
+    The rows are checked as one body (_checked_body); only when that
+    check fails are they checked row by row, to name the first bad one."""
     lines = text.splitlines()
 
     def want(idx: int, what: str) -> str:
@@ -90,15 +107,15 @@ def parse_movingai_map(text: str) -> GridMap:
     if want(3, "'map' header") != "map":
         raise MapParseError(f"expected 'map', got {lines[3]!r}", 4)
 
-    rows = []
-    for y in range(height):
-        row = want(4 + y, f"map row {y + 1} of {height}").rstrip("\r")
-        _check_row(row, width, _MOVINGAI_VALID, 5 + y)
-        rows.append(row)
+    body = _checked_body(lines[4:4 + height], height, width, _MOVINGAI_VALID)
+    if body is None:  # raises at the first missing or bad row
+        for y in range(height):
+            row = want(4 + y, f"map row {y + 1} of {height}")
+            _check_row(row, width, _MOVINGAI_VALID, 5 + y)
     for extra in range(4 + height, len(lines)):
         if lines[extra].strip():
             raise MapParseError("unexpected content after map rows", extra + 1)
-    return GridMap((width, height), _blocked(rows, _MOVINGAI_BITS, (height, width)))
+    return GridMap((width, height), _blocked(body, _MOVINGAI_BITS, (height, width)))
 
 
 def serialize_movingai(grid: GridMap) -> str:
@@ -118,8 +135,13 @@ def _glyph_rows(blocked: np.ndarray, glyph: bytes) -> list[str]:
 
 
 def parse_vox3(text: str) -> GridMap:
-    """Parse the 3D slice format; raises MapParseError on malformed input."""
-    lines = [ln.rstrip("\r") for ln in text.splitlines()]
+    """Parse the 3D slice format; raises MapParseError on malformed input.
+
+    The rows are checked as one body when every slice separator is
+    empty, as serialize_vox3 writes them; otherwise, or when that check
+    fails, slice by slice and row by row, which takes whitespace-only
+    separators and names the first bad line."""
+    lines = text.splitlines()  # no line keeps a "\r": it ends a line
     if not lines:
         raise MapParseError("missing 'vox3 W H D' header", 1)
     parts = lines[0].split()
@@ -132,25 +154,33 @@ def parse_vox3(text: str) -> GridMap:
     if min(w, h, d) < 1:
         raise MapParseError(f"dimensions must be positive, got {w}x{h}x{d}", 1)
 
-    rows = []
-    idx = 1
-    for z in range(d):
-        if z > 0:
-            if idx >= len(lines) or lines[idx].strip():
-                raise MapParseError(f"expected blank line before slice {z + 1}", idx + 1)
-            idx += 1
-        for y in range(h):
-            if idx >= len(lines):
-                raise MapParseError(
-                    f"missing row {y + 1} of slice {z + 1}", len(lines) + 1
-                )
-            _check_row(lines[idx], w, _VOX3_VALID, idx + 1)
-            rows.append(lines[idx])
-            idx += 1
-    for extra in range(idx, len(lines)):
+    end = d * (h + 1)  # the header, then d slices of h rows with a separator between
+    rows = lines[1:end]
+    del rows[h::h + 1]  # the separators
+    body = None
+    if not any(lines[h + 1:end:h + 1]):
+        body = _checked_body(rows, d * h, w, _VOX3_VALID)
+    if body is None:
+        rows = []
+        idx = 1
+        for z in range(d):
+            if z > 0:
+                if idx >= len(lines) or lines[idx].strip():
+                    raise MapParseError(f"expected blank line before slice {z + 1}", idx + 1)
+                idx += 1
+            for y in range(h):
+                if idx >= len(lines):
+                    raise MapParseError(
+                        f"missing row {y + 1} of slice {z + 1}", len(lines) + 1
+                    )
+                _check_row(lines[idx], w, _VOX3_VALID, idx + 1)
+                rows.append(lines[idx])
+                idx += 1
+        body = "".join(rows)
+    for extra in range(end, len(lines)):
         if lines[extra].strip():
             raise MapParseError("unexpected content after last slice", extra + 1)
-    return GridMap((w, h, d), _blocked(rows, _VOX3_BITS, (d, h, w)))
+    return GridMap((w, h, d), _blocked(body, _VOX3_BITS, (d, h, w)))
 
 
 def serialize_vox3(grid: GridMap) -> str:

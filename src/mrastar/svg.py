@@ -65,5 +65,8 @@ def render_svg(
 
 
 def save_svg(path_out: str, *args, **kwargs) -> None:
+    """render_svg(*args, **kwargs) written to path_out; the file is
+    opened only once rendering has succeeded."""
+    svg = render_svg(*args, **kwargs)
     with open(path_out, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(*args, **kwargs))
+        fh.write(svg)

@@ -255,6 +255,25 @@ def test_plan_parse_error_leaves_no_output(tmp_path, capsys):
     assert not out.exists() and not svg_file.exists()
 
 
+def test_plan_emit_svg_on_3d_map_refused_before_planning(tmp_path, capsys):
+    # a 3D map has no SVG: refused once the map is loaded, so nothing is
+    # planned or printed and neither output file is written
+    vox = tmp_path / "cube.vox3"
+    vox.write_text(serialize_vox3(GridMap.empty((5, 5, 5))))
+    out = tmp_path / "path.csv"
+    svg_file = tmp_path / "plan.svg"
+    code = run_cli(
+        "plan", "--map", vox, "--format", "vox3", "--res", "1",
+        "--start", "0,0,0", "--goal", "4,4,4",
+        "--emit-path", out, "--emit-svg", svg_file,
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.strip() == "mrastar: error: SVG rendering expects a 2D map"
+    assert not out.exists() and not svg_file.exists()
+
+
 # ----------------------------------------------------------------- bench
 
 

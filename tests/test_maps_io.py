@@ -422,6 +422,64 @@ def test_parsers_match_per_glyph_reference(dim):
     assert errors > 300  # the mutations mostly reach an error
 
 
+_MAI = MOVINGAI_MIXED.splitlines()  # 4 header lines, then 4 rows of 6 glyphs
+_VOX = "vox3 3 2 2\n.#.\n##.\n\n...\n#..\n".splitlines()  # rows at lines 2, 3, 5, 6
+
+
+def _text(lines):
+    return "\n".join(lines) + "\n"
+
+
+BOUNDARY_TEXTS = {
+    "crlf": (MOVINGAI_MIXED.replace("\n", "\r\n"), _text(_VOX).replace("\n", "\r\n")),
+    "cr only": (MOVINGAI_MIXED.replace("\n", "\r"), _text(_VOX).replace("\n", "\r")),
+    "no final newline": (MOVINGAI_MIXED.rstrip("\n"), _text(_VOX).rstrip("\n")),
+    "trailing blank lines": (MOVINGAI_MIXED + "\n  \n\t\r\n", _text(_VOX) + "\n \n\t\n"),
+    "trailing content": (MOVINGAI_MIXED + " \n..\n", _text(_VOX) + "\n#\n"),
+    "short row": (_text(_MAI[:6] + [_MAI[6][:-1]] + _MAI[7:]), _text(_VOX[:5] + [".."] + _VOX[6:])),
+    "long row": (_text(_MAI[:5] + [_MAI[5] + "."] + _MAI[6:]), _text(_VOX[:2] + ["...."] + _VOX[3:])),
+    "missing row": (_text(_MAI[:-1]), _text(_VOX[:-1])),
+    "extra row": (_text(_MAI + [_MAI[-1]]), _text(_VOX + [_VOX[-1]])),
+    "bad glyph in last row": (_text(_MAI[:-1] + ["TT..x."]), _text(_VOX[:-1] + ["#.#"])),
+    "tab in a row": (_text(_MAI[:4] + ["..TT.\t"] + _MAI[5:]), _text(_VOX[:1] + [".\t."] + _VOX[2:])),
+    "tab in the header": (
+        _text(_MAI[:1] + ["height\t4"] + _MAI[2:]), _text(["vox3\t3 2\t2"] + _VOX[1:])),
+    "missing separator": (MOVINGAI_3X3, _text(_VOX[:3] + _VOX[4:])),
+    "whitespace separator": (MOVINGAI_3X3, _text(_VOX[:3] + [" \t"] + _VOX[4:])),
+    "non-blank separator": (MOVINGAI_3X3, _text(_VOX[:3] + ["..."] + _VOX[4:])),
+}
+for _v in ("+3", "03", "\u0663", "\u00b2", "0", "-2", "3.0"):  # on maps 3 wide
+    BOUNDARY_TEXTS[f"header value {_v!r}"] = (
+        MOVINGAI_3X3.replace("width 3", f"width {_v}"),
+        _text([f"vox3 {_v} 2 2"] + _VOX[1:]),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_TEXTS))
+def test_parsers_match_per_glyph_reference_on_boundary_texts(case):
+    # line endings, trailing lines, header values int() takes ('+3',
+    # '03', Arabic-Indic three) or refuses (superscript two), zero and
+    # negative extents, tabs, short and extra rows and the vox3 slice
+    # separator: the same blocked array, or the same MapParseError
+    # message, line and column, as the per-glyph parsers
+    movingai, vox3 = BOUNDARY_TEXTS[case]
+    for parse, ref, text in (
+        (M.parse_movingai_map, oracles.per_glyph_parse_movingai_map, movingai),
+        (M.parse_vox3, oracles.per_glyph_parse_vox3, vox3),
+    ):
+        assert _parse_outcome(parse, text) == _parse_outcome(ref, text), (parse.__name__, text)
+
+
+def test_boundary_texts_reach_both_outcomes():
+    # the boundary cases above are not all accepted or all refused
+    outcomes = [
+        isinstance(_parse_outcome(parse, text)[0], str)
+        for movingai, vox3 in BOUNDARY_TEXTS.values()
+        for parse, text in ((M.parse_movingai_map, movingai), (M.parse_vox3, vox3))
+    ]
+    assert 10 < sum(outcomes) < len(outcomes) - 10
+
+
 @settings(max_examples=80)
 @given(
     dim=st.sampled_from([2, 3]),

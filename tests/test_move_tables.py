@@ -18,6 +18,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrastar import baselines as B
 from mrastar import bench as BE
@@ -112,6 +114,29 @@ def test_unit_table_matches_replaced_builder(extents, density, seed):
         assert bytes(got.masks) == bytes(on_sublattice(grid, want)), k
         assert got.offsets == want.offsets, k
         assert [c.hex() for c in got.costs] == [c.hex() for c in want.costs], k
+
+
+@settings(max_examples=200)
+@given(
+    extents=st.one_of(
+        st.lists(st.integers(1, 40), min_size=2, max_size=2),
+        st.lists(st.integers(1, 9), min_size=3, max_size=3),
+    ),
+    density=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**16),
+)
+def test_unit_moves_match_replaced_builder_property(extents, density, seed):
+    # kernels.unit_moves, one read per neighbour offset, against the
+    # builder that ANDed every corner of each direction's box
+    # (oracles.full_move_table at k = 1): masks byte for byte, format,
+    # offsets and float.hex costs, on free, fully blocked and random maps
+    grid = syn.random_grid(tuple(extents), density, seed)
+    masks, offsets, costs = kernels.unit_moves(grid.blocked)
+    want = oracles.full_move_table(grid, 1, None)
+    assert masks.format == want.masks.format and len(masks) == grid.size
+    assert bytes(masks) == bytes(want.masks)
+    assert offsets == want.offsets
+    assert [c.hex() for c in costs] == [c.hex() for c in want.costs]
 
 
 # ------------------------------------- plans over the full coarse tables

@@ -57,3 +57,10 @@ def test_save_svg(tmp_path):
     out = tmp_path / "map.svg"
     svg.save_svg(out, g)
     assert out.read_text().startswith("<svg")
+
+
+def test_save_svg_writes_no_file_when_rendering_fails(tmp_path):
+    out = tmp_path / "cube.svg"
+    with pytest.raises(ValueError, match="2D map"):
+        svg.save_svg(out, G.GridMap.empty((4, 4, 4)))
+    assert not out.exists()
