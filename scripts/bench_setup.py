@@ -154,7 +154,7 @@ def set_up(m, family: Family, map_id: str, text: str, seed: int) -> tuple[dict, 
     t = clock()
     spaces = grid.space_masks(family.ladder)
     times["space_masks"] = clock() - t
-    work["space_masks"] = {"digest": digest(spaces if isinstance(spaces, memoryview) else list(spaces))}
+    work["space_masks"] = {"digest": digest(spaces)}
 
     ladder = m.grid.ResolutionLadder(family.ladder)
     config = m.search.PlannerConfig(w1=3.0, w2=3.0, policy=family.policy, seed=seed)

@@ -8,8 +8,9 @@ checks it cell by cell for grid.edge_valid; successors (and its traced
 2D/3D entry points) builds on it for grid.successors_at_scale.
 unit_moves, the one builder of unit moves, builds each cell's unit-move
 bitmask with numpy by the same rule, reading each of the 3^d neighbour
-offsets once; GridMap.move_table(1) is its result.  Every search, the planners' and the exact oracle's, reads a
-state's moves through a DecodedMoves cache.  The oracle is one loop,
+offsets once; GridMap.move_table(1) is its result.  Every search, the
+planners' and the exact oracle's, reads a state's moves through a
+DecodedMoves cache.  The oracle is one loop,
 astar_unit: toward a goal an A* with its own heuristic, the
 obstacle-free distance of unit moves (octile in 2D), computed inline
 on each push with no call, behind baselines.dijkstra_optimal; with
