@@ -7,14 +7,12 @@ for fixed seeds except for their timing fields.
 
 import csv
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .baselines import wa_union, weighted_astar
 from .errors import InvalidProblemError
-from .grid import Cell, GridMap, ResolutionLadder
+from .grid import Cell, GridMap, ResolutionLadder, is_integer
 from .maps_io import gen_scenarios
 from .search import PlannerConfig, PlanResult, Problem, plan
 
@@ -61,24 +59,6 @@ class BenchRow:
     @classmethod
     def invalid(cls, map_id: str, algo: str, scenario: int, seed: int) -> "BenchRow":
         return cls(map_id, algo, scenario, seed, "invalid", 0.0, None, [], 0)
-
-
-def worker_count() -> int:
-    """Worker cap from MRA_THREADS; defaults to 1 so timing studies stay
-    deterministic."""
-    try:
-        n = int(os.environ.get("MRA_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def usable_cores() -> int:
-    """The CPUs this process may run on (its affinity mask, where the OS
-    has one), at least 1."""
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, len(os.sched_getaffinity(0)))
-    return os.cpu_count() or 1
 
 
 # The one name -> planner table, shared by `mrastar plan`, `mrastar bench`
@@ -150,8 +130,10 @@ def _check_algos(algos: list[str]) -> None:
             raise InvalidProblemError(f"--algos names {algo!r} twice")
 
 
-def _run_one(args) -> BenchRow:
-    task, algo, ladder, config = args
+def _run_one(task: BenchTask, algo: str, ladder: ResolutionLadder,
+             config: PlannerConfig) -> BenchRow:
+    """One bench row: algo on task, or an invalid row if it refuses the
+    query."""
     try:
         result = run_algo(algo, task.grid, task.start, task.goal, ladder, config)
     except InvalidProblemError:
@@ -178,26 +160,11 @@ def run_bench(
     ladder: ResolutionLadder,
     config: PlannerConfig,
 ) -> list[BenchRow]:
-    """Run every algo on every task; rows come back sorted by
-    (map, algo, scenario) regardless of worker scheduling.  The process
-    pool starts all its workers at once, so it is no larger than
-    worker_count(), the number of jobs or the usable cores, whichever is
-    least; with one worker the jobs run in this process.  Raises
+    """Run every algo on every task, one after another in this process;
+    rows come back sorted by (map, algo, scenario).  Raises
     InvalidProblemError for algos that _check_algos refuses."""
     _check_algos(algos)
-    jobs = [(task, algo, ladder, config) for task in tasks for algo in algos]
-    workers = min(worker_count(), len(jobs), usable_cores())
-    if workers > 1:
-        # A worker unpickles a fresh GridMap, with empty move-table
-        # caches, for each chunk of jobs it is sent.  Grouped by map, in
-        # one chunk per worker, the jobs build a map's tables at most
-        # maps + workers - 1 times; a serial run builds them once per map.
-        first = {}
-        jobs.sort(key=lambda job: first.setdefault(id(job[0].grid), len(first)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_one, jobs, chunksize=-(-len(jobs) // workers)))
-    else:
-        rows = [_run_one(job) for job in jobs]
+    rows = [_run_one(task, algo, ladder, config) for task in tasks for algo in algos]
     rows.sort(key=lambda r: (r.map_id, r.algo, r.scenario))
     return rows
 
@@ -352,9 +319,13 @@ def run_sweep(
     value is timed on the map's cold caches (the decoded moves fill on
     first use).  mean_time_s is the mean over tasks of each task's
     minimum wall time over repeats.  solved and mean_cost (over solved
-    tasks) come from each task's last repeat."""
+    tasks) come from each task's last repeat.  Raises ValueError, before
+    anything is planned, unless repeats is an integer (see
+    grid.is_integer) of at least 1."""
     if vary not in ("w1", "w2"):
         raise ValueError(f"vary must be w1 or w2, got {vary!r}")
+    if not is_integer(repeats):
+        raise ValueError(f"repeats must be an integer, got {repeats!r}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     configs = [replace(base_config, **{vary: float(value)}) for value in values]

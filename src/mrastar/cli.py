@@ -136,10 +136,19 @@ def _config(args, w1: float, w2: float) -> PlannerConfig:
 
 
 def _load_maps(pattern: str, fmt: str) -> list[tuple[str, object]]:
+    """The maps pattern matches, each with its file name as its map id;
+    MrastarError if it matches none, or two with one file name (their
+    rows would share a map id)."""
     paths = sorted(glob.glob(pattern))
     if not paths:
         raise MrastarError(f"no maps matched {pattern!r}")
-    return [(os.path.basename(p), load_map(p, fmt)) for p in paths]
+    by_name = {}
+    for p in paths:
+        name = os.path.basename(p)
+        if name in by_name:
+            raise MrastarError(f"maps {by_name[name]!r} and {p!r} share the file name {name!r}")
+        by_name[name] = p
+    return [(name, load_map(p, fmt)) for name, p in by_name.items()]
 
 
 def cmd_plan(args) -> int:

@@ -137,10 +137,10 @@ def _glyph_rows(blocked: np.ndarray, glyph: bytes) -> list[str]:
 def parse_vox3(text: str) -> GridMap:
     """Parse the 3D slice format; raises MapParseError on malformed input.
 
-    The rows are checked as one body when every slice separator is
-    empty, as serialize_vox3 writes them; otherwise, or when that check
-    fails, slice by slice and row by row, which takes whitespace-only
-    separators and names the first bad line."""
+    The rows are checked as one body (_checked_body) when every slice
+    separator is empty or whitespace only; only when that check fails
+    are they walked slice by slice and row by row, to name the first bad
+    line."""
     lines = text.splitlines()  # no line keeps a "\r": it ends a line
     if not lines:
         raise MapParseError("missing 'vox3 W H D' header", 1)
@@ -158,10 +158,9 @@ def parse_vox3(text: str) -> GridMap:
     rows = lines[1:end]
     del rows[h::h + 1]  # the separators
     body = None
-    if not any(lines[h + 1:end:h + 1]):
+    if not any(map(str.strip, lines[h + 1:end:h + 1])):
         body = _checked_body(rows, d * h, w, _VOX3_VALID)
-    if body is None:
-        rows = []
+    if body is None:  # raises at the first missing or bad line
         idx = 1
         for z in range(d):
             if z > 0:
@@ -174,9 +173,7 @@ def parse_vox3(text: str) -> GridMap:
                         f"missing row {y + 1} of slice {z + 1}", len(lines) + 1
                     )
                 _check_row(lines[idx], w, _VOX3_VALID, idx + 1)
-                rows.append(lines[idx])
                 idx += 1
-        body = "".join(rows)
     for extra in range(end, len(lines)):
         if lines[extra].strip():
             raise MapParseError("unexpected content after last slice", extra + 1)

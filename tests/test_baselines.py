@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
 from mrastar import baselines as B
 from mrastar import grid as G
@@ -380,3 +382,60 @@ def test_baseline_properties(extents, density, seed, coarse, w, ends):
         assert results["astar"].cost.hex() == opt.hex()
         for name in ("wa-high", "wa-mr"):
             assert results[name].cost <= w * opt * (1 + 1e-9), name
+
+
+def _sublattice_cells(grid, k):
+    """The free cells of the k-sublattice (see grid.coincides), x first."""
+    half = (k - 1) // 2
+    free = np.argwhere(~grid.blocked[(slice(half, None, k),) * grid.dim]) * k + half
+    return [tuple(c) for c in free[:, ::-1].tolist()]
+
+
+def _sublattice_distances(grid, k, source):
+    """scipy Dijkstra distances (flat-indexed) from source over the graph
+    whose edges are successors_at_scale(cell, k) from each free cell of
+    the k-sublattice: the box rule cell by cell, with no move table."""
+    rows, cols, data = [], [], []
+    for cell in _sublattice_cells(grid, k):
+        for nb, cost in G.successors_at_scale(cell, k, grid):
+            rows.append(grid.flat_index(cell))
+            cols.append(grid.flat_index(nb))
+            data.append(cost)
+    graph = csr_matrix((data, (rows, cols)), shape=(grid.size, grid.size))
+    return sp_dijkstra(graph, indices=grid.flat_index(source))
+
+
+@settings(max_examples=200)
+@given(
+    extents=st.one_of(
+        st.lists(st.integers(1, 40), min_size=2, max_size=2),
+        st.lists(st.integers(1, 9), min_size=3, max_size=3),
+    ),
+    density=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**16),
+    k=st.sampled_from([3, 5]),
+    w=st.sampled_from([1.0, 3.0]),
+    ends=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+)
+def test_wa_low_properties(extents, density, seed, k, w, ends):
+    # wa-low, weighted A* on the k-sublattice, against scipy's Dijkstra
+    # over that sublattice's moves: solved iff the goal is reachable,
+    # within w times the sublattice optimum (equal to it at w = 1), every
+    # path cell on the sublattice and every step a valid move, and the
+    # cost the path_cost of the path
+    grid = syn.random_grid(tuple(extents), density, seed)
+    on = _sublattice_cells(grid, k)
+    assume(on)
+    start, goal = (on[e % len(on)] for e in ends)
+    opt = _sublattice_distances(grid, k, start)[grid.flat_index(goal)]
+    res = B.weighted_astar(grid, start, goal, multiplier=k, w=w)
+    assert res.status == (S.STATUS_SOLVED if math.isfinite(opt) else S.STATUS_EXHAUSTED)
+    if res.status != S.STATUS_SOLVED:
+        return
+    assert res.cost <= w * opt * (1 + 1e-9)
+    if w == 1.0:
+        assert math.isclose(res.cost, opt)
+    assert res.path[0] == start and res.path[-1] == goal
+    assert all(G.coincides(c, k) for c in res.path)
+    assert all(G.edge_valid(a, b, grid) for a, b in zip(res.path, res.path[1:]))
+    assert res.cost == G.path_cost(res.path)

@@ -1,15 +1,13 @@
-"""Benchmark harness: task fan-out, aggregation, sweeps, worker config."""
+"""Benchmark harness: task fan-out, aggregation, sweeps."""
 
 import math
-import os
-import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mrastar import bench as B
 from mrastar import grid as G
-from mrastar import kernels
 from mrastar import synthetic as syn
 from mrastar.errors import InvalidProblemError, MrastarError
 from mrastar.search import PlannerConfig, Problem, plan
@@ -148,7 +146,7 @@ def test_summary_csv_formatting(tmp_path, small_setup):
     assert "." in rate and len(rate.split(".")[1]) == 2
 
 
-def test_run_sweep_shape(small_setup):
+def test_run_sweep_shape(small_setup, monkeypatch):
     maps, ladder, tasks = small_setup
     sweep = B.run_sweep(
         tasks[:3], "w2", [1.0, 3.0], PlannerConfig(), ladder, repeats=2
@@ -162,6 +160,14 @@ def test_run_sweep_shape(small_setup):
         B.run_sweep(tasks[:1], "timeout", [1.0], PlannerConfig(), ladder)
     with pytest.raises(ValueError, match="repeats must be >= 1, got 0"):
         B.run_sweep(tasks[:1], "w2", [1.0], PlannerConfig(), ladder, repeats=0)
+    assert len(B.run_sweep(tasks[:1], "w2", [1.0], PlannerConfig(), ladder,
+                           repeats=np.int64(1))) == 1
+    # refused before any plan runs: a float used to raise TypeError after
+    # the first warm-up, "2" and None leaked TypeError, and True ran once
+    monkeypatch.setattr(B, "plan", lambda problem, config: pytest.fail("planned"))
+    for repeats in (2.5, 2.0, "2", None, True):
+        with pytest.raises(ValueError, match="repeats must be an integer"):
+            B.run_sweep(tasks[:1], "w2", [1.0], PlannerConfig(), ladder, repeats=repeats)
 
 
 def _per_value_sweep(tasks, vary, values, base, ladder, repeats):
@@ -243,116 +249,3 @@ def test_sweep_csv(tmp_path, small_setup):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == ",".join(B.SWEEP_CSV_FIELDS)
     assert lines[1].startswith("w1,1,2,") and lines[2].startswith("w1,10,2,")
-
-
-def test_worker_count(monkeypatch):
-    monkeypatch.delenv("MRA_THREADS", raising=False)
-    assert B.worker_count() == 1
-    monkeypatch.setenv("MRA_THREADS", "4")
-    assert B.worker_count() == 4
-    monkeypatch.setenv("MRA_THREADS", "0")
-    assert B.worker_count() == 1
-    monkeypatch.setenv("MRA_THREADS", "soon")
-    assert B.worker_count() == 1
-
-
-def test_usable_cores():
-    assert 1 <= B.usable_cores() <= (os.cpu_count() or 1)
-
-
-def test_run_bench_pool_size_is_capped(small_setup, monkeypatch):
-    # the pool starts every worker at once, so its size is the least of
-    # MRA_THREADS, the job count and the usable cores; a stand-in for
-    # ProcessPoolExecutor records each size and starts no process
-    maps, ladder, tasks = small_setup
-    cfg = PlannerConfig()
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers=None):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
-
-    def run(n):
-        rows = B.run_bench(tasks[:n], ["mra", "astar"], ladder, cfg)
-        return [replace(r, time_s=0.0) for r in rows]
-
-    monkeypatch.setattr(B, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(B, "usable_cores", lambda: 4)
-    monkeypatch.setenv("MRA_THREADS", "1")
-    serial = run(3)
-    assert sizes == []
-    monkeypatch.setenv("MRA_THREADS", "100000")
-    assert run(1) == serial[:1] + serial[3:4]
-    assert sizes == [2]  # two jobs
-    assert run(3) == serial
-    assert sizes == [2, 4]  # six jobs, four cores
-    monkeypatch.setenv("MRA_THREADS", "3")
-    assert run(3) == serial
-    assert sizes == [2, 4, 3]
-    monkeypatch.setattr(B, "usable_cores", lambda: 1)
-    monkeypatch.setenv("MRA_THREADS", "100000")
-    assert run(3) == serial
-    assert sizes == [2, 4, 3]  # one core: the jobs run in this process
-
-
-def test_pooled_run_bench_builds_few_move_tables(small_setup, monkeypatch):
-    # a process pool pickles each chunk of jobs it sends a worker, and a
-    # GridMap drops its move tables on pickling; a stand-in pool that
-    # round-trips each chunk through pickle counts the unit-move builds.
-    # With the tasks of two maps interleaved, a map's tables are built at
-    # most maps + workers - 1 times, and the rows equal a serial run's
-    maps, ladder, tasks = small_setup
-    cfg = PlannerConfig()
-    mixed = [t for pair in zip(tasks[:5], tasks[5:]) for t in pair]
-    builds = []
-    build = kernels.unit_moves
-    monkeypatch.setattr(kernels, "unit_moves", lambda blocked: builds.append(1) or build(blocked))
-
-    class PicklingPool:
-        def __init__(self, max_workers=None):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize=1):
-            for i in range(0, len(jobs), chunksize):
-                yield from map(fn, pickle.loads(pickle.dumps(jobs[i:i + chunksize])))
-
-    def run():
-        rows = B.run_bench(mixed, ["mra", "astar"], ladder, cfg)
-        return [replace(r, time_s=0.0) for r in rows]
-
-    monkeypatch.setenv("MRA_THREADS", "1")
-    serial = run()
-    monkeypatch.setattr(B, "ProcessPoolExecutor", PicklingPool)
-    monkeypatch.setattr(B, "usable_cores", lambda: 8)
-    for workers in (2, 3, 6):
-        monkeypatch.setenv("MRA_THREADS", str(workers))
-        del builds[:]
-        assert run() == serial
-        assert 0 < len(builds) <= len(maps) + workers - 1, workers
-
-
-def test_run_bench_parallel_matches_serial(small_setup, monkeypatch):
-    maps, ladder, tasks = small_setup
-    cfg = PlannerConfig()
-    monkeypatch.setenv("MRA_THREADS", "1")
-    serial = B.run_bench(tasks[:4], ["mra", "astar"], ladder, cfg)
-    monkeypatch.setenv("MRA_THREADS", "2")
-    parallel = B.run_bench(tasks[:4], ["mra", "astar"], ladder, cfg)
-    strip = lambda r: (r.map_id, r.algo, r.scenario, r.status, r.cost,
-                       tuple(r.expansions), r.path_len)
-    assert [strip(r) for r in serial] == [strip(r) for r in parallel]

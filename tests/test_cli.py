@@ -339,6 +339,24 @@ def test_bench_no_maps_matched(tmp_path, capsys):
     assert "no maps matched" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bench", "sweep"])
+def test_maps_sharing_a_file_name_are_refused(tmp_path, capsys, command):
+    # the file name is the map id: two maps of one name used to give rows
+    # that differed only in seed, and summarize counted them as one
+    for sub, seed in (("a", 1), ("b", 2)):
+        (tmp_path / sub).mkdir()
+        g = syn.random_grid((12, 12), 0.1, seed=seed)
+        (tmp_path / sub / "x.map").write_text(serialize_movingai(g))
+    out = tmp_path / "r.csv"
+    extra = ["--vary", "w2", "--values", "1"] if command == "sweep" else []
+    code = run_cli(command, "--maps", tmp_path / "*" / "x.map", "--format", "movingai",
+                   *extra, "--out", out)
+    captured = capsys.readouterr()
+    assert code == 1 and not out.exists() and captured.out == ""
+    a, b = (str(tmp_path / sub / "x.map") for sub in "ab")
+    assert f"maps {a!r} and {b!r} share the file name 'x.map'" in captured.err
+
+
 # ----------------------------------------------------------------- sweep
 
 
