@@ -77,7 +77,10 @@ FAMILIES = (
 
 
 def load_tree(root: Path, name: str):
-    """The package under root/src/mrastar, imported as `name`."""
+    """The package under root/src/mrastar, imported as `name`, afresh
+    when a package of that name was imported before."""
+    for loaded in [n for n in sys.modules if n == name or n.startswith(name + ".")]:
+        del sys.modules[loaded]
     pkg = root / "src" / "mrastar"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
@@ -223,12 +226,12 @@ def measure(trees: list[Path], families=FAMILIES, repeats: int = 15, seed: int =
     }
 
 
-def append_run(path: Path, run: dict) -> None:
-    doc = {"schema": SCHEMA, "runs": []}
+def append_run(path: Path, run: dict, schema: str = SCHEMA) -> None:
+    doc = {"schema": schema, "runs": []}
     if path.exists():
         doc = json.loads(path.read_text(encoding="utf-8"))
-        if doc.get("schema") != SCHEMA:
-            raise SystemExit(f"{path}: schema is not {SCHEMA}")
+        if doc.get("schema") != schema:
+            raise SystemExit(f"{path}: schema is not {schema}")
     doc["runs"].append(run)
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 

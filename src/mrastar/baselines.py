@@ -10,8 +10,8 @@ one search loop, kernels.astar_unit, over the planners' own k = 1
 table (GridMap.move_table(1)) and its decoded-move cache, which the
 planners fill too: dijkstra_optimal runs it toward the goal, with
 its own heuristic (the obstacle-free unit-move distance, octile in 2D)
-rather than the planners', and sums its answer from the predecessor
-chain of flat ids by grid.chain_cost, as the planners sum theirs;
+rather than the planners', and costs its predecessor chain of flat ids
+with grid.walk_chain, as the planners cost theirs;
 dijkstra_field runs it with no goal for the full distance field.  The
 table is checked apart from its builder by tests/test_kernels.py,
 tests/test_move_tables.py and perfbench's scipy reference, which
@@ -24,10 +24,10 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidProblemError
-from .grid import Cell, GridMap, ResolutionLadder, as_cell, chain_cost, check_cell
+from .grid import Cell, GridMap, ResolutionLadder, as_cell, check_cell, walk_chain
 
-# Not called here, which reads the grid's move tables and sums costs
-# from predecessor chains; bound so that layer tracers (see
+# Not called here, which reads the grid's move tables and costs
+# predecessor chains; bound so that layer tracers (see
 # perfbench/tracing.py) find the same names on every planner module.
 from .grid import get_space_indices, heuristic, path_cost, successors_at_scale  # noqa: F401
 from .search import FlatSearch, PlanResult, validate_query
@@ -94,8 +94,9 @@ def dijkstra_field(grid: GridMap, source: Cell) -> tuple[np.ndarray, np.ndarray]
 def dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:
     """Optimal unit-scale path cost between two cells, by A* over the
     grid's k = 1 move table, summed from the predecessor chain of flat
-    ids by grid.chain_cost, so that equal-cost optima agree bitwise and
-    the answer is the same float as path_cost of the chain's cells.
+    ids by grid.walk_chain, which reads the A*'s bp buffer as Python
+    ints, so that equal-cost optima agree bitwise and the answer is the
+    same float as path_cost of the chain's cells.
     Returns inf when no path exists (including blocked, out-of-range
     and non-integer inputs); never raises."""
     try:
@@ -111,7 +112,4 @@ def dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:
     dist, bp = kernels.astar_unit(grid.blocked, t.masks, t.moves, start_id, goal_id)
     if not math.isfinite(dist[goal_id]):
         return math.inf
-    chain = [goal_id]
-    while chain[-1] != start_id:
-        chain.append(int(bp[chain[-1]]))
-    return chain_cost(grid, chain)
+    return walk_chain(grid, bp.data, start_id, goal_id)[1]

@@ -145,7 +145,14 @@ def make_tasks(
     maps: list[tuple[str, GridMap]], scenarios_per_map: int, seed: int
 ) -> list[BenchTask]:
     """Sample scenarios for each map; map index offsets the seed so maps
-    get distinct but reproducible scenario sets."""
+    get distinct but reproducible scenario sets.  Raises
+    InvalidProblemError, before sampling any scenario, when two maps
+    share a map id: summarize keys instances by (map id, scenario), so
+    their rows would count as one."""
+    ids = [map_id for map_id, _ in maps]
+    for n, map_id in enumerate(ids):
+        if map_id in ids[:n]:
+            raise InvalidProblemError(f"two maps share the map id {map_id!r}")
     tasks = []
     for idx, (map_id, grid) in enumerate(maps):
         scens = gen_scenarios(grid, scenarios_per_map, seed + idx, map_id=map_id)

@@ -14,6 +14,7 @@ import sys
 
 from .bench import (
     ALGOS,
+    _check_algos,
     make_tasks,
     run_algo,
     run_bench,
@@ -183,6 +184,7 @@ def cmd_bench(args) -> int:
     ladder = _parse_ladder(args.res)
     config = _config(args, args.w1, args.w2)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    _check_algos(algos)  # before any scenario is sampled
     tasks = make_tasks(maps, args.scenarios, args.seed)
     rows = run_bench(tasks, algos, ladder, config)
     write_results_csv(rows, args.out)

@@ -23,25 +23,31 @@ rule cell by cell instead, apart from the tables.
 
 Two functions cost a path.  path_cost takes cells and checks every
 step; it is the public cost that perfbench and the tests check each
-answer with.  chain_cost takes a search's predecessor chain of flat ids
-and checks nothing; the planners and the oracle sum their answers with
-it.  Both sum the same integer scales per number of changed axes and
-end in the same expression, so they agree bitwise.
+answer with.  walk_chain reads a search's predecessor map back from the
+goal once, checking nothing, and returns the chain's cells and their
+cost; the planners and the oracle take their answers from it.  Both sum
+the same integer scales per number of changed axes and end in the same
+expression, so they agree bitwise.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import lt
 
 import numpy as np
 
 from . import kernels
-from .errors import InvalidProblemError
+from .errors import InvalidProblemError, SearchCorruptionError
 from .kernels import SQRT2, SQRT3
 from .kernels import STEP as _STEP
 from .kernels import MASK_BITS, directions, mask_bits  # noqa: F401  (re-exported)
 
 Cell = tuple[int, ...]
+
+# {int}.issuperset(map(type, t)) is True iff every entry of t is a Python
+# int, bools excluded: the fast path of as_cell and space_masks.
+_INT = frozenset({int})
 
 
 @dataclass(frozen=True)
@@ -135,16 +141,19 @@ class GridMap:
     def in_bounds(self, cell: Cell) -> bool:
         """True iff cell has one coordinate per axis, each in range.
         Raises InvalidProblemError for what as_cell refuses (a
-        non-integer coordinate, a non-sequence); a tuple of ints, the
-        planners' case, is taken as is."""
-        cell, ext = as_cell(cell), self.extents
-        return len(cell) == len(ext) and min(cell) >= 0 and all(map(lt, cell, ext))
+        non-integer coordinate, a non-sequence); a tuple of Python ints,
+        the planners' case, is taken as is."""
+        return self._holds(as_cell(cell))
 
     def is_free(self, cell: Cell) -> bool:
-        """True iff cell is in bounds (see in_bounds) and not blocked, read
-        at its flat index."""
-        cell = as_cell(cell)  # Python ints: a flat index of numpy ints could overflow
-        return self.in_bounds(cell) and not self.blocked.item(self.flat_index(cell))
+        """True iff cell is in bounds (see in_bounds) and not blocked."""
+        cell = as_cell(cell)
+        return self._holds(cell) and not self.blocked.item(cell[::-1])
+
+    def _holds(self, cell: Cell) -> bool:
+        """in_bounds of a tuple of Python ints, which as_cell gives."""
+        ext = self.extents
+        return len(cell) == len(ext) and min(cell) >= 0 and all(map(lt, cell, ext))
 
     def flat_index(self, cell: Cell) -> int:
         if self.dim == 2:
@@ -176,11 +185,16 @@ class GridMap:
     def space_masks(self, multipliers: tuple[int, ...]):
         """Per flat cell, the bitmask of ladder spaces (bit i for level
         i, of multiplier multipliers[i]) whose sublattice holds the
-        cell; cached per ladder.  Indexing the result yields ints."""
-        multipliers = tuple(check_multiplier(k) for k in multipliers)
+        cell; cached per ladder.  Indexing the result yields ints.  The
+        cache is read first when multipliers is a tuple of Python ints,
+        as a ResolutionLadder holds them, since only checked ones are
+        cached; anything else is checked, converted and then read."""
+        if type(multipliers) is not tuple or not _INT.issuperset(map(type, multipliers)):
+            multipliers = tuple(map(check_multiplier, multipliers))
         key = ("spaces", multipliers)
         masks = self._cache.get(key)
         if masks is None:
+            multipliers = tuple(map(check_multiplier, multipliers))
             masks = _build_space_masks(self, multipliers)
             self._cache[key] = masks
         return masks
@@ -211,7 +225,7 @@ def _as_extents(extents) -> tuple[int, ...]:
 def as_cell(cell, name: str = "cell") -> Cell:
     """cell as a tuple of Python ints.  Raises InvalidProblemError unless
     cell is a sequence of integers (see is_integer)."""
-    if type(cell) is tuple and {int}.issuperset(map(type, cell)):
+    if type(cell) is tuple and _INT.issuperset(map(type, cell)):
         return cell  # already a tuple of ints, the planners' case
     try:
         coords = tuple(cell)
@@ -385,7 +399,9 @@ def flat_heuristic(grid: GridMap, goal: Cell):
     """The planners' h(flat id), fixed by the map: octile distance on a
     2D map, euclidean on a 3D one.  It is the same float as
     heuristic(grid.cell_of(id), goal), computed without building the
-    cell tuple."""
+    cell tuple.  search.FlatSearch keys its start and goal with it, and
+    its run computes every other state's h inline by these same
+    expressions."""
     w = grid.extents[0]
     if grid.dim == 2:
         gx, gy = goal
@@ -435,8 +451,8 @@ def path_cost(path: list[Cell]) -> float:
     into integer multiples of 1, sqrt(2) and sqrt(3).  Accumulating the
     integer parts first makes the float result independent of edge order,
     so equal-cost paths produce bitwise-equal totals.  The public,
-    validating cost of a cell path; the searches sum their chains with
-    chain_cost, the same float (see the module docstring).
+    validating cost of a cell path; the searches cost their chains with
+    walk_chain, the same float (see the module docstring).
     """
     a1 = a2 = a3 = 0
     for u, v in zip(path, path[1:]):
@@ -450,19 +466,57 @@ def path_cost(path: list[Cell]) -> float:
     return _lattice_total(a1, a2, a3)
 
 
-def chain_cost(grid: GridMap, chain) -> float:
-    """path_cost of the cells of a chain of grid's flat ids, read from
-    each step's coordinate deltas without building a cell: a step that
-    changes m axes by k adds k to the sum of the m-axis moves.  Every
-    step must be a lattice move (a search's predecessor chain is); it
-    is not checked."""
+def walk_chain(grid: GridMap, bp, start: int, goal: int) -> tuple[list[Cell], float]:
+    """The cells of a search's predecessor chain from flat id start to
+    flat id goal, and their path_cost, in one walk back from goal: bp[v]
+    is v's predecessor (a dict, or a sequence indexed by flat id).  Each
+    step adds its scale, read from the coordinate deltas with the cell
+    before it, to the sum of the moves that change as many axes, so the
+    cost is the same float as path_cost(cells).  Every step must be a
+    lattice move (a search's chain is); it is not checked.  Raises
+    SearchCorruptionError when the walk leaves bp or takes more steps
+    than bp has entries (a cycle) before it reaches start."""
     w = grid.extents[0]
-    wh = w * grid.extents[1]  # on a 2D map every z is 0
-    per_axes = [0, 0, 0, 0]
-    for u, v in zip(chain, chain[1:]):
-        dx, dy, dz = abs(v % w - u % w), abs(v % wh // w - u % wh // w), abs(v // wh - u // wh)
-        per_axes[(dx > 0) + (dy > 0) + (dz > 0)] += dx or dy or dz
-    return _lattice_total(*per_axes[1:])
+    sid = goal
+    try:
+        if grid.dim == 2:
+            a1 = a2 = 0
+            x, y = sid % w, sid // w
+            cells = [(x, y)]
+            for _ in repeat(None, len(bp)):
+                if sid == start:
+                    break
+                sid = bp[sid]
+                px, py = sid % w, sid // w
+                dx, dy = abs(px - x), abs(py - y)
+                if dx and dy:
+                    a2 += dx
+                else:
+                    a1 += dx or dy
+                cells.append((px, py))
+                x, y = px, py
+            per_axes = (a1, a2, 0)
+        else:
+            wh = w * grid.extents[1]
+            counts = [0, 0, 0, 0]
+            x, y, z = sid % w, sid % wh // w, sid // wh
+            cells = [(x, y, z)]
+            for _ in repeat(None, len(bp)):
+                if sid == start:
+                    break
+                sid = bp[sid]
+                px, py, pz = sid % w, sid % wh // w, sid // wh
+                dx, dy, dz = abs(px - x), abs(py - y), abs(pz - z)
+                counts[(dx > 0) + (dy > 0) + (dz > 0)] += dx or dy or dz
+                cells.append((px, py, pz))
+                x, y, z = px, py, pz
+            per_axes = counts[1:]
+    except (KeyError, IndexError):
+        sid = -1
+    if sid != start:
+        raise SearchCorruptionError("broken backpointer chain at goal")
+    cells.reverse()
+    return cells, _lattice_total(*per_axes)
 
 
 def _lattice_total(a1: int, a2: int, a3: int) -> float:

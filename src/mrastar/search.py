@@ -27,17 +27,17 @@ from .grid import (
     GridMap,
     ResolutionLadder,
     as_cell,
-    chain_cost,
     check_multiplier,
     coincides,
     flat_heuristic,
     is_integer,
+    walk_chain,
 )
-from .kernels import mask_bits
+from .kernels import SQRT2, mask_bits
 from .policies import POLICIES
 
 # Not called by the search core, which reads the grid's move tables and
-# sublattice masks and sums costs from predecessor chains instead; bound
+# sublattice masks and costs its predecessor chain instead; bound
 # here so that layer tracers (see perfbench/tracing.py) find the same
 # names on every planner module.
 from .grid import get_space_indices, heuristic, path_cost, successors_at_scale  # noqa: F401
@@ -246,8 +246,9 @@ class FlatSearch:
     best-first loop (run) that MRA* and the single-queue baselines share.
 
     g, bp and h map a flat id to its cost-to-come, backpointer and
-    heuristic; a state is generated once it has an h entry (start and
-    goal from the outset), so generated == len(h).  closed maps a flat
+    heuristic, grid.flat_heuristic of the goal (run computes it inline,
+    by the same expression); a state is generated once it has an h entry
+    (start and goal from the outset), so generated == len(h).  closed maps a flat
     id to the bitmask of queues that expanded it.  Queue j keys a state
     g + weights[j] * h and expands it with the grid's MoveTables of the
     scales in queue_scales[j], in order, each read through its decoded
@@ -278,16 +279,16 @@ class FlatSearch:
         self.opens = [OpenList() for _ in self.weights]
         self.expansions = [0] * len(self.weights)
         self._queue_masks = queue_masks
-        self._h_of = flat_heuristic(grid, goal)
         self.expansion_log: list[tuple[int, Cell]] | None = None
         self.start_id = grid.flat_index(start)
         self.goal_id = grid.flat_index(goal)
+        h_of = flat_heuristic(grid, goal)
         self.g = {self.start_id: 0.0}
-        self.h = {self.start_id: self._h_of(self.start_id)}
+        self.h = {self.start_id: h_of(self.start_id)}
         self.bp: dict[int, int] = {}
         self.closed: dict[int, int] = {}
         self.g.setdefault(self.goal_id, math.inf)
-        self.h.setdefault(self.goal_id, self._h_of(self.goal_id))
+        self.h.setdefault(self.goal_id, h_of(self.goal_id))
         h0 = self.h[self.start_id]
         for j in mask_bits(1 if queue_masks is None else queue_masks[self.start_id]):
             self.opens[j].insert_or_update(self.start_id, self.weights[j] * h0, 0.0)
@@ -313,13 +314,18 @@ class FlatSearch:
         from each of queue i's tables in turn, as the (offset, cost) pairs
         that table.moves caches for sid's mask: an improved successor
         takes the new g and backpointer and enters every queue of its
-        mask that has not closed it.  A successor whose mask is 1 (or
+        mask that has not closed it.  A successor generated here gets
+        its h inline, with no call: grid.flat_heuristic's expression,
+        octile in 2D and math.hypot of the axis deltas in 3D, the case
+        picked once per run.  A successor whose mask is 1 (or
         any, with queue_masks None) enters only the anchor, so only the
         anchor can have closed it: it is pushed there unless closed,
         without decoding a mask.  The coarse queues' nonempty list is
-        built only while one of them holds a state.  The loop reads the
-        anchor's top and pushes onto the open lists' _heap/_live itself;
-        OpenList.pop is its one call per expansion.
+        built only while one of them holds a state (never, with one
+        queue).  The loop reads the anchor's top and pushes onto the open
+        lists' _heap/_live itself; OpenList.pop is its one call per
+        expansion.  A solved result's path and cost come from one walk
+        back along bp (grid.walk_chain).
         """
         self.expansion_log = log = [] if log_expansions else None
         started = time.monotonic()
@@ -337,15 +343,23 @@ class FlatSearch:
             policy = self.policy
             choose_queue, update, feedback = policy.choose_queue, policy.update, policy.feedback
         g, h, bp, closed, goal_id = self.g, self.h, self.bp, self.closed, self.goal_id
-        h_of, weights, w0, qmasks = self._h_of, self.weights, self.weights[0], self._queue_masks
+        weights, w0, qmasks = self.weights, self.weights[0], self._queue_masks
         expansions, cell_of, tables = self.expansions, self.grid.cell_of, self.tables
+        # the heuristic's terms, as in grid.flat_heuristic
+        ext = self.grid.extents
+        w, flat, sqrt2, hypot = ext[0], len(ext) == 2, SQRT2, math.hypot
+        if flat:
+            gx, gy = cell_of(goal_id)
+        else:
+            wh = w * ext[1]
+            gx, gy, gz = cell_of(goal_id)
         bound, timeout = self.bound, self.timeout
         timed = timeout < math.inf
         inf = math.inf
         push = heappush
         i, ol = 0, anchor  # the expanding queue, back to the anchor after each coarse step
         while True:
-            nonempty = [j for j in coarse if live[j]] if any(coarse_live) else ()
+            nonempty = [j for j in coarse if live[j]] if coarse_live and any(coarse_live) else ()
             if not anchor_live and not nonempty:
                 break
             if timed and check_deadline(sum(expansions), started, timeout):
@@ -381,7 +395,12 @@ class FlatSearch:
                     ng = g_s + cost
                     gn = g.get(nid)
                     if gn is None:
-                        h[nid] = hn = h_of(nid)
+                        if flat:
+                            dx, dy = abs(nid % w - gx), abs(nid // w - gy)
+                            hn = dx * sqrt2 + (dy - dx) if dx < dy else dy * sqrt2 + (dx - dy)
+                        else:
+                            hn = hypot(nid % w - gx, nid % wh // w - gy, nid // wh - gz)
+                        h[nid] = hn
                     elif ng < gn:
                         hn = h[nid]
                     else:
@@ -407,28 +426,17 @@ class FlatSearch:
             raise SearchCorruptionError("queues drained with the goal reached but unclaimed")
         return self.result(STATUS_EXHAUSTED, None, t0)
 
-    def reconstruct_path(self) -> list[int]:
-        """The flat ids from the start to the goal, by backpointers."""
-        chain = []
-        sid = self.goal_id
-        limit = len(self.g) + 1
-        while sid != self.start_id:
-            chain.append(sid)
-            sid = self.bp.get(sid, -1)
-            if sid < 0 or len(chain) > limit:
-                raise SearchCorruptionError("broken backpointer chain at goal")
-        chain.append(self.start_id)
-        chain.reverse()
-        return chain
-
     def result(self, status: str, winning_queue: int | None, t0: float) -> PlanResult:
         wall = time.perf_counter() - t0
         solved = status == STATUS_SOLVED
-        chain = self.reconstruct_path() if solved else []
+        if solved:
+            path, cost = walk_chain(self.grid, self.bp, self.start_id, self.goal_id)
+        else:
+            path, cost = [], math.inf
         return PlanResult(
             status=status,
-            path=[self.grid.cell_of(s) for s in chain],
-            cost=chain_cost(self.grid, chain) if solved else math.inf,
+            path=path,
+            cost=cost,
             expansions=list(self.expansions),
             generated=self.generated,
             wall_time=wall,

@@ -9,7 +9,8 @@ replaced, kept verbatim (or marked "(adapted)") as the reference of
 the replacement's differential test: one per layer, the newest, for
 the move tables (full_move_table), the unit-lattice A*
 (bits_astar_unit), the search core (OpenList, FlatSearch, MraSearch),
-the open list, the parsers, scenario sampling and path costs.  When a
+the open list, the parsers, scenario sampling, path costs and chain
+costs.  When a
 replaced path moves in here, any reference whose outputs the new one
 pins on the same inputs leaves with its tests, and
 tests/test_oracles.py fails on a name no test reaches.  Slow is fine;
@@ -38,6 +39,7 @@ from mrastar.grid import (
     Cell,
     GridMap,
     MoveTable,
+    _lattice_total,
     directions,
     fine_components,
     flat_heuristic,
@@ -879,6 +881,34 @@ def listwise_path_cost(path: list[Cell]) -> float:
         else:
             a3 += k
     return (float(a1) + a2 * SQRT2) + a3 * SQRT3
+
+
+# grid.chain_cost and the cell list of search.FlatSearch.result, as they
+# were before grid.walk_chain took a solved search's cells and cost in
+# one walk back along its predecessor map; kept verbatim (the cell list
+# as chain_cells) as the reference of walk_chain's differential test
+# (tests/test_grid.py).
+
+
+def chain_cost(grid: GridMap, chain) -> float:
+    """path_cost of the cells of a chain of grid's flat ids, read from
+    each step's coordinate deltas without building a cell: a step that
+    changes m axes by k adds k to the sum of the m-axis moves.  Every
+    step must be a lattice move (a search's predecessor chain is); it
+    is not checked."""
+    w = grid.extents[0]
+    wh = w * grid.extents[1]  # on a 2D map every z is 0
+    per_axes = [0, 0, 0, 0]
+    for u, v in zip(chain, chain[1:]):
+        dx, dy, dz = abs(v % w - u % w), abs(v % wh // w - u % wh // w), abs(v // wh - u // wh)
+        per_axes[(dx > 0) + (dy > 0) + (dz > 0)] += dx or dy or dz
+    return _lattice_total(*per_axes[1:])
+
+
+def chain_cells(grid: GridMap, chain) -> list[Cell]:
+    """(adapted) was path=[self.grid.cell_of(s) for s in chain] in
+    search.FlatSearch.result."""
+    return [grid.cell_of(s) for s in chain]
 
 
 # search.OpenList and search.FlatSearch (with MraSearch on top) as they

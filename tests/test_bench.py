@@ -35,6 +35,20 @@ def test_make_tasks_layout(small_setup):
     assert again == tasks
 
 
+def test_make_tasks_refuses_maps_sharing_a_map_id(monkeypatch):
+    # these used to give 8 rows on ["mra", "astar"], all solved, while
+    # summarize, which keys instances by (map id, scenario), counted 2
+    # common instances per algo
+    sampled = []
+    monkeypatch.setattr(B, "gen_scenarios", lambda *a, **k: sampled.append(a) or [])
+    g1, g2 = syn.random_grid((12, 12), 0.1, seed=1), syn.random_grid((12, 12), 0.1, seed=2)
+    with pytest.raises(InvalidProblemError, match="two maps share the map id 'x'"):
+        B.make_tasks([("x", g1), ("x", g2)], 2, 5)
+    with pytest.raises(InvalidProblemError, match="'x'"):
+        B.make_tasks([("x", g1), ("y", g2), ("x", g1)], 2, 5)
+    assert sampled == []
+
+
 def test_run_bench_cardinality_and_order(small_setup):
     maps, ladder, tasks = small_setup
     rows = B.run_bench(tasks, ["mra", "astar"], ladder, PlannerConfig())

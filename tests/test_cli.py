@@ -330,6 +330,25 @@ def test_bench_refuses_empty_run(tmp_path, capsys, flag, value, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algos,message", [
+    ("mra,bfs", f"unknown algo 'bfs'; choose from {','.join(ALGOS)}"),
+    ("mra,wa-mr,mra", "--algos names 'mra' twice"),
+    (",", f"--algos names no algo; choose from {','.join(ALGOS)}"),
+], ids=["unknown", "repeated", "none"])
+def test_bench_checks_algos_before_sampling(tmp_path, capsys, monkeypatch, algos, message):
+    # --algos used to be refused only after every map's scenarios were sampled
+    monkeypatch.setattr(cli, "make_tasks", lambda *a: pytest.fail("make_tasks was called"))
+    g = syn.random_grid((12, 12), 0.1, seed=3)
+    (tmp_path / "m.map").write_text(serialize_movingai(g))
+    out = tmp_path / "results.csv"
+    code = run_cli(
+        "bench", "--maps", tmp_path / "*.map", "--format", "movingai",
+        "--algos", algos, "--out", out,
+    )
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err.strip() == f"mrastar: error: {message}"
+
+
 def test_bench_no_maps_matched(tmp_path, capsys):
     code = run_cli(
         "bench", "--maps", tmp_path / "*.map", "--format", "movingai",

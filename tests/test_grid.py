@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrastar import grid as G
-from mrastar.errors import InvalidProblemError
+from mrastar.errors import InvalidProblemError, SearchCorruptionError
 from mrastar.kernels import SQRT2, STEP
 
 import oracles
@@ -419,6 +420,23 @@ def test_path_cost_matches_naive_sum():
         assert math.isclose(G.path_cost(path), naive, rel_tol=1e-12)
 
 
+def _check_walk(g, path):
+    # walk_chain over the predecessor map of path's flat ids, as a dict and
+    # as a memoryview of int64 (-1 off the chain), against the cell list and
+    # chain_cost it replaced: equal cells, float.hex-equal costs
+    ids = [g.flat_index(c) for c in path]
+    bp = dict(zip(ids[1:], ids))
+    buf = array("q", [-1]) * g.size
+    for v, u in bp.items():
+        buf[v] = u
+    want = oracles.chain_cost(g, ids)
+    assert want.hex() == G.path_cost(path).hex()
+    for pred in (bp, memoryview(buf)):
+        cells, cost = G.walk_chain(g, pred, ids[0], ids[-1])
+        assert cells == oracles.chain_cells(g, ids) == path
+        assert cost.hex() == want.hex()
+
+
 @settings(max_examples=250)
 @given(
     extents=st.one_of(
@@ -429,13 +447,13 @@ def test_path_cost_matches_naive_sum():
     steps=st.lists(st.integers(0, 2**32), max_size=39),
 )
 def test_chain_cost_hex_equal_to_path_cost(extents, origin, steps):
-    # random walks of 1-40 cells, each step a lattice move of an odd
-    # scale that fits the map from the walk's cell, kept on the map
+    # random predecessor chains of 1-40 distinct cells, each step a lattice
+    # move of a scale up to the longest extent - 1 that stays on the map
     g = G.GridMap.empty(tuple(extents))
     path = [tuple(o % n for o, n in zip(origin, extents))]
     for pick in steps:
         cell = path[-1]
-        scales = [k for k in range(1, max(extents), 2)
+        scales = [k for k in range(1, max(extents))
                   if any(c + k < n or c >= k for c, n in zip(cell, extents))]
         if not scales:  # a one-cell map
             break
@@ -443,10 +461,36 @@ def test_chain_cost_hex_equal_to_path_cost(extents, origin, steps):
         axes = [[s for s in (0, -1, 1) if 0 <= c + k * s < n] for c, n in zip(cell, extents)]
         moves = [step for step in itertools.product(*axes) if any(step)]
         step = moves[pick // len(scales) % len(moves)]
-        path.append(tuple(c + k * s for c, s in zip(cell, step)))
-    ids = [g.flat_index(c) for c in path]
-    assert G.chain_cost(g, ids).hex() == G.path_cost(path).hex()
-    assert G.chain_cost(g, ids[:1]).hex() == G.path_cost(path[:1]).hex() == (0.0).hex()
+        nxt = tuple(c + k * s for c, s in zip(cell, step))
+        if nxt not in path:  # a chain visits a cell once
+            path.append(nxt)
+    _check_walk(g, path)
+    _check_walk(g, path[:1])
+    assert G.walk_chain(g, {}, g.flat_index(path[0]), g.flat_index(path[0]))[1].hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize("extents,path", [
+    # on a map of width w, the move (w - 1, 0) and the unit diagonal
+    # (-1, 1) share the flat offset w - 1, at costs w - 1 and sqrt(2)
+    ((6, 3), [(0, 0), (5, 0), (4, 1), (4, 2), (5, 1)]),
+    ((2, 2), [(0, 0), (1, 0), (0, 1), (1, 1)]),
+    ((4, 3, 2), [(0, 0, 0), (3, 0, 0), (2, 1, 0), (2, 1, 1), (3, 0, 1), (0, 0, 1)]),
+    ((9, 9), [(0, 0), (8, 8), (0, 8), (8, 0)]),
+], ids=["2d-w6-k5", "2d-w2-k1", "3d-w4-k3", "2d-k8"])
+def test_walk_chain_reads_moves_a_flat_offset_cannot_tell_apart(extents, path):
+    _check_walk(G.GridMap.empty(extents), path)
+
+
+def test_walk_chain_refuses_a_broken_chain():
+    g = G.GridMap.empty((5, 5))
+    with pytest.raises(SearchCorruptionError):
+        G.walk_chain(g, {12: 6, 6: 12}, 0, 12)  # a cycle
+    with pytest.raises(SearchCorruptionError):
+        G.walk_chain(g, {12: 6}, 0, 12)  # leaves bp
+    buf = array("q", [-1]) * g.size
+    buf[12] = 6
+    with pytest.raises(SearchCorruptionError):
+        G.walk_chain(g, memoryview(buf), 0, 12)  # reaches -1, not the start
 
 
 def _outcome(f, path):

@@ -399,6 +399,44 @@ def test_anchor_min_key_never_exceeds_optimal_cost():
         assert res.cost <= 2.0 * ref + 1e-9
 
 
+@pytest.mark.parametrize("extents,density,ladder,seed", [
+    ((64, 57), 0.3, (1, 7, 21), 1),
+    ((33, 40), 0.45, (1, 3, 9), 2),
+    ((16, 13, 11), 0.25, (1, 3, 9), 3),
+    ((9, 9, 9), 0.4, (1, 3), 4),
+], ids=["2d", "2d-dense", "3d", "3d-dense"])
+def test_every_h_entry_is_flat_heuristic(monkeypatch, extents, density, ladder, seed):
+    # FlatSearch.run computes a new state's h inline; each entry of a
+    # finished run, solved or exhausted, is grid.flat_heuristic's float
+    runs = []
+
+    class Recording(S.FlatSearch):
+        def run(self, log_expansions=False):
+            runs.append(self)
+            return super().run(log_expansions)
+
+    monkeypatch.setattr(B, "FlatSearch", Recording)
+    grid = syn.random_grid(extents, density, seed=seed)
+    rng = np.random.default_rng(seed)
+    free = np.flatnonzero(~grid.flat_blocked)
+    lad = G.ResolutionLadder(ladder)
+    checked = 0
+    for a, b in rng.choice(free, size=(6, 2)):
+        start, goal = grid.cell_of(int(a)), grid.cell_of(int(b))
+        search = S.MraSearch(S.Problem(grid, start, goal, lad))
+        search.run()
+        runs.append(search)
+        B.weighted_astar(grid, start, goal, w=3.0)
+        B.wa_union(grid, start, goal, lad, w=2.0)
+        assert len(runs) == 3
+        h_of = G.flat_heuristic(grid, goal)
+        for run in runs:
+            assert [v.hex() for v in run.h.values()] == [h_of(sid).hex() for sid in run.h]
+            checked += len(run.h)
+        runs.clear()
+    assert checked > 300
+
+
 def test_start_inserted_into_coinciding_queues_only():
     lad = G.ResolutionLadder((1, 7, 21))
     g = G.GridMap.empty((64, 64))
@@ -415,9 +453,14 @@ def test_reconstruct_detects_corruption():
     search = S.MraSearch(S.Problem(g, (0, 0), (4, 4)))
     res = search.run()
     assert res.status == S.STATUS_SOLVED
+    # a solved result walks bp back from the goal: a cycle, and a walk
+    # that leaves bp, are each refused
     search.bp[search.goal_id] = search.goal_id
-    with pytest.raises(SearchCorruptionError):
-        search.reconstruct_path()
+    with pytest.raises(SearchCorruptionError, match="broken backpointer chain"):
+        search.result(S.STATUS_SOLVED, 0, 0.0)
+    del search.bp[search.goal_id]
+    with pytest.raises(SearchCorruptionError, match="broken backpointer chain"):
+        search.result(S.STATUS_SOLVED, 0, 0.0)
 
 
 def test_drained_queues_with_a_reached_goal_are_corruption():
