@@ -179,7 +179,7 @@ def measure(trees: list[Path], families=FAMILIES, rounds: int = 15, seed: int = 
         runners = [Runner(m, family, texts, seed) for m in mods]
         for case in CASES:
             want = [[r.fields(case, t)[1] for t in tasks] for r in runners]  # untimed, warms caches
-            times = [[[] for _ in tasks] for _ in mods]  # per tree, per task: seconds per round
+            times = [[[] for _ in tasks] for _ in mods]  # per tree, per task: ms per round
             for rnd in range(rounds):
                 gc.collect()
                 for n, task in enumerate(tasks):

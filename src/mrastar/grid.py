@@ -45,8 +45,8 @@ from .kernels import MASK_BITS, directions, mask_bits  # noqa: F401  (re-exporte
 
 Cell = tuple[int, ...]
 
-# {int}.issuperset(map(type, t)) is True iff every entry of t is a Python
-# int, bools excluded: the fast path of as_cell and space_masks.
+# _INT.issuperset(map(type, t)) holds iff every entry of t is a Python
+# int (a bool is not): the fast path of as_cell and space_masks.
 _INT = frozenset({int})
 
 
@@ -194,8 +194,7 @@ class GridMap:
         key = ("spaces", multipliers)
         masks = self._cache.get(key)
         if masks is None:
-            multipliers = tuple(map(check_multiplier, multipliers))
-            masks = _build_space_masks(self, multipliers)
+            masks = _build_space_masks(self, tuple(map(check_multiplier, multipliers)))
             self._cache[key] = masks
         return masks
 

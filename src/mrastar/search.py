@@ -247,16 +247,16 @@ class FlatSearch:
 
     g, bp and h map a flat id to its cost-to-come, backpointer and
     heuristic, grid.flat_heuristic of the goal (run computes it inline,
-    by the same expression); a state is generated once it has an h entry
-    (start and goal from the outset), so generated == len(h).  closed maps a flat
-    id to the bitmask of queues that expanded it.  Queue j keys a state
-    g + weights[j] * h and expands it with the grid's MoveTables of the
-    scales in queue_scales[j], in order, each read through its decoded
-    moves (MoveTable.moves), but for an empty table (no move at any
-    state), which would relax nothing and is left out.  A coarse
-    table holds no moves off its sublattice, so wa_union's one queue,
-    listing the whole ladder, gives a state the moves of exactly the
-    scales whose sublattice holds it.
+    by the same expression); a state is generated once it has an h
+    entry (start and goal from the outset), so generated == len(h).
+    closed maps a flat id to the bitmask of queues that expanded it.
+    Queue j keys a state g + weights[j] * h and expands it with the
+    grid's MoveTables of the scales in queue_scales[j], in order, each
+    read through its decoded moves (MoveTable.moves), but for an empty
+    table (no move at any state), which would relax nothing and is left
+    out.  A coarse table holds no moves off its sublattice, so
+    wa_union's one queue, listing the whole ladder, gives a state the
+    moves of exactly the scales whose sublattice holds it.
 
     queue_masks gives, per flat id, the queues an improved state (and
     the start) enters unless already closed there; None means queue 0
@@ -427,6 +427,11 @@ class FlatSearch:
         return self.result(STATUS_EXHAUSTED, None, t0)
 
     def result(self, status: str, winning_queue: int | None, t0: float) -> PlanResult:
+        """The PlanResult of a run that ended with status, timed from
+        perf_counter() reading t0.  A solved one takes its path and cost
+        from one walk back along bp from the goal (grid.walk_chain):
+        the cells, and the same float as path_cost of them.  A broken
+        chain raises SearchCorruptionError."""
         wall = time.perf_counter() - t0
         solved = status == STATUS_SOLVED
         if solved:
