@@ -149,10 +149,11 @@ def make_tasks(
     InvalidProblemError, before sampling any scenario, when two maps
     share a map id: summarize keys instances by (map id, scenario), so
     their rows would count as one."""
-    ids = [map_id for map_id, _ in maps]
-    for n, map_id in enumerate(ids):
-        if map_id in ids[:n]:
+    seen = set()
+    for map_id, _ in maps:
+        if map_id in seen:
             raise InvalidProblemError(f"two maps share the map id {map_id!r}")
+        seen.add(map_id)
     tasks = []
     for idx, (map_id, grid) in enumerate(maps):
         scens = gen_scenarios(grid, scenarios_per_map, seed + idx, map_id=map_id)

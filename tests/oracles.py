@@ -10,9 +10,8 @@ the replacement's differential test: one per layer, the newest, for
 the move tables (full_move_table), the unit-lattice A*
 (bits_astar_unit), the search core (OpenList, FlatSearch, MraSearch),
 the open list, the parsers, scenario sampling, path costs and chain
-costs.  When a
-replaced path moves in here, any reference whose outputs the new one
-pins on the same inputs leaves with its tests, and
+costs.  When a replaced path moves in here, any reference whose
+outputs the new one pins on the same inputs leaves with its tests, and
 tests/test_oracles.py fails on a name no test reaches.  Slow is fine;
 these run on small inputs.
 """
