@@ -1,38 +1,53 @@
-"""Time the plan pass, task by task, for one or more source trees.
+"""A/B timer of a map's set-up layers, the plan pass and the oracle, for
+one or more source trees.
 
     python3 scripts/bench_plan.py [TREE ...] [--rounds N] [--seed S] [--out FILE]
 
 A TREE is a checkout with the package under src/mrastar; the default is
-this repository.  As in scripts/bench_setup.py, each tree is imported
-under its own module name, so that all of them run in one process.
+this repository.  Each tree is imported under its own module name, so
+that all of them run in one process.
 
-The tasks are shaped like perfbench's workloads and are picked by the
-program itself (the first tree): maps from synthetic.random_grid,
-serialized, so that every tree parses the same text, and, on each map,
-the first sampled pairs whose baselines.dijkstra_optimal cost lies in
-the family's band.  plan3d: five 24^3 vox3 maps of density 0.25, 24
-pairs each from gen_scenarios with optimal cost 13-15, one dts mra plan
-per task (ladder 1,9,27).  bench2d: fifty 64-80 wide movingai maps of
-density 0.30, 2 pairs each from bench.make_tasks with optimal cost
-34-38, every bench algo per task, round robin (ladder 1,7,21).  Each
-task has two cases: plan, its planner calls through bench.run_algo (a
-refused call, wa-low off its sublattice, included), and oracle, one
-dijkstra_optimal call.
+The maps are shaped like perfbench's workloads and are made by the first
+tree's synthetic.random_grid and serializers, so every tree parses the
+same text.  plan3d: five 24^3 vox3 maps of density 0.25, 2000 pairs
+sampled per map by gen_scenarios, one dts mra plan per query (ladder
+1,9,27).  bench2d: fifty 64-80 wide movingai maps of density 0.30, 300
+pairs per map by bench.make_tasks, every bench algo per query, round
+robin (ladder 1,7,21).  The tasks are, on each map, the first 24
+(plan3d) or 2 (bench2d) sampled pairs whose baselines.dijkstra_optimal
+cost, by the first tree, lies in 13-15 (plan3d) or 34-38 (bench2d).
 
-Every tree runs every task once untimed, which fills the per-map caches
-and records the task's results.  Then, in each of N rounds, the trees
-take turns task by task, in an order that alternates from task to task
-and from round to round, so that host drift reaches every tree alike.
-A task whose results differ from its untimed run stops the run.
+The cases, per map, from its text, so that nothing is cached:
+- parse: parse_vox3 or parse_movingai_map;
+- labels: maps_io.fine_components;
+- scenarios: the map's sampled pairs, which label the map again;
+- move_table k=K: GridMap.move_table(K) for each scale, smallest first,
+  so that k = 1 is the unit-move builder and each coarse table reads it;
+- space_masks: GridMap.space_masks(ladder);
+- first_query: the planner calls on the first sampled pair;
+- setup: the sum of every layer but labels, the work of perfbench's
+  setup_s.
+And per task, on maps parsed once: plan, its planner calls through
+bench.run_algo (a refused call, wa-low off its sublattice, included),
+and oracle, one dijkstra_optimal call.
 
-Each case reports, per tree, the median over tasks of each task's
-minimum, first quartile, median and third quartile over the rounds,
-and a digest of every deterministic PlanResult field (status, path,
-cost, expansions, generated, winning_queue, bound) of every task, or of
-the oracle's costs.  Against the first tree, a tree whose digest equals
-the first tree's also gets, over the tasks, the ratio of its per-task
+Every tree runs every item (a map or a task) once untimed, which records
+its work and fills the per-map caches of the plan and oracle cases.
+Then, in each of N rounds, after one gc.collect, the trees take turns
+item by item, in an order that alternates from item to item and from
+round to round, so that host drift reaches every tree alike.  An item
+whose work differs from its untimed run stops the run.
+
+Each case reports, per tree, the median over items of each item's
+minimum, first quartile, median and third quartile over the rounds, and
+a digest of its deterministic work: per map, the layer's work record
+(cells, components, scenarios, digests of the tables, the masks and the
+first query's results), which the set-up rows also list; per task, every
+PlanResult field (status, path, cost, expansions, generated,
+winning_queue, bound) or the oracle's cost.  A tree whose digest equals
+the first tree's also gets, over the items, the ratio of its per-item
 median to the first tree's (median and quartiles) and the number of
-tasks it ran faster; with different digests there is no ratio.  The run
+items it ran faster; with different digests there is no ratio.  The run
 is appended to FILE (default BENCH_plan.json at the root of this
 repository), with each tree's git commit and whether it had uncommitted
 changes.
@@ -40,10 +55,14 @@ changes.
 
 import argparse
 import gc
+import hashlib
+import importlib
 import importlib.util
+import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -53,16 +72,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = "bench_plan/1"
-
-
-def _sibling(name: str):
-    spec = importlib.util.spec_from_file_location(name, Path(__file__).with_name(f"{name}.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench_setup = _sibling("bench_setup")
+BENCH_ALGOS = ("mra", "wa-high", "wa-low", "wa-mr", "astar")
 
 
 class Family(NamedTuple):
@@ -84,9 +94,8 @@ FAMILIES = (
     Family("plan3d", 3, (24, 24), 0.25, 5, 24, (13.0, 15.0), 2000, (1, 9, 27), "program",
            ("mra",), "dts"),
     Family("bench2d", 2, (64, 80), 0.30, 50, 2, (34.0, 38.0), 300, (1, 7, 21), "bench",
-           bench_setup.BENCH_ALGOS, "round_robin"),
+           BENCH_ALGOS, "round_robin"),
 )
-CASES = ("plan", "oracle")
 
 
 class Task(NamedTuple):
@@ -95,28 +104,51 @@ class Task(NamedTuple):
     goal: tuple[int, ...]
 
 
-def pick_tasks(m, family: Family, texts, seed: int) -> list[Task]:
-    """The first family.per_map sampled pairs of each map whose optimal
-    cost, by tree m's dijkstra_optimal, lies in family.band."""
-    lo, hi = family.band
-    parse = m.maps_io.parse_vox3 if family.dim == 3 else m.maps_io.parse_movingai_map
-    tasks = []
-    for idx, (map_id, text) in enumerate(texts):
-        grid = parse(text)
-        if family.sampler == "bench":
-            pairs = [(t.start, t.goal)
-                     for t in m.bench.make_tasks([(map_id, grid)], family.pool, seed + idx)]
-        else:
-            pairs = [(s.start, s.goal) for s in m.maps_io.gen_scenarios(grid, family.pool, seed + idx)]
-        found = 0
-        for start, goal in pairs:
-            # the heuristic never exceeds the optimum: skip the search when it is above the band
-            if m.grid.heuristic(start, goal) <= hi and lo <= m.baselines.dijkstra_optimal(grid, start, goal) <= hi:
-                tasks.append(Task(idx, start, goal))
-                found += 1
-                if found == family.per_map:
-                    break
-    return tasks
+def load_tree(root: Path, name: str):
+    """The package under root/src/mrastar, imported as `name`, afresh
+    when a package of that name was imported before."""
+    for loaded in [n for n in sys.modules if n == name or n.startswith(name + ".")]:
+        del sys.modules[loaded]
+    pkg = root / "src" / "mrastar"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    for sub in ("baselines", "bench", "grid", "maps_io", "search", "synthetic"):
+        importlib.import_module(f"{name}.{sub}")
+    return module
+
+
+def git_state(root: Path) -> dict:
+    def git(*args):
+        out = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    commit = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"commit": commit, "dirty": None if commit is None else bool(status)}
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(bytes(p) if isinstance(p, memoryview) else repr(p).encode())
+    return h.hexdigest()[:16]
+
+
+def map_texts(m, family: Family, seed: int) -> list[tuple[str, str]]:
+    """(map id, text) per map of family, drawn from seed with tree m."""
+    rng = np.random.default_rng([seed, family.dim])
+    serialize = m.maps_io.serialize_vox3 if family.dim == 3 else m.maps_io.serialize_movingai
+    out = []
+    for i in range(family.maps):
+        extents = tuple(int(rng.integers(family.sizes[0], family.sizes[1] + 1))
+                        for _ in range(family.dim))
+        grid = m.synthetic.random_grid(extents, family.density, int(rng.integers(1 << 30)))
+        out.append((f"{family.name}-{i}", serialize(grid)))
+    return out
 
 
 def plan_fields(result) -> tuple:
@@ -131,35 +163,97 @@ class Runner:
     """One tree's maps and planner calls for one family."""
 
     def __init__(self, m, family: Family, texts, seed: int):
-        parse = m.maps_io.parse_vox3 if family.dim == 3 else m.maps_io.parse_movingai_map
         self.m = m
         self.family = family
-        self.grids = [parse(text) for _, text in texts]
+        self.texts = texts
+        self.seed = seed
+        self.parse = m.maps_io.parse_vox3 if family.dim == 3 else m.maps_io.parse_movingai_map
+        self.grids = [self.parse(text) for _, text in texts]
         self.ladder = m.grid.ResolutionLadder(family.ladder)
         self.config = m.search.PlannerConfig(w1=3.0, w2=3.0, policy=family.policy, seed=seed)
 
-    def plan(self, task: Task) -> list:
-        m, grid = self.m, self.grids[task.map_index]
+    def pairs(self, grid, idx: int) -> list:
+        """The family.pool (start, goal) pairs sampled on map idx."""
+        m, family, seed = self.m, self.family, self.seed + idx
+        if family.sampler == "bench":
+            tasks = m.bench.make_tasks([(self.texts[idx][0], grid)], family.pool, seed)
+            return [(t.start, t.goal) for t in tasks]
+        return [(s.start, s.goal) for s in m.maps_io.gen_scenarios(grid, family.pool, seed)]
+
+    def queries(self, grid, start, goal) -> list:
+        """Every family algo's PlanResult on one query, None where refused."""
         out = []
         for algo in self.family.algos:
             try:
-                out.append(m.bench.run_algo(algo, grid, task.start, task.goal, self.ladder, self.config))
-            except m.InvalidProblemError:
+                out.append(self.m.bench.run_algo(algo, grid, start, goal, self.ladder, self.config))
+            except self.m.InvalidProblemError:
                 out.append(None)
         return out
+
+    def plan(self, task: Task) -> list:
+        return self.queries(self.grids[task.map_index], task.start, task.goal)
 
     def oracle(self, task: Task) -> float:
         return self.m.baselines.dijkstra_optimal(self.grids[task.map_index], task.start, task.goal)
 
-    def fields(self, case: str, task: Task):
-        """(seconds, deterministic fields) of one call of case on task."""
-        call = self.plan if case == "plan" else self.oracle
+    def setup(self, idx: int) -> tuple[dict, dict]:
+        """Map idx's set-up from its text, layer by layer: (seconds, work)."""
+        times, work = {}, {}
+
+        def timed(case, call, *args):
+            t = time.perf_counter()
+            out = call(*args)
+            times[case] = time.perf_counter() - t
+            return out
+
+        grid = timed("parse", self.parse, self.texts[idx][1])
+        work["parse"] = {"cells": grid.size, "blocked": int(grid.blocked.sum())}
+        labels = timed("labels", self.m.maps_io.fine_components, grid)
+        work["labels"] = {"components": int(labels.max()) + 1}
+        pairs = timed("scenarios", self.pairs, grid, idx)
+        work["scenarios"] = {"count": len(pairs), "digest": digest(pairs)}
+        for k in sorted(self.family.ladder):
+            table = timed(f"move_table k={k}", grid.move_table, k)
+            work[f"move_table k={k}"] = {
+                "digest": digest(table.masks, table.offsets, [c.hex() for c in table.costs])
+            }
+        work["space_masks"] = {"digest": digest(timed("space_masks", grid.space_masks, self.family.ladder))}
+        results = timed("first_query", self.queries, grid, *pairs[0])
+        work["first_query"] = {
+            "expansions": sum(sum(r.expansions) for r in results if r is not None),
+            "digest": digest([plan_fields(r) for r in results]),
+        }
+        times["setup"] = sum(s for case, s in times.items() if case != "labels")
+        return times, work
+
+    def run(self, stage: str, item) -> tuple[dict, dict]:
+        """(seconds, work) per case of one call of stage on item: the
+        set-up layers of a map index, or the plan or oracle of a task."""
+        if stage == "setup":
+            return self.setup(item)
+        call = self.plan if stage == "plan" else self.oracle
         t = time.perf_counter()
-        out = call(task)
+        out = call(item)
         seconds = time.perf_counter() - t
-        if case == "plan":
-            return seconds, [plan_fields(r) for r in out]
-        return seconds, out.hex()
+        return {stage: seconds}, {stage: [plan_fields(r) for r in out] if stage == "plan" else out.hex()}
+
+
+def pick_tasks(runner: Runner) -> list[Task]:
+    """The first family.per_map sampled pairs of each map whose optimal
+    cost, by the runner's dijkstra_optimal, lies in family.band."""
+    m, family = runner.m, runner.family
+    lo, hi = family.band
+    tasks = []
+    for idx, grid in enumerate(runner.grids):
+        found = 0
+        for start, goal in runner.pairs(grid, idx):
+            # the heuristic never exceeds the optimum: skip the search when it is above the band
+            if m.grid.heuristic(start, goal) <= hi and lo <= m.baselines.dijkstra_optimal(grid, start, goal) <= hi:
+                tasks.append(Task(idx, start, goal))
+                found += 1
+                if found == family.per_map:
+                    break
+    return tasks
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -169,45 +263,50 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
 
 def measure(trees: list[Path], families=FAMILIES, rounds: int = 15, seed: int = 1) -> dict:
     """One run: every family's cases for every tree, as a JSON record."""
-    mods = [bench_setup.load_tree(root, f"_plan_tree{i}") for i, root in enumerate(trees)]
+    mods = [load_tree(root, f"_bench_tree{i}") for i, root in enumerate(trees)]
     results = []
     counts = {}
     for family in families:
-        texts = bench_setup.map_texts(mods[0], family, seed)
-        tasks = pick_tasks(mods[0], family, texts, seed)
-        counts[family.name] = len(tasks)
+        texts = map_texts(mods[0], family, seed)
         runners = [Runner(m, family, texts, seed) for m in mods]
-        for case in CASES:
-            want = [[r.fields(case, t)[1] for t in tasks] for r in runners]  # untimed, warms caches
-            times = [[[] for _ in tasks] for _ in mods]  # per tree, per task: ms per round
+        tasks = pick_tasks(runners[0])
+        counts[family.name] = len(tasks)
+        for stage, items in (("setup", range(len(texts))), ("plan", tasks), ("oracle", tasks)):
+            want = [[r.run(stage, item)[1] for item in items] for r in runners]  # untimed
+            times = [[{} for _ in items] for _ in mods]  # per tree, per item: ms per round, per case
             for rnd in range(rounds):
                 gc.collect()
-                for n, task in enumerate(tasks):
-                    order = list(range(len(mods)))[::(-1) ** (rnd + n)]
-                    for i in order:
-                        seconds, got = runners[i].fields(case, task)
+                for n, item in enumerate(items):
+                    for i in list(range(len(mods)))[::(-1) ** (rnd + n)]:
+                        seconds, got = runners[i].run(stage, item)
                         if got != want[i][n]:
-                            raise RuntimeError(f"tree {i}: {family.name} task {n} did different work")
-                        times[i][n].append(seconds * 1e3)
-            digests = [bench_setup.digest(w) for w in want]
-            medians = [[statistics.median(ts) for ts in times[i]] for i in range(len(mods))]
-            for i in range(len(mods)):
-                per_task = [(min(ts), *quartiles(ts)) for ts in times[i]]
-                row = {
-                    "family": family.name, "case": case, "tree": i, "digest": digests[i],
-                    **{f"{stat}_ms": round(statistics.median(col), 4)
-                       for stat, col in zip(("min", "q1", "median", "q3"), zip(*per_task))},
-                }
-                if i and digests[i] == digests[0]:
-                    ratios = [a / b for a, b in zip(medians[i], medians[0])]
-                    q1, med, q3 = quartiles(ratios)
-                    row["ratio"] = {"q1": round(q1, 4), "median": round(med, 4), "q3": round(q3, 4)}
-                    row["wins"] = sum(a < b for a, b in zip(medians[i], medians[0]))
-                elif i:
-                    row["ratio"] = row["wins"] = None
-                results.append(row)
+                            raise RuntimeError(f"tree {i}: {family.name} {stage} item {n} did different work")
+                        for case, s in seconds.items():
+                            times[i][n].setdefault(case, []).append(s * 1e3)
+            for case in times[0][0]:
+                works = [[w.get(case) for w in want[i]] for i in range(len(mods))]
+                # setup, a sum, has no work of its own: its digest covers every layer's
+                digests = [digest(want[i] if case == "setup" else works[i]) for i in range(len(mods))]
+                medians = [[statistics.median(t[case]) for t in times[i]] for i in range(len(mods))]
+                for i in range(len(mods)):
+                    per_item = [(min(t[case]), *quartiles(t[case])) for t in times[i]]
+                    row = {
+                        "family": family.name, "case": case, "tree": i, "digest": digests[i],
+                        **{f"{stat}_ms": round(statistics.median(col), 4)
+                           for stat, col in zip(("min", "q1", "median", "q3"), zip(*per_item))},
+                    }
+                    if stage == "setup":
+                        row["work"] = None if case == "setup" else works[i]
+                    if i and digests[i] == digests[0]:
+                        ratios = [a / b for a, b in zip(medians[i], medians[0])]
+                        q1, med, q3 = quartiles(ratios)
+                        row["ratio"] = {"q1": round(q1, 4), "median": round(med, 4), "q3": round(q3, 4)}
+                        row["wins"] = sum(a < b for a, b in zip(medians[i], medians[0]))
+                    elif i:
+                        row["ratio"] = row["wins"] = None
+                    results.append(row)
     return {
-        "trees": [bench_setup.git_state(root) for root in trees],
+        "trees": [git_state(root) for root in trees],
         "host": {"python": platform.python_version(), "numpy": np.__version__,
                  "machine": platform.machine(), "cores": len(os.sched_getaffinity(0))},
         "rounds": rounds,
@@ -218,6 +317,16 @@ def measure(trees: list[Path], families=FAMILIES, rounds: int = 15, seed: int = 
     }
 
 
+def append_run(path: Path, run: dict) -> None:
+    doc = {"schema": SCHEMA, "runs": []}
+    if path.exists():
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if doc.get("schema") != SCHEMA:
+            raise SystemExit(f"{path}: schema is not {SCHEMA}")
+    doc["runs"].append(run)
+    path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", type=Path, default=[ROOT])
@@ -226,13 +335,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_plan.json")
     args = parser.parse_args(argv)
     run = measure([t.resolve() for t in args.trees], rounds=args.rounds, seed=args.seed)
-    bench_setup.append_run(args.out, run, SCHEMA)
+    append_run(args.out, run)
+    items = {f["name"]: f["maps"] for f in run["families"]}
     for r in run["results"]:
-        line = (f"{r['family']:8s} {r['case']:6s} tree {r['tree']}: median {r['median_ms']:.4f} ms "
+        line = (f"{r['family']:8s} {r['case']:16s} tree {r['tree']}: median {r['median_ms']:.4f} ms "
                 f"[{r['q1_ms']:.4f}, {r['q3_ms']:.4f}], min {r['min_ms']:.4f}, digest {r['digest']}")
         if r.get("ratio"):
+            n = run["tasks"][r["family"]] if r["case"] in ("plan", "oracle") else items[r["family"]]
             line += (f"; ratio {r['ratio']['median']:.3f} [{r['ratio']['q1']:.3f}, "
-                     f"{r['ratio']['q3']:.3f}], faster on {r['wins']}/{run['tasks'][r['family']]} tasks")
+                     f"{r['ratio']['q3']:.3f}], faster on {r['wins']}/{n}")
         elif r["tree"]:
             line += "; different work, no ratio"
         print(line)

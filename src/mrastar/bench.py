@@ -111,10 +111,13 @@ def run_algo(
 ) -> PlanResult:
     """Run the planner ALGOS names algo on one query.
 
-    Raises InvalidProblemError for an unknown algo and when the query
-    violates the planner's preconditions (notably wa-low with endpoints
-    off its sublattice).
+    ladder is a ResolutionLadder or any sequence that makes one.
+    Raises InvalidProblemError for an unknown algo or a bad ladder, and
+    when the query violates the planner's preconditions (notably wa-low
+    with endpoints off its sublattice).
     """
+    if not isinstance(ladder, ResolutionLadder):
+        ladder = ResolutionLadder(ladder)
     return _planner(algo)(grid, start, goal, ladder, config, log_expansions)
 
 
@@ -169,9 +172,13 @@ def run_bench(
     config: PlannerConfig,
 ) -> list[BenchRow]:
     """Run every algo on every task, one after another in this process;
-    rows come back sorted by (map, algo, scenario).  Raises
-    InvalidProblemError for algos that _check_algos refuses."""
+    rows come back sorted by (map, algo, scenario).  ladder is a
+    ResolutionLadder or any sequence that makes one.  Raises
+    InvalidProblemError, before any task runs, for algos that
+    _check_algos refuses and for a bad ladder."""
     _check_algos(algos)
+    if not isinstance(ladder, ResolutionLadder):
+        ladder = ResolutionLadder(ladder)
     rows = [_run_one(task, algo, ladder, config) for task in tasks for algo in algos]
     rows.sort(key=lambda r: (r.map_id, r.algo, r.scenario))
     return rows

@@ -170,7 +170,12 @@ class GridMap:
 
     def move_table(self, k: int) -> MoveTable:
         """The scale-k MoveTable of this map, built on first use and
-        cached for every later query, planner and oracle call."""
+        cached for every later query, planner and oracle call.  The
+        cache is read first when k is a Python int, since only checked
+        ones are cached; anything else (a float or a bool compares equal
+        to an int key) is checked and converted first."""
+        if type(k) is not int:
+            k = check_multiplier(k)
         key = ("moves", k)
         table = self._cache.get(key)
         if table is None:

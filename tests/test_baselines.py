@@ -357,9 +357,11 @@ def test_walow_success_contained_in_mra():
 def test_baseline_properties(extents, density, seed, coarse, w, ends):
     # astar is exact, float.hex equal to the oracle; wa-high and wa-mr
     # (over a ladder of zero to three odd coarse levels) stay within
-    # w times the unit-lattice optimum; every planner solves a query iff
-    # its endpoints share a fine component, and a solved cost is the
-    # path_cost of its path
+    # w times the unit-lattice optimum, and wa-mr at w = 1 is optimal up
+    # to rounding (its union graph holds the unit lattice, and a coarse
+    # move costs what its k unit steps cost); every planner solves a
+    # query iff its endpoints share a fine component, and a solved cost
+    # is the path_cost of its path
     grid = syn.random_grid(tuple(extents), density, seed)
     free = np.flatnonzero(~grid.flat_blocked)
     assume(free.size)
@@ -372,6 +374,7 @@ def test_baseline_properties(extents, density, seed, coarse, w, ends):
         "astar": B.weighted_astar(grid, start, goal),
         "wa-high": B.weighted_astar(grid, start, goal, w=w),
         "wa-mr": B.wa_union(grid, start, goal, (1, *sorted(coarse)), w=w),
+        "wa-mr w=1": B.wa_union(grid, start, goal, (1, *sorted(coarse)), w=1.0),
     }
     for name, res in results.items():
         assert res.status == (S.STATUS_SOLVED if connected else S.STATUS_EXHAUSTED), name
@@ -382,6 +385,7 @@ def test_baseline_properties(extents, density, seed, coarse, w, ends):
         assert results["astar"].cost.hex() == opt.hex()
         for name in ("wa-high", "wa-mr"):
             assert results[name].cost <= w * opt * (1 + 1e-9), name
+        assert math.isclose(results["wa-mr w=1"].cost, opt, rel_tol=1e-9)
 
 
 def _sublattice_cells(grid, k):

@@ -71,17 +71,22 @@ def test_run_bench_refuses_a_bad_algo_list(small_setup, algos):
 
 def test_an_unknown_algo_is_refused_one_way(small_setup):
     # run_algo used to raise a plain ValueError, and run_bench a
-    # MrastarError, for the same name
+    # MrastarError, for the same name; a bad ladder used to give run_bench
+    # invalid mra and wa-mr rows beside solved astar rows
     maps, ladder, tasks = small_setup
     t, cfg = tasks[0], PlannerConfig()
-    refusals = []
-    for call in (lambda: B.run_algo("bfs", t.grid, t.start, t.goal, ladder, cfg),
-                 lambda: B.run_bench(tasks, ["bfs"], ladder, cfg)):
-        with pytest.raises(InvalidProblemError) as info:
-            call()
-        refusals.append((type(info.value), str(info.value)))
-    assert refusals[0] == refusals[1]
-    assert refusals[0][1] == f"unknown algo 'bfs'; choose from {','.join(B.ALGOS)}"
+    for algo, lad, message in (
+        ("bfs", ladder, f"unknown algo 'bfs'; choose from {','.join(B.ALGOS)}"),
+        ("astar", (1, 2), "multipliers must be odd and >= 1, got 2"),
+    ):
+        refusals = []
+        for call in (lambda: B.run_algo(algo, t.grid, t.start, t.goal, lad, cfg),
+                     lambda: B.run_bench(tasks, ["mra", "wa-mr", algo], lad, cfg)):
+            with pytest.raises(InvalidProblemError) as info:
+                call()
+            refusals.append((type(info.value), str(info.value)))
+        assert refusals[0] == refusals[1]
+        assert refusals[0][1] == message
 
 
 def test_run_bench_deterministic_modulo_time(small_setup):
@@ -105,6 +110,14 @@ def test_run_algo_dispatch(small_setup):
         assert res_high.cost <= 2.0 * res_astar.cost + 1e-9
     with pytest.raises(ValueError):
         B.run_algo("bfs", t.grid, t.start, t.goal, ladder, cfg)
+    # a plain sequence is a ladder for every algo, as it is for plan
+    # (wa-low used to raise AttributeError on one)
+    free = syn.random_grid((24, 24), 0.0, seed=1)
+    strip = lambda r: (r.status, r.path, r.cost, list(r.expansions), r.generated)
+    for algo in B.ALGOS:
+        want = B.run_algo(algo, free, (3, 10), (17, 3), ladder, cfg)
+        assert want.status == "solved", algo
+        assert strip(B.run_algo(algo, free, (3, 10), (17, 3), [1, 7], cfg)) == strip(want), algo
 
 
 def test_wa_low_rejections_become_invalid_rows(small_setup):
@@ -112,6 +125,10 @@ def test_wa_low_rejections_become_invalid_rows(small_setup):
     rows = B.run_bench(tasks, ["wa-low"], ladder, PlannerConfig())
     # random unit-lattice endpoints rarely sit on the k=7 sublattice
     statuses = {r.status for r in rows}
+    # a tuple ladder gives the same rows (it used to raise AttributeError)
+    strip = lambda r: (r.map_id, r.scenario, r.status, r.cost, r.expansions, r.path_len)
+    assert ([strip(r) for r in B.run_bench(tasks, ["wa-low"], (1, 7), PlannerConfig())]
+            == [strip(r) for r in rows])
     assert "invalid" in statuses
     for r in rows:
         if r.status == "invalid":

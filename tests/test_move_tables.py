@@ -266,6 +266,18 @@ def test_tables_are_cached_per_scale():
             grid.space_masks((1, bad))
 
 
+def test_move_table_refuses_a_bad_scale_whatever_is_cached():
+    # a float or a bool compares equal to an int cache key: once the k = 1
+    # and 3 tables existed, these used to return them
+    grid = syn.random_grid((16, 16), 0.2, seed=1)
+    for _ in range(2):  # on a fresh map, then with both tables cached
+        for bad in (1.0, True, 3.0):
+            with pytest.raises(InvalidProblemError):
+                grid.move_table(bad)
+        grid.move_table(3)
+    assert grid.move_table(np.int64(3)) is grid.move_table(3)
+
+
 @pytest.mark.parametrize("extents,seed", [((16, 16), 1), ((8, 7, 6), 2)])
 def test_one_unit_move_build_per_map(monkeypatch, extents, seed):
     # a plan, then the oracle and a distance field on the same fresh map:
