@@ -83,7 +83,7 @@ class Family(NamedTuple):
     maps: int
     per_map: int  # tasks per map
     band: tuple[float, float]  # optimal cost of a task
-    pool: int  # pairs sampled per map
+    pool: int  # pairs sampled per map, by the scenarios case and by pick_tasks
     ladder: tuple[int, ...]
     sampler: str  # "program": gen_scenarios; "bench": bench.make_tasks
     algos: tuple[str, ...]

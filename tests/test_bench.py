@@ -125,14 +125,14 @@ def test_wa_low_rejections_become_invalid_rows(small_setup):
     rows = B.run_bench(tasks, ["wa-low"], ladder, PlannerConfig())
     # random unit-lattice endpoints rarely sit on the k=7 sublattice
     statuses = {r.status for r in rows}
-    # a tuple ladder gives the same rows (it used to raise AttributeError)
-    strip = lambda r: (r.map_id, r.scenario, r.status, r.cost, r.expansions, r.path_len)
-    assert ([strip(r) for r in B.run_bench(tasks, ["wa-low"], (1, 7), PlannerConfig())]
-            == [strip(r) for r in rows])
     assert "invalid" in statuses
     for r in rows:
         if r.status == "invalid":
             assert r.cost is None and r.expansions == [] and r.path_len == 0
+    # a tuple ladder gives the same rows (it used to raise AttributeError)
+    strip = lambda r: (r.map_id, r.scenario, r.status, r.cost, r.expansions, r.path_len)
+    assert ([strip(r) for r in B.run_bench(tasks, ["wa-low"], (1, 7), PlannerConfig())]
+            == [strip(r) for r in rows])
 
 
 def test_summarize_common_subset_and_ratios(small_setup):

@@ -29,7 +29,7 @@ def test_bench_plan_smoke(tmp_path):
     assert set(run["trees"][0]) == {"commit", "dirty"}
     assert [f["name"] for f in run["families"]] == ["tiny3d", "tiny2d"]
     assert 0 < run["tasks"]["tiny3d"] <= 3 and 0 < run["tasks"]["tiny2d"] <= 4
-    items = {"tiny3d": 1, "tiny2d": 2}  # maps
+    items = {f.name: f.maps for f in TINY}  # set-up items
     rows = run["results"]
     # every quartile lies within the times it summarizes (the exclusive
     # rule of statistics.quantiles puts 0.75 and 2.25 here)
