@@ -7,15 +7,22 @@ A TREE is a checkout with the package under src/mrastar; the default is
 this repository.  Each tree is imported under its own module name, so
 that all of them run in one process.
 
-The maps are shaped like perfbench's workloads and are made by the first
-tree's synthetic.random_grid and serializers, so every tree parses the
-same text.  plan3d: five 24^3 vox3 maps of density 0.25, 2000 pairs
-sampled per map by gen_scenarios, one dts mra plan per query (ladder
-1,9,27).  bench2d: fifty 64-80 wide movingai maps of density 0.30, 300
-pairs per map by bench.make_tasks, every bench algo per query, round
-robin (ladder 1,7,21).  The tasks are, on each map, the first 24
-(plan3d) or 2 (bench2d) sampled pairs whose baselines.dijkstra_optimal
-cost, by the first tree, lies in 13-15 (plan3d) or 34-38 (bench2d).
+The maps are made by the first tree's synthetic module and serializers,
+so every tree parses the same text.  Two families are shaped like
+perfbench's workloads.  plan3d: 24^3 vox3 maps of density 0.25, 2000
+pairs sampled per map by gen_scenarios, one dts mra plan per query
+(ladder 1,9,27); the tasks lie on the first five maps, and the set-up
+cases run on those and 20 more.  bench2d: fifty 64-80 wide movingai maps
+of density 0.30, 300 pairs per map by bench.make_tasks, every bench algo
+per query, round robin (ladder 1,7,21).  The tasks are, on each map, the
+first 24 (plan3d) or 2 (bench2d) sampled pairs whose
+baselines.dijkstra_optimal cost, by the first tree, lies in 13-15
+(plan3d) or 34-38 (bench2d).  The third, culdesac, is the one family on
+which MRA*'s coarse queues and gate are on the hot path: twenty 96^2
+synthetic.cul_de_sac_instance maps, each with one task, the instance's
+own endpoints, planned by round-robin mra (ladder 1,7,21) at w1 = 5,
+w2 = 3, where the gate blocks most coarse picks.  Each family sets its
+planners' w1 and w2 (3 and 3 unless stated).
 
 The cases, per map, from its text, so that nothing is cached:
 - parse: parse_vox3 or parse_movingai_map;
@@ -85,16 +92,24 @@ class Family(NamedTuple):
     band: tuple[float, float]  # optimal cost of a task
     pool: int  # pairs sampled per map, by the scenarios case and by pick_tasks
     ladder: tuple[int, ...]
-    sampler: str  # "program": gen_scenarios; "bench": bench.make_tasks
+    # "program": gen_scenarios; "bench": bench.make_tasks; "culdesac": each map is a
+    # synthetic.cul_de_sac_instance, which sets its own size and blocks, and its one
+    # pair is the instance's endpoints
+    sampler: str
     algos: tuple[str, ...]
     policy: str
+    w1: float = 3.0
+    w2: float = 3.0
+    extra_setup_maps: int = 0  # maps made after the task maps, for the set-up cases alone
 
 
 FAMILIES = (
     Family("plan3d", 3, (24, 24), 0.25, 5, 24, (13.0, 15.0), 2000, (1, 9, 27), "program",
-           ("mra",), "dts"),
+           ("mra",), "dts", extra_setup_maps=20),
     Family("bench2d", 2, (64, 80), 0.30, 50, 2, (34.0, 38.0), 300, (1, 7, 21), "bench",
            BENCH_ALGOS, "round_robin"),
+    Family("culdesac", 2, (96, 96), 0.0, 20, 1, (84.0, 130.0), 1, (1, 7, 21), "culdesac",
+           ("mra",), "round_robin", w1=5.0, w2=3.0),
 )
 
 
@@ -138,16 +153,22 @@ def digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
-def map_texts(m, family: Family, seed: int) -> list[tuple[str, str]]:
-    """(map id, text) per map of family, drawn from seed with tree m."""
+def map_texts(m, family: Family, seed: int) -> list[tuple[str, str, tuple | None]]:
+    """(map id, text, the instance's (start, goal) or None) per map of
+    family, task maps first, drawn from seed with tree m."""
     rng = np.random.default_rng([seed, family.dim])
     serialize = m.maps_io.serialize_vox3 if family.dim == 3 else m.maps_io.serialize_movingai
     out = []
-    for i in range(family.maps):
-        extents = tuple(int(rng.integers(family.sizes[0], family.sizes[1] + 1))
-                        for _ in range(family.dim))
-        grid = m.synthetic.random_grid(extents, family.density, int(rng.integers(1 << 30)))
-        out.append((f"{family.name}-{i}", serialize(grid)))
+    for i in range(family.maps + family.extra_setup_maps):
+        if family.sampler == "culdesac":
+            grid, start, goal = m.synthetic.cul_de_sac_instance(int(rng.integers(1 << 30)))
+            ends = (start, goal)
+        else:
+            extents = tuple(int(rng.integers(family.sizes[0], family.sizes[1] + 1))
+                            for _ in range(family.dim))
+            grid = m.synthetic.random_grid(extents, family.density, int(rng.integers(1 << 30)))
+            ends = None
+        out.append((f"{family.name}-{i}", serialize(grid), ends))
     return out
 
 
@@ -168,13 +189,17 @@ class Runner:
         self.texts = texts
         self.seed = seed
         self.parse = m.maps_io.parse_vox3 if family.dim == 3 else m.maps_io.parse_movingai_map
-        self.grids = [self.parse(text) for _, text in texts]
+        self.grids = [self.parse(text) for _, text, _ in texts]
         self.ladder = m.grid.ResolutionLadder(family.ladder)
-        self.config = m.search.PlannerConfig(w1=3.0, w2=3.0, policy=family.policy, seed=seed)
+        self.config = m.search.PlannerConfig(w1=family.w1, w2=family.w2, policy=family.policy,
+                                             seed=seed)
 
     def pairs(self, grid, idx: int) -> list:
-        """The family.pool (start, goal) pairs sampled on map idx."""
+        """The family.pool (start, goal) pairs sampled on map idx, or a
+        cul-de-sac's own pair."""
         m, family, seed = self.m, self.family, self.seed + idx
+        if family.sampler == "culdesac":
+            return [self.texts[idx][2]]
         if family.sampler == "bench":
             tasks = m.bench.make_tasks([(self.texts[idx][0], grid)], family.pool, seed)
             return [(t.start, t.goal) for t in tasks]
@@ -244,7 +269,7 @@ def pick_tasks(runner: Runner) -> list[Task]:
     m, family = runner.m, runner.family
     lo, hi = family.band
     tasks = []
-    for idx, grid in enumerate(runner.grids):
+    for idx, grid in enumerate(runner.grids[:family.maps]):
         found = 0
         for start, goal in runner.pairs(grid, idx):
             # the heuristic never exceeds the optimum: skip the search when it is above the band
@@ -336,7 +361,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     run = measure([t.resolve() for t in args.trees], rounds=args.rounds, seed=args.seed)
     append_run(args.out, run)
-    items = {f["name"]: f["maps"] for f in run["families"]}
+    items = {f["name"]: f["maps"] + f["extra_setup_maps"] for f in run["families"]}
     for r in run["results"]:
         line = (f"{r['family']:8s} {r['case']:16s} tree {r['tree']}: median {r['median_ms']:.4f} ms "
                 f"[{r['q1_ms']:.4f}, {r['q3_ms']:.4f}], min {r['min_ms']:.4f}, digest {r['digest']}")

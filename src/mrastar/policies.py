@@ -6,8 +6,9 @@ of them holds a state, so the list it passes is nonempty and ascending.
 The anchor queue (index 0) is never chosen by a policy; the planner
 falls back to it on its own.  A policy whose feedback attribute is true
 learns: after each round that services queue i, the planner calls
-update(i, top_h).  POLICIES is the one lookup of a policy name, which
-PlannerConfig checks.
+update(i, top_h).  A pick among one queue is forced: RoundRobin moves
+its cursor there and DynamicThompson owes the draw it skips.  POLICIES
+is the one lookup of a policy name, which PlannerConfig checks.
 """
 
 import math
@@ -26,8 +27,14 @@ class RoundRobin:
 
     def choose_queue(self, nonempty: list[int]) -> int:
         """Smallest index in nonempty (nonempty, ascending) strictly
-        after the cursor, wrapping around."""
-        pick = min((i for i in nonempty if i > self._cursor), default=min(nonempty))
+        after the cursor, wrapping around: one scan, up to the first
+        index past the cursor."""
+        cursor = self._cursor
+        for pick in nonempty:
+            if pick > cursor:
+                break
+        else:
+            pick = nonempty[0]
         self._cursor = pick
         return pick
 
@@ -43,8 +50,18 @@ class DynamicThompson:
     of the queue's best state drops below the best value that queue has
     ever exposed.  Posterior mass is capped at cap so the belief keeps
     adapting (when alpha+beta exceeds cap both are rescaled by
-    cap/(cap+1)).  The generator is built on the first draw, so a query
-    whose coarse queues stay empty never pays for it.
+    cap/(cap+1)).
+
+    A pick among one queue is forced (a Beta draw is never below 0, so
+    the argmax is that queue), so it draws nothing: it records the
+    (alpha, beta) its draw would have used as owed, counted in runs of
+    equal parameters, so that the forced picks of one queue between two
+    updates take one entry.  The next pick among two or more queues first makes the
+    owed draws, in order, and then its own, so every draw it compares
+    comes from the same point of the stream as if every pick drew; owed
+    draws that no such pick follows are never made.  The generator is
+    built at the first pick among two or more queues, so a query that
+    never has two coarse queues nonempty at once never pays for it.
     """
 
     feedback = True
@@ -56,17 +73,32 @@ class DynamicThompson:
         self.beta = [1.0] * (n_queues + 1)
         self.best_h = [math.inf] * (n_queues + 1)
         self.rng = None
+        self._owed: list[list] = []  # [alpha, beta, draws], in draw order
 
     def choose_queue(self, nonempty: list[int]) -> int:
         """Sample the Beta belief of each queue in nonempty (nonempty,
         ascending) in order and pick the argmax; ties go to the smallest
-        index."""
+        index.  One queue is picked without a draw, which is owed."""
+        if len(nonempty) == 1:
+            i = nonempty[0]
+            a, b, owed = self.alpha[i], self.beta[i], self._owed
+            if owed and owed[-1][0] is a and owed[-1][1] is b:
+                owed[-1][2] += 1
+            else:
+                owed.append([a, b, 1])
+            return i
         if self.rng is None:
             self.rng = np.random.default_rng(self.seed)
+        draw = self.rng.beta
+        if self._owed:
+            for a, b, n in self._owed:
+                for _ in range(n):
+                    draw(a, b)
+            self._owed.clear()
         best = 0
         best_theta = -1.0
         for i in nonempty:
-            theta = float(self.rng.beta(self.alpha[i], self.beta[i]))
+            theta = float(draw(self.alpha[i], self.beta[i]))
             if theta > best_theta:
                 best_theta = theta
                 best = i

@@ -9,10 +9,10 @@ claimed under that gate costs at most w2 times the optimal cost in the
 anchor space, even though coarse queues use the inflated key g + w1*h
 and no state is ever re-expanded by the same queue.  FlatSearch.run is
 that loop; with the anchor queue alone it is the baselines' weighted A*.
-It is one fused loop: it reads the anchor's best key, relaxes each
-expanded state's moves and pushes improved successors onto the open
-lists' heaps itself, so that OpenList.pop is its only method call per
-expansion.
+It is one fused loop: it reads the anchor's best key and the picked
+coarse queue's, relaxes each expanded state's moves and pushes improved
+successors onto the open lists' heaps itself, so that OpenList.pop is
+its only method call per expansion.
 """
 
 import math
@@ -190,8 +190,9 @@ class OpenList:
     the top, where pop, peek and min_key discard it (an equal-valued
     superseded entry is dropped too).  Stale entries are therefore
     bounded by the inserts of one search.  FlatSearch.run pushes and
-    reads the anchor's top on _heap/_live directly, by these rules;
-    insert_or_update inserts each query's start.
+    reads the anchor's and the picked coarse queue's tops on _heap/_live
+    directly, by these rules: it never calls min_key, and calls peek only
+    for a policy's feedback.  insert_or_update inserts each query's start.
     """
 
     __slots__ = ("_heap", "_live")
@@ -320,12 +321,18 @@ class FlatSearch:
         picked once per run.  A successor whose mask is 1 (or
         any, with queue_masks None) enters only the anchor, so only the
         anchor can have closed it: it is pushed there unless closed,
-        without decoding a mask.  The coarse queues' nonempty list is
-        built only while one of them holds a state (never, with one
-        queue).  The loop reads the anchor's top and pushes onto the open
-        lists' _heap/_live itself; OpenList.pop is its one call per
-        expansion.  A solved result's path and cost come from one walk
-        back along bp (grid.walk_chain).
+        without decoding a mask.
+
+        The list of nonempty coarse queues that the policy picks from is
+        kept: it is built before the first iteration and rebuilt only
+        after a push whose target mask has a bit above 0 or a coarse
+        queue's pop, the only steps that change a coarse _live dict
+        (dropping stale heap tops does not).  With one queue it stays
+        empty.  The loop reads the anchor's top, and the picked coarse
+        queue's for the gate, and pushes onto the open lists'
+        _heap/_live itself; OpenList.pop is its one call per expansion,
+        and OpenList.min_key is not called.  A solved result's path and
+        cost come from one walk back along bp (grid.walk_chain).
         """
         self.expansion_log = log = [] if log_expansions else None
         started = time.monotonic()
@@ -338,7 +345,6 @@ class FlatSearch:
         # through OpenList.__len__.
         live = [ol._live for ol in opens]
         anchor_heap, anchor_live = heaps[0], live[0]
-        coarse_live = live[1:]
         if coarse:
             policy = self.policy
             choose_queue, update, feedback = policy.choose_queue, policy.update, policy.feedback
@@ -358,8 +364,14 @@ class FlatSearch:
         inf = math.inf
         push = heappush
         i, ol = 0, anchor  # the expanding queue, back to the anchor after each coarse step
+        # The nonempty coarse queues, rebuilt only once a push may have
+        # filled one or a pop emptied one: dropping stale tops leaves
+        # every _live dict as it is.
+        nonempty, stale = (), bool(coarse)
         while True:
-            nonempty = [j for j in coarse if live[j]] if coarse_live and any(coarse_live) else ()
+            if stale:
+                nonempty = [j for j in coarse if live[j]]
+                stale = False
             if not anchor_live and not nonempty:
                 break
             if timed and check_deadline(sum(expansions), started, timeout):
@@ -374,10 +386,17 @@ class FlatSearch:
             if nonempty:
                 mk0 = mk
                 i = choose_queue(nonempty)
-                ol = opens[i]
-                mk = ol.min_key()
+                heap, lv = heaps[i], live[i]
+                while True:  # i's best key, its stale tops dropped; i holds a state
+                    top = heap[0]
+                    if lv.get(top[2]) is top:
+                        mk = top[0]
+                        break
+                    heappop(heap)
                 if mk > bound * mk0:  # the gate blocks i: the anchor expands
-                    i, ol, mk = 0, anchor, bound * mk0
+                    i, mk = 0, bound * mk0
+                else:
+                    ol = opens[i]
             if g[goal_id] <= mk < inf:
                 return self.result(STATUS_SOLVED, i, t0)
             sid = ol.pop()
@@ -416,7 +435,10 @@ class FlatSearch:
                     for j in mask_bits(targets):
                         live[j][nid] = entry = (ng + weights[j] * hn, -ng, nid)
                         push(heaps[j], entry)
+                    if targets > 1:
+                        stale = True
             if i:
+                stale = True
                 if feedback:
                     update(i, h[ol.peek()] if ol else inf)
                 i, ol = 0, anchor

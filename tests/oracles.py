@@ -9,8 +9,9 @@ replaced, kept verbatim (or marked "(adapted)") as the reference of
 the replacement's differential test: one per layer, the newest, for
 the move tables (full_move_table), the unit-lattice A*
 (bits_astar_unit), the search core (OpenList, FlatSearch, MraSearch),
-the open list, the parsers, scenario sampling, path costs and chain
-costs.  When a replaced path moves in here, any reference whose
+the queue policies (RoundRobin, DynamicThompson, with which MraSearch
+runs), the open list, the parsers, scenario sampling, path costs and
+chain costs.  When a replaced path moves in here, any reference whose
 outputs the new one pins on the same inputs leaves with its tests, and
 tests/test_oracles.py fails on a name no test reaches.  Slow is fine;
 these run on small inputs.
@@ -48,7 +49,6 @@ from mrastar.kernels import SQRT2, SQRT3
 from mrastar.kernels import STEP as _STEP
 from mrastar.kernels import HIGH_BITS, MASK_BITS, MID_BITS, mask_bits
 from mrastar.maps_io import Scenario
-from mrastar.policies import POLICIES
 from mrastar.search import (
     STATUS_EXHAUSTED,
     STATUS_SOLVED,
@@ -1175,6 +1175,85 @@ class FlatSearch:
             bound=self.bound if solved else None,
             expansion_log=self.expansion_log,
         )
+
+
+class RoundRobin:
+    """Cycle through the inadmissible queues in index order, skipping
+    empty ones."""
+
+    feedback = False
+
+    def __init__(self, n_queues: int, seed: int = 0):
+        self._cursor = 0
+
+    def choose_queue(self, nonempty: list[int]) -> int:
+        """Smallest index in nonempty (nonempty, ascending) strictly
+        after the cursor, wrapping around."""
+        pick = min((i for i in nonempty if i > self._cursor), default=min(nonempty))
+        self._cursor = pick
+        return pick
+
+    def update(self, i: int, top_h: float) -> None:
+        pass
+
+
+class DynamicThompson:
+    """Thompson sampling over queues with capped Beta posteriors.
+
+    Each queue i keeps a Beta(alpha_i, beta_i) belief about how often
+    servicing it makes progress.  A round is a success when the heuristic
+    of the queue's best state drops below the best value that queue has
+    ever exposed.  Posterior mass is capped at cap so the belief keeps
+    adapting (when alpha+beta exceeds cap both are rescaled by
+    cap/(cap+1)).  The generator is built on the first draw, so a query
+    whose coarse queues stay empty never pays for it.
+    """
+
+    feedback = True
+    cap = 10.0
+
+    def __init__(self, n_queues: int, seed: int = 0):
+        self.seed = seed
+        self.alpha = [1.0] * (n_queues + 1)
+        self.beta = [1.0] * (n_queues + 1)
+        self.best_h = [math.inf] * (n_queues + 1)
+        self.rng = None
+
+    def choose_queue(self, nonempty: list[int]) -> int:
+        """Sample the Beta belief of each queue in nonempty (nonempty,
+        ascending) in order and pick the argmax; ties go to the smallest
+        index."""
+        if self.rng is None:
+            self.rng = np.random.default_rng(self.seed)
+        best = 0
+        best_theta = -1.0
+        for i in nonempty:
+            theta = float(self.rng.beta(self.alpha[i], self.beta[i]))
+            if theta > best_theta:
+                best_theta = theta
+                best = i
+        return best
+
+    def update(self, i: int, top_h: float) -> None:
+        """Record the outcome of servicing queue i whose best open state
+        now has heuristic top_h."""
+        if top_h < self.best_h[i]:
+            r = 1.0
+            self.best_h[i] = top_h
+        else:
+            r = 0.0
+        a, b = self.alpha[i], self.beta[i]
+        if a + b < self.cap:
+            self.alpha[i] = a + r
+            self.beta[i] = b + (1.0 - r)
+        else:
+            scale = self.cap / (self.cap + 1.0)
+            self.alpha[i] = (a + r) * scale
+            self.beta[i] = (b + (1.0 - r)) * scale
+
+
+# was mrastar.policies.POLICIES
+POLICIES = {"round_robin": RoundRobin, "dts": DynamicThompson}
 
 
 class MraSearch(FlatSearch):

@@ -1,6 +1,6 @@
 """Smoke run of scripts/bench_plan.py, the A/B timer of the set-up
-layers, the plan pass and the oracle: one or two tiny maps per family and
-two rounds, this checkout given twice."""
+layers, the plan pass and the oracle: one or two tiny maps per family,
+and one cul-de-sac, and two rounds, this checkout given twice."""
 
 import importlib.util
 import json
@@ -13,13 +13,19 @@ _spec.loader.exec_module(bench_plan)
 Family = bench_plan.Family
 
 TINY = (
-    Family("tiny3d", 3, (5, 6), 0.2, 1, 3, (2.0, 9.0), 10, (1, 3), "program", ("mra",), "dts"),
+    Family("tiny3d", 3, (5, 6), 0.2, 1, 3, (2.0, 9.0), 10, (1, 3), "program", ("mra",), "dts",
+           extra_setup_maps=1),
     Family("tiny2d", 2, (8, 10), 0.2, 2, 2, (3.0, 12.0), 30, (1, 3), "bench",
            bench_plan.BENCH_ALGOS, "round_robin"),
+    Family("culdesac", 2, (96, 96), 0.0, 1, 1, (84.0, 130.0), 1, (1, 7, 21), "culdesac",
+           ("mra",), "round_robin", w1=5.0, w2=3.0),
 )
-SETUP = ("parse", "labels", "scenarios", "move_table k=1", "move_table k=3",
-         "space_masks", "first_query", "setup")
 STATS = ("min_ms", "q1_ms", "median_ms", "q3_ms")
+
+
+def setup_cases(ladder):
+    return ("parse", "labels", "scenarios", *(f"move_table k={k}" for k in ladder),
+            "space_masks", "first_query", "setup")
 
 
 def test_bench_plan_smoke(tmp_path):
@@ -27,17 +33,20 @@ def test_bench_plan_smoke(tmp_path):
     assert set(run) == {"trees", "host", "rounds", "seed", "families", "tasks", "results"}
     assert len(run["trees"]) == 2 and run["trees"][0] == run["trees"][1]
     assert set(run["trees"][0]) == {"commit", "dirty"}
-    assert [f["name"] for f in run["families"]] == ["tiny3d", "tiny2d"]
+    assert [f["name"] for f in run["families"]] == ["tiny3d", "tiny2d", "culdesac"]
+    assert run["families"][2]["w1"] == 5.0 and run["families"][2]["w2"] == 3.0
     assert 0 < run["tasks"]["tiny3d"] <= 3 and 0 < run["tasks"]["tiny2d"] <= 4
-    items = {f.name: f.maps for f in TINY}  # set-up items
+    assert run["tasks"]["culdesac"] == 1
+    items = {f.name: f.maps + f.extra_setup_maps for f in TINY}  # set-up items
     rows = run["results"]
     # every quartile lies within the times it summarizes (the exclusive
     # rule of statistics.quantiles puts 0.75 and 2.25 here)
     assert bench_plan.quartiles([1.0, 2.0]) == (1.25, 1.5, 1.75)
     assert [(r["family"], r["case"], r["tree"]) for r in rows] == [
-        (f, c, t) for f in ("tiny3d", "tiny2d") for c in (*SETUP, "plan", "oracle") for t in (0, 1)]
+        (f.name, c, t) for f in TINY for c in (*setup_cases(f.ladder), "plan", "oracle")
+        for t in (0, 1)]
     for r in rows:
-        setup = r["case"] in SETUP
+        setup = r["case"] not in ("plan", "oracle")
         assert set(r) == ({"family", "case", "tree", "digest", *STATS} | ({"work"} if setup else set())
                           | ({"ratio", "wins"} if r["tree"] else set()))
         assert 0 <= r["min_ms"] <= r["q1_ms"] <= r["median_ms"] <= r["q3_ms"]
@@ -47,12 +56,27 @@ def test_bench_plan_smoke(tmp_path):
     for first, second in zip(rows[::2], rows[1::2]):
         assert second["digest"] == first["digest"] and second.get("work") == first.get("work")
         assert second["ratio"]["q1"] <= second["ratio"]["median"] <= second["ratio"]["q3"]
-        n = items[first["family"]] if first["case"] in SETUP else run["tasks"][first["family"]]
+        n = run["tasks"][first["family"]] if first["case"] in ("plan", "oracle") else items[first["family"]]
         assert 0 <= second["wins"] <= n
     work = {(r["family"], r["case"]): r["work"] for r in rows if r["tree"] == 0 and "work" in r}
-    assert [w["count"] for w in work["tiny3d", "scenarios"]] == [10]
+    assert [w["count"] for w in work["tiny3d", "scenarios"]] == [10, 10]
     assert [w["count"] for w in work["tiny2d", "scenarios"]] == [30, 30]
+    assert [w["count"] for w in work["culdesac", "scenarios"]] == [1]
     assert work["tiny2d", "parse"][0]["cells"] >= 36
+    assert work["culdesac", "parse"][0]["cells"] == 96 * 96
+    # the tasks lie on the first tiny3d map alone, the second is for set-up
+    m, seed = bench_plan.load_tree(ROOT, "_bench_check"), run["seed"]
+    runner = bench_plan.Runner(m, TINY[0], bench_plan.map_texts(m, TINY[0], seed), seed)
+    assert {t.map_index for t in bench_plan.pick_tasks(runner)} == {0}
+    # the cul-de-sac's one task is the instance's own pair, planned at
+    # the family's (w1, w2): its work is run_algo's on that query
+    ((_, text, (start, goal)),) = bench_plan.map_texts(m, TINY[2], seed)
+    config = m.search.PlannerConfig(w1=5.0, w2=3.0, policy="round_robin", seed=seed)
+    res = m.bench.run_algo("mra", m.maps_io.parse_movingai_map(text), start, goal,
+                           m.grid.ResolutionLadder((1, 7, 21)), config)
+    plan_row = next(r for r in rows if (r["family"], r["case"]) == ("culdesac", "plan"))
+    assert plan_row["digest"] == bench_plan.digest([[bench_plan.plan_fields(res)]])
+    assert res.expansions[0] > 0.9 * sum(res.expansions)  # gate-blocked
 
     out = tmp_path / "BENCH_plan.json"
     bench_plan.append_run(out, run)

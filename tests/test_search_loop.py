@@ -14,10 +14,14 @@ solvable, exhausted and sublattice-aligned pairs, both policies,
 nested, non-nested, wider-than-the-map and 31- and 70-level ladders,
 weights up to 1e307 (keys that overflow to inf), w1 > w2 and a timeout
 that fires before the first expansion, plus ACCEPTANCE 4's cul-de-sac
-instances, where the coarse queues do most of MRA*'s expansions.  A
-hypothesis property holds wa_union, whose one queue reads every
-level's table at every state, to the old core's search that picks each
-state's tables by its space mask.
+instances, where at w1 = w2 = 3 the coarse queues do most of MRA*'s
+expansions and at w1 = 5, w2 = 3 the gate blocks most coarse picks, so
+that the anchor does most of them.  The old core runs with the policies
+the new ones replaced (oracles.RoundRobin and oracles.DynamicThompson),
+so the pick sequence and the draw stream are held to theirs too.  A
+hypothesis property holds wa_union, whose one queue reads every level's
+table at every state, to the old core's search that picks each state's
+tables by its space mask.
 """
 
 import dataclasses
@@ -153,22 +157,31 @@ def test_queue_tables_leave_out_tables_without_moves(name):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_culdesac_matches_the_old_core(seed):
-    # ACCEPTANCE 4's cul-de-sac, endpoints on the k = 21 sublattice: the
-    # coarse queues expand states other than the start, which only the
-    # multi-queue push (successors whose mask is not 1) puts there; the
-    # single-queue algos take the anchor-only push
+    # ACCEPTANCE 4's cul-de-sac, endpoints on the k = 21 sublattice.  At
+    # w1 = w2 = 3 the coarse queues expand states other than the start,
+    # which only the multi-queue push (successors whose mask is not 1)
+    # puts there; the single-queue algos take the anchor-only push.  At
+    # w1 = 5, w2 = 3 the loop is gate-blocked: a coarse queue holds a
+    # state on nearly every iteration, yet the gate hands most picks to
+    # the anchor, which does most of MRA*'s expansions.
     grid, start, goal = syn.cul_de_sac_instance(seed)
     lad = G.ResolutionLadder((1, 7, 21))
-    configs = (S.PlannerConfig(w1=3.0, w2=3.0, policy="round_robin"),
-               S.PlannerConfig(w1=3.0, w2=3.0, policy="dts", seed=seed))
-    for config in configs:
-        for algo in BE.ALGOS:
-            query = (algo, grid, start, goal, lad, config)
-            want = _fields(_old_core, *query)
-            assert _fields(_new, *query) == want, query
-            assert want["status"] == S.STATUS_SOLVED
-            if algo == "mra":
-                assert any(q and cell != start for q, cell in want["expansion_log"])
+    for w1 in (3.0, 5.0):
+        configs = (S.PlannerConfig(w1=w1, w2=3.0, policy="round_robin"),
+                   S.PlannerConfig(w1=w1, w2=3.0, policy="dts", seed=seed))
+        for config in configs:
+            for algo in BE.ALGOS:
+                query = (algo, grid, start, goal, lad, config)
+                want = _fields(_old_core, *query)
+                assert _fields(_new, *query) == want, query
+                assert want["status"] == S.STATUS_SOLVED
+                if algo != "mra":
+                    continue
+                if w1 == 3.0:
+                    assert any(q and cell != start for q, cell in want["expansion_log"])
+                else:
+                    anchor, *coarse = want["expansions"]
+                    assert anchor > 0.9 * (anchor + sum(coarse)) and sum(coarse) > 0
 
 
 # odd scales from 3 up to 41, many of them wider than the maps drawn
