@@ -56,7 +56,8 @@ def test_bench_plan_smoke(tmp_path):
     for first, second in zip(rows[::2], rows[1::2]):
         assert second["digest"] == first["digest"] and second.get("work") == first.get("work")
         assert second["ratio"]["q1"] <= second["ratio"]["median"] <= second["ratio"]["q3"]
-        n = run["tasks"][first["family"]] if first["case"] in ("plan", "oracle") else items[first["family"]]
+        per_task = first["case"] in ("plan", "oracle")
+        n = run["tasks"][first["family"]] if per_task else items[first["family"]]
         assert 0 <= second["wins"] <= n
     work = {(r["family"], r["case"]): r["work"] for r in rows if r["tree"] == 0 and "work" in r}
     assert [w["count"] for w in work["tiny3d", "scenarios"]] == [10, 10]
