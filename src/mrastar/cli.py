@@ -62,7 +62,12 @@ def _parse_cell(text: str) -> tuple[int, ...]:
 
 
 def _parse_ladder(text: str) -> ResolutionLadder:
-    return ResolutionLadder(tuple(int(p) for p in text.split(",")))
+    try:
+        scales = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad --res {text!r}; expected integers separated by commas, "
+                         "e.g. 1,7,21") from None
+    return ResolutionLadder(scales)
 
 
 def _positive_int(text: str) -> int:
@@ -76,7 +81,11 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_values(text: str) -> list[float]:
-    return [float(p) for p in text.split(",")]
+    try:
+        return [float(p) for p in text.split(",")]
+    except ValueError:
+        raise ValueError(f"bad --values {text!r}; expected numbers separated by commas, "
+                         "e.g. 1,2,3") from None
 
 
 def _add_common(p: argparse.ArgumentParser, weights: bool = True) -> None:

@@ -1,18 +1,21 @@
 """Multi-queue bounded-suboptimal search over a resolution ladder.
 
 The planner runs one weighted best-first search per ladder level, all
-sharing a single table of states (g values and backpointers).  Queue 0,
-the anchor, searches the unit-resolution space with an admissible key
-g + h and gates the others: a coarser queue may only expand while its
-best key stays within w2 times the anchor's best key.  Any solution
-claimed under that gate costs at most w2 times the optimal cost in the
-anchor space, even though coarse queues use the inflated key g + w1*h
-and no state is ever re-expanded by the same queue.  FlatSearch.run is
-that loop; with the anchor queue alone it is the baselines' weighted A*.
-It is one fused loop: it reads the anchor's best key and the picked
+sharing a single table of states (g values, backpointers and closed
+bits).  Queue 0, the anchor, searches the unit-resolution space with an
+admissible key g + h and gates the others: a coarser queue may only
+expand while its best key stays within w2 times the anchor's best key.
+Any solution claimed under that gate costs at most w2 times the optimal
+cost in the anchor space, even though coarse queues use the inflated key
+g + w1*h and no state is ever re-expanded by the same queue.
+FlatSearch.run is that loop; with the anchor queue alone it is the
+baselines' weighted A*.  It is one fused loop: it reads the anchor's best key and the picked
 coarse queue's, relaxes each expanded state's moves and pushes improved
 successors onto the open lists' heaps itself, so that OpenList.pop is
-its only method call per expansion.
+its only method call per expansion.  Its g values and closed bits are
+dense lists over flat cell ids, reused from query to query: a run that
+returns hands them back, reset, to a free list that the next search
+takes them from.
 """
 
 import math
@@ -21,7 +24,7 @@ import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .errors import InvalidProblemError, SearchCorruptionError
+from .errors import InvalidProblemError, MrastarError, SearchCorruptionError
 from .grid import (
     Cell,
     GridMap,
@@ -48,6 +51,12 @@ STATUS_TIMEOUT = "timeout"
 
 # shared by every query that names no ladder: frozen, so built only once
 _UNIT_LADDER = ResolutionLadder((1,))
+
+# The (g, closed) list pairs of no running search, every entry inf / 0:
+# a FlatSearch takes one (or makes one) and its run, on returning, puts
+# it back reset.  A process holds one pair per search that ran at once,
+# each as long as the largest map planned on it, 16 B per cell.
+_FREE_TABLES: list[tuple[list[float], list[int]]] = []
 
 
 def validate_query(
@@ -246,11 +255,17 @@ class FlatSearch:
     """The one search core: a state table over flat cell ids and the
     best-first loop (run) that MRA* and the single-queue baselines share.
 
-    g, bp and h map a flat id to its cost-to-come, backpointer and
-    heuristic, grid.flat_heuristic of the goal (run computes it inline,
-    by the same expression); a state is generated once it has an h
-    entry (start and goal from the outset), so generated == len(h).
-    closed maps a flat id to the bitmask of queues that expanded it.
+    g and closed are lists indexed by flat id, at least as long as the
+    map: a state's cost-to-come (inf while unreached) and the bitmask of
+    queues that expanded it (0 for none).  bp and h are dicts from a
+    flat id to its backpointer and heuristic, grid.flat_heuristic of the
+    goal (run computes it inline, by the same expression); a state is
+    generated once it has an h entry (start and goal from the outset),
+    so generated == len(h), and every id whose g or closed entry is not
+    the default is a key of h.  The g/closed pair comes from the
+    module's free list, and run hands it back once it returns (see
+    run); after that the instance has g and closed None, and keeps its
+    open lists, bp, h and counters.
     Queue j keys a state g + weights[j] * h and expands it with the
     grid's MoveTables of the scales in queue_scales[j], in order, each
     read through its decoded moves (MoveTable.moves), but for an empty
@@ -284,12 +299,18 @@ class FlatSearch:
         self.start_id = grid.flat_index(start)
         self.goal_id = grid.flat_index(goal)
         h_of = flat_heuristic(grid, goal)
-        self.g = {self.start_id: 0.0}
+        g, closed = _FREE_TABLES.pop() if _FREE_TABLES else ([], [])
+        grow = grid.blocked.size - len(g)
+        if grow > 0:
+            g += [math.inf] * grow
+            closed += [0] * grow
+        g[self.start_id] = 0.0
+        self.g: list[float] | None = g
+        self.closed: list[int] | None = closed
         self.h = {self.start_id: h_of(self.start_id)}
         self.bp: dict[int, int] = {}
-        self.closed: dict[int, int] = {}
-        self.g.setdefault(self.goal_id, math.inf)
         self.h.setdefault(self.goal_id, h_of(self.goal_id))
+        self._ran = False
         h0 = self.h[self.start_id]
         for j in mask_bits(1 if queue_masks is None else queue_masks[self.start_id]):
             self.opens[j].insert_or_update(self.start_id, self.weights[j] * h0, 0.0)
@@ -300,7 +321,8 @@ class FlatSearch:
 
     def run(self, log_expansions: bool = False) -> PlanResult:
         """Search until a queue claims the goal, the timeout passes or
-        every queue is empty.
+        every queue is empty.  A search runs once: a second call raises
+        MrastarError.
 
         Each iteration the policy picks a nonempty coarse queue i, which
         expands while its best key mk_i <= bound * mk0, the anchor's best
@@ -333,7 +355,16 @@ class FlatSearch:
         _heap/_live itself; OpenList.pop is its one call per expansion,
         and OpenList.min_key is not called.  A solved result's path and
         cost come from one walk back along bp (grid.walk_chain).
+
+        Once the result is built, the entries of g and closed at h's
+        keys are reset to inf and 0 and the pair goes back to the free
+        list.  A run that raises keeps its pair: g and closed stay
+        readable on the instance, and whatever it left set never reaches
+        the free list.
         """
+        if self._ran:
+            raise MrastarError("this search has already run; build a new one per query")
+        self._ran = True
         self.expansion_log = log = [] if log_expansions else None
         started = time.monotonic()
         t0 = time.perf_counter()
@@ -375,7 +406,7 @@ class FlatSearch:
             if not anchor_live and not nonempty:
                 break
             if timed and check_deadline(sum(expansions), started, timeout):
-                return self.result(STATUS_TIMEOUT, None, t0)
+                return self._finish(STATUS_TIMEOUT, None, t0)
             mk = inf  # the anchor's best key, its stale tops dropped in place
             while anchor_heap:
                 top = anchor_heap[0]
@@ -398,9 +429,9 @@ class FlatSearch:
                 else:
                     ol = opens[i]
             if g[goal_id] <= mk < inf:
-                return self.result(STATUS_SOLVED, i, t0)
+                return self._finish(STATUS_SOLVED, i, t0)
             sid = ol.pop()
-            c = closed.get(sid, 0)
+            c = closed[sid]
             if c >> i & 1:
                 raise SearchCorruptionError(f"state {cell_of(sid)} expanded twice by queue {i}")
             closed[sid] = c | 1 << i
@@ -412,26 +443,26 @@ class FlatSearch:
                 for off, cost in table.moves[table.masks[sid]]:
                     nid = sid + off
                     ng = g_s + cost
-                    gn = g.get(nid)
-                    if gn is None:
+                    gn = g[nid]
+                    if ng >= gn:
+                        continue
+                    if gn < inf:
+                        hn = h[nid]
+                    else:  # first reached (or the goal, whose h is 0 either way)
                         if flat:
                             dx, dy = abs(nid % w - gx), abs(nid // w - gy)
                             hn = dx * sqrt2 + (dy - dx) if dx < dy else dy * sqrt2 + (dx - dy)
                         else:
                             hn = hypot(nid % w - gx, nid % wh // w - gy, nid // wh - gz)
                         h[nid] = hn
-                    elif ng < gn:
-                        hn = h[nid]
-                    else:
-                        continue
                     g[nid] = ng
                     bp[nid] = sid
                     if qmasks is None or (qm := qmasks[nid]) == 1:
-                        if nid not in closed:
+                        if not closed[nid]:
                             anchor_live[nid] = entry = (ng + w0 * hn, -ng, nid)
                             push(anchor_heap, entry)
                         continue
-                    targets = qm & ~closed.get(nid, 0)
+                    targets = qm & ~closed[nid]
                     for j in mask_bits(targets):
                         live[j][nid] = entry = (ng + weights[j] * hn, -ng, nid)
                         push(heaps[j], entry)
@@ -446,14 +477,27 @@ class FlatSearch:
             # The goal sits in the anchor keyed g(goal) from the moment it
             # is reached, and every queue claims it before popping it.
             raise SearchCorruptionError("queues drained with the goal reached but unclaimed")
-        return self.result(STATUS_EXHAUSTED, None, t0)
+        return self._finish(STATUS_EXHAUSTED, None, t0)
+
+    def _finish(self, status: str, winning_queue: int | None, t0: float) -> PlanResult:
+        """run's return: the result, then the g/closed pair, reset, back
+        on the free list, once, and dropped here."""
+        res = self.result(status, winning_queue, t0)
+        g, closed, inf = self.g, self.closed, math.inf
+        for sid in self.h:
+            g[sid] = inf
+            closed[sid] = 0
+        self.g = self.closed = None
+        _FREE_TABLES.append((g, closed))
+        return res
 
     def result(self, status: str, winning_queue: int | None, t0: float) -> PlanResult:
         """The PlanResult of a run that ended with status, timed from
         perf_counter() reading t0.  A solved one takes its path and cost
         from one walk back along bp from the goal (grid.walk_chain):
         the cells, and the same float as path_cost of them.  A broken
-        chain raises SearchCorruptionError."""
+        chain raises SearchCorruptionError.  It reads no g or closed
+        entry and returns no pair: it may be called again."""
         wall = time.perf_counter() - t0
         solved = status == STATUS_SOLVED
         if solved:
@@ -480,9 +524,10 @@ class MraSearch(FlatSearch):
     anchor, queue 0, g + h), expands them with the scale-i move table
     and holds only states on the level's sublattice.  w2 is the gate
     bound and the policy picks among the coarse queues; a one-level
-    ladder has none and keeps policy None.  The instance keeps its full
-    state (open lists, state table, counters) after run() returns,
-    which the tests use to poke at internals.
+    ladder has none and keeps policy None.  After run() returns, the
+    instance keeps its open lists, bp, h and counters, which the tests
+    use to poke at internals, but not g and closed, which go back to
+    the free list (see FlatSearch).
     """
 
     def __init__(self, problem: Problem, config: PlannerConfig | None = None):

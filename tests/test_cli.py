@@ -241,6 +241,17 @@ def test_plan_usage_errors(empty10, capsys):
                    "--start", "0,0", "--goal", "9,9") == 1
 
 
+@pytest.mark.parametrize("res", ["1,,3", "1,3.0", "x"])
+def test_plan_bad_res_names_the_option_and_text(empty10, capsys, res):
+    # int()'s own message named neither: "invalid literal for int() with base 10: ''"
+    assert run_cli("plan", "--map", empty10, "--format", "movingai", "--res", res,
+                   "--start", "0,0", "--goal", "9,9") == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == (f"mrastar: error: bad --res {res!r}; expected integers "
+                                    "separated by commas, e.g. 1,7,21")
+    assert captured.out == ""
+
+
 def test_plan_parse_error_leaves_no_output(tmp_path, capsys):
     bad = tmp_path / "bad.map"
     bad.write_text("type octile\nheight 2\nwidth 2\nmap\n..\nxx\n")
@@ -411,6 +422,22 @@ def test_sweep_refuses_bad_counts(tmp_path, capsys, flag, value):
     )
     assert code == 1 and not out.exists()
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", ["1,x", "1,,3"])
+def test_sweep_bad_values_names_the_option_and_text(tmp_path, capsys, values):
+    # float()'s own message named neither: "could not convert string to float: 'x'"
+    g = syn.random_grid((12, 12), 0.1, seed=6)
+    (tmp_path / "m.map").write_text(serialize_movingai(g))
+    out = tmp_path / "s.csv"
+    code = run_cli(
+        "sweep", "--maps", tmp_path / "*.map", "--format", "movingai",
+        "--vary", "w2", "--values", values, "--out", out,
+    )
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err.strip() == (
+        f"mrastar: error: bad --values {values!r}; expected numbers separated by commas, "
+        "e.g. 1,2,3")
 
 
 def test_sweep_prints_dash_for_missing_mean(tmp_path, capsys, monkeypatch):

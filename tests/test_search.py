@@ -113,7 +113,8 @@ def test_new_states_initialized_unreached():
     assert search.goal_id not in search.bp
     assert search.g[search.start_id] == 0.0
     assert search.generated == 2  # start and goal only
-    assert g.flat_index((4, 4)) not in search.g
+    fid = g.flat_index((4, 4))
+    assert search.g[fid] == math.inf and fid not in search.h
 
 
 class Halt(Exception):
