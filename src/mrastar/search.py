@@ -55,7 +55,9 @@ _UNIT_LADDER = ResolutionLadder((1,))
 # The (g, closed) list pairs of no running search, every entry inf / 0:
 # a FlatSearch takes one (or makes one) and its run, on returning, puts
 # it back reset.  A process holds one pair per search that ran at once,
-# each as long as the largest map planned on it, 16 B per cell.
+# each as long as the largest map planned on it, 16 B per cell.  Only
+# list.pop and list.append touch it, each atomic under the interpreter
+# lock, so searches in several threads share it safely.
 _FREE_TABLES: list[tuple[list[float], list[int]]] = []
 
 
@@ -299,7 +301,10 @@ class FlatSearch:
         self.start_id = grid.flat_index(start)
         self.goal_id = grid.flat_index(goal)
         h_of = flat_heuristic(grid, goal)
-        g, closed = _FREE_TABLES.pop() if _FREE_TABLES else ([], [])
+        try:  # one call, so that two threads never take one pair
+            g, closed = _FREE_TABLES.pop()
+        except IndexError:
+            g, closed = [], []
         grow = grid.blocked.size - len(g)
         if grow > 0:
             g += [math.inf] * grow

@@ -12,6 +12,8 @@ oracles.FlatSearch, whose state table is a pair of dicts.
 import dataclasses
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -61,9 +63,7 @@ def test_a_returning_run_hands_back_its_pair_reset(case):
     if case == "solved-2d":
         grid, start, goal = G.GridMap.empty((21, 17)), (0, 0), (20, 16)
     elif case == "solved-3d":
-        grid, start, goal = syn.random_grid((9, 8, 7), 0.1, seed=3), None, None
-        free = np.flatnonzero(~grid.flat_blocked)
-        start, goal = grid.cell_of(int(free[0])), grid.cell_of(int(free[-1]))
+        grid, start, goal = G.GridMap.empty((9, 8, 7)), (0, 0, 0), (8, 7, 6)
     elif case == "exhausted":
         grid, start, goal = _wall((16, 16), 8), (2, 2), (13, 13)
     else:
@@ -178,4 +178,39 @@ def test_grown_pairs_match_the_reference(monkeypatch):
     assert statuses == {S.STATUS_SOLVED, S.STATUS_EXHAUSTED}
     assert sorted(set(lengths)) == [144, 216, 1600, 1728]
     assert lengths[-1] == 1728 and len(S._FREE_TABLES) == 1
+    assert_free_list_clean()
+
+
+def test_threads_share_the_free_list():
+    # several threads plan at once, with a short switch interval: each
+    # plan equals the one planned alone, and no pair is lost or shared
+    grid = syn.random_grid((24, 24), 0.2, seed=9)
+    free = np.flatnonzero(~grid.flat_blocked)
+    rng = np.random.default_rng(9)
+    problems = [S.Problem(grid, grid.cell_of(int(a)), grid.cell_of(int(b)), ladder=(1, 3))
+                for a, b in rng.choice(free, size=(8, 2))]
+    want = [_fields(S.plan(p)) for p in problems]
+    errors = []
+
+    def worker():
+        try:
+            for _ in range(10):
+                for p, w in zip(problems, want):
+                    assert _fields(S.plan(p)) == w
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and not errors
+    ids = [i for pair in free_pairs() for i in pair]
+    assert len(ids) == len(set(ids))
     assert_free_list_clean()
