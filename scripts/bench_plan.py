@@ -56,8 +56,9 @@ the first tree's also gets, over the items, the ratio of its per-item
 median to the first tree's (median and quartiles) and the number of
 items it ran faster; with different digests there is no ratio.  The run
 is appended to FILE (default BENCH_plan.json at the root of this
-repository), with each tree's git commit and whether it had uncommitted
-changes.
+repository), with each tree's git commit and whether its src/, the code
+it times, had uncommitted changes or untracked files.  N must be at
+least 1: nothing is run or written otherwise.
 """
 
 import argparse
@@ -142,7 +143,7 @@ def git_state(root: Path) -> dict:
         return out.stdout.strip() if out.returncode == 0 else None
 
     commit = git("rev-parse", "HEAD")
-    status = git("status", "--porcelain", "--untracked-files=no")
+    status = git("status", "--porcelain", "--untracked-files=all", "--", "src")
     return {"commit": commit, "dirty": None if commit is None else bool(status)}
 
 
@@ -288,6 +289,8 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
 
 def measure(trees: list[Path], families=FAMILIES, rounds: int = 15, seed: int = 1) -> dict:
     """One run: every family's cases for every tree, as a JSON record."""
+    if rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds}")
     mods = [load_tree(root, f"_bench_tree{i}") for i, root in enumerate(trees)]
     results = []
     counts = {}
@@ -352,10 +355,17 @@ def append_run(path: Path, run: dict) -> None:
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", type=Path, default=[ROOT])
-    parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--rounds", type=positive_int, default=15)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_plan.json")
     args = parser.parse_args(argv)

@@ -8,7 +8,6 @@ unit-lattice optimum.
 """
 
 from .baselines import (
-    dijkstra_field,
     dijkstra_optimal,
     wa_union,
     weighted_astar,
@@ -48,7 +47,6 @@ from .search import (
     PlannerConfig,
     PlanResult,
     Problem,
-    check_deadline,
     plan,
 )
 from .svg import render_svg, save_svg
@@ -72,11 +70,9 @@ __all__ = [
     "Scenario",
     "ScenarioGenerationError",
     "SearchCorruptionError",
-    "check_deadline",
     "coincides",
     "corridor_instance",
     "cul_de_sac_instance",
-    "dijkstra_field",
     "dijkstra_optimal",
     "edge_valid",
     "fine_components",

@@ -11,8 +11,8 @@ table (GridMap.move_table(1)) and its decoded-move cache, which the
 planners fill too: dijkstra_optimal runs it toward the goal, with
 its own heuristic (the obstacle-free unit-move distance, octile in 2D)
 rather than the planners', and costs its predecessor chain of flat ids
-with grid.walk_chain, as the planners cost theirs;
-dijkstra_field runs it with no goal for the full distance field.  The
+with grid.walk_chain, as the planners cost theirs.  The full distance
+field, the same loop with no goal, is kernels.dijkstra_2d/3d.  The
 table is checked apart from its builder by tests/test_kernels.py,
 tests/test_move_tables.py and perfbench's scipy reference, which
 checks every oracle answer.
@@ -20,11 +20,9 @@ checks every oracle answer.
 
 import math
 
-import numpy as np
-
 from . import kernels
 from .errors import InvalidProblemError
-from .grid import Cell, GridMap, ResolutionLadder, as_cell, check_cell, walk_chain
+from .grid import Cell, GridMap, ResolutionLadder, as_cell, walk_chain
 
 # Not called here, which reads the grid's move tables and costs
 # predecessor chains; bound so that layer tracers (see
@@ -74,21 +72,6 @@ def wa_union(
     return FlatSearch(
         grid, start, goal, [ladder.multipliers], (w,), bound=w, timeout=timeout
     ).run(log_expansions)
-
-
-def dijkstra_field(grid: GridMap, source: Cell) -> tuple[np.ndarray, np.ndarray]:
-    """Exact unit-scale distances from source to every cell, plus the
-    predecessor field (flat indices, -1 where unreached): the oracle's
-    search with no goal, over the grid's k = 1 move table.
-    Arrays are shaped like grid.blocked.  A blocked source reaches
-    nothing: every distance is inf.  Raises InvalidProblemError when
-    source is out of bounds, has the wrong number of coordinates or a
-    non-integer one."""
-    source = check_cell(grid, source, "source")
-    t = grid.move_table(1)
-    dist, bp = kernels.astar_unit(grid.blocked, t.masks, t.moves, grid.flat_index(source), -1)
-    shape = grid.blocked.shape
-    return dist.reshape(shape), bp.reshape(shape)
 
 
 def dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:

@@ -27,7 +27,8 @@ answer with.  walk_chain reads a search's predecessor map back from the
 goal once, checking nothing, and returns the chain's cells and their
 cost; the planners and the oracle take their answers from it.  Both sum
 the same integer scales per number of changed axes and end in the same
-expression, so they agree bitwise.
+expression, so they agree bitwise.  heuristic is the planners' one
+heuristic, and check_cell the one check of a cell against a map.
 """
 
 import math
@@ -242,11 +243,14 @@ def as_cell(cell, name: str = "cell") -> Cell:
 
 
 def check_cell(grid: GridMap, cell, name: str = "cell") -> Cell:
-    """as_cell(cell, name), which must also be an in-bounds cell of
-    grid; raises InvalidProblemError otherwise."""
+    """as_cell(cell, name), which must also be a cell of grid's
+    dimension and in bounds; raises InvalidProblemError otherwise,
+    naming the one reason."""
     cell = as_cell(cell, name)
-    if not grid.in_bounds(cell):
-        raise InvalidProblemError(f"{name} {cell} is out of bounds or not a {grid.dim}D cell")
+    if len(cell) != grid.dim:
+        raise InvalidProblemError(f"{name} {cell} is not a {grid.dim}D cell")
+    if not grid._holds(cell):
+        raise InvalidProblemError(f"{name} {cell} is out of bounds")
     return cell
 
 
@@ -382,11 +386,13 @@ def successors_at_scale(cell: Cell, k: int, grid: GridMap) -> list[tuple[Cell, f
 
 
 def heuristic(a: Cell, b: Cell) -> float:
-    """Admissible distance estimate between cells, by their dimension as
-    in flat_heuristic.  2D: the octile distance sqrt(2)*min(|dx|,|dy|)
-    + ||dx|-|dy||, the exact free-space distance under 8-connected unit
-    moves.  3D: the straight-line (euclidean) distance.  Raises
-    InvalidProblemError when a and b differ in dimension.
+    """The planners' admissible distance estimate between cells.  2D:
+    the octile distance sqrt(2)*min(|dx|,|dy|) + ||dx|-|dy||, the exact
+    free-space distance under 8-connected unit moves.  3D: the
+    straight-line (euclidean) distance.  search.FlatSearch keys its
+    start with it and computes every other h inline by the same
+    expressions.  Raises InvalidProblemError when a and b differ in
+    dimension.
     """
     if len(a) != len(b):
         raise InvalidProblemError(f"cells {a} and {b} differ in dimension")
@@ -397,30 +403,6 @@ def heuristic(a: Cell, b: Cell) -> float:
         hi = dx + dy - lo
         return lo * SQRT2 + (hi - lo)
     return math.hypot(*(ca - cb for ca, cb in zip(a, b)))
-
-
-def flat_heuristic(grid: GridMap, goal: Cell):
-    """The planners' h(flat id), fixed by the map: octile distance on a
-    2D map, euclidean on a 3D one.  It is the same float as
-    heuristic(grid.cell_of(id), goal), computed without building the
-    cell tuple.  search.FlatSearch keys its start and goal with it, and
-    its run computes every other state's h inline by these same
-    expressions."""
-    w = grid.extents[0]
-    if grid.dim == 2:
-        gx, gy = goal
-
-        def octile(sid: int) -> float:
-            dx = abs(sid % w - gx)
-            dy = abs(sid // w - gy)
-            if dx < dy:
-                return dx * SQRT2 + (dy - dx)
-            return dy * SQRT2 + (dx - dy)
-
-        return octile
-    gx, gy, gz = goal
-    wh = w * grid.extents[1]
-    return lambda sid: math.hypot(sid % w - gx, sid % wh // w - gy, sid // wh - gz)
 
 
 def edge_decomposition(a: Cell, b: Cell) -> tuple[int, int]:

@@ -13,12 +13,11 @@ planners' and the exact oracle's, reads a state's moves through a
 DecodedMoves cache.  The oracle is one loop,
 astar_unit: toward a goal an A* with its own heuristic, the
 obstacle-free distance of unit moves (octile in 2D), computed inline
-on each push with no call, behind baselines.dijkstra_optimal; with
-goal = -1 a full Dijkstra field, behind baselines.dijkstra_field and
-the traced dijkstra_2d/3d.  Both baselines search the planners' own
-k = 1 table, which is checked apart from this builder
+on each push with no call, behind baselines.dijkstra_optimal, over the
+planners' own k = 1 table, which is checked apart from this builder
 (tests/test_kernels.py, tests/test_move_tables.py and perfbench's
-scipy reference).  Labels come from scipy.ndimage.
+scipy reference); with goal = -1 a full Dijkstra field, whose one entry
+point is dijkstra_2d/3d.  Labels come from scipy.ndimage.
 
 Coordinate convention: x is the fastest-varying axis.  A 2D map with
 width w stores cell (x, y) at flat index y*w + x; a 3D map with width w

@@ -15,7 +15,8 @@ successors onto the open lists' heaps itself, so that OpenList.pop is
 its only method call per expansion.  Its g values and closed bits are
 dense lists over flat cell ids, reused from query to query: a run that
 returns hands them back, reset, to a free list that the next search
-takes them from.
+takes them from.  Every h is grid.heuristic's float.  A run reads one
+clock, time.perf_counter, and returns through one exit, _finish.
 """
 
 import math
@@ -29,10 +30,10 @@ from .grid import (
     Cell,
     GridMap,
     ResolutionLadder,
-    as_cell,
+    check_cell,
     check_multiplier,
     coincides,
-    flat_heuristic,
+    heuristic,
     is_integer,
     walk_chain,
 )
@@ -40,10 +41,11 @@ from .kernels import SQRT2, mask_bits
 from .policies import POLICIES
 
 # Not called by the search core, which reads the grid's move tables and
-# sublattice masks and costs its predecessor chain instead; bound
+# sublattice masks and costs its predecessor chain instead, and calls
+# heuristic (imported above) once per query, for the start's key; bound
 # here so that layer tracers (see perfbench/tracing.py) find the same
 # names on every planner module.
-from .grid import get_space_indices, heuristic, path_cost, successors_at_scale  # noqa: F401
+from .grid import get_space_indices, path_cost, successors_at_scale  # noqa: F401
 
 STATUS_SOLVED = "solved"
 STATUS_EXHAUSTED = "exhausted"
@@ -78,7 +80,7 @@ def validate_query(
     bool or a string is refused): a weight finite and >= 1, the timeout
     > 0 (inf means none).  Given no grid (PlannerConfig's case) it
     returns None.  Given a grid, the endpoints become int tuples (see
-    as_cell: integer coordinates only) that must be free cells on the
+    check_cell, which names one reason) that must be free cells on the
     sublattice of the odd scale `sublattice`, and the ladder becomes a
     ResolutionLadder (a ResolutionLadder comes back as is).
     Returns (start, goal, ladder).
@@ -97,10 +99,10 @@ def validate_query(
     k = check_multiplier(sublattice)
     if not isinstance(ladder, ResolutionLadder):
         ladder = ResolutionLadder(ladder)
-    start, goal = as_cell(start, "start"), as_cell(goal, "goal")
+    start, goal = check_cell(grid, start, "start"), check_cell(grid, goal, "goal")
     for name, cell in (("start", start), ("goal", goal)):
-        if not grid.is_free(cell):
-            raise InvalidProblemError(f"{name} {cell} is blocked or out of bounds")
+        if grid.blocked.item(cell[::-1]):
+            raise InvalidProblemError(f"{name} {cell} is blocked")
         if k > 1 and not coincides(cell, k):  # every cell is on the unit lattice
             raise InvalidProblemError(f"{name} {cell} is not on the k={k} sublattice")
     return start, goal, ladder
@@ -138,7 +140,7 @@ class PlannerConfig:
 @dataclass(frozen=True)
 class Problem:
     """A planning query: grid, endpoints and ladder.  Every queue's
-    heuristic follows from the map (see grid.flat_heuristic).  Frozen
+    heuristic follows from the map (see grid.heuristic).  Frozen
     like PlannerConfig: dataclasses.replace checks a variant again."""
 
     grid: GridMap
@@ -175,18 +177,6 @@ class PlanResult:
     winning_queue: int | None
     bound: float | None = None
     expansion_log: list[tuple[int, Cell]] | None = None
-
-
-def check_deadline(
-    expansion_count: int, started_at: float, timeout: float, now_fn=time.monotonic
-) -> bool:
-    """True iff the wall clock has exceeded timeout.
-
-    Only consults the clock every 1000 expansions to keep its overhead
-    out of the inner loop; an infinite timeout never triggers.
-    """
-    due = expansion_count % 1000 == 0 and not math.isinf(timeout)
-    return due and now_fn() - started_at > timeout
 
 
 class OpenList:
@@ -260,9 +250,9 @@ class FlatSearch:
     g and closed are lists indexed by flat id, at least as long as the
     map: a state's cost-to-come (inf while unreached) and the bitmask of
     queues that expanded it (0 for none).  bp and h are dicts from a
-    flat id to its backpointer and heuristic, grid.flat_heuristic of the
-    goal (run computes it inline, by the same expression); a state is
-    generated once it has an h entry (start and goal from the outset),
+    flat id to its backpointer and heuristic, grid.heuristic of its cell
+    and the goal (run computes it inline, by the same expression); a state
+    is generated once it has an h entry (start and goal from the outset),
     so generated == len(h), and every id whose g or closed entry is not
     the default is a key of h.  The g/closed pair comes from the
     module's free list, and run hands it back once it returns (see
@@ -300,7 +290,6 @@ class FlatSearch:
         self.expansion_log: list[tuple[int, Cell]] | None = None
         self.start_id = grid.flat_index(start)
         self.goal_id = grid.flat_index(goal)
-        h_of = flat_heuristic(grid, goal)
         try:  # one call, so that two threads never take one pair
             g, closed = _FREE_TABLES.pop()
         except IndexError:
@@ -312,11 +301,11 @@ class FlatSearch:
         g[self.start_id] = 0.0
         self.g: list[float] | None = g
         self.closed: list[int] | None = closed
-        self.h = {self.start_id: h_of(self.start_id)}
+        h0 = heuristic(start, goal)
+        self.h = {self.start_id: h0}
         self.bp: dict[int, int] = {}
-        self.h.setdefault(self.goal_id, h_of(self.goal_id))
+        self.h.setdefault(self.goal_id, 0.0)
         self._ran = False
-        h0 = self.h[self.start_id]
         for j in mask_bits(1 if queue_masks is None else queue_masks[self.start_id]):
             self.opens[j].insert_or_update(self.start_id, self.weights[j] * h0, 0.0)
 
@@ -336,14 +325,15 @@ class FlatSearch:
         once g(goal) <= its key (bound * mk0 when the anchor steps in
         for a blocked pick); a key that overflowed to inf claims nothing.
         With one queue the gate always passes (mk0 <= bound * mk0), so
-        this is weighted A*.  The clock is read every 1000 expansions.
+        this is weighted A*.  Under a finite timeout the clock that
+        times wall_time is also read every 1000 expansions.
 
         Expanding sid in queue i closes it there and relaxes its moves
         from each of queue i's tables in turn, as the (offset, cost) pairs
         that table.moves caches for sid's mask: an improved successor
         takes the new g and backpointer and enters every queue of its
         mask that has not closed it.  A successor generated here gets
-        its h inline, with no call: grid.flat_heuristic's expression,
+        its h inline, with no call: grid.heuristic's expression,
         octile in 2D and math.hypot of the axis deltas in 3D, the case
         picked once per run.  A successor whose mask is 1 (or
         any, with queue_masks None) enters only the anchor, so only the
@@ -371,7 +361,6 @@ class FlatSearch:
             raise MrastarError("this search has already run; build a new one per query")
         self._ran = True
         self.expansion_log = log = [] if log_expansions else None
-        started = time.monotonic()
         t0 = time.perf_counter()
         opens = self.opens
         anchor = opens[0]
@@ -387,7 +376,7 @@ class FlatSearch:
         g, h, bp, closed, goal_id = self.g, self.h, self.bp, self.closed, self.goal_id
         weights, w0, qmasks = self.weights, self.weights[0], self._queue_masks
         expansions, cell_of, tables = self.expansions, self.grid.cell_of, self.tables
-        # the heuristic's terms, as in grid.flat_heuristic
+        # the heuristic's terms, as in grid.heuristic
         ext = self.grid.extents
         w, flat, sqrt2, hypot = ext[0], len(ext) == 2, SQRT2, math.hypot
         if flat:
@@ -395,8 +384,8 @@ class FlatSearch:
         else:
             wh = w * ext[1]
             gx, gy, gz = cell_of(goal_id)
-        bound, timeout = self.bound, self.timeout
-        timed = timeout < math.inf
+        bound, timed = self.bound, self.timeout < math.inf
+        deadline = t0 + self.timeout
         inf = math.inf
         push = heappush
         i, ol = 0, anchor  # the expanding queue, back to the anchor after each coarse step
@@ -410,7 +399,7 @@ class FlatSearch:
                 stale = False
             if not anchor_live and not nonempty:
                 break
-            if timed and check_deadline(sum(expansions), started, timeout):
+            if timed and not sum(expansions) % 1000 and time.perf_counter() > deadline:
                 return self._finish(STATUS_TIMEOUT, None, t0)
             mk = inf  # the anchor's best key, its stale tops dropped in place
             while anchor_heap:
@@ -485,31 +474,19 @@ class FlatSearch:
         return self._finish(STATUS_EXHAUSTED, None, t0)
 
     def _finish(self, status: str, winning_queue: int | None, t0: float) -> PlanResult:
-        """run's return: the result, then the g/closed pair, reset, back
-        on the free list, once, and dropped here."""
-        res = self.result(status, winning_queue, t0)
-        g, closed, inf = self.g, self.closed, math.inf
-        for sid in self.h:
-            g[sid] = inf
-            closed[sid] = 0
-        self.g = self.closed = None
-        _FREE_TABLES.append((g, closed))
-        return res
-
-    def result(self, status: str, winning_queue: int | None, t0: float) -> PlanResult:
-        """The PlanResult of a run that ended with status, timed from
-        perf_counter() reading t0.  A solved one takes its path and cost
-        from one walk back along bp from the goal (grid.walk_chain):
-        the cells, and the same float as path_cost of them.  A broken
-        chain raises SearchCorruptionError.  It reads no g or closed
-        entry and returns no pair: it may be called again."""
+        """run's one exit: the PlanResult of a run that ended with
+        status, timed from perf_counter() reading t0, then the g/closed
+        pair, reset, back on the free list, once, and dropped here.  A
+        solved result's path and cost come from one walk back along bp
+        (grid.walk_chain); a broken chain raises SearchCorruptionError
+        and keeps the pair."""
         wall = time.perf_counter() - t0
         solved = status == STATUS_SOLVED
         if solved:
             path, cost = walk_chain(self.grid, self.bp, self.start_id, self.goal_id)
         else:
             path, cost = [], math.inf
-        return PlanResult(
+        res = PlanResult(
             status=status,
             path=path,
             cost=cost,
@@ -520,6 +497,13 @@ class FlatSearch:
             bound=self.bound if solved else None,
             expansion_log=self.expansion_log,
         )
+        g, closed, inf = self.g, self.closed, math.inf
+        for sid in self.h:
+            g[sid] = inf
+            closed[sid] = 0
+        self.g = self.closed = None
+        _FREE_TABLES.append((g, closed))
+        return res
 
 
 class MraSearch(FlatSearch):

@@ -42,7 +42,6 @@ from mrastar.grid import (
     _lattice_total,
     directions,
     fine_components,
-    flat_heuristic,
     path_cost,
 )
 from mrastar.kernels import SQRT2, SQRT3
@@ -56,7 +55,6 @@ from mrastar.search import (
     PlannerConfig,
     PlanResult,
     Problem,
-    check_deadline,
 )
 
 
@@ -376,10 +374,10 @@ def walk_successors_3d(occ, w, h, d, x, y, z, k):
 
 def supercover_dijkstra(occ, extents, source):
     """The oracle Dijkstra that the mask searches replaced, kept as the
-    reference that the full distance fields (kernels.dijkstra_2d/3d and
-    baselines.dijkstra_field) are checked against: heapq over the unit
-    moves of the supercover walk (walk_successors_2d/3d at k=1), one
-    walk per move of every settled cell.  source is a flat id; returns
+    reference that the full distance fields (kernels.dijkstra_2d/3d) are
+    checked against: heapq over the unit moves of the supercover walk
+    (walk_successors_2d/3d at k=1), one walk per move of every settled
+    cell.  source is a flat id; returns
     (dist, bp) like the kernels."""
     occ = np.asarray(occ, dtype=bool).ravel().tolist()
     w, h = extents[0], extents[1]
@@ -915,7 +913,45 @@ def chain_cells(grid: GridMap, chain) -> list[Cell]:
 # its loop, kept verbatim as the old core of that loop's differential
 # test (tests/test_search_loop.py).  search._TableSets, which picked
 # wa_union's tables per space mask until FlatSearch took one tuple of
-# tables per queue, is kept with them.
+# tables per queue, is kept with them, and so are grid.flat_heuristic
+# and search.check_deadline, which it called, from before the search took
+# its start's h from grid.heuristic and read its deadline inline.
+
+
+def flat_heuristic(grid: GridMap, goal: Cell):
+    """The planners' h(flat id), fixed by the map: octile distance on a
+    2D map, euclidean on a 3D one.  It is the same float as
+    heuristic(grid.cell_of(id), goal), computed without building the
+    cell tuple.  search.FlatSearch keys its start and goal with it, and
+    its run computes every other state's h inline by these same
+    expressions."""
+    w = grid.extents[0]
+    if grid.dim == 2:
+        gx, gy = goal
+
+        def octile(sid: int) -> float:
+            dx = abs(sid % w - gx)
+            dy = abs(sid // w - gy)
+            if dx < dy:
+                return dx * SQRT2 + (dy - dx)
+            return dy * SQRT2 + (dx - dy)
+
+        return octile
+    gx, gy, gz = goal
+    wh = w * grid.extents[1]
+    return lambda sid: math.hypot(sid % w - gx, sid % wh // w - gy, sid // wh - gz)
+
+
+def check_deadline(
+    expansion_count: int, started_at: float, timeout: float, now_fn=time.monotonic
+) -> bool:
+    """True iff the wall clock has exceeded timeout.
+
+    Only consults the clock every 1000 expansions to keep its overhead
+    out of the inner loop; an infinite timeout never triggers.
+    """
+    due = expansion_count % 1000 == 0 and not math.isinf(timeout)
+    return due and now_fn() - started_at > timeout
 
 
 class _TableSets(dict):

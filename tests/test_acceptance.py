@@ -16,6 +16,7 @@ from mrastar import baselines as B
 from mrastar import bench as BE
 from mrastar import cli
 from mrastar import grid as G
+from mrastar import kernels
 from mrastar import search as S
 from mrastar import synthetic as syn
 from mrastar.maps_io import gen_scenarios, serialize_movingai
@@ -283,7 +284,7 @@ def test_acceptance_8_heuristic_consistency(capsys):
         grid = syn.random_grid((32, 32), 0.30, seed=5000 + i)
         sc = gen_scenarios(grid, 1, seed=5000 + i)[0]
         goal = sc.goal
-        dist, _ = B.dijkstra_field(grid, goal)
+        dist = kernels.dijkstra_2d(grid.flat_blocked, 32, 32, *goal)[0].reshape(32, 32)
         for y in range(32):
             for x in range(32):
                 s = (x, y)

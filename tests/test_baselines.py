@@ -15,7 +15,7 @@ from mrastar import kernels
 from mrastar import search as S
 from mrastar import synthetic as syn
 from mrastar.errors import InvalidProblemError
-from mrastar.kernels import SQRT2, STEP
+from mrastar.kernels import SQRT2
 
 import oracles
 from test_kernels import ORACLE_MAPS
@@ -61,8 +61,8 @@ DIFFERENTIAL_MAPS = ORACLE_MAPS + [
 
 
 def field_chain_cost(grid, dist, bp, t):
-    """path_cost of the bp chain to flat id t in a dijkstra_field (dist,
-    bp), raveled; inf where t is unreached."""
+    """path_cost of the bp chain to flat id t in a full distance field
+    (dist, bp) of kernels.dijkstra_2d/3d; inf where t is unreached."""
     if not math.isfinite(dist[t]):
         return math.inf
     chain = [t]
@@ -74,10 +74,10 @@ def field_chain_cost(grid, dist, bp, t):
 @pytest.mark.parametrize("extents,density,seed", DIFFERENTIAL_MAPS)
 def test_dijkstra_optimal_hex_equal_to_early_exit_dijkstra(extents, density, seed):
     # the A* oracle against the answer of an early-exit Dijkstra: path_cost
-    # of the bp chain in the start's full field (dijkstra_field, which
-    # the supercover test pins), on random pairs of free cells and of any
-    # cells, start == goal, blocked endpoints and pairs in different
-    # components
+    # of the bp chain in the start's full field (kernels.dijkstra_2d/3d,
+    # which the supercover test pins), on random pairs of free cells and
+    # of any cells, start == goal, blocked endpoints and pairs in
+    # different components
     g = syn.random_grid(extents, density, seed)
     pick = np.random.default_rng(seed)
     labels = G.fine_components(g).ravel()
@@ -88,9 +88,10 @@ def test_dijkstra_optimal_hex_equal_to_early_exit_dijkstra(extents, density, see
         pairs += [(blocked[0], free[-1]), (free[0], blocked[-1]), (blocked[0], blocked[0])]
     firsts = np.unique(labels[free], return_index=True)[1]
     pairs += [(free[firsts[0]], free[i]) for i in firsts[1:4]]
+    field = kernels.dijkstra_2d if g.dim == 2 else kernels.dijkstra_3d
     for a, b in pairs:
         start, goal = g.cell_of(int(a)), g.cell_of(int(b))
-        dist, bp = (f.ravel() for f in B.dijkstra_field(g, start))
+        dist, bp = field(g.flat_blocked, *g.extents, *start)
         want = field_chain_cost(g, dist, bp, int(b))
         assert B.dijkstra_optimal(g, start, goal).hex() == want.hex(), (start, goal)
 
@@ -125,59 +126,14 @@ def test_dijkstra_optimal_matches_reference():
                 assert math.isclose(got, want, rel_tol=1e-12)
 
 
-def test_dijkstra_field_shapes():
-    rng = np.random.default_rng(52)
-    g = random_map(rng, (12, 9), 0.2)
-    src = connected_free_pair(g, rng)[0]
-    dist, bp = B.dijkstra_field(g, src)
-    assert dist.shape == g.blocked.shape and bp.shape == g.blocked.shape
-    assert dist[tuple(reversed(src))] == 0.0
-    # every reached non-source cell has a predecessor one valid move away
-    reached = np.isfinite(dist) & (dist > 0)
-    for flat in np.flatnonzero(reached.ravel()):
-        cell = g.cell_of(int(flat))
-        prev = g.cell_of(int(bp.ravel()[flat]))
-        k, m = G.edge_decomposition(prev, cell)
-        assert k == 1
-        assert math.isclose(
-            dist.ravel()[flat],
-            dist[tuple(reversed(prev))] + STEP[m],
-            rel_tol=1e-12,
-        )
-
-
-@pytest.mark.parametrize(
-    "source", [(-1, 0), (5, 0), (0, -1), (0, 4), (0, 0, 0), (1,), ()]
-)
-def test_dijkstra_field_refuses_bad_source(source):
-    # on a 5x4 map: out of bounds (which used to wrap to another flat id
-    # or raise IndexError) or the wrong number of coordinates
-    g = G.GridMap.empty((5, 4))
-    with pytest.raises(InvalidProblemError):
-        B.dijkstra_field(g, source)
-
-
 def test_dijkstra_field_blocked_source_reaches_nothing():
     blocked = np.zeros((4, 5), bool)
     blocked[1, 2] = True
     g = G.GridMap((5, 4), blocked)
-    dist, bp = B.dijkstra_field(g, (2, 1))
+    dist, bp = kernels.dijkstra_2d(g.flat_blocked, 5, 4, 2, 1)
     assert np.all(np.isinf(dist)) and np.all(bp == -1)
-    dist, _ = B.dijkstra_field(g, (4, 3))
-    assert dist[3, 4] == 0.0 and np.isfinite(dist).sum() == 19
-
-
-@pytest.mark.parametrize("extents,seed", [((16, 16), 1), ((8, 7, 6), 2)])
-def test_dijkstra_field_shares_the_oracle_mask_cache(monkeypatch, extents, seed):
-    g = syn.random_grid(extents, 0.2, seed)
-    builds = []
-    build = kernels.unit_moves
-    monkeypatch.setattr(kernels, "unit_moves", lambda blocked: builds.append(1) or build(blocked))
-    a, b = connected_free_pair(g, np.random.default_rng(seed))
-    dist, _ = B.dijkstra_field(g, a)
-    assert B.dijkstra_optimal(g, a, b) == dist[tuple(reversed(b))]
-    B.dijkstra_field(g, b)
-    assert len(builds) == 1
+    dist, _ = kernels.dijkstra_2d(g.flat_blocked, 5, 4, 4, 3)
+    assert dist[g.flat_index((4, 3))] == 0.0 and np.isfinite(dist).sum() == 19
 
 
 @settings(max_examples=200)
@@ -196,7 +152,8 @@ def test_dijkstra_field_chains_hex_equal_to_dijkstra_optimal(extents, density, s
     # the same float as the goal-directed oracle's answer
     g = syn.random_grid(tuple(extents), density, seed)
     s = g.cell_of(data.draw(st.integers(0, g.size - 1)))
-    dist, bp = (a.ravel() for a in B.dijkstra_field(g, s))
+    field = kernels.dijkstra_2d if g.dim == 2 else kernels.dijkstra_3d
+    dist, bp = field(g.flat_blocked, *g.extents, *s)
     for t in np.flatnonzero(np.isfinite(dist)).tolist():
         got = field_chain_cost(g, dist, bp, t)
         assert got.hex() == B.dijkstra_optimal(g, s, g.cell_of(t)).hex(), (s, t)

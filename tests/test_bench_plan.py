@@ -4,7 +4,10 @@ and one cul-de-sac, and two rounds, this checkout given twice."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_plan", ROOT / "scripts" / "bench_plan.py")
@@ -100,3 +103,48 @@ def test_bench_plan_gives_no_ratio_for_different_work(monkeypatch):
     by_case = {r["case"]: r for r in run["results"] if r["tree"] == 1}
     assert by_case["plan"]["ratio"] is not None and by_case["setup"]["ratio"] is not None
     assert by_case["oracle"]["ratio"] is None and by_case["oracle"]["wins"] is None
+
+
+def test_rounds_below_one_are_refused_before_anything_is_written(monkeypatch, tmp_path):
+    # --rounds 0 and -2 used to append a run with no results
+    out = tmp_path / "BENCH_plan.json"
+    doc = json.dumps({"schema": bench_plan.SCHEMA, "runs": []}) + "\n"
+    out.write_text(doc, encoding="utf-8")
+    measure = bench_plan.measure
+    monkeypatch.setattr(bench_plan, "measure",
+                        lambda trees, rounds, seed: measure(trees, TINY[:1], rounds, seed))
+    for rounds in (0, -2):
+        with pytest.raises(SystemExit) as exc:
+            bench_plan.main(["--rounds", str(rounds), "--out", str(out)])
+        assert exc.value.code == 2
+        with pytest.raises(ValueError, match="rounds must be at least 1"):
+            measure([ROOT], TINY[:1], rounds=rounds)
+    assert out.read_text(encoding="utf-8") == doc
+
+
+def test_dirty_means_the_timed_src_tree(monkeypatch, tmp_path):
+    # an edit outside src/ used to mark a tree dirty, and an untracked
+    # module under src/mrastar/, which the timer imports, did not
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))  # no enclosing repo
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
+
+    assert bench_plan.git_state(tmp_path) == {"commit": None, "dirty": None}
+    pkg = tmp_path / "src" / "mrastar"
+    pkg.mkdir(parents=True)
+    (pkg / "grid.py").write_text("A = 1\n")
+    (tmp_path / "ISSUE.md").write_text("one\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "init")
+    state = bench_plan.git_state(tmp_path)
+    assert len(state["commit"]) == 40 and state["dirty"] is False
+    (tmp_path / "ISSUE.md").write_text("two\n")
+    (tmp_path / "notes.txt").write_text("")
+    assert bench_plan.git_state(tmp_path)["dirty"] is False
+    (pkg / "new.py").write_text("")
+    assert bench_plan.git_state(tmp_path)["dirty"] is True
+    (pkg / "new.py").unlink()
+    (pkg / "grid.py").write_text("A = 2\n")
+    assert bench_plan.git_state(tmp_path)["dirty"] is True

@@ -158,7 +158,7 @@ def test_plan_nan_weight_is_a_usage_error(empty10):
 @pytest.mark.parametrize("flag,value,message", [
     ("--w2", "-inf", "w2 must be a finite number >= 1, got -inf"),
     ("--timeout", "-inf", "timeout must be positive, got -inf"),
-    ("--start", "-1,0", "start (-1, 0) is blocked or out of bounds"),
+    ("--start", "-1,0", "start (-1, 0) is out of bounds"),
 ])
 def test_plan_negative_values_reach_the_value_checks(empty10, capsys, flag, value, message):
     argv = {"--start": "0,0", "--goal": "9,9", flag: value}

@@ -3,9 +3,11 @@
 tests/data/golden_oracle.json was recorded with the array-heap Dijkstra
 kernels that preceded the heapq one.  It holds float.hex of
 dijkstra_optimal for every (map, pair) of test_golden_plans._maps(), in
-both directions, and a sha256 of the dijkstra_field distance array from
-one 2D and one 3D source.  The current oracle must reproduce both bit
-for bit; backpointers may differ in which of several equal-cost
+both directions, and a sha256 of the full distance field
+(kernels.dijkstra_2d/3d, shaped like the map) from one 2D and one 3D
+source, under the key "dijkstra_field", the name of the deleted wrapper
+that returned the same arrays.  The current oracle must reproduce both
+bit for bit; backpointers may differ in which of several equal-cost
 predecessors they keep, so they are not recorded.  To write the file:
 
     PYTHONPATH=src python tests/test_golden_oracle.py --record
@@ -19,7 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mrastar.baselines import dijkstra_field, dijkstra_optimal
+from mrastar import kernels
+from mrastar.baselines import dijkstra_optimal
 from test_golden_plans import _maps
 
 DATA = Path(__file__).parent / "data" / "golden_oracle.json"
@@ -43,7 +46,8 @@ def compute() -> dict:
     fields = {}
     for name, i in FIELDS.items():
         grid, pairs = maps[name]
-        dist, _ = dijkstra_field(grid, pairs[i][0])
+        field = kernels.dijkstra_2d if grid.dim == 2 else kernels.dijkstra_3d
+        dist = field(grid.flat_blocked, *grid.extents, *pairs[i][0])[0].reshape(grid.blocked.shape)
         fields[f"{name}#{i}"] = {
             "shape": list(dist.shape),
             "finite": int(np.isfinite(dist).sum()),

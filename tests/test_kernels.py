@@ -14,7 +14,6 @@ import pytest
 import oracles
 from mrastar import GridMap, random_grid
 from mrastar import kernels
-from mrastar.baselines import dijkstra_field
 from mrastar.grid import edge_decomposition, fine_components, path_cost
 
 
@@ -176,10 +175,9 @@ ORACLE_MAPS = [
 @pytest.mark.parametrize("extents,density,seed", ORACLE_MAPS)
 def test_dijkstra_bitwise_equal_to_supercover_oracle(extents, density, seed):
     # the full distance fields, which astar_unit computes with no goal
-    # (kernels.dijkstra_2d/3d and baselines.dijkstra_field), against the
-    # segment-walk Dijkstra they replaced: dist and bp equal byte for
-    # byte, from random sources and the first and last free and blocked
-    # cells
+    # (kernels.dijkstra_2d/3d), against the segment-walk Dijkstra they
+    # replaced: dist and bp equal byte for byte, from random sources and
+    # the first and last free and blocked cells
     g = random_grid(extents, density, seed)
     pick = np.random.default_rng(seed)
     run = kernels.dijkstra_2d if g.dim == 2 else kernels.dijkstra_3d
@@ -189,9 +187,9 @@ def test_dijkstra_bitwise_equal_to_supercover_oracle(extents, density, seed):
     for src in sorted(sources):
         want = oracles.supercover_dijkstra(g.flat_blocked, g.extents, src)
         cell = g.cell_of(src)
-        for dist, bp in (run(g.flat_blocked, *g.extents, *cell), dijkstra_field(g, cell)):
-            assert dist.tobytes() == want[0].tobytes(), cell
-            assert bp.tobytes() == want[1].tobytes(), cell
+        dist, bp = run(g.flat_blocked, *g.extents, *cell)
+        assert dist.tobytes() == want[0].tobytes(), cell
+        assert bp.tobytes() == want[1].tobytes(), cell
 
 
 @pytest.mark.parametrize("extents,density,seed", ORACLE_MAPS)

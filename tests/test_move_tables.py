@@ -280,8 +280,8 @@ def test_move_table_refuses_a_bad_scale_whatever_is_cached():
 
 @pytest.mark.parametrize("extents,seed", [((16, 16), 1), ((8, 7, 6), 2)])
 def test_one_unit_move_build_per_map(monkeypatch, extents, seed):
-    # a plan, then the oracle and a distance field on the same fresh map:
-    # all of them search the one cached k = 1 table
+    # a plan, then the oracle on the same fresh map: both search the one
+    # cached k = 1 table
     grid = syn.random_grid(extents, 0.2, seed)
     builds = []
     build = kernels.unit_moves
@@ -292,8 +292,6 @@ def test_one_unit_move_build_per_map(monkeypatch, extents, seed):
     res = S.plan(S.Problem(grid, a, b, ladder=[1, 3]))
     assert res.status == S.STATUS_SOLVED and len(builds) == 1
     assert math.isfinite(B.dijkstra_optimal(grid, c, a))
-    dist, _ = B.dijkstra_field(grid, b)
-    assert math.isfinite(dist[tuple(reversed(a))])
     assert len(builds) == 1
 
 
@@ -351,8 +349,6 @@ def test_decoded_moves_are_one_cache_per_table(monkeypatch, extents, ladder):
     def run_oracles():
         for start, goal in queries:
             assert math.isfinite(B.dijkstra_optimal(grid, start, goal))
-        for start in cells:
-            assert np.isfinite(B.dijkstra_field(grid, start)[0]).sum() > 1
 
     def run_all():
         for start, goal in queries:
@@ -412,18 +408,17 @@ def test_mask_bits():
         assert G.mask_bits(m) == tuple(b for b in range(64) if m >> b & 1)
 
 
-# Two 3D shapes: x is the shortest axis in one and the longest in the other,
-# so the flat id's x/y/z decoding is checked both ways round.  kind names
-# the distance the map's dimension picks (oracles.HEURISTICS).
+# kind names the distance the map's dimension picks (oracles.HEURISTICS).
+# Every h entry of a search is heuristic's float:
+# tests/test_search.py::test_every_h_entry_is_flat_heuristic.
 @pytest.mark.parametrize("extents,kind", [((17, 11), "octile"), ((3, 8, 11), "euclidean"),
                                           ((7, 6, 5), "euclidean")])
 def test_flat_heuristic_bitwise_equal(extents, kind):
     grid = G.GridMap.empty(extents)
     goal = grid.cell_of(grid.size // 3)
-    h = G.flat_heuristic(grid, goal)
     for sid in range(grid.size):
         cell = grid.cell_of(sid)
-        assert h(sid) == G.heuristic(cell, goal) == oracles.HEURISTICS[kind](cell, goal)
+        assert G.heuristic(cell, goal) == oracles.HEURISTICS[kind](cell, goal)
 
 
 # ------------------------------------------------------- grid ownership

@@ -53,13 +53,33 @@ def test_start_keys_per_queue():
 # --------------------------------------------------------------- deadline
 
 
-def test_check_deadline_cadence():
-    always_late = lambda: 1e9
-    assert not S.check_deadline(999, 0.0, 120.0, now_fn=always_late)
-    assert S.check_deadline(1000, 0.0, 120.0, now_fn=always_late)
-    assert S.check_deadline(0, 0.0, 120.0, now_fn=lambda: 121.0)
-    assert not S.check_deadline(0, 0.0, 120.0, now_fn=lambda: 119.0)
-    assert not S.check_deadline(0, 0.0, math.inf, now_fn=always_late)
+def test_check_deadline_cadence(monkeypatch):
+    # run reads time.perf_counter for t0 and for wall_time and, under a
+    # finite timeout only, before expansions 0, 1000, 2000, ...; it times
+    # out at the first of those reads past t0 + timeout
+    blocked = np.zeros((50, 60), bool)
+    blocked[:, 45] = True  # 45 * 50 cells reachable from (0, 0), the goal not among them
+    grid = G.GridMap((60, 50), blocked)
+
+    def run(timeout, late_from):
+        reads = []
+
+        def clock():  # 0.0 until read number late_from, then 11.0
+            reads.append(None)
+            return 0.0 if len(reads) < late_from else 11.0
+
+        with monkeypatch.context() as m:
+            m.setattr(S.time, "perf_counter", clock)
+            res = S.plan(S.Problem(grid, (0, 0), (59, 49)), S.PlannerConfig(timeout=timeout))
+        return res, len(reads)
+
+    res, reads = run(math.inf, late_from=1)
+    assert (res.status, res.expansions, reads) == (S.STATUS_EXHAUSTED, [2250], 2)
+    res, reads = run(10.0, late_from=100)
+    assert (res.status, res.expansions, reads) == (S.STATUS_EXHAUSTED, [2250], 5)
+    res, reads = run(10.0, late_from=3)
+    assert (res.status, res.expansions, reads) == (S.STATUS_TIMEOUT, [1000], 4)
+    assert res.wall_time == 11.0 and res.path == [] and res.cost == math.inf
 
 
 # ----------------------------------------------------------------- config
@@ -405,10 +425,15 @@ def test_anchor_min_key_never_exceeds_optimal_cost():
     ((33, 40), 0.45, (1, 3, 9), 2),
     ((16, 13, 11), 0.25, (1, 3, 9), 3),
     ((9, 9, 9), 0.4, (1, 3), 4),
-], ids=["2d", "2d-dense", "3d", "3d-dense"])
+    # x the shortest axis, then the longest: the flat id's x/y/z
+    # decoding is checked both ways round
+    ((3, 8, 11), 0.2, (1, 3), 5),
+    ((7, 6, 5), 0.2, (1, 3), 6),
+], ids=["2d", "2d-dense", "3d", "3d-dense", "3d-x-shortest", "3d-x-longest"])
 def test_every_h_entry_is_flat_heuristic(monkeypatch, extents, density, ladder, seed):
-    # FlatSearch.run computes a new state's h inline; each entry of a
-    # finished run, solved or exhausted, is grid.flat_heuristic's float
+    # FlatSearch keys its start with grid.heuristic and run computes a
+    # new state's h inline; each entry of a finished run, solved or
+    # exhausted, is heuristic's float of the state's cell and the goal
     runs = []
 
     class Recording(S.FlatSearch):
@@ -430,9 +455,9 @@ def test_every_h_entry_is_flat_heuristic(monkeypatch, extents, density, ladder, 
         B.weighted_astar(grid, start, goal, w=3.0)
         B.wa_union(grid, start, goal, lad, w=2.0)
         assert len(runs) == 3
-        h_of = G.flat_heuristic(grid, goal)
+        want = {sid: G.heuristic(grid.cell_of(sid), goal).hex() for run in runs for sid in run.h}
         for run in runs:
-            assert [v.hex() for v in run.h.values()] == [h_of(sid).hex() for sid in run.h]
+            assert [v.hex() for v in run.h.values()] == [want[sid] for sid in run.h]
             checked += len(run.h)
         runs.clear()
     assert checked > 300
@@ -454,14 +479,15 @@ def test_reconstruct_detects_corruption():
     search = S.MraSearch(S.Problem(g, (0, 0), (4, 4)))
     res = search.run()
     assert res.status == S.STATUS_SOLVED
-    # a solved result walks bp back from the goal: a cycle, and a walk
-    # that leaves bp, are each refused
+    # a solved result walks bp back from the goal (grid.walk_chain): a
+    # cycle, and a walk that leaves bp, are each refused
+    assert G.walk_chain(g, search.bp, search.start_id, search.goal_id) == (res.path, res.cost)
     search.bp[search.goal_id] = search.goal_id
     with pytest.raises(SearchCorruptionError, match="broken backpointer chain"):
-        search.result(S.STATUS_SOLVED, 0, 0.0)
+        G.walk_chain(g, search.bp, search.start_id, search.goal_id)
     del search.bp[search.goal_id]
     with pytest.raises(SearchCorruptionError, match="broken backpointer chain"):
-        search.result(S.STATUS_SOLVED, 0, 0.0)
+        G.walk_chain(g, search.bp, search.start_id, search.goal_id)
 
 
 def test_drained_queues_with_a_reached_goal_are_corruption():

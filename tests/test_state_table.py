@@ -110,14 +110,14 @@ def test_a_raising_run_and_result_keep_the_pair():
     with pytest.raises(SearchCorruptionError, match="drained"):
         search.run()
     assert free_pairs() == before and search.g[search.goal_id] == 1e300
-    # result() after a run, twice
+    # a broken chain at the claim: the exit raises before it resets the pair
     search = S.MraSearch(S.Problem(grid, (0, 0), (4, 4)))
-    res = search.run()
     before = free_pairs()
-    again = [search.result(S.STATUS_SOLVED, 0, 0.0) for _ in range(2)]
-    assert free_pairs() == before
-    for other in again:
-        assert dataclasses.replace(other, wall_time=0.0) == dataclasses.replace(res, wall_time=0.0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(S, "walk_chain", lambda grid, bp, start, goal: G.walk_chain(grid, {}, start, goal))
+        with pytest.raises(SearchCorruptionError, match="broken backpointer chain"):
+            search.run()
+    assert free_pairs() == before and search.g[search.goal_id] < math.inf
 
 
 def test_live_searches_hold_distinct_lists():

@@ -89,21 +89,27 @@ def _bad_queries():
     blocked = np.zeros((8, 8), bool)
     blocked[3, 3] = True
     g2 = G.GridMap((8, 8), blocked)
-    return [
-        (g2, (3, 3), (7, 7)),  # blocked start
-        (g2, (0, 0), (8, 0)),  # goal out of bounds
+    return [  # one query per reason, with the one message that names it
+        ((g2, (3, 3), (7, 7)), "start (3, 3) is blocked"),
+        ((g2, (0, 0), (8, 0)), "goal (8, 0) is out of bounds"),
+        ((g2, (0, 0), (1, 2, 3)), "goal (1, 2, 3) is not a 2D cell"),
     ]
 
 
-@pytest.mark.parametrize("case", range(2))
+@pytest.mark.parametrize("case", range(3))
 def test_every_planner_refuses_the_same_way(case):
-    query = _bad_queries()[case]
+    # the message used to be "is blocked or out of bounds" for all three
+    query, message = _bad_queries()[case]
     messages = set()
     for door in FRONT_DOORS.values():
         with pytest.raises(InvalidProblemError) as exc:
             door(*query)
         messages.add(str(exc.value))
-    assert len(messages) == 1
+    assert messages == {message}
+    if "blocked" not in message:  # the one cell check, behind successors_at_scale too
+        with pytest.raises(InvalidProblemError) as exc:
+            G.successors_at_scale(query[2], 1, query[0])
+        assert str(exc.value) == message.replace("goal", "cell")
 
 
 @pytest.mark.parametrize("door", sorted(FRONT_DOORS))
@@ -146,8 +152,6 @@ def test_planners_refuse_non_integer_coordinates(door, bad):
 @pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
 def test_oracles_refuse_non_integer_coordinates(bad):
     g = G.GridMap.empty((5, 4))
-    with pytest.raises(InvalidProblemError, match="non-integer coordinate"):
-        B.dijkstra_field(g, (0, bad))
     assert B.dijkstra_optimal(g, (bad, 0), (4, 3)) == math.inf
     assert B.dijkstra_optimal(g, (0, 0), (4, bad)) == math.inf
 
@@ -158,8 +162,6 @@ def test_numpy_integer_coordinates_are_cells():
     res = S.plan(S.Problem(g, start, goal))
     assert res.path[0] == (0, 0) and type(res.path[0][0]) is int
     assert B.dijkstra_optimal(g, start, goal) == B.dijkstra_optimal(g, (0, 0), (4, 3))
-    dist, _ = B.dijkstra_field(g, goal)
-    assert math.isclose(dist[0, 0], 3 * math.sqrt(2.0) + 1)
 
 
 @pytest.mark.parametrize(
