@@ -355,20 +355,15 @@ def append_run(path: Path, run: dict) -> None:
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
-def positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", type=Path, default=[ROOT])
-    parser.add_argument("--rounds", type=positive_int, default=15)
+    parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_plan.json")
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error(f"--rounds must be at least 1, got {args.rounds}")
     run = measure([t.resolve() for t in args.trees], rounds=args.rounds, seed=args.seed)
     append_run(args.out, run)
     items = {f["name"]: f["maps"] + f["extra_setup_maps"] for f in run["families"]}
