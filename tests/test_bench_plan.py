@@ -134,13 +134,13 @@ def test_dirty_means_the_timed_src_tree(monkeypatch, tmp_path):
     pkg = tmp_path / "src" / "mrastar"
     pkg.mkdir(parents=True)
     (pkg / "grid.py").write_text("A = 1\n")
-    (tmp_path / "ISSUE.md").write_text("one\n")
+    (tmp_path / "README.md").write_text("one\n")
     git("init", "-q")
     git("add", "-A")
     git("commit", "-q", "-m", "init")
     state = bench_plan.git_state(tmp_path)
     assert len(state["commit"]) == 40 and state["dirty"] is False
-    (tmp_path / "ISSUE.md").write_text("two\n")
+    (tmp_path / "README.md").write_text("two\n")
     (tmp_path / "notes.txt").write_text("")
     assert bench_plan.git_state(tmp_path)["dirty"] is False
     (pkg / "new.py").write_text("")
