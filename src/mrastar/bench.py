@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .baselines import wa_union, weighted_astar
 from .errors import InvalidProblemError
-from .grid import Cell, GridMap, ResolutionLadder, is_integer
+from .grid import Cell, GridMap, ResolutionLadder, check_int, check_real
 from .maps_io import gen_scenarios
 from .search import PlannerConfig, PlanResult, Problem, plan
 
@@ -334,16 +334,13 @@ def run_sweep(
     value is timed on the map's cold caches (the decoded moves fill on
     first use).  mean_time_s is the mean over tasks of each task's
     minimum wall time over repeats.  solved and mean_cost (over solved
-    tasks) come from each task's last repeat.  Raises ValueError, before
-    anything is planned, unless repeats is an integer (see
-    grid.is_integer) of at least 1."""
+    tasks) come from each task's last repeat.  Before anything is
+    planned, vary must be w1 or w2, each value pass grid.check_real and
+    repeats grid.check_int with least 1; ValueError otherwise."""
     if vary not in ("w1", "w2"):
         raise ValueError(f"vary must be w1 or w2, got {vary!r}")
-    if not is_integer(repeats):
-        raise ValueError(f"repeats must be an integer, got {repeats!r}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    configs = [replace(base_config, **{vary: float(value)}) for value in values]
+    repeats = check_int("repeats", repeats, least=1)
+    configs = [replace(base_config, **{vary: float(check_real(vary, v))}) for v in values]
     best_times = [[math.inf] * len(tasks) for _ in configs]
     last_results = [[None] * len(tasks) for _ in configs]
     for t, task in enumerate(tasks):

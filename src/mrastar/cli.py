@@ -135,10 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args, w1: float, w2: float) -> PlannerConfig:
+def _config(args, **weights: float) -> PlannerConfig:
     return PlannerConfig(
-        w1=w1,
-        w2=w2,
+        **weights,
         policy=_POLICY_ALIASES.get(args.policy, args.policy),
         timeout=args.timeout,
         seed=args.seed,
@@ -169,7 +168,7 @@ def cmd_plan(args) -> int:
     ladder = _parse_ladder(args.res)
     start = _parse_cell(args.start)
     goal = _parse_cell(args.goal)
-    config = _config(args, args.w1, args.w2)
+    config = _config(args, w1=args.w1, w2=args.w2)
     result = run_algo(args.algo, grid, start, goal, ladder, config, log_expansions=want_svg)
     cost = f"{result.cost:.6f}" if result.status == "solved" else "-"
     expansions = "|".join(str(e) for e in result.expansions)
@@ -191,7 +190,7 @@ def cmd_plan(args) -> int:
 def cmd_bench(args) -> int:
     maps = _load_maps(args.maps, args.format)
     ladder = _parse_ladder(args.res)
-    config = _config(args, args.w1, args.w2)
+    config = _config(args, w1=args.w1, w2=args.w2)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     _check_algos(algos)  # before any scenario is sampled
     tasks = make_tasks(maps, args.scenarios, args.seed)
@@ -207,8 +206,8 @@ def cmd_bench(args) -> int:
 def cmd_sweep(args) -> int:
     maps = _load_maps(args.maps, args.format)
     ladder = _parse_ladder(args.res)
-    # run_sweep sets the varied weight per value
-    config = _config(args, args.fix, args.fix)
+    # --fix sets only the weight not varied; run_sweep sets the varied one
+    config = _config(args, **{"w2" if args.vary == "w1" else "w1": args.fix})
     values = _parse_values(args.values)
     tasks = make_tasks(maps, args.scenarios, args.seed)
     rows = run_sweep(tasks, args.vary, values, config, ladder, repeats=args.repeats)

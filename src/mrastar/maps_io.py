@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MapParseError, ScenarioGenerationError
-from .grid import Cell, GridMap, fine_components, is_integer
+from .grid import Cell, GridMap, check_int, fine_components
 
 MOVINGAI_FREE = frozenset(".GS")
 MOVINGAI_BLOCKED = frozenset("@OTW")
@@ -210,34 +210,20 @@ class Scenario(NamedTuple):
     seed: int
 
 
-def _as_int(name: str, x) -> int:
-    """x as a Python int; raises ValueError unless it is an integer (see
-    grid.is_integer: a bool, a float, a string or None is refused)."""
-    if not is_integer(x):
-        raise ValueError(f"{name} must be an integer, got {x!r}")
-    return int(x)
+# gen_scenarios' attempt budget: the draws it makes before it gives up
+MAX_ATTEMPTS = 10**6
 
 
-def gen_scenarios(
-    grid: GridMap,
-    count: int,
-    seed: int,
-    map_id: str = "map",
-    max_attempts: int = 10**6,
-) -> list[Scenario]:
+def gen_scenarios(grid: GridMap, count: int, seed: int, map_id: str = "map") -> list[Scenario]:
     """Sample `count` start/goal pairs of free cells in the same fine
     connected component, by rejection from a seeded generator.
 
     The pairs live on the unit lattice; planners that need sublattice
-    endpoints reject unsuitable pairs themselves.  count and seed must
-    be integers (int or numpy integer).  Raises ValueError for any other
-    count or seed and for a negative one, and ScenarioGenerationError
-    when the attempt budget runs out.
+    endpoints reject unsuitable pairs themselves.  count and seed go
+    through grid.check_int; ScenarioGenerationError is raised once
+    MAX_ATTEMPTS draws are spent.
     """
-    count, seed = _as_int("count", count), _as_int("seed", seed)
-    for name, x in (("count", count), ("seed", seed)):
-        if x < 0:
-            raise ValueError(f"{name} must be >= 0, got {x}")
+    count, seed = check_int("count", count), check_int("seed", seed)
     free = np.flatnonzero(~grid.flat_blocked)
     if len(free) < 2:
         raise ScenarioGenerationError(
@@ -249,11 +235,11 @@ def gen_scenarios(
     found = attempts = 0
     chunk = 1024  # draws are batched; the accept/reject order is fixed
     while found < count:
-        if attempts >= max_attempts:
+        if attempts >= MAX_ATTEMPTS:
             raise ScenarioGenerationError(
                 f"found {found}/{count} connected pairs in {attempts} attempts"
             )
-        n = min(chunk, max_attempts - attempts)
+        n = min(chunk, MAX_ATTEMPTS - attempts)
         pairs = free[rng.integers(0, len(free), size=(n, 2))]
         a, b = pairs[:, 0], pairs[:, 1]
         hits = np.flatnonzero((a != b) & (labels[a] == labels[b]))[:count - found]

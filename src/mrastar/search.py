@@ -20,7 +20,6 @@ clock, time.perf_counter, and returns through one exit, _finish.
 """
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -31,10 +30,11 @@ from .grid import (
     GridMap,
     ResolutionLadder,
     check_cell,
+    check_int,
     check_multiplier,
+    check_real,
     coincides,
     heuristic,
-    is_integer,
     walk_chain,
 )
 from .kernels import SQRT2, mask_bits
@@ -63,39 +63,31 @@ _UNIT_LADDER = ResolutionLadder((1,))
 _FREE_TABLES: list[tuple[list[float], list[int]]] = []
 
 
-def validate_query(
-    grid: GridMap | None = None,
-    start: Cell = (),
-    goal: Cell = (),
-    ladder=_UNIT_LADDER,
-    *,
-    sublattice: int = 1,
-    timeout: float = math.inf,
-    **weights: float,
-) -> tuple[Cell, Cell, ResolutionLadder] | None:
-    """The one check of a planning query, shared by PlannerConfig,
-    Problem and the baselines; raises InvalidProblemError up front.
-
-    timeout and every weight passed by keyword must be real numbers (a
-    bool or a string is refused): a weight finite and >= 1, the timeout
-    > 0 (inf means none).  Given no grid (PlannerConfig's case) it
-    returns None.  Given a grid, the endpoints become int tuples (see
-    check_cell, which names one reason) that must be free cells on the
-    sublattice of the odd scale `sublattice`, and the ladder becomes a
-    ResolutionLadder (a ResolutionLadder comes back as is).
-    Returns (start, goal, ladder).
-    """
-    for name, x in (*weights.items(), ("timeout", timeout)):
-        # float first: the numbers.Real check alone costs about 1 us per value
-        if type(x) is not float and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
-            raise InvalidProblemError(f"{name} must be a real number, got {x!r}")
+def check_weights(timeout: float = math.inf, **weights: float) -> None:
+    """The one check of a planner's timeout and of every weight passed
+    by keyword, shared by PlannerConfig and validate_query: each a real
+    number (see grid.check_real), a weight finite and >= 1, the timeout
+    > 0 (inf means none).  Raises InvalidProblemError."""
     for name, w in weights.items():
-        if not 1.0 <= w < math.inf:  # written so that NaN fails
+        if not 1.0 <= check_real(name, w) < math.inf:  # written so that NaN fails
             raise InvalidProblemError(f"{name} must be a finite number >= 1, got {w}")
-    if not timeout > 0:
+    if not check_real("timeout", timeout) > 0:
         raise InvalidProblemError(f"timeout must be positive, got {timeout}")
-    if grid is None:
-        return None
+
+
+def validate_query(grid: GridMap, start: Cell, goal: Cell, ladder=_UNIT_LADDER, *,
+                   sublattice: int = 1, timeout: float = math.inf,
+                   **weights: float) -> tuple[Cell, Cell, ResolutionLadder]:
+    """The one check of a planning query, shared by Problem and the
+    baselines; raises InvalidProblemError up front.
+
+    timeout and the weights go through check_weights.  The endpoints
+    become int tuples (see check_cell, which names one reason) that
+    must be free cells on the sublattice of the odd scale `sublattice`,
+    and the ladder becomes a ResolutionLadder (a ResolutionLadder comes
+    back as is).  Returns (start, goal, ladder).
+    """
+    check_weights(timeout, **weights)
     k = check_multiplier(sublattice)
     if not isinstance(ladder, ResolutionLadder):
         ladder = ResolutionLadder(ladder)
@@ -115,8 +107,8 @@ class PlannerConfig:
     w1 inflates the heuristic inside the non-anchor queues; w2 caps how
     far any queue may run ahead of the anchor and therefore bounds the
     returned cost at w2 times the anchor-space optimum.  policy is a key
-    of policies.POLICIES.  seed, for the dts policy, must be a
-    non-negative integer (see grid.is_integer).
+    of policies.POLICIES.  The weights and timeout are checked by
+    check_weights, and seed, for the dts policy, by grid.check_int.
     Frozen, so that no field changes after its check; derive a variant
     with dataclasses.replace, which checks it again.
     """
@@ -128,13 +120,11 @@ class PlannerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        validate_query(w1=self.w1, w2=self.w2, timeout=self.timeout)
+        check_weights(self.timeout, w1=self.w1, w2=self.w2)
         if not isinstance(self.policy, str) or self.policy not in POLICIES:
             raise InvalidProblemError(
                 f"policy must be one of {tuple(POLICIES)}, got {self.policy!r}")
-        if not is_integer(self.seed) or self.seed < 0:
-            raise InvalidProblemError(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_int("seed", self.seed))
 
 
 @dataclass(frozen=True)
@@ -266,18 +256,18 @@ class FlatSearch:
     wa_union's one queue, listing the whole ladder, gives a state the
     moves of exactly the scales whose sublattice holds it.
 
-    queue_masks gives, per flat id, the queues an improved state (and
-    the start) enters unless already closed there; None means queue 0
-    alone, and then the loop decodes no mask: a state enters queue 0
-    unless closed.  bound gates the coarse queues (see run) and is the
-    suboptimality factor a solved result reports; timeout is in seconds.
+    An improved state (and the start) enters each queue whose first
+    scale's sublattice holds it (the grid's space_masks) unless closed
+    there; with one queue the loop decodes no mask.  bound gates the
+    coarse queues (see run) and is the suboptimality factor a solved
+    result reports; timeout is in seconds.
     A subclass with coarse queues sets policy, which picks among them.
     """
 
     policy = None
 
     def __init__(self, grid: GridMap, start: Cell, goal: Cell, queue_scales, weights,
-                 bound: float, timeout: float = math.inf, queue_masks=None):
+                 bound: float, timeout: float = math.inf):
         self.grid = grid
         self.tables = [tuple(t for t in map(grid.move_table, scales) if not t.empty)
                        for scales in queue_scales]
@@ -286,7 +276,8 @@ class FlatSearch:
         self.timeout = timeout
         self.opens = [OpenList() for _ in self.weights]
         self.expansions = [0] * len(self.weights)
-        self._queue_masks = queue_masks
+        self._queue_masks = queue_masks = None if len(queue_scales) == 1 else (
+            grid.space_masks(tuple(scales[0] for scales in queue_scales)))
         self.expansion_log: list[tuple[int, Cell]] | None = None
         self.start_id = grid.flat_index(start)
         self.goal_id = grid.flat_index(goal)
@@ -336,7 +327,7 @@ class FlatSearch:
         its h inline, with no call: grid.heuristic's expression,
         octile in 2D and math.hypot of the axis deltas in 3D, the case
         picked once per run.  A successor whose mask is 1 (or
-        any, with queue_masks None) enters only the anchor, so only the
+        any, in a one-queue search) enters only the anchor, so only the
         anchor can have closed it: it is pushed there unless closed,
         without decoding a mask.
 
@@ -525,8 +516,7 @@ class MraSearch(FlatSearch):
         mults = problem.ladder.multipliers
         super().__init__(
             problem.grid, problem.start, problem.goal, [(k,) for k in mults],
-            (1.0,) + (config.w1,) * (len(mults) - 1), bound=config.w2,
-            timeout=config.timeout, queue_masks=problem.grid.space_masks(mults),
+            (1.0,) + (config.w1,) * (len(mults) - 1), bound=config.w2, timeout=config.timeout,
         )
         if len(mults) > 1:
             self.policy = POLICIES[config.policy](len(mults) - 1, config.seed)

@@ -8,7 +8,8 @@ sublattices the instance is meant to exercise.
 
 import numpy as np
 
-from .grid import Cell, GridMap, coincides, fine_components, is_integer
+from .errors import InvalidProblemError
+from .grid import Cell, GridMap, as_extents, check_int, check_real, coincides, fine_components
 
 CORRIDOR_SCALE = 7  # see corridor_instance
 CUL_DE_SAC_SCALE = 21  # see cul_de_sac_instance
@@ -16,15 +17,13 @@ CUL_DE_SAC_SCALE = 21  # see cul_de_sac_instance
 
 def random_grid(extents, density: float, seed: int) -> GridMap:
     """Uniform random obstacles at the given density (fraction of cells
-    blocked, in [0, 1]).  seed must be a non-negative integer (see
-    grid.is_integer); ValueError otherwise."""
-    if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must be in [0, 1], got {density}")
-    if not is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    rng = np.random.default_rng(seed)
-    shape = tuple(reversed(tuple(int(e) for e in extents)))
-    return GridMap(tuple(extents), rng.random(shape) < density)
+    blocked, in [0, 1]), checked before any draw: extents by
+    grid.as_extents, density by grid.check_real, seed by grid.check_int."""
+    extents = as_extents(extents)
+    if not 0.0 <= check_real("density", density) <= 1.0:
+        raise InvalidProblemError(f"density must be in [0, 1], got {density}")
+    rng = np.random.default_rng(check_int("seed", seed))
+    return GridMap(extents, rng.random(extents[::-1]) < density)
 
 
 def _check_connected(grid: GridMap, start: Cell, goal: Cell) -> None:
@@ -44,7 +43,7 @@ def corridor_instance(seed: int) -> tuple[GridMap, Cell, Cell]:
     freely.  Start and goal sit on the k-sublattice on opposite sides.
     """
     k = CORRIDOR_SCALE
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed))
     half = (k - 1) // 2
     w = k * int(rng.integers(7, 10))
     h = k * int(rng.integers(6, 9))
@@ -77,7 +76,7 @@ def cul_de_sac_instance(seed: int) -> tuple[GridMap, Cell, Cell]:
     CUL_DE_SAC_SCALE-sublattice so every ladder level can reach them.
     """
     k_max = CUL_DE_SAC_SCALE
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed))
     w = h = 96
     half = (k_max - 1) // 2
     lattice = list(range(half, h, k_max))  # 10, 31, 52, 73, 94

@@ -1,6 +1,7 @@
 """Benchmark harness: task fan-out, aggregation, sweeps."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -189,7 +190,7 @@ def test_run_sweep_shape(small_setup, monkeypatch):
         assert r["solved"] <= 3
     with pytest.raises(ValueError):
         B.run_sweep(tasks[:1], "timeout", [1.0], PlannerConfig(), ladder)
-    with pytest.raises(ValueError, match="repeats must be >= 1, got 0"):
+    with pytest.raises(InvalidProblemError, match="^repeats must be >= 1, got 0$"):
         B.run_sweep(tasks[:1], "w2", [1.0], PlannerConfig(), ladder, repeats=0)
     assert len(B.run_sweep(tasks[:1], "w2", [1.0], PlannerConfig(), ladder,
                            repeats=np.int64(1))) == 1
@@ -197,8 +198,15 @@ def test_run_sweep_shape(small_setup, monkeypatch):
     # the first warm-up, "2" and None leaked TypeError, and True ran once
     monkeypatch.setattr(B, "plan", lambda problem, config: pytest.fail("planned"))
     for repeats in (2.5, 2.0, "2", None, True):
-        with pytest.raises(ValueError, match="repeats must be an integer"):
+        with pytest.raises(InvalidProblemError,
+                           match=re.escape(f"repeats must be an integer, got {repeats!r}")):
             B.run_sweep(tasks[:1], "w2", [1.0], PlannerConfig(), ladder, repeats=repeats)
+    # a value of True used to run as w2 = 1.0, and "x" leaked float()'s
+    # "could not convert string to float"
+    for value in (True, "x", None):
+        with pytest.raises(InvalidProblemError,
+                           match=re.escape(f"w2 must be a real number, got {value!r}")):
+            B.run_sweep(tasks[:1], "w2", [3.0, value], PlannerConfig(), ladder)
 
 
 def _per_value_sweep(tasks, vary, values, base, ladder, repeats):

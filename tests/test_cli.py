@@ -89,7 +89,7 @@ def test_plan_negative_seed_usage_error(empty10, capsys):
         "--start", "0,0", "--goal", "9,9", "--policy", "dts", "--seed", "-1",
     )
     assert code == 1
-    assert "mrastar: error: seed must be a non-negative integer" in capsys.readouterr().err
+    assert "mrastar: error: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_plan_wa_multiplier_endpoints(tmp_path, capsys):
@@ -438,6 +438,21 @@ def test_sweep_bad_values_names_the_option_and_text(tmp_path, capsys, values):
     assert capsys.readouterr().err.strip() == (
         f"mrastar: error: bad --values {values!r}; expected numbers separated by commas, "
         "e.g. 1,2,3")
+
+
+@pytest.mark.parametrize("vary,fixed", [("w1", "w2"), ("w2", "w1")])
+def test_sweep_bad_fix_names_the_weight_it_sets(tmp_path, capsys, vary, fixed):
+    # --fix set both weights, so with --vary w1 a bad --fix was blamed on w1
+    g = syn.random_grid((12, 12), 0.1, seed=6)
+    (tmp_path / "m.map").write_text(serialize_movingai(g))
+    out = tmp_path / "s.csv"
+    code = run_cli(
+        "sweep", "--maps", tmp_path / "*.map", "--format", "movingai",
+        "--vary", vary, "--values", "2", "--fix", "0.5", "--out", out,
+    )
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err.strip() == (
+        f"mrastar: error: {fixed} must be a finite number >= 1, got 0.5")
 
 
 def test_sweep_prints_dash_for_missing_mean(tmp_path, capsys, monkeypatch):

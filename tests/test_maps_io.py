@@ -10,6 +10,7 @@ import ast
 import copy
 import math
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from mrastar import grid as G
 from mrastar import maps_io as M
 from mrastar import search as S
 from mrastar import synthetic as syn
-from mrastar.errors import MapParseError, ScenarioGenerationError
+from mrastar.errors import InvalidProblemError, MapParseError, ScenarioGenerationError
 
 import oracles
 
@@ -189,7 +190,7 @@ def test_gen_scenarios_connected_and_distinct():
 def test_gen_scenarios_refuses_a_negative_count():
     g = M.parse_movingai_map(MOVINGAI_3X3)
     # -3 used to return [], like a count of 0
-    with pytest.raises(ValueError, match="count"):
+    with pytest.raises(InvalidProblemError, match="^count must be >= 0, got -3$"):
         M.gen_scenarios(g, -3, seed=9)
     assert M.gen_scenarios(g, 0, seed=9) == []
 
@@ -197,19 +198,20 @@ def test_gen_scenarios_refuses_a_negative_count():
 def test_gen_scenarios_refuses_a_negative_seed():
     g = M.parse_movingai_map(MOVINGAI_3X3)
     # -1 used to escape with numpy's "expected non-negative integer"
-    with pytest.raises(ValueError, match="^seed must be >= 0, got -1"):
+    with pytest.raises(InvalidProblemError, match="^seed must be >= 0, got -1$"):
         M.gen_scenarios(g, 3, seed=-1)
-    with pytest.raises(ValueError, match="^seed must be >= 0"):
+    with pytest.raises(InvalidProblemError, match="^seed must be >= 0, got -5$"):
         M.gen_scenarios(g, 3, seed=np.int64(-5))
 
 
-def test_gen_scenarios_two_disconnected_cells():
+def test_gen_scenarios_two_disconnected_cells(monkeypatch):
     blocked = np.ones((3, 3), bool)
     blocked[0, 0] = False
     blocked[2, 2] = False  # free cells (0,0) and (2,2), severed
     g = G.GridMap((3, 3), blocked)
+    monkeypatch.setattr(M, "MAX_ATTEMPTS", 5000)
     with pytest.raises(ScenarioGenerationError):
-        M.gen_scenarios(g, 1, seed=0, max_attempts=5000)
+        M.gen_scenarios(g, 1, seed=0)
 
 
 def test_gen_scenarios_needs_two_free_cells():
@@ -232,31 +234,34 @@ def _scenario_outcome(f, *args, **kw):
     [((20, 17), 0.3, 1), ((12, 9, 7), 0.25, 2), ((64, 70), 0.3, 3), ((3, 3), 0.9, 4),
      ((1, 1, 5), 0.0, 5), ((2, 1), 0.0, 6)],
 )
-def test_gen_scenarios_matches_per_draw_reference(extents, density, seed):
+def test_gen_scenarios_matches_per_draw_reference(extents, density, seed, monkeypatch):
     # same pairs in the same order, and the same error (found count and
     # attempts) when the budget runs out, across seeds, counts and budgets
     g = syn.random_grid(extents, density, seed)
     for count in (0, 1, 7, 300, 2500):
         for max_attempts in (0, 1, 3, 700, 1024, 1500, 20000):
-            args = (g, count, seed + count)
-            kw = dict(map_id="m", max_attempts=max_attempts)
-            got = _scenario_outcome(M.gen_scenarios, *args, **kw)
-            assert got == _scenario_outcome(oracles.per_draw_gen_scenarios, *args, **kw)
+            args = (g, count, seed + count, "m")
+            monkeypatch.setattr(M, "MAX_ATTEMPTS", max_attempts)
+            got = _scenario_outcome(M.gen_scenarios, *args)
+            assert got == _scenario_outcome(
+                oracles.per_draw_gen_scenarios, *args, max_attempts=max_attempts)
             if isinstance(got, list) and got:
                 assert all(type(c) is int for c in got[0][2] + got[-1][3])
 
 
-def test_gen_scenarios_disconnected_matches_reference():
+def test_gen_scenarios_disconnected_matches_reference(monkeypatch):
     # two free cells, severed: every draw is rejected
     blocked = np.ones((3, 3), bool)
     blocked[0, 0] = blocked[2, 2] = False
     g = G.GridMap((3, 3), blocked)
     for max_attempts in (1, 1024, 1025, 5000):
-        got = _scenario_outcome(M.gen_scenarios, g, 1, seed=0, max_attempts=max_attempts)
+        monkeypatch.setattr(M, "MAX_ATTEMPTS", max_attempts)
+        got = _scenario_outcome(M.gen_scenarios, g, 1, seed=0)
         assert got == f"found 0/1 connected pairs in {max_attempts} attempts"
         assert got == _scenario_outcome(
             oracles.per_draw_gen_scenarios, g, 1, seed=0, max_attempts=max_attempts
         )
+    monkeypatch.undo()
     # two components: only pairs inside one are kept
     blocked = np.zeros((5, 9), bool)
     blocked[:, 4] = True
@@ -278,7 +283,8 @@ def test_gen_scenarios_refuses_non_integer_count_and_seed(kw):
     g = M.parse_movingai_map(MOVINGAI_3X3)
     args = dict(count=3, seed=9) | kw
     name = next(iter(kw))
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+    message = f"{name} must be an integer, got {kw[name]!r}"
+    with pytest.raises(InvalidProblemError, match=f"^{re.escape(message)}$"):
         M.gen_scenarios(g, **args)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from mrastar import grid as G
 from mrastar import synthetic as syn
+from mrastar.errors import InvalidProblemError
 
 
 def test_random_grid_density_and_determinism():
@@ -17,11 +18,24 @@ def test_random_grid_density_and_determinism():
     assert not g3.blocked.any()
     with pytest.raises(ValueError):
         syn.random_grid((8, 8), 1.5, seed=0)
+    # each used to leak a TypeError or int()'s "invalid literal", or, for
+    # True, to block every cell; (4, -1) failed inside numpy
+    for extents, density, message in [
+        ((4, 4), "0.3", "density must be a real number, got '0.3'"),
+        ((4, 4), True, "density must be a real number, got True"),
+        (("a", 4), 0.3, "extents must be integers, got ('a', 4)"),
+        ((4, -1), 0.3, "extents must be positive, got (4, -1)"),
+    ]:
+        with pytest.raises(InvalidProblemError) as exc:
+            syn.random_grid(extents, density, seed=1)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_corridor_instance_structure(seed):
     grid, start, goal = syn.corridor_instance(seed)
+    again = syn.corridor_instance(seed)
+    assert np.array_equal(again[0].blocked, grid.blocked) and again[1:] == (start, goal)
     assert grid.is_free(start) and grid.is_free(goal)
     assert G.coincides(start, 7) and G.coincides(goal, 7)
     labels = G.fine_components(grid)
@@ -38,6 +52,8 @@ def test_corridor_instance_structure(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_cul_de_sac_instance_structure(seed):
     grid, start, goal = syn.cul_de_sac_instance(seed)
+    again = syn.cul_de_sac_instance(seed)
+    assert np.array_equal(again[0].blocked, grid.blocked) and again[1:] == (start, goal)
     assert grid.is_free(start) and grid.is_free(goal)
     assert G.coincides(start, 21) and G.coincides(goal, 21)
     assert start[1] == goal[1]  # straight line start->goal

@@ -2,8 +2,11 @@
 multipliers and endpoints are refused up front with the same
 InvalidProblemError."""
 
+import ast
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,24 +256,34 @@ NON_REALS = ["1", None, True, 1j]
 
 @pytest.mark.parametrize("bad", NON_REALS, ids=repr)
 def test_non_real_timeouts_and_weights_are_refused(bad):
-    # strings and None used to escape as TypeError from a comparison
+    # strings and None used to escape as TypeError from a comparison, and
+    # random_grid took a density of True as 1.0
     doors = [
         *(("timeout", lambda door=door: door(bad)) for door in TIMEOUT_DOORS.values()),
         ("w1", lambda: S.PlannerConfig(w1=bad)),
         ("w2", lambda: S.PlannerConfig(w2=bad)),
         ("w", lambda: B.weighted_astar(GRID, START, GOAL, w=bad)),
         ("w", lambda: B.wa_union(GRID, START, GOAL, LADDER, w=bad)),
+        ("density", lambda: syn.random_grid((4, 4), bad, 1)),
     ]
     for name, door in doors:
         with pytest.raises(InvalidProblemError, match=f"^{name} must be a real number"):
             door()
 
 
+def _int_refusal(name, bad, least=0):
+    """The message of grid.check_int's refusal of bad, as a full-match
+    pattern."""
+    if G.is_integer(bad):
+        return f"^{name} must be >= {least}, got {bad}$"
+    return f"^{re.escape(f'{name} must be an integer, got {bad!r}')}$"
+
+
 @pytest.mark.parametrize("bad", [2.7, 2.0, "3", True, None, -1], ids=repr)
 def test_planner_seed_must_be_a_non_negative_integer(bad):
     # 2.7, 2.0, "3" and True used to become 2, 2, 3 and 1, None escaped as
     # a bare TypeError, and -1 was taken and then failed inside a dts search
-    with pytest.raises(InvalidProblemError, match="^seed must be a non-negative integer"):
+    with pytest.raises(InvalidProblemError, match=_int_refusal("seed", bad)):
         S.PlannerConfig(policy="dts", seed=bad)
 
 
@@ -284,9 +297,13 @@ def test_planner_policy_must_be_a_policy_name(bad):
 @pytest.mark.parametrize("bad", [1.5, 2.0, -1, True, "3", None], ids=repr)
 def test_random_grid_seed_must_be_a_non_negative_integer(bad):
     # 1.5 used to leak numpy's TypeError, -1 numpy's own ValueError, and
-    # None drew a different map on every call
-    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
-        syn.random_grid((4, 4), 0.2, seed=bad)
+    # None drew a different map on every call; the instance generators
+    # did all of that until they took the same check
+    doors = [lambda: syn.random_grid((4, 4), 0.2, seed=bad),
+             lambda: syn.corridor_instance(bad), lambda: syn.cul_de_sac_instance(bad)]
+    for door in doors:
+        with pytest.raises(InvalidProblemError, match=_int_refusal("seed", bad)):
+            door()
 
 
 def test_random_grid_takes_numpy_integer_seeds():
@@ -344,3 +361,34 @@ def test_replace_keeps_a_checked_query():
     assert problem.ladder == G.ResolutionLadder((1, 3, 5))
     config = dataclasses.replace(PROBE_CONFIG, seed=np.uint16(5))
     assert type(config.seed) is int and config.seed == 5
+
+
+# what is an integer, and what is a real number, is decided in grid.py only
+_RULES = {"is_integer", "numbers.Real"}
+
+
+def _dotted(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return node.attr if head is None else f"{head}.{node.attr}"
+    return None
+
+
+def test_the_integer_and_real_rules_live_in_grid_only():
+    src = Path(__file__).resolve().parent.parent / "src" / "mrastar"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "grid.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = set()
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                dotted = _dotted(node)
+                names = {dotted, dotted.rsplit(".", 1)[-1]} if dotted else set()
+            elif isinstance(node, ast.ImportFrom):
+                names = {f"{node.module}.{a.name}" for a in node.names} | {
+                    a.name for a in node.names}
+            found += [(path.name, node.lineno, name) for name in sorted(names & _RULES)]
+    assert found == []
