@@ -10,15 +10,19 @@ one search loop, kernels.astar_unit, over the planners' own k = 1
 table (GridMap.move_table(1)) and its decoded-move cache, which the
 planners fill too: dijkstra_optimal runs it toward the goal, with
 its own heuristic (the obstacle-free unit-move distance, octile in 2D)
-rather than the planners', and costs its predecessor chain of flat ids
-with grid.walk_chain, as the planners cost theirs.  The full distance
-field, the same loop with no goal, is kernels.dijkstra_2d/3d.  The
+rather than the planners', on the planners' (g, closed) pair, borrowed
+from search's free list (16 B per cell of the largest map, one pair per
+search or oracle call running at once), and costs its predecessor
+chain of flat ids with grid.walk_chain, as the planners cost theirs.
+The full distance field, the same loop with no goal on fresh
+whole-map buffers, is kernels.dijkstra_2d/3d.  The
 table is checked apart from its builder by tests/test_kernels.py,
 tests/test_move_tables.py and perfbench's scipy reference, which
 checks every oracle answer.
 """
 
 import math
+from itertools import chain
 
 from . import kernels
 from .errors import InvalidProblemError
@@ -28,7 +32,7 @@ from .grid import Cell, GridMap, ResolutionLadder, as_cell, walk_chain
 # predecessor chains; bound so that layer tracers (see
 # perfbench/tracing.py) find the same names on every planner module.
 from .grid import get_space_indices, heuristic, path_cost, successors_at_scale  # noqa: F401
-from .search import FlatSearch, PlanResult, validate_query
+from .search import FlatSearch, PlanResult, put_back_tables, take_tables, validate_query
 
 
 def weighted_astar(
@@ -48,7 +52,7 @@ def weighted_astar(
     action space (which for multiplier > 1 may exceed the unit-scale
     optimum, or find no path at all where one exists).
     """
-    start, goal, _ = validate_query(grid, start, goal, sublattice=multiplier, timeout=timeout, w=w)
+    start, goal, _ = validate_query(grid, start, goal, multiplier=multiplier, timeout=timeout, w=w)
     return FlatSearch(
         grid, start, goal, [(int(multiplier),)], (w,), bound=w, timeout=timeout
     ).run(log_expansions)
@@ -77,9 +81,14 @@ def wa_union(
 def dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:
     """Optimal unit-scale path cost between two cells, by A* over the
     grid's k = 1 move table, summed from the predecessor chain of flat
-    ids by grid.walk_chain, which reads the A*'s bp buffer as Python
-    ints, so that equal-cost optima agree bitwise and the answer is the
-    same float as path_cost of the chain's cells.
+    ids by grid.walk_chain, so that equal-cost optima agree bitwise and
+    the answer is the same float as path_cost of the chain's cells.
+    The A*'s dist and done are a (g, closed) pair borrowed from the
+    planners' free list (search.take_tables), and its bp a fresh dict;
+    the pair goes back reset at bp's keys and the start once the answer
+    is known, and a call that raises keeps it, as a raising search
+    does.  So once a pair as long as the map exists, a call allocates
+    in proportion to the cells it reaches, not to the map.
     Returns inf when no path exists (including blocked, out-of-range
     and non-integer inputs); never raises."""
     try:
@@ -92,7 +101,9 @@ def dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:
         return 0.0
     start_id, goal_id = grid.flat_index(start), grid.flat_index(goal)
     t = grid.move_table(1)
-    dist, bp = kernels.astar_unit(grid.blocked, t.masks, t.moves, start_id, goal_id)
-    if not math.isfinite(dist[goal_id]):
-        return math.inf
-    return walk_chain(grid, bp.data, start_id, goal_id)[1]
+    dist, done = take_tables(grid.blocked.size)
+    bp: dict[int, int] = {}
+    kernels.astar_unit(grid.blocked, t.masks, t.moves, start_id, goal_id, dist, done, bp)
+    cost = walk_chain(grid, bp, start_id, goal_id)[1] if goal_id in bp else math.inf
+    put_back_tables(dist, done, chain(bp, (start_id,)))
+    return cost

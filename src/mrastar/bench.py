@@ -8,6 +8,7 @@ for fixed seeds except for their timing fields.
 import csv
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple
 
 from .baselines import wa_union, weighted_astar
@@ -160,8 +161,12 @@ def make_tasks(
     tasks = []
     for idx, (map_id, grid) in enumerate(maps):
         scens = gen_scenarios(grid, scenarios_per_map, seed + idx, map_id=map_id)
-        for sc in scens:
-            tasks.append(BenchTask(map_id, grid, sc.index, sc.start, sc.goal, seed + idx))
+        if scens:
+            # each row is tuple.__new__(BenchTask, its fields), as gen_scenarios
+            # builds its Scenario rows, which skips the call to BenchTask.__new__
+            _, index, start, goal, _ = zip(*scens)
+            fields = zip(repeat(map_id), repeat(grid), index, start, goal, repeat(seed + idx))
+            tasks += map(tuple.__new__, repeat(BenchTask), fields)
     return tasks
 
 

@@ -177,11 +177,11 @@ class GridMap:
         ones are cached; anything else (a float or a bool compares equal
         to an int key) is checked and converted first."""
         if type(k) is not int:
-            k = check_multiplier(k)
+            k = check_multiplier("k", k)
         key = ("moves", k)
         table = self._cache.get(key)
         if table is None:
-            k = check_multiplier(k)
+            k = check_multiplier("k", k)
             if k == 1:
                 table = MoveTable(1, *kernels.unit_moves(self.blocked))
             else:
@@ -197,11 +197,12 @@ class GridMap:
         as a ResolutionLadder holds them, since only checked ones are
         cached; anything else is checked, converted and then read."""
         if type(multipliers) is not tuple or not _INT.issuperset(map(type, multipliers)):
-            multipliers = tuple(map(check_multiplier, multipliers))
+            multipliers = tuple(check_multiplier("multipliers", k) for k in multipliers)
         key = ("spaces", multipliers)
         masks = self._cache.get(key)
         if masks is None:
-            masks = _build_space_masks(self, tuple(map(check_multiplier, multipliers)))
+            masks = _build_space_masks(
+                self, tuple(check_multiplier("multipliers", k) for k in multipliers))
             self._cache[key] = masks
         return masks
 
@@ -238,7 +239,10 @@ def check_real(name: str, x):
 def as_extents(extents) -> tuple[int, ...]:
     """extents as 2 or 3 positive Python ints (see is_integer); raises
     InvalidProblemError otherwise."""
-    ext = tuple(extents)
+    try:
+        ext = tuple(extents)
+    except TypeError:
+        raise InvalidProblemError(f"extents {extents!r} is not a sequence of sizes") from None
     if not all(map(is_integer, ext)):
         raise InvalidProblemError(f"extents must be integers, got {ext!r}")
     ext = tuple(map(int, ext))
@@ -276,15 +280,18 @@ def check_cell(grid: GridMap, cell, name: str = "cell") -> Cell:
     return cell
 
 
-def check_multiplier(k) -> int:
-    """k as an int; raises InvalidProblemError unless it is an integer
-    (see is_integer), odd and >= 1, the rule for every action scale
-    (ladder level or single-scale planner)."""
+def check_multiplier(name: str, k) -> int:
+    """k as an int: the one rule for every action scale (ladder level or
+    single-scale planner).  Raises InvalidProblemError, naming name,
+    unless k is an integer (see is_integer), odd and >= 1.  A plural
+    name ("multipliers", a ladder's) reads as one of many: "must be
+    integers" rather than "must be an integer"."""
     if not is_integer(k):
-        raise InvalidProblemError(f"multipliers must be integers, got {k!r}")
+        kind = "integers" if name.endswith("s") else "an integer"
+        raise InvalidProblemError(f"{name} must be {kind}, got {k!r}")
     k = int(k)
     if k < 1 or k % 2 == 0:
-        raise InvalidProblemError(f"multipliers must be odd and >= 1, got {k}")
+        raise InvalidProblemError(f"{name} must be odd and >= 1, got {k}")
     return k
 
 
@@ -297,7 +304,7 @@ class ResolutionLadder:
 
     def __post_init__(self):
         try:
-            mults = tuple(map(check_multiplier, self.multipliers))
+            mults = tuple(check_multiplier("multipliers", k) for k in self.multipliers)
         except TypeError:
             raise InvalidProblemError(
                 f"ladder {self.multipliers!r} is not a sequence of multipliers"
@@ -401,7 +408,7 @@ def successors_at_scale(cell: Cell, k: int, grid: GridMap) -> list[tuple[Cell, f
     directions' order, by the box rule cell by cell (no move table).
     Raises InvalidProblemError unless cell is an in-bounds cell of the
     map and k an odd multiplier >= 1."""
-    cell, k = check_cell(grid, cell), check_multiplier(k)
+    cell, k = check_cell(grid, cell), check_multiplier("k", k)
     run = kernels.successors_2d if grid.dim == 2 else kernels.successors_3d
     moves = run(grid.flat_blocked, *grid.extents, *cell, k)
     return [(grid.cell_of(v), k * _STEP[m]) for v, m in moves]

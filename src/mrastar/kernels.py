@@ -11,13 +11,19 @@ bitmask with numpy by the same rule, reading each of the 3^d neighbour
 offsets once; GridMap.move_table(1) is its result.  Every search, the
 planners' and the exact oracle's, reads a state's moves through a
 DecodedMoves cache.  The oracle is one loop,
-astar_unit: toward a goal an A* with its own heuristic, the
-obstacle-free distance of unit moves (octile in 2D), computed inline
-on each push with no call, behind baselines.dijkstra_optimal, over the
-planners' own k = 1 table, which is checked apart from this builder
-(tests/test_kernels.py, tests/test_move_tables.py and perfbench's
-scipy reference); with goal = -1 a full Dijkstra field, whose one entry
-point is dijkstra_2d/3d.  Labels come from scipy.ndimage.
+astar_unit, over state its caller owns (dist, done and bp): toward a
+goal an A* with its own heuristic, the obstacle-free distance of unit
+moves (octile in 2D), computed inline on each push with no call,
+behind baselines.dijkstra_optimal, over the planners' own k = 1 table,
+which is checked apart from this builder (tests/test_kernels.py,
+tests/test_move_tables.py and perfbench's scipy reference); with goal
+= -1 a full Dijkstra field, whose one entry point is dijkstra_2d/3d.
+dijkstra_optimal runs it on the planners' (g, closed) pair, borrowed
+from search's free list, and a dict bp, so that a call allocates in
+proportion to the cells it reaches; the pair costs 16 B per cell of the
+largest map, one per search or oracle call running at once.  The
+fields run it on fresh whole-map buffers.  Labels come from
+scipy.ndimage.
 
 Coordinate convention: x is the fastest-varying axis.  A 2D map with
 width w stores cell (x, y) at flat index y*w + x; a 3D map with width w
@@ -195,79 +201,88 @@ def unit_moves(blocked):
     return memoryview(masks.ravel()), offsets, costs
 
 
-def astar_unit(blocked, masks, moves, source, goal):
+def astar_unit(blocked, masks, moves, source, goal, dist, done, bp):
     """The one exact search over the unit lattice: A* from flat id
     source over the unit moves of blocked, unit_moves' masks and a
     DecodedMoves of its offsets and costs, as the planners' own k = 1
-    table holds them (GridMap.move_table(1).masks and .moves).  Toward
-    a flat id goal its own heuristic, not the planners', is the exact
-    obstacle-free distance of unit moves to goal: with the axis
-    distances sorted as lo <= mid <= hi, lo * SQRT3 + (mid - lo) *
-    SQRT2 + (hi - mid) in 3D and octile in 2D.  Both are consistent with
-    the unit-move costs, so a settled cell's dist is exact and the
-    search stops once goal is settled.  With goal = -1 the heuristic is
-    zero and the search settles every reachable cell: a Dijkstra
-    distance field.  The case is picked once per call, and each
-    improving push computes its key inline, with no call: the 3D axis
-    distances are sorted by three compare-and-swaps.  A blocked source
-    reaches nothing.  Returns (dist, bp) as flat numpy arrays: dist is
-    inf and bp -1 where no cell was reached, and bp holds predecessor
-    flat ids, -1 at the source.  The table is checked apart from
-    unit_moves (see the module docstring)."""
-    n, source, goal = blocked.size, int(source), int(goal)
-    dist = array("d", [math.inf]) * n
-    bp = array("q", [-1]) * n
-    if not blocked.flat[source]:
-        w = blocked.shape[-1]
-        wh = w * blocked.shape[-2]  # on a 2D map every z is 0
-        gx, gy, gz = goal % w, goal % wh // w, goal // wh
-        cube, flat = goal >= 0 and blocked.ndim == 3, goal >= 0 and blocked.ndim == 2
-        sqrt2, sqrt3 = SQRT2, SQRT3
-        done = bytearray(n)
-        dist[source] = 0.0
-        heap = [(0.0, source)]  # popped first whatever its key
-        while heap:
-            u = heappop(heap)[1]
-            if done[u]:
-                continue
-            done[u] = 1
-            if u == goal:
-                break
-            du = dist[u]
-            for off, cost in moves[masks[u]]:
-                v = u + off
-                nd = du + cost
-                if nd < dist[v]:
-                    dist[v] = nd
-                    bp[v] = u
-                    if cube:
-                        lo, mid, hi = abs(v % w - gx), abs(v % wh // w - gy), abs(v // wh - gz)
+    table holds them (GridMap.move_table(1).masks and .moves), on state
+    the caller owns: dist (floats indexed by flat id, inf where
+    unreached), done (0 where unsettled) and bp (a predecessor map),
+    each covering the map.  Toward a flat id goal its own heuristic,
+    not the planners', is the exact obstacle-free distance of unit moves
+    to goal: with the axis distances sorted as lo <= mid <= hi, lo *
+    SQRT3 + (mid - lo) * SQRT2 + (hi - mid) in 3D and octile in 2D.
+    Both are consistent with the unit-move costs, so a settled cell's
+    dist is exact and the search stops once goal is settled.  With goal
+    = -1 the heuristic is zero and the search settles every reachable
+    cell: a Dijkstra distance field.  The case is picked once per call,
+    and each improving push computes its key inline, with no call: the
+    3D axis distances are sorted by three compare-and-swaps.  A blocked
+    source reaches nothing.  Returns nothing: dist holds each reached
+    cell's distance (the source's 0.0), done is 1 at each settled cell
+    and bp[v] is reached cell v's predecessor, written at every reached
+    cell but the source and nowhere else, so the cells whose entries
+    the call changed are the source and bp's keys.  The table is
+    checked apart from unit_moves (see the module docstring)."""
+    source, goal = int(source), int(goal)
+    if blocked.flat[source]:
+        return
+    w = blocked.shape[-1]
+    wh = w * blocked.shape[-2]  # on a 2D map every z is 0
+    gx, gy, gz = goal % w, goal % wh // w, goal // wh
+    cube, flat = goal >= 0 and blocked.ndim == 3, goal >= 0 and blocked.ndim == 2
+    sqrt2, sqrt3 = SQRT2, SQRT3
+    dist[source] = 0.0
+    heap = [(0.0, source)]  # popped first whatever its key
+    while heap:
+        u = heappop(heap)[1]
+        if done[u]:
+            continue
+        done[u] = 1
+        if u == goal:
+            break
+        du = dist[u]
+        for off, cost in moves[masks[u]]:
+            v = u + off
+            nd = du + cost
+            if nd < dist[v]:
+                dist[v] = nd
+                bp[v] = u
+                if cube:
+                    lo, mid, hi = abs(v % w - gx), abs(v % wh // w - gy), abs(v // wh - gz)
+                    if lo > mid:
+                        lo, mid = mid, lo
+                    if mid > hi:
+                        mid, hi = hi, mid
                         if lo > mid:
                             lo, mid = mid, lo
-                        if mid > hi:
-                            mid, hi = hi, mid
-                            if lo > mid:
-                                lo, mid = mid, lo
-                        nd += lo * sqrt3 + (mid - lo) * sqrt2 + (hi - mid)
-                    elif flat:
-                        dx, dy = abs(v % w - gx), abs(v // w - gy)
-                        nd += dx * sqrt2 + (dy - dx) if dx < dy else dy * sqrt2 + (dx - dy)
-                    heappush(heap, (nd, v))
+                    nd += lo * sqrt3 + (mid - lo) * sqrt2 + (hi - mid)
+                elif flat:
+                    dx, dy = abs(v % w - gx), abs(v // w - gy)
+                    nd += dx * sqrt2 + (dy - dx) if dx < dy else dy * sqrt2 + (dx - dy)
+                heappush(heap, (nd, v))
+
+
+def _field(blocked, source):
+    """astar_unit's full field from flat id source, on fresh whole-map
+    buffers: (dist, bp) as flat numpy arrays, dist inf and bp -1 where
+    no cell was reached, bp -1 at the source too."""
+    n = blocked.size
+    dist, bp = array("d", [math.inf]) * n, array("q", [-1]) * n
+    masks, offsets, costs = unit_moves(blocked)
+    astar_unit(blocked, masks, DecodedMoves(offsets, costs), source, -1, dist, bytearray(n), bp)
     return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
 
 
 def dijkstra_2d(occ, w, h, sx, sy):
-    """astar_unit's full field from (sx, sy) on a w x h map: (dist, bp)."""
-    blocked = np.asarray(occ, dtype=bool).reshape(h, w)
-    masks, offsets, costs = unit_moves(blocked)
-    return astar_unit(blocked, masks, DecodedMoves(offsets, costs), sy * w + sx, -1)
+    """astar_unit's full field from (sx, sy) on a w x h map: (dist, bp)
+    as flat numpy arrays (see _field)."""
+    return _field(np.asarray(occ, dtype=bool).reshape(h, w), sy * w + sx)
 
 
 def dijkstra_3d(occ, w, h, d, sx, sy, sz):
     """dijkstra_2d on a w x h x d map, 26-connected."""
-    blocked = np.asarray(occ, dtype=bool).reshape(d, h, w)
-    masks, offsets, costs = unit_moves(blocked)
-    return astar_unit(blocked, masks, DecodedMoves(offsets, costs), (sz * h + sy) * w + sx, -1)
+    return _field(np.asarray(occ, dtype=bool).reshape(d, h, w), (sz * h + sy) * w + sx)
 
 
 def _component_labels(occ, shape):

@@ -15,8 +15,13 @@ successors onto the open lists' heaps itself, so that OpenList.pop is
 its only method call per expansion.  Its g values and closed bits are
 dense lists over flat cell ids, reused from query to query: a run that
 returns hands them back, reset, to a free list that the next search
-takes them from.  Every h is grid.heuristic's float.  A run reads one
-clock, time.perf_counter, and returns through one exit, _finish.
+takes them from (take_tables, put_back_tables).  The exact oracle,
+baselines.dijkstra_optimal, borrows its dist and done from the same
+list by the same two helpers.  A pair costs 16 B per cell of the
+largest map it served, and a process holds one per search or oracle
+call that ran at once.  Every h is grid.heuristic's float.  A run
+reads one clock, time.perf_counter, and returns through one exit,
+_finish.
 """
 
 import math
@@ -54,13 +59,41 @@ STATUS_TIMEOUT = "timeout"
 # shared by every query that names no ladder: frozen, so built only once
 _UNIT_LADDER = ResolutionLadder((1,))
 
-# The (g, closed) list pairs of no running search, every entry inf / 0:
-# a FlatSearch takes one (or makes one) and its run, on returning, puts
-# it back reset.  A process holds one pair per search that ran at once,
-# each as long as the largest map planned on it, 16 B per cell.  Only
-# list.pop and list.append touch it, each atomic under the interpreter
-# lock, so searches in several threads share it safely.
+# The (g, closed) list pairs of no running search or oracle call, every
+# entry inf / 0: take_tables hands one out (or makes one) and
+# put_back_tables takes it back reset.  A process holds one pair per
+# search or baselines.dijkstra_optimal call that ran at once, each as
+# long as the largest map searched on it, 16 B per cell.  Only list.pop
+# and list.append touch it, each atomic under the interpreter lock, so
+# searches in several threads share it safely.
 _FREE_TABLES: list[tuple[list[float], list[int]]] = []
+
+
+def take_tables(size: int) -> tuple[list[float], list[int]]:
+    """A (g, closed) pair off the free list, or a new one, grown to at
+    least size entries: every entry inf / 0, and no other caller holds
+    it until put_back_tables."""
+    try:  # one call, so that two threads never take one pair
+        g, closed = _FREE_TABLES.pop()
+    except IndexError:
+        g, closed = [], []
+    grow = size - len(g)
+    if grow > 0:
+        g += [math.inf] * grow
+        closed += [0] * grow
+    return g, closed
+
+
+def put_back_tables(g: list[float], closed: list[int], touched) -> None:
+    """Reset g and closed to inf and 0 at the flat ids in touched, which
+    must hold every entry the holder set, and put the pair back on the
+    free list.  A holder that raises skips this and keeps its pair, so
+    that whatever it left set never reaches the free list."""
+    inf = math.inf
+    for sid in touched:
+        g[sid] = inf
+        closed[sid] = 0
+    _FREE_TABLES.append((g, closed))
 
 
 def check_weights(timeout: float = math.inf, **weights: float) -> None:
@@ -76,19 +109,19 @@ def check_weights(timeout: float = math.inf, **weights: float) -> None:
 
 
 def validate_query(grid: GridMap, start: Cell, goal: Cell, ladder=_UNIT_LADDER, *,
-                   sublattice: int = 1, timeout: float = math.inf,
+                   multiplier: int = 1, timeout: float = math.inf,
                    **weights: float) -> tuple[Cell, Cell, ResolutionLadder]:
     """The one check of a planning query, shared by Problem and the
     baselines; raises InvalidProblemError up front.
 
     timeout and the weights go through check_weights.  The endpoints
     become int tuples (see check_cell, which names one reason) that
-    must be free cells on the sublattice of the odd scale `sublattice`,
-    and the ladder becomes a ResolutionLadder (a ResolutionLadder comes
+    must be free cells on the sublattice of the odd scale `multiplier`
+    (checked by grid.check_multiplier under that name), and the ladder becomes a ResolutionLadder (a ResolutionLadder comes
     back as is).  Returns (start, goal, ladder).
     """
     check_weights(timeout, **weights)
-    k = check_multiplier(sublattice)
+    k = check_multiplier("multiplier", multiplier)
     if not isinstance(ladder, ResolutionLadder):
         ladder = ResolutionLadder(ladder)
     start, goal = check_cell(grid, start, "start"), check_cell(grid, goal, "goal")
@@ -281,14 +314,7 @@ class FlatSearch:
         self.expansion_log: list[tuple[int, Cell]] | None = None
         self.start_id = grid.flat_index(start)
         self.goal_id = grid.flat_index(goal)
-        try:  # one call, so that two threads never take one pair
-            g, closed = _FREE_TABLES.pop()
-        except IndexError:
-            g, closed = [], []
-        grow = grid.blocked.size - len(g)
-        if grow > 0:
-            g += [math.inf] * grow
-            closed += [0] * grow
+        g, closed = take_tables(grid.blocked.size)
         g[self.start_id] = 0.0
         self.g: list[float] | None = g
         self.closed: list[int] | None = closed
@@ -488,12 +514,8 @@ class FlatSearch:
             bound=self.bound if solved else None,
             expansion_log=self.expansion_log,
         )
-        g, closed, inf = self.g, self.closed, math.inf
-        for sid in self.h:
-            g[sid] = inf
-            closed[sid] = 0
+        put_back_tables(self.g, self.closed, self.h)
         self.g = self.closed = None
-        _FREE_TABLES.append((g, closed))
         return res
 
 

@@ -8,7 +8,8 @@ and brute-force enumeration elsewhere.  The others are code that src/
 replaced, kept verbatim (or marked "(adapted)") as the reference of
 the replacement's differential test: one per layer, the newest, for
 the move tables (full_move_table), the unit-lattice A*
-(bits_astar_unit), the search core (OpenList, FlatSearch, MraSearch),
+(bits_astar_unit for its dist and bp, whole_map_astar_unit for the
+oracle's answers), the search core (OpenList, FlatSearch, MraSearch),
 the queue policies (RoundRobin, DynamicThompson, with which MraSearch
 runs), the open list, the parsers, scenario sampling, path costs and
 chain costs.  When a replaced path moves in here, any reference whose
@@ -477,6 +478,73 @@ def bits_astar_unit(blocked, masks, offsets, costs, source, goal):
                     dist[v] = nd
                     bp[v] = u
                     heappush(heap, (nd + h(v), v))
+    return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
+
+
+# kernels.astar_unit as it was before it ran on state its caller owns,
+# kept verbatim (renamed) as the reference of that change's differential
+# test (tests/test_baselines.py::test_baseline_properties): it allocates
+# and fills whole-map dist, bp and done buffers on every call.
+
+
+def whole_map_astar_unit(blocked, masks, moves, source, goal):
+    """The one exact search over the unit lattice: A* from flat id
+    source over the unit moves of blocked, unit_moves' masks and a
+    DecodedMoves of its offsets and costs, as the planners' own k = 1
+    table holds them (GridMap.move_table(1).masks and .moves).  Toward
+    a flat id goal its own heuristic, not the planners', is the exact
+    obstacle-free distance of unit moves to goal: with the axis
+    distances sorted as lo <= mid <= hi, lo * SQRT3 + (mid - lo) *
+    SQRT2 + (hi - mid) in 3D and octile in 2D.  Both are consistent with
+    the unit-move costs, so a settled cell's dist is exact and the
+    search stops once goal is settled.  With goal = -1 the heuristic is
+    zero and the search settles every reachable cell: a Dijkstra
+    distance field.  The case is picked once per call, and each
+    improving push computes its key inline, with no call: the 3D axis
+    distances are sorted by three compare-and-swaps.  A blocked source
+    reaches nothing.  Returns (dist, bp) as flat numpy arrays: dist is
+    inf and bp -1 where no cell was reached, and bp holds predecessor
+    flat ids, -1 at the source.  The table is checked apart from
+    unit_moves (see the module docstring)."""
+    n, source, goal = blocked.size, int(source), int(goal)
+    dist = array("d", [math.inf]) * n
+    bp = array("q", [-1]) * n
+    if not blocked.flat[source]:
+        w = blocked.shape[-1]
+        wh = w * blocked.shape[-2]  # on a 2D map every z is 0
+        gx, gy, gz = goal % w, goal % wh // w, goal // wh
+        cube, flat = goal >= 0 and blocked.ndim == 3, goal >= 0 and blocked.ndim == 2
+        sqrt2, sqrt3 = SQRT2, SQRT3
+        done = bytearray(n)
+        dist[source] = 0.0
+        heap = [(0.0, source)]  # popped first whatever its key
+        while heap:
+            u = heappop(heap)[1]
+            if done[u]:
+                continue
+            done[u] = 1
+            if u == goal:
+                break
+            du = dist[u]
+            for off, cost in moves[masks[u]]:
+                v = u + off
+                nd = du + cost
+                if nd < dist[v]:
+                    dist[v] = nd
+                    bp[v] = u
+                    if cube:
+                        lo, mid, hi = abs(v % w - gx), abs(v % wh // w - gy), abs(v // wh - gz)
+                        if lo > mid:
+                            lo, mid = mid, lo
+                        if mid > hi:
+                            mid, hi = hi, mid
+                            if lo > mid:
+                                lo, mid = mid, lo
+                        nd += lo * sqrt3 + (mid - lo) * sqrt2 + (hi - mid)
+                    elif flat:
+                        dx, dy = abs(v % w - gx), abs(v // w - gy)
+                        nd += dx * sqrt2 + (dy - dx) if dx < dy else dy * sqrt2 + (dx - dy)
+                    heappush(heap, (nd, v))
     return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
 
 

@@ -37,6 +37,16 @@ def connected_free_pair(grid, rng):
 # -------------------------------------------------------- dijkstra oracle
 
 
+def whole_map_oracle(grid, start, goal):
+    """dijkstra_optimal's answer for two free cells as it was computed
+    on whole-map buffers (oracles.whole_map_astar_unit): grid.walk_chain
+    over the A*'s bp array, inf when the goal is unreached."""
+    t = grid.move_table(1)
+    s, g = grid.flat_index(start), grid.flat_index(goal)
+    dist, bp = oracles.whole_map_astar_unit(grid.blocked, t.masks, t.moves, s, g)
+    return G.walk_chain(grid, bp.data, s, g)[1] if math.isfinite(dist[g]) else math.inf
+
+
 def test_dijkstra_optimal_examples():
     g = G.GridMap.empty((10, 10))
     assert B.dijkstra_optimal(g, (4, 4), (4, 4)) == 0.0
@@ -318,7 +328,9 @@ def test_baseline_properties(extents, density, seed, coarse, w, ends):
     # to rounding (its union graph holds the unit lattice, and a coarse
     # move costs what its k unit steps cost); every planner solves a
     # query iff its endpoints share a fine component, and a solved cost
-    # is the path_cost of its path
+    # is the path_cost of its path; the oracle, on the planners' reused
+    # (g, closed) pair, is float.hex equal, either way round, to its
+    # answer on whole-map buffers
     grid = syn.random_grid(tuple(extents), density, seed)
     free = np.flatnonzero(~grid.flat_blocked)
     assume(free.size)
@@ -327,6 +339,8 @@ def test_baseline_properties(extents, density, seed, coarse, w, ends):
     connected = labels[grid.flat_index(start)] == labels[grid.flat_index(goal)]
     opt = B.dijkstra_optimal(grid, start, goal)
     assert math.isfinite(opt) == connected
+    assert opt.hex() == whole_map_oracle(grid, start, goal).hex()
+    assert B.dijkstra_optimal(grid, goal, start).hex() == whole_map_oracle(grid, goal, start).hex()
     results = {
         "astar": B.weighted_astar(grid, start, goal),
         "wa-high": B.weighted_astar(grid, start, goal, w=w),

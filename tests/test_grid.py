@@ -60,6 +60,16 @@ def test_gridmap_refuses_non_integer_extents(extents):
         G.GridMap(extents, np.zeros(shape, bool))
 
 
+@pytest.mark.parametrize("extents", [5, None, np.int64(5)], ids=repr)
+def test_gridmap_refuses_extents_that_are_no_sequence(extents):
+    # each used to leak TypeError: '...' object is not iterable
+    message = f"extents {extents!r} is not a sequence of sizes"
+    for door in (lambda: G.GridMap.empty(extents), lambda: G.GridMap(extents, np.zeros((5, 5), bool))):
+        with pytest.raises(InvalidProblemError) as info:
+            door()
+        assert str(info.value) == message
+
+
 def test_gridmap_accepts_numpy_integer_extents():
     g = G.GridMap.empty((np.int64(5), np.int32(4)))
     assert g.extents == (5, 4) and all(type(e) is int for e in g.extents)

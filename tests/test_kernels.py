@@ -7,6 +7,7 @@ decoded each mask's bits itself (oracles.bits_astar_unit) and against
 its own full field."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -15,6 +16,15 @@ import oracles
 from mrastar import GridMap, random_grid
 from mrastar import kernels
 from mrastar.grid import edge_decomposition, fine_components, path_cost
+
+
+def fresh_astar_unit(g, masks, moves, src, goal):
+    """kernels.astar_unit on fresh whole-map buffers: (dist, bp) as flat
+    numpy arrays, dist inf and bp -1 where no cell was reached, bp -1
+    at the source too."""
+    dist, bp = array("d", [math.inf]) * g.size, array("q", [-1]) * g.size
+    kernels.astar_unit(g.blocked, masks, moves, src, goal, dist, bytearray(g.size), bp)
+    return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
 
 
 def kernel_visited_2d(a, b):
@@ -226,8 +236,8 @@ def test_astar_unit_reaches_fewer_cells_than_early_exit_dijkstra(extents, densit
         if math.dist(g.cell_of(a), g.cell_of(b)) < 8:
             continue
         pairs += 1
-        dist, bp = kernels.astar_unit(g.blocked, masks, moves, a, b)
-        field, _ = kernels.astar_unit(g.blocked, masks, moves, a, -1)
+        dist, bp = fresh_astar_unit(g, masks, moves, a, b)
+        field, _ = fresh_astar_unit(g, masks, moves, a, -1)
         assert dist[b] == field[b]
         assert np.isfinite(dist).sum() < (field < field[b]).sum()
         chain = [b]
@@ -263,7 +273,8 @@ _DELTAS = {
 ])
 def test_astar_unit_equal_to_bit_decoding_astar(extents, density, seed):
     # the oracle relaxing through the k = 1 table's decoded-move cache,
-    # its heuristic keys computed inline, against the A* that decoded
+    # its heuristic keys computed inline, on fresh whole-map buffers
+    # (dist inf, done 0, bp -1), against the A* that decoded
     # each mask's bits itself and called a heuristic closure per push
     # (oracles.bits_astar_unit): dist and bp byte for byte, toward goals
     # and as full fields (goal = -1), from free and blocked sources, and
@@ -284,7 +295,7 @@ def test_astar_unit_equal_to_bit_decoding_astar(extents, density, seed):
         far = g.flat_index(tuple(n - 1 - c for n, c in zip(extents, d)))
         pairs += [(0, near), (near, 0), (last, far), (far, last)]
     for src, goal in pairs:
-        got = kernels.astar_unit(g.blocked, t.masks, t.moves, src, goal)
+        got = fresh_astar_unit(g, t.masks, t.moves, src, goal)
         want = oracles.bits_astar_unit(g.blocked, t.masks, t.offsets, t.costs, src, goal)
         assert got[0].tobytes() == want[0].tobytes(), (src, goal)
         assert got[1].tobytes() == want[1].tobytes(), (src, goal)

@@ -5,8 +5,11 @@ search.FlatSearch keeps g (cost-to-come, inf while unreached) and closed
 flat cell ids.  The pair comes from search._FREE_TABLES, grown to the
 map when it is shorter; a run that returns resets the entries at h's
 keys and puts the pair back once, and a run that raises keeps it.  The
-reference for what the table must compute is oracles.MraSearch and
-oracles.FlatSearch, whose state table is a pair of dicts.
+exact oracle, baselines.dijkstra_optimal, borrows a pair by the same
+rule for its A*'s dist and done, and resets it at its bp's keys and the
+start.  The reference for what the table must compute is
+oracles.MraSearch and oracles.FlatSearch, whose state table is a pair
+of dicts.
 """
 
 import dataclasses
@@ -14,14 +17,18 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mrastar import baselines as B
+from mrastar import bench
 from mrastar import grid as G
 from mrastar import search as S
 from mrastar import synthetic as syn
 from mrastar.errors import MrastarError, SearchCorruptionError
+from mrastar.kernels import SQRT2
 
 import oracles
 
@@ -214,3 +221,155 @@ def test_threads_share_the_free_list():
     ids = [i for pair in free_pairs() for i in pair]
     assert len(ids) == len(set(ids))
     assert_free_list_clean()
+
+
+# ------------------------------------------------------------ the oracle
+
+
+@pytest.mark.parametrize("case", ["reached", "other-component", "start-is-goal", "blocked"])
+def test_the_oracle_hands_back_the_pair_it_borrows(monkeypatch, case):
+    # a pair as long as the map, and a shorter one on top, which a call
+    # that searches takes and grows
+    monkeypatch.setattr(S, "_FREE_TABLES", [])
+    pairs = [S.take_tables(256), S.take_tables(16)]
+    for pair in pairs:
+        S.put_back_tables(*pair, ())
+    grid = _wall((16, 16), 8)
+    start, goal, want = {
+        "reached": ((2, 2), (5, 13), 8 + 3 * SQRT2),
+        "other-component": ((2, 2), (13, 13), math.inf),
+        "start-is-goal": ((2, 2), (2, 2), 0.0),
+        "blocked": ((2, 2), (8, 3), math.inf),
+    }[case]
+    before = free_pairs()
+    assert B.dijkstra_optimal(grid, start, goal) == want
+    assert free_pairs() == before
+    assert [len(g) for g, _ in S._FREE_TABLES] == [256, 256 if case in ("reached", "other-component") else 16]
+    assert_free_list_clean()
+
+
+def test_a_raising_oracle_call_keeps_its_pair(monkeypatch):
+    monkeypatch.setattr(S, "_FREE_TABLES", [])
+    grid = G.GridMap.empty((9, 9))
+    S.plan(S.Problem(grid, (0, 0), (8, 8)))
+    (kept,) = S._FREE_TABLES
+
+    def broken(grid, bp, start, goal):
+        raise SearchCorruptionError("broken backpointer chain at goal")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(B, "walk_chain", broken)
+        with pytest.raises(SearchCorruptionError):
+            B.dijkstra_optimal(grid, (0, 0), (8, 8))
+    assert S._FREE_TABLES == [] and kept[0][0] == 0.0 and kept[1][0] == 1
+    assert B.dijkstra_optimal(grid, (0, 0), (8, 8)) == 8 * SQRT2
+    assert len(S._FREE_TABLES) == 1 and S._FREE_TABLES[0][0] is not kept[0]
+    assert_free_list_clean()
+
+
+def _queries():
+    """(grid, start, goal) on maps of five sizes, 2D and 3D, every
+    endpoint free and on the 3-sublattice, so that each bench.ALGOS
+    planner (wa-low at k = 3) runs on every query; the first pair lies
+    on two sides of a wall."""
+    out = [(_wall((16, 16), 8), (1, 1), (13, 13))]
+    rng = np.random.default_rng(17)
+    for n, extents in enumerate([(13, 13), (6, 6, 6), (40, 34), (12, 12, 12)]):
+        grid = syn.random_grid(extents, 0.25, seed=20 + n)
+        cells = [c for c in itertools.product(*(range(1, e, 3) for e in extents))
+                 if grid.is_free(c)]
+        for a, b in rng.choice(len(cells), size=(3, 2)):
+            out.append((grid, cells[a], cells[b]))
+    return out
+
+
+def _plans(query, ladder=(1, 3)):
+    config = S.PlannerConfig(policy="dts", seed=3)
+    return [_fields(bench.run_algo(algo, *query, ladder, config, log_expansions=True))
+            for algo in bench.ALGOS]
+
+
+def test_oracle_calls_interleaved_with_plans_change_no_answer(monkeypatch):
+    # every planner's PlanResult (expansion log included) and every
+    # oracle answer, each with a free list of its own, then again with
+    # oracle calls on other queries (so on other maps, of other sizes)
+    # before and after each plan, from one shared free list
+    queries = _queries()
+    monkeypatch.setattr(S, "_FREE_TABLES", [])
+    want_plans = [_plans(q) for q in queries]
+    monkeypatch.setattr(S, "_FREE_TABLES", [])
+    want_costs = [B.dijkstra_optimal(*q).hex() for q in queries]
+    assert {r["status"] for plans in want_plans for r in plans} == {S.STATUS_SOLVED, S.STATUS_EXHAUSTED}
+    assert "inf" in want_costs and len(set(want_costs)) > 3
+    monkeypatch.setattr(S, "_FREE_TABLES", [])
+    n = len(queries)
+    for i, q in enumerate(queries):
+        before, after = queries[(i + 5) % n], queries[(i + 7) % n]
+        assert B.dijkstra_optimal(*before).hex() == want_costs[(i + 5) % n]
+        assert _plans(q) == want_plans[i]
+        assert B.dijkstra_optimal(*after).hex() == want_costs[(i + 7) % n]
+        assert B.dijkstra_optimal(*q).hex() == want_costs[i]
+    assert len(S._FREE_TABLES) == 1
+    assert_free_list_clean()
+
+
+def test_threads_mixing_plans_and_oracle_calls():
+    # four threads, each planning and calling the oracle in turn, with a
+    # short switch interval: every answer equals the single-thread one
+    queries = _queries()
+    want = [(_fields(S.plan(S.Problem(*q, ladder=(1, 3)))), B.dijkstra_optimal(*q).hex())
+            for q in queries]
+    errors = []
+
+    def worker(shift):
+        try:
+            for _ in range(3):
+                for i in range(len(queries)):
+                    j = (i + shift) % len(queries)
+                    q = queries[j]
+                    got = B.dijkstra_optimal(*q).hex()
+                    assert (_fields(S.plan(S.Problem(*q, ladder=(1, 3)))), got) == want[j]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and not errors
+    ids = [i for pair in free_pairs() for i in pair]
+    assert len(ids) == len(set(ids))
+    assert_free_list_clean()
+
+
+def test_a_warm_oracle_call_allocates_for_the_cells_it_reaches():
+    # The same short query on a 24^3 map and on the 48^3 map that tiles
+    # it 2 x 2 x 2 settles the same cells in the same order.  Once each
+    # map's k = 1 table and a pair as long as the larger map exist, the
+    # call's traced peak is alike on both, and far below the 235 KB that
+    # one 24^3 call took when it allocated whole-map dist, bp and done
+    # buffers (1.9 MB on 48^3).
+    small = syn.random_grid((24, 24, 24), 0.25, seed=3)
+    large = G.GridMap((48, 48, 48), np.tile(small.blocked, (2, 2, 2)))
+    start, goal = (8, 8, 8), (14, 12, 10)
+    for grid in (large, small):
+        assert B.dijkstra_optimal(grid, start, goal) == B.dijkstra_optimal(small, start, goal)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for grid in (small, large, small, large):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert 8 < B.dijkstra_optimal(grid, start, goal) < 9
+            peaks.setdefault(grid.extents, []).append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    small_peak, large_peak = max(peaks[small.extents]), max(peaks[large.extents])
+    assert large_peak <= 1.25 * small_peak + 1024, peaks
+    assert large_peak < 32 * 1024, peaks

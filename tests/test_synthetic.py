@@ -25,6 +25,8 @@ def test_random_grid_density_and_determinism():
         ((4, 4), True, "density must be a real number, got True"),
         (("a", 4), 0.3, "extents must be integers, got ('a', 4)"),
         ((4, -1), 0.3, "extents must be positive, got (4, -1)"),
+        # used to leak TypeError: 'int' object is not iterable
+        (5, 0.3, "extents 5 is not a sequence of sizes"),
     ]:
         with pytest.raises(InvalidProblemError) as exc:
             syn.random_grid(extents, density, seed=1)

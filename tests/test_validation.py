@@ -129,13 +129,16 @@ def test_validate_query_builds_no_ladder_per_call():
 
 
 def test_single_scale_uses_the_ladder_multiplier_rule():
+    # the same rule, each refusal naming what was passed: a ladder's
+    # multipliers, or weighted_astar's multiplier keyword
     g = G.GridMap.empty((16, 16))
     for k in (0, 4, -3):
         with pytest.raises(InvalidProblemError) as want:
             G.ResolutionLadder((1, k))
         with pytest.raises(InvalidProblemError) as got:
             B.weighted_astar(g, (1, 1), (7, 7), multiplier=k)
-        assert str(got.value) == str(want.value)
+        assert str(want.value) == f"multipliers must be odd and >= 1, got {k}"
+        assert str(got.value) == f"multiplier must be odd and >= 1, got {k}"
 
 
 NON_INTEGERS = [0.9, math.inf, math.nan, "1", True]
@@ -195,11 +198,14 @@ def test_non_integer_multipliers_are_refused(bad):
         lambda: G.ResolutionLadder((1, bad)),
         lambda: S.Problem(g, (1, 1), (7, 7), ladder=(1, bad)),
         lambda: B.wa_union(g, (1, 1), (7, 7), (1, bad)),
-        lambda: B.weighted_astar(g, (1, 1), (7, 7), multiplier=bad),
     ]
     for door in doors:
         with pytest.raises(InvalidProblemError, match="multipliers must be integers"):
             door()
+    # the single-scale planner names its keyword, not a ladder's multipliers
+    with pytest.raises(InvalidProblemError) as info:
+        B.weighted_astar(g, (1, 1), (7, 7), multiplier=bad)
+    assert str(info.value) == f"multiplier must be an integer, got {bad!r}"
 
 
 def test_ladders_must_be_sequences_of_integers():
