@@ -8,25 +8,26 @@ strategy as the only difference.  weighted_astar's queue reads one
 scale's table, wa_union's every ladder level's.  The exact oracle is
 one search loop, kernels.astar_unit, over the planners' own k = 1
 table (GridMap.move_table(1)) and its decoded-move cache, which the
-planners fill too: dijkstra_optimal runs it toward the goal, with
-its own heuristic (the obstacle-free unit-move distance, octile in 2D)
-rather than the planners', on the planners' (g, closed) pair, borrowed
-from search's free list (16 B per cell of the largest map, one pair per
+planners fill too.  dijkstra_optimal checks its endpoints by the
+planners' own check, search.validate_query, and answers inf wherever
+that check refuses.  It runs the loop toward the goal, with its own
+heuristic (the obstacle-free unit-move distance, octile in 2D) rather
+than the planners', on the planners' (g, closed) pair, borrowed from
+search's free list (16 B per cell of the largest map, one pair per
 search or oracle call running at once), and costs its predecessor
 chain of flat ids with grid.walk_chain, as the planners cost theirs.
-The full distance field, the same loop with no goal on fresh
-whole-map buffers, is kernels.dijkstra_2d/3d.  The
-table is checked apart from its builder by tests/test_kernels.py,
-tests/test_move_tables.py and perfbench's scipy reference, which
-checks every oracle answer.
+The full distance field, the same loop with no goal on fresh whole-map
+buffers, is kernels.dijkstra_2d/3d, which judge their source by
+grid.check_cell.  The table is checked apart from its builder by
+tests/test_kernels.py, tests/test_move_tables.py and perfbench's scipy
+reference, which checks every oracle answer.
 """
 
 import math
-from itertools import chain
 
 from . import kernels
 from .errors import InvalidProblemError
-from .grid import Cell, GridMap, ResolutionLadder, as_cell, walk_chain
+from .grid import Cell, GridMap, ResolutionLadder, walk_chain
 
 # Not called here, which reads the grid's move tables and costs
 # predecessor chains; bound so that layer tracers (see
@@ -89,13 +90,13 @@ def dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:
     is known, and a call that raises keeps it, as a raising search
     does.  So once a pair as long as the map exists, a call allocates
     in proportion to the cells it reaches, not to the map.
-    Returns inf when no path exists (including blocked, out-of-range
-    and non-integer inputs); never raises."""
+    The endpoints go through the planners' check, validate_query, and
+    the answer is inf wherever it refuses one (a non-integer cell, one
+    of the wrong dimension, off the map or blocked), as where no path
+    exists; the call raises only on a broken predecessor chain."""
     try:
-        start, goal = as_cell(start), as_cell(goal)
+        start, goal, _ = validate_query(grid, start, goal)
     except InvalidProblemError:
-        return math.inf
-    if not grid.is_free(start) or not grid.is_free(goal):
         return math.inf
     if start == goal:
         return 0.0
@@ -105,5 +106,5 @@ def dijkstra_optimal(grid: GridMap, start: Cell, goal: Cell) -> float:
     bp: dict[int, int] = {}
     kernels.astar_unit(grid.blocked, t.masks, t.moves, start_id, goal_id, dist, done, bp)
     cost = walk_chain(grid, bp, start_id, goal_id)[1] if goal_id in bp else math.inf
-    put_back_tables(dist, done, chain(bp, (start_id,)))
+    put_back_tables(dist, done, bp, start_id)
     return cost

@@ -51,23 +51,17 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _parse_cell(text: str) -> tuple[int, ...]:
+def _parse_list(option: str, text: str, number, example: str) -> tuple:
+    """The comma-separated entries of option's text, each read by number
+    (int or float); a ValueError naming the option, its text and example
+    otherwise.  How many entries there are is for the value's own check
+    (grid.check_cell for a cell, ResolutionLadder for a ladder)."""
     try:
-        cell = tuple(int(p) for p in text.split(","))
+        return tuple(map(number, text.split(",")))
     except ValueError:
-        raise ValueError(f"bad cell {text!r}; expected x,y or x,y,z") from None
-    if len(cell) not in (2, 3):
-        raise ValueError(f"bad cell {text!r}; expected 2 or 3 coordinates")
-    return cell
-
-
-def _parse_ladder(text: str) -> ResolutionLadder:
-    try:
-        scales = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad --res {text!r}; expected integers separated by commas, "
-                         "e.g. 1,7,21") from None
-    return ResolutionLadder(scales)
+        kind = "integers" if number is int else "numbers"
+        raise ValueError(f"bad {option} {text!r}; expected {kind} separated by commas, "
+                         f"e.g. {example}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -78,14 +72,6 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
-
-
-def _parse_values(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",")]
-    except ValueError:
-        raise ValueError(f"bad --values {text!r}; expected numbers separated by commas, "
-                         "e.g. 1,2,3") from None
 
 
 def _add_common(p: argparse.ArgumentParser, weights: bool = True) -> None:
@@ -165,9 +151,9 @@ def cmd_plan(args) -> int:
     want_svg = args.emit_svg is not None
     if want_svg and grid.dim != 2:  # refused before planning prints or writes anything
         raise ValueError("SVG rendering expects a 2D map")
-    ladder = _parse_ladder(args.res)
-    start = _parse_cell(args.start)
-    goal = _parse_cell(args.goal)
+    ladder = ResolutionLadder(_parse_list("--res", args.res, int, "1,7,21"))
+    start = _parse_list("--start", args.start, int, "0,0")
+    goal = _parse_list("--goal", args.goal, int, "9,9")
     config = _config(args, w1=args.w1, w2=args.w2)
     result = run_algo(args.algo, grid, start, goal, ladder, config, log_expansions=want_svg)
     cost = f"{result.cost:.6f}" if result.status == "solved" else "-"
@@ -189,7 +175,7 @@ def cmd_plan(args) -> int:
 
 def cmd_bench(args) -> int:
     maps = _load_maps(args.maps, args.format)
-    ladder = _parse_ladder(args.res)
+    ladder = ResolutionLadder(_parse_list("--res", args.res, int, "1,7,21"))
     config = _config(args, w1=args.w1, w2=args.w2)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     _check_algos(algos)  # before any scenario is sampled
@@ -205,10 +191,10 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep(args) -> int:
     maps = _load_maps(args.maps, args.format)
-    ladder = _parse_ladder(args.res)
+    ladder = ResolutionLadder(_parse_list("--res", args.res, int, "1,7,21"))
     # --fix sets only the weight not varied; run_sweep sets the varied one
     config = _config(args, **{"w2" if args.vary == "w1" else "w1": args.fix})
-    values = _parse_values(args.values)
+    values = _parse_list("--values", args.values, float, "1,2,3")
     tasks = make_tasks(maps, args.scenarios, args.seed)
     rows = run_sweep(tasks, args.vary, values, config, ladder, repeats=args.repeats)
     write_sweep_csv(rows, args.out)

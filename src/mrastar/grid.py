@@ -140,23 +140,6 @@ class GridMap:
     def flat_blocked(self) -> np.ndarray:
         return self.blocked.ravel()
 
-    def in_bounds(self, cell: Cell) -> bool:
-        """True iff cell has one coordinate per axis, each in range.
-        Raises InvalidProblemError for what as_cell refuses (a
-        non-integer coordinate, a non-sequence); a tuple of Python ints,
-        the planners' case, is taken as is."""
-        return self._holds(as_cell(cell))
-
-    def is_free(self, cell: Cell) -> bool:
-        """True iff cell is in bounds (see in_bounds) and not blocked."""
-        cell = as_cell(cell)
-        return self._holds(cell) and not self.blocked.item(cell[::-1])
-
-    def _holds(self, cell: Cell) -> bool:
-        """in_bounds of a tuple of Python ints, which as_cell gives."""
-        ext = self.extents
-        return len(cell) == len(ext) and min(cell) >= 0 and all(map(lt, cell, ext))
-
     def flat_index(self, cell: Cell) -> int:
         if self.dim == 2:
             return cell[1] * self.extents[0] + cell[0]
@@ -273,9 +256,10 @@ def check_cell(grid: GridMap, cell, name: str = "cell") -> Cell:
     dimension and in bounds; raises InvalidProblemError otherwise,
     naming the one reason."""
     cell = as_cell(cell, name)
-    if len(cell) != grid.dim:
-        raise InvalidProblemError(f"{name} {cell} is not a {grid.dim}D cell")
-    if not grid._holds(cell):
+    ext = grid.extents
+    if len(cell) != len(ext):
+        raise InvalidProblemError(f"{name} {cell} is not a {len(ext)}D cell")
+    if min(cell) < 0 or not all(map(lt, cell, ext)):
         raise InvalidProblemError(f"{name} {cell} is out of bounds")
     return cell
 
@@ -365,28 +349,24 @@ def _build_move_table(grid: GridMap, k: int, unit: MoveTable) -> MoveTable:
     times the unit move's.  Only the cells of the k-sublattice get moves
     and every other cell holds 0 (see MoveTable).  A direction that
     steps along an axis no longer than k leaves the map from every cell,
-    so its bit stays 0 without any array work."""
+    so its bit comes out 0 as well: the k unit moves along it include
+    the one that leaves the map."""
     dtype = np.uint8 if grid.dim == 2 else np.uint32
     shape = grid.blocked.shape
-    live = [
-        b for b, vec in enumerate(directions(grid.dim))
-        if not any(v and n <= k for v, n in zip(vec, grid.extents))
-    ]
     masks = np.zeros(shape, dtype)
-    if live:
-        on = _sublattice(k, grid.dim)
-        cells = np.arange(grid.size).reshape(shape)[on]
-        units = np.array([unit.offsets[b] for b in live])
-        # reads[j, t, c]: the unit masks t unit steps along direction
-        # live[j] from sublattice cell c.  A read past a row edge (wrapped)
-        # or past the array (clipped) comes after the first unit move that
-        # leaves the map, whose bit is already 0, so it never decides a bit.
-        reads = np.frombuffer(unit.masks, dtype).take(
-            cells.ravel() + np.arange(k)[:, None] * units[:, None, None], mode="clip"
-        )
-        bits = np.array([1 << b for b in live], dtype)[:, None]
-        runs = np.bitwise_and.reduce(reads, axis=1) & bits
-        masks[on] = np.bitwise_or.reduce(runs, axis=0).reshape(cells.shape)
+    on = _sublattice(k, grid.dim)
+    cells = np.arange(grid.size).reshape(shape)[on]
+    units = np.array(unit.offsets)
+    # reads[b, t, c]: the unit masks t unit steps along direction b from
+    # sublattice cell c.  A read past a row edge (wrapped) or past the
+    # array (clipped) comes after the first unit move that leaves the
+    # map, whose bit is already 0, so it never decides a bit.
+    reads = np.frombuffer(unit.masks, dtype).take(
+        cells.ravel() + np.arange(k)[:, None] * units[:, None, None], mode="clip"
+    )
+    bits = np.array([1 << b for b in range(len(units))], dtype)[:, None]
+    runs = np.bitwise_and.reduce(reads, axis=1) & bits
+    masks[on] = np.bitwise_or.reduce(runs, axis=0).reshape(cells.shape)
     offsets = tuple(k * o for o in unit.offsets)
     costs = tuple(k * c for c in unit.costs)
     return MoveTable(k, memoryview(masks.ravel()), offsets, costs)

@@ -8,9 +8,9 @@ checks it cell by cell for grid.edge_valid; successors (and its traced
 2D/3D entry points) builds on it for grid.successors_at_scale.
 unit_moves, the one builder of unit moves, builds each cell's unit-move
 bitmask with numpy by the same rule, reading each of the 3^d neighbour
-offsets once; GridMap.move_table(1) is its result.  Every search, the
-planners' and the exact oracle's, reads a state's moves through a
-DecodedMoves cache.  The oracle is one loop,
+offsets once; GridMap.move_table(1), its one caller, is its result.
+Every search, the planners' and the exact oracle's, reads a state's
+moves through a DecodedMoves cache.  The oracle is one loop,
 astar_unit, over state its caller owns (dist, done and bp): toward a
 goal an A* with its own heuristic, the obstacle-free distance of unit
 moves (octile in 2D), computed inline on each push with no call,
@@ -22,8 +22,11 @@ dijkstra_optimal runs it on the planners' (g, closed) pair, borrowed
 from search's free list, and a dict bp, so that a call allocates in
 proportion to the cells it reaches; the pair costs 16 B per cell of the
 largest map, one per search or oracle call running at once.  The
-fields run it on fresh whole-map buffers.  Labels come from
-scipy.ndimage.
+fields run it on fresh whole-map buffers, over a grid.GridMap of their
+occupancy: they search its move_table(1), and grid.check_cell, the one
+cell check of every entry point, judges their source.  They import grid
+inside the function, since grid imports this module as it loads.
+Labels come from scipy.ndimage.
 
 Coordinate convention: x is the fastest-varying axis.  A 2D map with
 width w stores cell (x, y) at flat index y*w + x; a 3D map with width w
@@ -263,26 +266,34 @@ def astar_unit(blocked, masks, moves, source, goal, dist, done, bp):
                 heappush(heap, (nd, v))
 
 
-def _field(blocked, source):
-    """astar_unit's full field from flat id source, on fresh whole-map
-    buffers: (dist, bp) as flat numpy arrays, dist inf and bp -1 where
-    no cell was reached, bp -1 at the source too."""
-    n = blocked.size
+def _field(occ, extents, source):
+    """astar_unit's full field from cell source on the map of the given
+    extents whose occupancy occ is, on fresh whole-map buffers: (dist,
+    bp) as flat numpy arrays, dist inf and bp -1 where no cell was
+    reached, bp -1 at the source too.  The map is a grid.GridMap, whose
+    move_table(1) the search reads; grid.check_cell judges source, so an
+    off-map or non-integer one raises InvalidProblemError, and a blocked
+    one reaches nothing (an all-inf field)."""
+    from .grid import GridMap, check_cell  # here: grid imports this module
+
+    grid = GridMap(extents, np.asarray(occ, dtype=bool).reshape(extents[::-1]))
+    source = grid.flat_index(check_cell(grid, source, "source"))
+    n = grid.size
     dist, bp = array("d", [math.inf]) * n, array("q", [-1]) * n
-    masks, offsets, costs = unit_moves(blocked)
-    astar_unit(blocked, masks, DecodedMoves(offsets, costs), source, -1, dist, bytearray(n), bp)
+    t = grid.move_table(1)
+    astar_unit(grid.blocked, t.masks, t.moves, source, -1, dist, bytearray(n), bp)
     return np.frombuffer(dist, dtype=np.float64), np.frombuffer(bp, dtype=np.int64)
 
 
 def dijkstra_2d(occ, w, h, sx, sy):
     """astar_unit's full field from (sx, sy) on a w x h map: (dist, bp)
     as flat numpy arrays (see _field)."""
-    return _field(np.asarray(occ, dtype=bool).reshape(h, w), sy * w + sx)
+    return _field(occ, (w, h), (sx, sy))
 
 
 def dijkstra_3d(occ, w, h, d, sx, sy, sz):
     """dijkstra_2d on a w x h x d map, 26-connected."""
-    return _field(np.asarray(occ, dtype=bool).reshape(d, h, w), (sz * h + sy) * w + sx)
+    return _field(occ, (w, h, d), (sx, sy, sz))
 
 
 def _component_labels(occ, shape):

@@ -15,9 +15,12 @@ successors onto the open lists' heaps itself, so that OpenList.pop is
 its only method call per expansion.  Its g values and closed bits are
 dense lists over flat cell ids, reused from query to query: a run that
 returns hands them back, reset, to a free list that the next search
-takes them from (take_tables, put_back_tables).  The exact oracle,
+takes them from (take_tables, put_back_tables, which resets a pair at
+its holder's start and predecessor map's keys).  The exact oracle,
 baselines.dijkstra_optimal, borrows its dist and done from the same
-list by the same two helpers.  A pair costs 16 B per cell of the
+list by the same two helpers, and checks its endpoints by the same
+validate_query, the planners' one check of a query, which judges each
+endpoint by grid.check_cell.  A pair costs 16 B per cell of the
 largest map it served, and a process holds one per search or oracle
 call that ran at once.  Every h is grid.heuristic's float.  A run
 reads one clock, time.perf_counter, and returns through one exit,
@@ -84,13 +87,16 @@ def take_tables(size: int) -> tuple[list[float], list[int]]:
     return g, closed
 
 
-def put_back_tables(g: list[float], closed: list[int], touched) -> None:
-    """Reset g and closed to inf and 0 at the flat ids in touched, which
-    must hold every entry the holder set, and put the pair back on the
-    free list.  A holder that raises skips this and keeps its pair, so
-    that whatever it left set never reaches the free list."""
+def put_back_tables(g: list[float], closed: list[int], bp, start: int) -> None:
+    """Reset g and closed to inf and 0 at flat id start and at the keys
+    of bp, the predecessor map of the search that held the pair (every
+    entry it set, see FlatSearch), and put the pair back on the free
+    list.  A holder that raises skips this and keeps its pair, so that
+    whatever it left set never reaches the free list."""
     inf = math.inf
-    for sid in touched:
+    g[start] = inf
+    closed[start] = 0
+    for sid in bp:
         g[sid] = inf
         closed[sid] = 0
     _FREE_TABLES.append((g, closed))
@@ -111,8 +117,9 @@ def check_weights(timeout: float = math.inf, **weights: float) -> None:
 def validate_query(grid: GridMap, start: Cell, goal: Cell, ladder=_UNIT_LADDER, *,
                    multiplier: int = 1, timeout: float = math.inf,
                    **weights: float) -> tuple[Cell, Cell, ResolutionLadder]:
-    """The one check of a planning query, shared by Problem and the
-    baselines; raises InvalidProblemError up front.
+    """The one check of a planning query, shared by Problem, the
+    baselines and the exact oracle (which answers inf where it refuses);
+    raises InvalidProblemError up front.
 
     timeout and the weights go through check_weights.  The endpoints
     become int tuples (see check_cell, which names one reason) that
@@ -276,9 +283,12 @@ class FlatSearch:
     flat id to its backpointer and heuristic, grid.heuristic of its cell
     and the goal (run computes it inline, by the same expression); a state
     is generated once it has an h entry (start and goal from the outset),
-    so generated == len(h), and every id whose g or closed entry is not
-    the default is a key of h.  The g/closed pair comes from the
-    module's free list, and run hands it back once it returns (see
+    so generated == len(h).  A search sets g and closed only at its
+    start and at the cells it reached, and every reached cell has a
+    predecessor: so every id whose g or closed entry is not the default
+    is the start or a key of bp, where put_back_tables resets them, for
+    this core and the exact oracle alike.  The g/closed pair comes from
+    the module's free list, and run hands it back once it returns (see
     run); after that the instance has g and closed None, and keeps its
     open lists, bp, h and counters.
     Queue j keys a state g + weights[j] * h and expands it with the
@@ -368,11 +378,11 @@ class FlatSearch:
         and OpenList.min_key is not called.  A solved result's path and
         cost come from one walk back along bp (grid.walk_chain).
 
-        Once the result is built, the entries of g and closed at h's
-        keys are reset to inf and 0 and the pair goes back to the free
-        list.  A run that raises keeps its pair: g and closed stay
-        readable on the instance, and whatever it left set never reaches
-        the free list.
+        Once the result is built, the entries of g and closed at the
+        start and bp's keys are reset to inf and 0 and the pair goes
+        back to the free list.  A run that raises keeps its pair: g and
+        closed stay readable on the instance, and whatever it left set
+        never reaches the free list.
         """
         if self._ran:
             raise MrastarError("this search has already run; build a new one per query")
@@ -514,7 +524,7 @@ class FlatSearch:
             bound=self.bound if solved else None,
             expansion_log=self.expansion_log,
         )
-        put_back_tables(self.g, self.closed, self.h)
+        put_back_tables(self.g, self.closed, self.bp, self.start_id)
         self.g = self.closed = None
         return res
 

@@ -135,10 +135,21 @@ def grid_cells(grid):
     return [(x, y, z) for z in range(d) for y in range(h) for x in range(w)]
 
 
+def on_map(grid, cell) -> bool:
+    """True iff cell has one coordinate per axis of grid, each in range."""
+    return len(cell) == grid.dim and all(0 <= c < n for c, n in zip(cell, grid.extents))
+
+
+def free(grid, cell) -> bool:
+    """True iff cell is on the map (on_map) and not blocked, read from
+    grid.blocked."""
+    return on_map(grid, cell) and not grid.blocked[cell[::-1]]
+
+
 def edge_free_exact(a, b, grid) -> bool:
     """Edge validity recomputed from exact geometry, not the kernels."""
     for cell in touched_cells(a, b):
-        if not grid.is_free(cell):
+        if not free(grid, cell):
             return False
     return True
 
@@ -164,7 +175,7 @@ def _unit_edge_free(cell, nb, mv, grid):
             flank = tuple(
                 c + (mv[ax] if ax in sub else 0) for ax, c in enumerate(cell)
             )
-            if not grid.is_free(flank):
+            if not free(grid, flank):
                 return False
     return True
 
@@ -176,12 +187,12 @@ def reference_graph(grid):
     rows, cols, data = [], [], []
     moves = _unit_moves(grid.dim)
     for cell in grid_cells(grid):
-        if not grid.is_free(cell):
+        if not free(grid, cell):
             continue
         u = grid.flat_index(cell)
         for mv in moves:
             nb = tuple(c + m for c, m in zip(cell, mv))
-            if not grid.is_free(nb):
+            if not free(grid, nb):
                 continue
             if not _unit_edge_free(cell, nb, mv, grid):
                 continue

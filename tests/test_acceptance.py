@@ -291,7 +291,7 @@ def test_acceptance_8_heuristic_consistency(capsys):
         for y in range(32):
             for x in range(32):
                 s = (x, y)
-                if not grid.is_free(s):
+                if grid.blocked[s[::-1]]:
                     continue
                 cells_checked += 1
                 h = G.heuristic(s, goal)

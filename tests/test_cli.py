@@ -241,6 +241,29 @@ def test_plan_usage_errors(empty10, capsys):
                    "--start", "0,0", "--goal", "9,9") == 1
 
 
+def test_plan_cell_of_the_wrong_dimension_meets_the_cell_check(empty10, capsys):
+    # the parser used to count the coordinates itself: "bad cell
+    # '1,2,3,4'; expected 2 or 3 coordinates"
+    assert run_cli("plan", "--map", empty10, "--format", "movingai",
+                   "--start", "1,2,3,4", "--goal", "9,9") == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "mrastar: error: start (1, 2, 3, 4) is not a 2D cell"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag,text,example", [
+    ("--start", "0;0", "0,0"), ("--goal", "9,x", "9,9"), ("--goal", "", "9,9"),
+])
+def test_plan_bad_cell_names_the_option_and_text(empty10, capsys, flag, text, example):
+    argv = {"--start": "0,0", "--goal": "9,9", flag: text}
+    assert run_cli("plan", "--map", empty10, "--format", "movingai",
+                   *(a for kv in argv.items() for a in kv)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == (f"mrastar: error: bad {flag} {text!r}; expected integers "
+                                    f"separated by commas, e.g. {example}")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("res", ["1,,3", "1,3.0", "x"])
 def test_plan_bad_res_names_the_option_and_text(empty10, capsys, res):
     # int()'s own message named neither: "invalid literal for int() with base 10: ''"

@@ -38,18 +38,6 @@ def test_gridmap_validation():
     assert g.dim == 2 and g.size == 12
 
 
-def test_gridmap_queries():
-    g = G.GridMap.empty((5, 4))
-    assert g.in_bounds((4, 3)) and not g.in_bounds((5, 3)) and not g.in_bounds((0, -1))
-    assert not g.in_bounds((1, 1, 1))
-    blocked = np.zeros((4, 5), bool)
-    blocked[2, 3] = True  # cell (3,2)
-    g = G.GridMap((5, 4), blocked)
-    assert g.is_free((3, 1)) and not g.is_free((3, 2)) and not g.is_free((9, 9))
-    # a wrong arity is no error, just not a cell of this map
-    assert not g.is_free((1,)) and g.is_free((np.int64(2), 2)) and g.is_free([2, 2])
-
-
 @pytest.mark.parametrize("extents", [(2.5, 3), (3, 2.0), (True, 3), ("3", 3), (2, 2, 1.5)], ids=repr)
 def test_gridmap_refuses_non_integer_extents(extents):
     # (2.5, 3) used to build a 2x3 map: int() truncated it
@@ -76,15 +64,42 @@ def test_gridmap_accepts_numpy_integer_extents():
     assert G.GridMap(np.array([3, 2, 2]), np.zeros((2, 2, 3), bool)).extents == (3, 2, 2)
 
 
-@pytest.mark.parametrize("cell", [(0.5, 1), (2.0, 2), (True, 1), ("a", 1), (1, 1.0), 3, None], ids=repr)
-def test_gridmap_queries_refuse_non_integer_coordinates(cell):
-    # on a 5x5 map, (0.5, 1) and (2.0, 2) used to escape from is_free as
-    # numpy's IndexError, (True, 1) as an ambiguous-truth ValueError and
-    # ("a", 1) from in_bounds as TypeError
-    g = G.GridMap.empty((5, 5))
-    for query in (g.in_bounds, g.is_free):
-        with pytest.raises(InvalidProblemError):
-            query(cell)
+@pytest.mark.parametrize("cell", [(4, 3), (0, 0), (3, 2), (np.int64(2), 2), [2, 2], np.array([1, 3])],
+                         ids=repr)
+def test_check_cell_takes_cells_of_the_map(cell):
+    # (3, 2) is blocked: whether a cell is free is not the cell check's
+    # question; numpy integers and lists come back as a tuple of ints
+    blocked = np.zeros((4, 5), bool)
+    blocked[2, 3] = True
+    got = G.check_cell(G.GridMap((5, 4), blocked), cell)
+    assert got == tuple(int(c) for c in cell) and all(type(c) is int for c in got)
+
+
+CELL_REFUSALS = [
+    ((5, 3), "(5, 3) is out of bounds"),
+    ((0, -1), "(0, -1) is out of bounds"),
+    ((9, 9), "(9, 9) is out of bounds"),
+    ((1, 1, 1), "(1, 1, 1) is not a 2D cell"),
+    ((1,), "(1,) is not a 2D cell"),
+    ((0.5, 1), "(0.5, 1) has a non-integer coordinate 0.5"),
+    ((2.0, 2), "(2.0, 2) has a non-integer coordinate 2.0"),
+    ((1, 1.0), "(1, 1.0) has a non-integer coordinate 1.0"),
+    ((True, 1), "(True, 1) has a non-integer coordinate True"),
+    (("a", 1), "('a', 1) has a non-integer coordinate 'a'"),
+    ("12", "'12' has a non-integer coordinate '1'"),
+    (3, "3 is not a sequence of coordinates"),
+    (None, "None is not a sequence of coordinates"),
+]
+
+
+@pytest.mark.parametrize("cell,reason", CELL_REFUSALS, ids=[repr(c) for c, _ in CELL_REFUSALS])
+def test_check_cell_refuses_with_one_reason(cell, reason):
+    # on a 5x4 map, (0.5, 1) and (2.0, 2) used to escape the old cell
+    # queries as numpy's IndexError, (True, 1) as an ambiguous-truth
+    # ValueError and ("a", 1) as TypeError
+    with pytest.raises(InvalidProblemError) as info:
+        G.check_cell(G.GridMap.empty((5, 4)), cell, "goal")
+    assert str(info.value) == f"goal {reason}"
 
 
 @pytest.mark.parametrize("extents", [(5, 4), (4, 3, 6)])
@@ -93,7 +108,7 @@ def test_flat_index_roundtrip(extents):
     seen = set()
     for flat in range(g.size):
         cell = g.cell_of(flat)
-        assert g.in_bounds(cell)
+        assert oracles.on_map(g, cell)
         assert g.flat_index(cell) == flat
         seen.add(cell)
     assert len(seen) == g.size
@@ -105,7 +120,7 @@ def test_flat_index_matches_blocked_layout():
     flat = g.flat_blocked
     for _ in range(50):
         cell = tuple(int(rng.integers(0, e)) for e in g.extents)
-        assert bool(flat[g.flat_index(cell)]) == (not g.is_free(cell))
+        assert bool(flat[g.flat_index(cell)]) == (not oracles.free(g, cell))
 
 
 # ---------------------------------------------------------- ResolutionLadder
@@ -189,7 +204,7 @@ def test_heuristic_domain_errors():
 def test_heuristic_admissible_and_consistent(extents, density, kind, seed):
     rng = np.random.default_rng(seed)
     g = random_map(rng, extents, density)
-    free = [c for c in oracles.grid_cells(g) if g.is_free(c)]
+    free = [c for c in oracles.grid_cells(g) if oracles.free(g, c)]
     goal = free[len(free) // 2]
     dist = oracles.reference_distances(g, goal)
     for s in free:
@@ -322,7 +337,7 @@ def test_edge_valid_never_passes_sampled_obstacle():
         for _ in range(80):
             a = tuple(int(c) for c in rng.integers(0, 16, size=2))
             b = tuple(int(c) for c in rng.integers(0, 16, size=2))
-            hit = any(not g.is_free(c) for c in oracles.sampled_cells(a, b))
+            hit = any(not oracles.free(g, c) for c in oracles.sampled_cells(a, b))
             if hit:
                 checked += 1
                 assert not walk_free(a, b, g)
@@ -337,11 +352,11 @@ def test_unit_move_closed_form_matches_exact_oracle():
     for extents, density in [((10, 9), 0.4), ((6, 6, 5), 0.3)]:
         g = random_map(rng, extents, density)
         for cell in oracles.grid_cells(g):
-            if not g.is_free(cell):
+            if not oracles.free(g, cell):
                 continue
             for mv in oracles._unit_moves(g.dim):
                 nb = tuple(c + m for c, m in zip(cell, mv))
-                if not g.is_free(nb):
+                if not oracles.free(g, nb):
                     continue
                 assert oracles._unit_edge_free(cell, nb, mv, g) == (
                     oracles.edge_free_exact(cell, nb, g)
@@ -378,7 +393,7 @@ def test_edge_valid_matches_exact_geometry_on_lattice_moves(extents, density, se
     a = tuple(data.draw(st.integers(0, e - 1)) for e in extents)
     step = data.draw(st.sampled_from(G.directions(g.dim)))
     b = tuple(c + k * s for c, s in zip(a, step))
-    if not g.in_bounds(b):
+    if not oracles.on_map(g, b):
         with pytest.raises(InvalidProblemError):
             G.edge_valid(a, b, g)
         return
@@ -386,7 +401,7 @@ def test_edge_valid_matches_exact_geometry_on_lattice_moves(extents, density, se
     if k % 2:
         # successors_at_scale yields exactly the valid moves of scale k
         ends = [tuple(c + k * s for c, s in zip(a, d)) for d in G.directions(g.dim)]
-        want = [t for t in ends if g.in_bounds(t) and G.edge_valid(a, t, g)]
+        want = [t for t in ends if oracles.on_map(g, t) and G.edge_valid(a, t, g)]
         assert [t for t, _ in G.successors_at_scale(a, k, g)] == want
 
 

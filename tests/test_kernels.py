@@ -143,7 +143,7 @@ def test_successors_3d_count_interior():
 @pytest.mark.parametrize("shape,density,seed", [((24, 24), 0.3, 1), ((18, 18), 0.45, 2)])
 def test_dijkstra_2d_matches_scipy_reference(shape, density, seed):
     g = random_grid(shape, density, seed)
-    src = next(c for c in oracles.grid_cells(g) if g.is_free(c))
+    src = next(c for c in oracles.grid_cells(g) if oracles.free(g, c))
     dist, bp = kernels.dijkstra_2d(g.flat_blocked, g.extents[0], g.extents[1], src[0], src[1])
     ref = oracles.reference_distances(g, src)
     assert np.allclose(dist, ref, rtol=1e-12, atol=1e-12, equal_nan=False)
@@ -158,7 +158,7 @@ def test_dijkstra_2d_matches_scipy_reference(shape, density, seed):
 
 def test_dijkstra_3d_matches_scipy_reference():
     g = random_grid((9, 9, 9), 0.25, seed=3)
-    src = next(c for c in oracles.grid_cells(g) if g.is_free(c))
+    src = next(c for c in oracles.grid_cells(g) if oracles.free(g, c))
     dist, _ = kernels.dijkstra_3d(g.flat_blocked, 9, 9, 9, src[0], src[1], src[2])
     ref = oracles.reference_distances(g, src)
     assert np.allclose(dist, ref, rtol=1e-12, atol=1e-12)

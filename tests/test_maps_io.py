@@ -55,16 +55,16 @@ def test_parse_movingai_glyph_classes():
     g = M.parse_movingai_map(MOVINGAI_MIXED)
     assert g.extents == (6, 4)
     for cell in [(2, 0), (3, 0), (1, 1), (2, 1), (3, 1), (0, 3), (1, 3)]:
-        assert not g.is_free(cell)  # T, @, W all block
+        assert not oracles.free(g, cell)  # T, @, W all block
     for cell in [(0, 0), (2, 2), (3, 2), (5, 3)]:
-        assert g.is_free(cell)  # ., S, G all passable
+        assert oracles.free(g, cell)  # ., S, G all passable
     assert int(g.blocked.sum()) == 7
 
 
 def test_parse_movingai_row_zero_is_y_zero():
     text = "type octile\nheight 2\nwidth 2\nmap\n.@\n..\n"
     g = M.parse_movingai_map(text)
-    assert not g.is_free((1, 0)) and g.is_free((1, 1))
+    assert not oracles.free(g, (1, 0)) and oracles.free(g, (1, 1))
 
 
 @pytest.mark.parametrize(
@@ -116,9 +116,9 @@ def test_parse_vox3_small():
 def test_parse_vox3_single_block():
     text = "vox3 3 2 2\n.#.\n...\n\n...\n...\n"
     g = M.parse_vox3(text)
-    assert not g.is_free((1, 0, 0))
+    assert not oracles.free(g, (1, 0, 0))
     assert int(g.blocked.sum()) == 1
-    assert g.is_free((1, 0, 1))
+    assert oracles.free(g, (1, 0, 1))
 
 
 def test_vox3_roundtrip_both_ways():
@@ -180,7 +180,7 @@ def test_gen_scenarios_connected_and_distinct():
     for s in scens:
         assert s.map_id == "m"
         assert s.start != s.goal
-        assert g.is_free(s.start) and g.is_free(s.goal)
+        assert oracles.free(g, s.start) and oracles.free(g, s.goal)
         assert (
             labels[tuple(reversed(s.start))] == labels[tuple(reversed(s.goal))]
         )

@@ -233,7 +233,7 @@ def test_the_oracle_hands_back_the_pair_it_borrows(monkeypatch, case):
     monkeypatch.setattr(S, "_FREE_TABLES", [])
     pairs = [S.take_tables(256), S.take_tables(16)]
     for pair in pairs:
-        S.put_back_tables(*pair, ())
+        S.put_back_tables(*pair, {}, 0)
     grid = _wall((16, 16), 8)
     start, goal, want = {
         "reached": ((2, 2), (5, 13), 8 + 3 * SQRT2),
@@ -277,7 +277,7 @@ def _queries():
     for n, extents in enumerate([(13, 13), (6, 6, 6), (40, 34), (12, 12, 12)]):
         grid = syn.random_grid(extents, 0.25, seed=20 + n)
         cells = [c for c in itertools.product(*(range(1, e, 3) for e in extents))
-                 if grid.is_free(c)]
+                 if oracles.free(grid, c)]
         for a, b in rng.choice(len(cells), size=(3, 2)):
             out.append((grid, cells[a], cells[b]))
     return out

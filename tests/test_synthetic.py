@@ -38,7 +38,7 @@ def test_corridor_instance_structure(seed):
     grid, start, goal = syn.corridor_instance(seed)
     again = syn.corridor_instance(seed)
     assert np.array_equal(again[0].blocked, grid.blocked) and again[1:] == (start, goal)
-    assert grid.is_free(start) and grid.is_free(goal)
+    assert not grid.blocked[start[::-1]] and not grid.blocked[goal[::-1]]
     assert G.coincides(start, 7) and G.coincides(goal, 7)
     labels = G.fine_components(grid)
     assert labels[tuple(reversed(start))] == labels[tuple(reversed(goal))]
@@ -56,7 +56,7 @@ def test_cul_de_sac_instance_structure(seed):
     grid, start, goal = syn.cul_de_sac_instance(seed)
     again = syn.cul_de_sac_instance(seed)
     assert np.array_equal(again[0].blocked, grid.blocked) and again[1:] == (start, goal)
-    assert grid.is_free(start) and grid.is_free(goal)
+    assert not grid.blocked[start[::-1]] and not grid.blocked[goal[::-1]]
     assert G.coincides(start, 21) and G.coincides(goal, 21)
     assert start[1] == goal[1]  # straight line start->goal
     labels = G.fine_components(grid)

@@ -4,6 +4,7 @@ InvalidProblemError."""
 
 import ast
 import dataclasses
+import itertools
 import math
 import re
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from mrastar import baselines as B
 from mrastar import grid as G
+from mrastar import kernels
 from mrastar import search as S
 from mrastar import synthetic as syn
 from mrastar.errors import InvalidProblemError
@@ -109,10 +111,84 @@ def test_every_planner_refuses_the_same_way(case):
             door(*query)
         messages.add(str(exc.value))
     assert messages == {message}
+    assert B.dijkstra_optimal(*query) == math.inf
     if "blocked" not in message:  # the one cell check, behind successors_at_scale too
         with pytest.raises(InvalidProblemError) as exc:
             G.successors_at_scale(query[2], 1, query[0])
         assert str(exc.value) == message.replace("goal", "cell")
+
+
+def _endpoints(grid):
+    """Every cell of grid, a ring of cells just off it, and one of each
+    kind of value the cell check refuses or converts."""
+    cells = itertools.product(*(range(-1, e + 1) for e in grid.extents))
+    odd = [(0.5,) * grid.dim, (True,) * grid.dim, ("a",) * grid.dim, (1.0,) * grid.dim,
+           (np.int64(2),) * grid.dim, [2] * grid.dim]
+    return [*cells, *odd]
+
+
+def _calls(door, *args):
+    """door's refusal message, or None if it took args."""
+    try:
+        door(*args)
+    except InvalidProblemError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("side", ["start", "goal"])
+def test_the_oracle_answers_inf_exactly_where_every_planner_refuses(side):
+    # the oracle used to judge its endpoints by a path of its own
+    grid = _bad_queries()[0][0][0]  # 8x8, its free cells one component
+    others = [(1, 2, 3), (1,), 3, None]  # wrong arity, no sequence
+    for cell in _endpoints(grid) + others:
+        query = (grid, cell, (7, 7)) if side == "start" else (grid, (0, 0), cell)
+        refusals = {_calls(door, *query) for door in FRONT_DOORS.values()}
+        assert len(refusals) == 1
+        assert (B.dijkstra_optimal(*query) == math.inf) == (refusals != {None})
+
+
+FIELDS = {2: kernels.dijkstra_2d, 3: kernels.dijkstra_3d}
+
+
+def _field(grid, source):
+    return FIELDS[grid.dim](grid.flat_blocked, *grid.extents, *source)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_the_fields_refuse_exactly_what_check_cell_refuses(dim):
+    # (True, True) used to give the field of (1, 1), off-map sources
+    # that of a wrapped cell or numpy's IndexError.  A field's signature
+    # names its coordinates, so no source of another arity reaches it.
+    if dim == 2:
+        grid = _bad_queries()[0][0][0]
+    else:
+        blocked = np.zeros((2, 3, 4), bool)
+        blocked[1, 1, 2] = True
+        grid = G.GridMap((4, 3, 2), blocked)
+    n_free = grid.size - int(grid.blocked.sum())
+    for source in _endpoints(grid):
+        want = _calls(G.check_cell, grid, source, "source")
+        if want is not None:
+            with pytest.raises(InvalidProblemError) as info:
+                _field(grid, source)
+            assert str(info.value) == want
+            continue
+        dist, bp = _field(grid, source)
+        cell = tuple(map(int, source))
+        if grid.blocked[cell[::-1]]:  # a blocked source reaches nothing
+            assert np.isinf(dist).all() and (bp == -1).all()
+        else:
+            assert dist[grid.flat_index(cell)] == 0.0 and np.isfinite(dist).sum() == n_free
+
+
+@pytest.mark.parametrize("sx,sy", [(-1, 0), (5, 0), (0, 4)])
+def test_field_sources_off_the_map_are_refused(sx, sy):
+    # on a 5x4 map, (-1, 0) used to give the field of (4, 3), (5, 0)
+    # that of (0, 1), and (0, 4) leaked numpy's IndexError
+    with pytest.raises(InvalidProblemError) as info:
+        kernels.dijkstra_2d(np.zeros(20, bool), 5, 4, sx, sy)
+    assert str(info.value) == f"source ({sx}, {sy}) is out of bounds"
 
 
 @pytest.mark.parametrize("door", sorted(FRONT_DOORS))
